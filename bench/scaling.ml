@@ -1,17 +1,22 @@
-(* Bus scaling suite: an N-member token ring driven for a fixed event
-   budget, measuring wall-clock deliveries/sec plus deploy time — each
-   size both on the classic single-domain bus and on a sharded bus
-   (broker domains with batched inter-domain delivery).
+(* Bus scaling suite: an N-member token ring with N/10 tokens, run to a
+   fixed virtual horizon, measuring deploy time, wall-clock
+   deliveries/sec and engine events per delivery. Each size runs at
+   shard count 1 and at a multi-domain count; both run the same batched
+   delivery path, so the pair checks that shard count changes nothing
+   but attribution.
 
    Run with: dune exec bench/main.exe -- scaling            (full sweep)
              dune exec bench/main.exe -- scaling --quick    (CI smoke)
 
-   The full sweep writes every row (N = 10 .. 100k, single and multi
-   domain) to BENCH_scaling.json and gates on (a) the multi-domain
-   speedup at N = 1000 and (b) the 100k deploy completing in bounded
-   time. The quick sweep writes BENCH_scaling_quick.json — a separate
-   artifact, so a CI run can never overwrite the full sweep's rows —
-   and gates multi-domain >= single-domain throughput. *)
+   Each N gets its own horizon, sized so that every row does about the
+   same number of deliveries (the work is fixed by virtual time, never
+   by an event budget). The gates are deterministic facts, not speed
+   ratios: at every N the deliveries are identical across shard counts,
+   and at N >= 1000 shard count 1 spends at most 1.1 engine events per
+   delivery. The full sweep also gates the 100k deploy on bounded
+   wall-clock time, asserts the complete row set and writes
+   BENCH_scaling.json. The quick sweep writes BENCH_scaling_quick.json,
+   a separate artifact, so a CI run never overwrites the full rows. *)
 
 module Bus = Dr_bus.Bus
 module Ring = Dr_workloads.Ring
@@ -20,66 +25,76 @@ type row = {
   sc_n : int;
   sc_shards : int;
   sc_deploy_ms : float;
+  sc_horizon : float;  (* virtual ms the ring runs after settling *)
   sc_events : int;
   sc_deliveries : int;
   sc_rate : float;  (* deliveries per wall-clock second *)
 }
 
-let run_one ~n ~shards ~events =
+let tokens n = max 1 (n / 10)
+
+(* A token pass costs about 2 virtual ms (1 remote hop plus the member's
+   quantum), so this horizon gives about [deliveries] passes at any N. *)
+let horizon_for ~deliveries n =
+  Float.round (2.0 *. float_of_int deliveries /. float_of_int (tokens n))
+
+let run_one ~n ~shards ~horizon =
   let system = Ring.load_large ~n in
   let t0 = Unix.gettimeofday () in
-  let bus = Ring.start_large system ~shards ~n ~tokens:(max 1 (n / 10)) in
+  let bus = Ring.start_large system ~shards ~n ~tokens:(tokens n) in
   let t1 = Unix.gettimeofday () in
-  Bus.run ~max_events:events bus;
-  let t2 = Unix.gettimeofday () in
-  let deliveries =
+  (* settle: every member runs its first quantum and parks on a read;
+     the tokens are now in flight *)
+  Bus.run ~until:0.0 bus;
+  let engine = Bus.engine bus in
+  let events0 = Dr_sim.Engine.events_fired engine in
+  let passes () =
     List.fold_left
       (fun acc m -> acc + max 0 (Ring.passes bus ~instance:m))
       0 (Ring.members ~n)
   in
+  let passes0 = passes () in
+  let t2 = Unix.gettimeofday () in
+  Bus.run ~until:horizon bus;
+  let t3 = Unix.gettimeofday () in
+  let deliveries = passes () - passes0 in
   { sc_n = n;
     sc_shards = shards;
     sc_deploy_ms = (t1 -. t0) *. 1e3;
-    sc_events = events;
+    sc_horizon = horizon;
+    sc_events = Dr_sim.Engine.events_fired engine - events0;
     sc_deliveries = deliveries;
-    sc_rate = float_of_int deliveries /. (t2 -. t1) }
+    sc_rate = float_of_int deliveries /. (t3 -. t2) }
 
-(* More domains pay off once the fleet is large enough to amortize the
-   per-batch drain over many same-instant deliveries. *)
+let events_per_delivery r =
+  float_of_int r.sc_events /. float_of_int (max 1 r.sc_deliveries)
+
 let multi_shards n = if n >= 10_000 then 8 else 4
-
-(* The event budget must grow with N so large rings still complete whole
-   passes: a sharded pass costs ~2 events per member. *)
-let events_for ?(base = 200_000) n = max base (4 * n)
 
 let find_row rows ~n ~multi =
   List.find_opt
     (fun r -> r.sc_n = n && (if multi then r.sc_shards > 1 else r.sc_shards = 1))
     rows
 
-let speedup rows ~n =
-  match (find_row rows ~n ~multi:false, find_row rows ~n ~multi:true) with
-  | Some s, Some m when s.sc_rate > 0.0 -> Some (s, m, m.sc_rate /. s.sc_rate)
-  | _ -> None
-
 let header () =
   print_newline ();
   print_endline "==============================================================";
-  print_endline "Bus scaling: N-member ring, fixed event budget";
+  print_endline "Bus scaling: N-member ring, N/10 tokens, fixed virtual horizon";
   print_endline "==============================================================";
-  Printf.printf "%8s %7s %12s %10s %12s %16s\n" "N" "shards" "deploy(ms)"
-    "events" "deliveries" "deliveries/sec";
-  Printf.printf "%s\n" (String.make 70 '-')
+  Printf.printf "%8s %7s %12s %9s %10s %12s %8s %14s\n" "N" "shards"
+    "deploy(ms)" "horizon" "events" "deliveries" "ev/del" "deliveries/s";
+  Printf.printf "%s\n" (String.make 86 '-')
 
-let sweep ~sizes ~base_events =
+let sweep ~sizes ~deliveries =
   List.concat_map
     (fun n ->
-      let events = events_for ~base:base_events n in
+      let horizon = horizon_for ~deliveries n in
       List.map
         (fun shards ->
-          let r = run_one ~n ~shards ~events in
-          Printf.printf "%8d %7d %12.1f %10d %12d %16.0f\n%!" r.sc_n
-            r.sc_shards r.sc_deploy_ms r.sc_events r.sc_deliveries r.sc_rate;
+          let r = run_one ~n ~shards ~horizon in
+          Printf.printf "%8d %7d %12.1f %9.0f %10d %12d %8.3f %14.0f\n%!"
+            r.sc_n r.sc_shards r.sc_deploy_ms r.sc_horizon r.sc_events
+            r.sc_deliveries (events_per_delivery r) r.sc_rate;
           r)
         [ 1; multi_shards n ])
     sizes
@@ -89,8 +104,10 @@ let row_json r =
     [ ("n", Json_out.int r.sc_n);
       ("shards", Json_out.int r.sc_shards);
       ("deploy_ms", Json_out.float r.sc_deploy_ms);
+      ("horizon_vms", Json_out.float r.sc_horizon);
       ("events", Json_out.int r.sc_events);
       ("deliveries", Json_out.int r.sc_deliveries);
+      ("events_per_delivery", Json_out.float (events_per_delivery r));
       ("deliveries_per_sec", Json_out.float r.sc_rate) ]
 
 let write_artifact ~path rows =
@@ -98,6 +115,13 @@ let write_artifact ~path rows =
     (Json_out.obj
        [ ("suite", Json_out.str "scaling");
          ("rows", Json_out.arr (List.map row_json rows)) ])
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("scaling: GATE FAILED: " ^ msg);
+      exit 1)
+    fmt
 
 (* The full sweep's artifact must carry the complete row set — the old
    harness let a quick CI run overwrite it with two rows, silently
@@ -115,49 +139,45 @@ let assert_full_rows ~sizes rows =
         [ false; true ])
     sizes
 
-let gate_speedup rows ~n ~minimum =
-  match speedup rows ~n with
-  | None ->
-    prerr_endline
-      (Printf.sprintf "scaling: GATE FAILED: no rate comparison at N=%d" n);
-    exit 1
-  | Some (s, m, ratio) ->
-    Printf.printf
-      "N=%d: single-domain %.0f del/s, %d-domain %.0f del/s (%.2fx, gate \
-       >=%.1fx)\n%!"
-      n s.sc_rate m.sc_shards m.sc_rate ratio minimum;
-    if ratio < minimum then begin
-      prerr_endline
-        (Printf.sprintf
-           "scaling: GATE FAILED: %.2fx < %.1fx multi-domain speedup at N=%d"
-           ratio minimum n);
-      exit 1
-    end
+(* Deterministic gates: the same virtual horizon must deliver the same
+   tokens at every shard count, and the batched path must keep the
+   single-domain bus at about one engine event per delivery. *)
+let gate_rows ~sizes rows =
+  List.iter
+    (fun n ->
+      match (find_row rows ~n ~multi:false, find_row rows ~n ~multi:true) with
+      | Some s, Some m ->
+        if s.sc_deliveries <> m.sc_deliveries then
+          fail "N=%d: %d deliveries at shards=1 but %d at shards=%d" n
+            s.sc_deliveries m.sc_deliveries m.sc_shards;
+        if n >= 1000 && events_per_delivery s > 1.1 then
+          fail "N=%d: %.3f events per delivery at shards=1 (gate <= 1.1)" n
+            (events_per_delivery s)
+      | _ -> fail "N=%d: missing a row" n)
+    sizes;
+  Printf.printf
+    "gates: deliveries identical across shard counts at every N; shards=1 \
+     events/delivery <= 1.1 at N >= 1000\n%!"
 
 let full ?(sizes = [ 10; 100; 1000; 10_000; 100_000 ]) () =
   header ();
-  let rows = sweep ~sizes ~base_events:200_000 in
+  let rows = sweep ~sizes ~deliveries:200_000 in
   (* deploy-time gate: the 100k-instance deploy must complete in bounded
      wall-clock time, not just eventually *)
   (match find_row rows ~n:100_000 ~multi:true with
   | Some r when List.mem 100_000 sizes ->
     Printf.printf "N=100000 multi-domain deploy: %.1f ms (gate <= 120000)\n%!"
       r.sc_deploy_ms;
-    if r.sc_deploy_ms > 120_000.0 then begin
-      prerr_endline "scaling: GATE FAILED: 100k deploy exceeded 120s";
-      exit 1
-    end
+    if r.sc_deploy_ms > 120_000.0 then fail "100k deploy exceeded 120s"
   | _ -> ());
-  gate_speedup rows ~n:1000 ~minimum:2.0;
+  gate_rows ~sizes rows;
   assert_full_rows ~sizes rows;
   write_artifact ~path:"BENCH_scaling.json" rows
 
 let quick ?(sizes = [ 10; 1000; 10_000 ]) () =
   header ();
-  let rows = sweep ~sizes ~base_events:100_000 in
-  (* CI gate: sharding must never cost throughput at the largest quick
-     size; the 2x bar is enforced by the full sweep *)
-  gate_speedup rows ~n:(List.fold_left max 0 sizes) ~minimum:1.0;
+  let rows = sweep ~sizes ~deliveries:100_000 in
+  gate_rows ~sizes rows;
   write_artifact ~path:"BENCH_scaling_quick.json" rows
 
 let all ?quick:(q = false) () = if q then quick () else full ()

@@ -358,9 +358,9 @@ let shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition the bus into N broker domains (default 1). Instances \
-           are assigned round-robin; cross-domain deliveries are batched \
-           per destination domain. Delivery contents and per-route order \
-           are unchanged at any shard count.")
+           are assigned round-robin and traffic is counted per domain. \
+           Every shard count runs the same batched delivery path, so the \
+           run and its trace are the same at any N.")
 
 let metrics_arg =
   Arg.(

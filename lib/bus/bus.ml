@@ -19,8 +19,8 @@ type params = {
 let default_params =
   { instr_cost = 0.01; quantum = 64; local_latency = 0.1; remote_latency = 1.0 }
 
-(* Sharded-mode hot-path structures (see [Domain]): each process holds
-   a generational handle into its broker domain's arena, plus a memo of
+(* Send-path structures (see [Domain]): each process holds a
+   generational handle into its broker domain's arena, plus a memo of
    its last-used out-route set with destinations pre-resolved to
    handles. The memo is versioned against [routes_version] (bumped on
    any route/roster change) and its handles are gen-checked on use, so
@@ -61,8 +61,9 @@ type process = {
   mutable p_out_memo : out_memo option;
 }
 
-(* A message parked in an inter-domain batch: everything the classic
-   per-message delivery event captured in its closure, as a record. *)
+(* A routed message on its way to a destination domain: the sender, the
+   memoized destination, the send-time fan-out set (for re-routing when
+   the destination dies in flight) and the value. *)
 type pending_msg = {
   bm_src : endpoint;
   bm_dst : dest_entry;
@@ -112,7 +113,7 @@ let default_detector_config = { dc_period = 1.0; dc_timeout = 3.0; dc_threshold 
 exception Controller_crash
 
 (* How a value reached an input queue: [Fresh] is a first-time delivery
-   (classic path or the reliable layer's frame arrival), [Transfer] a
+   (a routed message or the reliable layer's frame arrival), [Transfer] a
    requeue of something already delivered once (a replacement's
    [copy_queue]). The model checker's exactly-once monitor counts only
    [Fresh]. *)
@@ -137,9 +138,9 @@ type t = {
   mutable bus_metrics : Metrics.t option;
   (* broker domains: [shards] partitions of the fleet, each with an
      arena process table; [inbound] holds the per-destination-domain
-     delivery batches. With [shards = 1] the classic per-message send
-     path runs unchanged (golden traces are pinned to it) and the
-     arenas are maintained but never consulted on the hot path. *)
+     delivery batches. Shard count decides only how instances are
+     partitioned and how traffic is attributed: every count runs the
+     same send and delivery code. *)
   shards : int;
   domains : process Domain.t array;
   inbound : pending_msg Domain.Batch.t array;
@@ -150,7 +151,7 @@ type t = {
      write-ahead log the journal appends to, plus the controller fault
      model — a counter of control-log appends and an optional armed
      crash point. With no WAL attached nothing here is ever consulted,
-     so the classic traces are untouched. *)
+     so the golden traces are untouched. *)
   mutable bus_wal : Dr_wal.Wal.t option;
   mutable ctl_appends : int;
   mutable ctl_crash_at : int option;
@@ -158,8 +159,8 @@ type t = {
   mutable ctl_next_sid : int;
   mutable ctl_open : int;  (* scripts begun and not yet committed/aborted *)
   (* drain-aware routing: replica siblings and the members currently
-     draining. Both empty outside a rolling replacement, so the classic
-     delivery paths never consult them (golden traces untouched). *)
+     draining. Both empty outside a rolling replacement, so delivery
+     never consults them there (golden traces untouched). *)
   drain_members : (string, string array) Hashtbl.t;
   draining : (string, unit) Hashtbl.t;
   mutable drain_cursor : int;
@@ -180,11 +181,6 @@ let m_incr t ?labels ?by name =
   | Some r -> Metrics.incr r ?labels ?by name
   | None -> ()
 
-let m_add_gauge t ?labels name v =
-  match t.bus_metrics with
-  | Some r -> Metrics.add_gauge r ?labels name v
-  | None -> ()
-
 (* Sampled gauges: state that lives in bus structures (queue depths,
    instance count) is read at snapshot time by a collector rather than
    written through on every mutation. *)
@@ -201,29 +197,27 @@ let install_collectors t registry =
                 (float_of_int (Queue.length q)))
             p.p_queues)
         t.live;
-      (* per-domain attribution: the sharded hot path bumps plain
-         counters on the Domain records; surface them (and batched
-         in-flight, which the classic per-message gauge writes don't
-         cover) only at snapshot time *)
-      if t.shards > 1 then begin
-        let in_flight = ref 0 in
-        Array.iter
-          (fun b -> in_flight := !in_flight + Domain.Batch.in_flight b)
-          t.inbound;
-        Metrics.set_gauge r "bus.in_flight" (float_of_int !in_flight);
-        Array.iteri
-          (fun i d ->
-            let labels = t.dom_labels.(i) in
-            Metrics.set_gauge r "bus.domain_live" ~labels
-              (float_of_int (Domain.live_count d));
-            Metrics.set_gauge r "bus.domain_routed" ~labels
-              (float_of_int (Domain.routed d));
-            Metrics.set_gauge r "bus.domain_delivered" ~labels
-              (float_of_int (Domain.delivered d));
-            Metrics.set_gauge r "bus.domain_batches" ~labels
-              (float_of_int (Domain.batches d)))
-          t.domains
-      end)
+      (* per-domain attribution: the send path bumps plain counters on
+         the Domain records; surface them, and the messages parked in
+         batches, only at snapshot time. (Model-checking mode schedules
+         each message as its own event, so nothing is parked there.) *)
+      let in_flight = ref 0 in
+      Array.iter
+        (fun b -> in_flight := !in_flight + Domain.Batch.in_flight b)
+        t.inbound;
+      Metrics.set_gauge r "bus.in_flight" (float_of_int !in_flight);
+      Array.iteri
+        (fun i d ->
+          let labels = t.dom_labels.(i) in
+          Metrics.set_gauge r "bus.domain_live" ~labels
+            (float_of_int (Domain.live_count d));
+          Metrics.set_gauge r "bus.domain_routed" ~labels
+            (float_of_int (Domain.routed d));
+          Metrics.set_gauge r "bus.domain_delivered" ~labels
+            (float_of_int (Domain.delivered d));
+          Metrics.set_gauge r "bus.domain_batches" ~labels
+            (float_of_int (Domain.batches d)))
+        t.domains)
 
 let set_metrics t registry =
   t.bus_metrics <- Some registry;
@@ -350,7 +344,7 @@ let host_is_down t name = Hashtbl.mem t.down_hosts name
 (* ----------------------------------------------------------- transport *)
 
 (* A transport intercepts [route_message]'s per-destination sends (the
-   reliable-delivery layer installs one); [None] is the classic
+   reliable-delivery layer installs one); [None] is the plain
    fire-and-forget bus, byte-for-byte. *)
 let set_transport t transport = t.transport <- Some transport
 let clear_transport t = t.transport <- None
@@ -479,7 +473,7 @@ let latency t src_host dst_host =
   else t.bus_params.remote_latency
 
 (* Event labels for the model checker: computed only in MC mode, so the
-   classic hot path never pays for the route scan (and labels are inert
+   production hot path never pays for the route scan (and labels are inert
    there anyway). A quantum may run controller code — a divulge callback
    fires inside the target's quantum — so whenever a script is open or a
    callback is armed the label degrades to global (touch = [], dependent
@@ -561,25 +555,7 @@ and run_quantum t p =
     let cost = float_of_int executed *. t.bus_params.instr_cost in
     match Machine.status p.p_machine with
     | Machine.Ready -> schedule_quantum t p ~delay:(Float.max cost t.bus_params.instr_cost)
-    | Machine.Sleeping duration ->
-      (* sharded mode fuses the wake with the next quantum: the classic
-         path schedules a wake event that then schedules a delay-0
-         quantum event (two pops per sleep); at shards > 1 the wake
-         event runs the quantum directly, halving sleep overhead *)
-      if t.shards > 1 then
-        Engine.schedule ~label:(quantum_label t p) t.engine
-          ~delay:(cost +. duration) (fun () ->
-            if p.p_alive then begin
-              Machine.set_ready p.p_machine;
-              if not p.p_scheduled then run_quantum t p
-            end)
-      else
-        Engine.schedule ~label:(quantum_label t p) t.engine
-          ~delay:(cost +. duration) (fun () ->
-            if p.p_alive then begin
-              Machine.set_ready p.p_machine;
-              schedule_quantum t p ~delay:0.0
-            end)
+    | Machine.Sleeping duration -> schedule_wake t p ~delay:(cost +. duration)
     | Machine.Blocked_read _ | Machine.Blocked_decode ->
       (* parked: woken by message/state arrival *)
       ()
@@ -588,12 +564,23 @@ and run_quantum t p =
       record t "crash" "%s crashed: %s" p.p_instance message
   end
 
-let wake_endpoint t p iface =
-  match Machine.status p.p_machine with
-  | Machine.Blocked_read blocked_iface when String.equal blocked_iface iface ->
-    Machine.set_ready p.p_machine;
-    schedule_quantum t p ~delay:0.0
-  | _ -> ()
+and schedule_wake t p ~delay =
+  Engine.schedule ~label:(quantum_label t p) t.engine ~delay (fun () ->
+      if p.p_alive then begin
+        Machine.set_ready p.p_machine;
+        resume t p
+      end)
+
+(* Run a machine that a wake or a delivery just made ready. Like the
+   send path, this picks its granularity from [Engine.mc_enabled], never
+   from shard count. In model-checking mode the quantum is its own
+   delay-0 event, so the explorer can interleave it with everything else
+   due at this instant. In production it runs right away, saving an
+   event-queue pop per wake; that order is one of the interleavings the
+   explorer visits. *)
+and resume t p =
+  if Engine.mc_enabled t.engine then schedule_quantum t p ~delay:0.0
+  else if not p.p_scheduled then run_quantum t p
 
 (* -------------------------------------------------------------- routes *)
 
@@ -768,6 +755,25 @@ let drain_redirect t dst =
         (target, iface)
       | Some _ | None -> dst
 
+(* Append a value to a live destination's input queue. [true] iff that
+   woke a reader blocked on the interface; the caller decides when the
+   reader's quantum runs. *)
+let enqueue t kind p ~dst value =
+  notify_delivery t ~dst ~kind value;
+  Queue.add value (queue_of p (snd dst));
+  match Machine.status p.p_machine with
+  | Machine.Blocked_read blocked_iface when String.equal blocked_iface (snd dst)
+    ->
+    Machine.set_ready p.p_machine;
+    true
+  | _ -> false
+
+let count_delivered t p =
+  let dom = p.p_handle.Domain.h_dom in
+  Domain.count_delivered t.domains.(dom);
+  if Option.is_some t.bus_metrics then
+    m_incr t ~labels:t.dom_labels.(dom) "bus.delivered"
+
 let deliver_k t kind ~dst value =
   let dst = drain_redirect t dst in
   let instance, iface = dst in
@@ -780,10 +786,8 @@ let deliver_k t kind ~dst value =
       record t "fault" "delivery to %s.%s failed: host %s is down" instance
         iface p.p_host.host_name
     else begin
-      m_incr t ~labels:[ ("instance", instance) ] "bus.delivered";
-      notify_delivery t ~dst ~kind value;
-      Queue.add value (queue_of p iface);
-      wake_endpoint t p iface
+      count_delivered t p;
+      if enqueue t kind p ~dst value then schedule_quantum t p ~delay:0.0
     end
 
 let deliver t ~dst value = deliver_k t Fresh ~dst value
@@ -830,29 +834,6 @@ let drop_queue t ep =
 
 (* ------------------------------------------------------------- send *)
 
-(* If the destination died while the message was in flight (it was
-   replaced by a reconfiguration), re-resolve the current routes: the
-   paper's bus applies rebinding commands atomically, so traffic follows
-   the new bindings. Only the routes added since the send — the
-   rebinding of the lost message's destination — receive it: re-fanning
-   out to every current route would hand a duplicate to each surviving
-   peer of a multicast binding. [peers] is the full destination set at
-   send time. *)
-let deliver_or_redirect t ~src ~dst ~peers value =
-  match find_proc t (fst dst) with
-  | Some _ -> deliver t ~dst value
-  | None -> (
-    let rebound =
-      List.filter
-        (fun d -> not (List.exists (endpoint_equal d) peers))
-        (routes_from t src)
-    in
-    match rebound with
-    | [] -> record t "drop" "in-flight message from %s.%s lost" (fst src) (snd src)
-    | dsts -> List.iter (fun dst -> deliver t ~dst value) dsts)
-
-(* ---------------------------------------------------- sharded routing *)
-
 (* Resolve a destination entry: the gen-checked arena lookup when the
    cached handle is fresh — an array index, no hashing — else fall back
    to the by-name table and re-warm the handle. A handle cached before
@@ -874,9 +855,8 @@ let resolve_dest t (de : dest_entry) =
 
 (* Rebuild the sender's out-route memo when the route table has moved
    since it was cut (or the interface changed). [om_peers] is the
-   send-time fan-out set the redirect logic needs, identical to what
-   the classic path recomputes per send because any add/del bumps
-   [routes_version]. *)
+   send-time fan-out set the redirect logic needs, identical to a fresh
+   [routes_from] because any add/del bumps [routes_version]. *)
 let cut_out_memo t p iface =
   let src = (p.p_instance, iface) in
   let dsts = routes_from t src in
@@ -906,41 +886,19 @@ let out_memo_of t p iface =
     m
   | _ -> cut_out_memo t p iface
 
-(* The sharded counterpart of the closure the classic path schedules per
-   message: deliver one batched message, preserving the classic trace
-   wording for every failure case. *)
-let deliver_batched t dom (bm : pending_msg) =
+(* Deliver one routed message. A live destination gets the value and,
+   if that woke a reader blocked on the interface, [Some reader] comes
+   back for the caller to resume. Every failure case keeps its trace
+   wording. *)
+let deliver_routed t (bm : pending_msg) =
   let dst = bm.bm_dst.de_dst in
-  if Hashtbl.length t.draining > 0 && Hashtbl.mem t.draining (fst dst) then
-    (* draining member: fall back to the classic path, which redirects
-       to an admitting sibling (only drain windows pay this) *)
-    deliver t ~dst bm.bm_value
-  else
   match resolve_dest t bm.bm_dst with
-  | Some p ->
-    if host_is_down t p.p_host.host_name then
-      record t "fault" "delivery to %s.%s failed: host %s is down" (fst dst)
-        (snd dst) p.p_host.host_name
-    else begin
-      Domain.count_delivered dom;
-      if Option.is_some t.bus_metrics then
-        m_incr t ~labels:t.dom_labels.(Domain.id dom) "bus.delivered";
-      notify_delivery t ~dst ~kind:Fresh bm.bm_value;
-      Queue.add bm.bm_value (queue_of p (snd dst));
-      (* fused wake: the classic path schedules a delay-0 quantum event
-         for a reader blocked on this interface; here the quantum runs
-         inline at the same virtual time — one event-queue pop fewer
-         per delivery *)
-      match Machine.status p.p_machine with
-      | Machine.Blocked_read blocked_iface
-        when String.equal blocked_iface (snd dst) ->
-        Machine.set_ready p.p_machine;
-        if not p.p_scheduled then run_quantum t p
-      | _ -> ()
-    end
   | None -> (
-    (* destination died in flight: same redirect rule as
-       [deliver_or_redirect] — only routes added since the send *)
+    (* The destination died in flight (a reconfiguration replaced it).
+       The paper's bus applies rebinding commands atomically, so the
+       message follows the new bindings, but only the routes added since
+       the send: re-fanning out to every current route would hand a
+       duplicate to each surviving peer of a multicast binding. *)
     let rebound =
       List.filter
         (fun d -> not (List.exists (endpoint_equal d) bm.bm_peers))
@@ -949,37 +907,72 @@ let deliver_batched t dom (bm : pending_msg) =
     match rebound with
     | [] ->
       record t "drop" "in-flight message from %s.%s lost" (fst bm.bm_src)
-        (snd bm.bm_src)
-    | dsts -> List.iter (fun dst -> deliver t ~dst bm.bm_value) dsts)
+        (snd bm.bm_src);
+      None
+    | dsts ->
+      List.iter (fun dst -> deliver t ~dst bm.bm_value) dsts;
+      None)
+  | Some _ when Hashtbl.length t.draining > 0 && Hashtbl.mem t.draining (fst dst)
+    ->
+    (* draining member: [deliver] redirects to an admitting sibling (only
+       drain windows pay this) *)
+    deliver t ~dst bm.bm_value;
+    None
+  | Some p ->
+    if host_is_down t p.p_host.host_name then begin
+      record t "fault" "delivery to %s.%s failed: host %s is down" (fst dst)
+        (snd dst) p.p_host.host_name;
+      None
+    end
+    else begin
+      count_delivered t p;
+      if enqueue t Fresh p ~dst bm.bm_value then Some p else None
+    end
 
-(* One event-queue pop delivers every message bound for this domain at
-   this instant, in insertion order (per-route FIFO). *)
-let drain_domain t dom_idx ~due =
-  let batch = Domain.Batch.drain t.inbound.(dom_idx) ~due in
-  let dom = t.domains.(dom_idx) in
+(* Deliver a batch bound for one domain, in insertion order (per-route
+   FIFO). Every message is enqueued first, then each woken reader
+   resumes once, in wake order, so a reader sees all of its same-instant
+   messages in one quantum. *)
+let deliver_batch t dom_idx batch =
   let size = List.length batch in
-  Domain.count_batch dom ~size;
+  Domain.count_batch t.domains.(dom_idx) ~size;
   (match t.bus_metrics with
   | Some r ->
     Metrics.incr r ~labels:t.dom_labels.(dom_idx) "bus.batches";
     Metrics.observe r "bus.batch_size" (float_of_int size)
   | None -> ());
-  List.iter (deliver_batched t dom) batch
+  List.iter (resume t) (List.filter_map (deliver_routed t) batch)
 
-(* The sharded send path: memoized fan-out, handles instead of string
-   keys, and per-hop batching — a message joins the batch for its
-   destination domain at its exact delivery instant, and only the first
-   message of a batch schedules an engine event. Fault-hook draw order
-   (jitter, then decision, per destination) matches the classic path
-   exactly so seeded fault plans replay identically. *)
-let route_sharded t p iface value =
+(* Run [send ~delay] as the fault plane decides. The draw order (jitter,
+   then the loss/duplicate decision) is what seeded fault plans replay. *)
+let with_faults t ~src ~dst ~delay send =
+  match t.fault_hooks with
+  | None -> send ~delay
+  | Some hooks -> (
+    let delay = delay +. hooks.fh_jitter () in
+    match hooks.fh_message ~src ~dst with
+    | Deliver -> send ~delay
+    | Drop ->
+      record t "fault" "injected loss: %s.%s -> %s.%s" (fst src) (snd src)
+        (fst dst) (snd dst)
+    | Duplicate ->
+      record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src) (snd src)
+        (fst dst) (snd dst);
+      send ~delay;
+      send ~delay)
+
+(* The send path: memoized fan-out, handles instead of string keys, and
+   per-hop batching. A message joins the batch for its destination
+   domain at its exact delivery instant, and only the first message of a
+   batch schedules an engine event. In model-checking mode each message
+   is instead its own [deliver] event, a choice point for the explorer. *)
+let route_message t p iface value =
   (match t.activity_hook with
   | Some hook -> hook p.p_instance
   | None -> ());
   let memo = out_memo_of t p iface in
   if Array.length memo.om_dests = 0 then begin
-    if Option.is_some t.bus_metrics then
-      m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
+    m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
     record t "drop" "%s.%s has no binding; message discarded" p.p_instance iface
   end
   else begin
@@ -997,100 +990,31 @@ let route_sharded t p iface value =
           | None -> false
         in
         if not handled then begin
-          let dst_p = resolve_dest t de in
-          let dst_host =
-            match dst_p with Some dp -> dp.p_host | None -> p.p_host
+          let dst_host, dst_dom =
+            match resolve_dest t de with
+            | Some dp -> (dp.p_host, dp.p_handle.Domain.h_dom)
+            | None -> (p.p_host, src_dom)
           in
-          let dst_dom =
-            match dst_p with
-            | Some dp -> dp.p_handle.Domain.h_dom
-            | None -> src_dom
-          in
-          let delay = latency t p.p_host dst_host in
           let push ~delay =
             let due = now t +. delay in
-            let opened =
-              Domain.Batch.add t.inbound.(dst_dom) ~due
-                { bm_src = src;
-                  bm_dst = de;
-                  bm_peers = memo.om_peers;
-                  bm_value = value }
+            let msg =
+              { bm_src = src; bm_dst = de; bm_peers = memo.om_peers;
+                bm_value = value }
             in
-            if opened then
+            if Engine.mc_enabled t.engine then
+              Engine.schedule_at
+                ~label:(deliver_label t ~dst:de.de_dst value)
+                t.engine ~time:due
+                (fun () -> deliver_batch t dst_dom [ msg ])
+            else if Domain.Batch.add t.inbound.(dst_dom) ~due msg then
               Engine.schedule_at t.engine ~time:due (fun () ->
-                  drain_domain t dst_dom ~due)
+                  deliver_batch t dst_dom
+                    (Domain.Batch.drain t.inbound.(dst_dom) ~due))
           in
-          match t.fault_hooks with
-          | None -> push ~delay
-          | Some hooks -> (
-            let delay = delay +. hooks.fh_jitter () in
-            match hooks.fh_message ~src ~dst:de.de_dst with
-            | Deliver -> push ~delay
-            | Drop ->
-              record t "fault" "injected loss: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst de.de_dst) (snd de.de_dst)
-            | Duplicate ->
-              record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst de.de_dst) (snd de.de_dst);
-              push ~delay;
-              push ~delay)
+          with_faults t ~src ~dst:de.de_dst
+            ~delay:(latency t p.p_host dst_host) push
         end)
       memo.om_dests
-  end
-
-let route_message t p iface value =
-  if t.shards > 1 then route_sharded t p iface value
-  else begin
-  let src = (p.p_instance, iface) in
-  (match t.activity_hook with
-  | Some hook -> hook p.p_instance
-  | None -> ());
-  let dsts = routes_from t src in
-  if dsts = [] then begin
-    m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
-    record t "drop" "%s.%s has no binding; message discarded" p.p_instance iface
-  end
-  else
-    List.iter
-      (fun dst ->
-        m_incr t
-          ~labels:[ ("route", fst src ^ "->" ^ fst dst) ]
-          "bus.messages_routed";
-        let handled =
-          match t.transport with
-          | Some tr -> tr.tr_send ~src ~dst value
-          | None -> false
-        in
-        if not handled then begin
-          let dst_host =
-            match find_proc t (fst dst) with
-            | Some dp -> dp.p_host
-            | None -> p.p_host
-          in
-          let delay = latency t p.p_host dst_host in
-          let send ~delay =
-            m_add_gauge t "bus.in_flight" 1.;
-            Engine.schedule ~label:(deliver_label t ~dst value) t.engine ~delay
-              (fun () ->
-                m_add_gauge t "bus.in_flight" (-1.);
-                deliver_or_redirect t ~src ~dst ~peers:dsts value)
-          in
-          match t.fault_hooks with
-          | None -> send ~delay
-          | Some hooks -> (
-            let delay = delay +. hooks.fh_jitter () in
-            match hooks.fh_message ~src ~dst with
-            | Deliver -> send ~delay
-            | Drop ->
-              record t "fault" "injected loss: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst dst) (snd dst)
-            | Duplicate ->
-              record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst dst) (snd dst);
-              send ~delay;
-              send ~delay)
-        end)
-      dsts
   end
 
 (* A raw timed hop between two endpoints, subject to the fault hooks but
@@ -1108,23 +1032,8 @@ let transmit t ~src ~dst k =
     | Some a, Some b -> latency t a b
     | _ -> t.bus_params.local_latency
   in
-  let send ~delay =
-    Engine.schedule ~label:(net_label t ~src ~dst) t.engine ~delay k
-  in
-  match t.fault_hooks with
-  | None -> send ~delay
-  | Some hooks -> (
-    let delay = delay +. hooks.fh_jitter () in
-    match hooks.fh_message ~src ~dst with
-    | Deliver -> send ~delay
-    | Drop ->
-      record t "fault" "injected loss: %s.%s -> %s.%s" (fst src) (snd src)
-        (fst dst) (snd dst)
-    | Duplicate ->
-      record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src) (snd src)
-        (fst dst) (snd dst);
-      send ~delay;
-      send ~delay)
+  with_faults t ~src ~dst ~delay (fun ~delay ->
+      Engine.schedule ~label:(net_label t ~src ~dst) t.engine ~delay k)
 
 (* Hand a value straight to a destination queue with no latency, no
    fault decision and no trace on success: the reliable layer calls this
@@ -1132,15 +1041,12 @@ let transmit t ~src ~dst k =
    Returns [false] when the destination is gone or its host is down, so
    the caller can withhold the ack and let retransmission recover. *)
 let deliver_now t ~dst value =
-  let instance, iface = dst in
-  match find_proc t instance with
+  match find_proc t (fst dst) with
   | None -> false
   | Some p ->
     if host_is_down t p.p_host.host_name then false
     else begin
-      notify_delivery t ~dst ~kind:Fresh value;
-      Queue.add value (queue_of p iface);
-      wake_endpoint t p iface;
+      if enqueue t Fresh p ~dst value then schedule_quantum t p ~delay:0.0;
       true
     end
 
@@ -1182,113 +1088,90 @@ let instance_io t (p_ref : process option ref) : Dr_interp.Io_intf.t =
       (* images arrive via [deposit_state], which feeds the machine
          directly; mh_decode blocks otherwise *) }
 
-let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
-  match find_proc t instance with
-  | Some _ -> Error (Printf.sprintf "instance %s already exists" instance)
-  | None -> (
+(* Where a new instance may go: the name must be free and the host
+   known and up. *)
+let placement t ~instance ~host =
+  if Option.is_some (find_proc t instance) then
+    Error (Printf.sprintf "instance %s already exists" instance)
+  else
     match find_host t host with
     | None -> Error (Printf.sprintf "unknown host %s" host)
     | Some _ when host_is_down t host ->
       Error (Printf.sprintf "host %s is down" host)
-    | Some h -> (
-      match Hashtbl.find_opt t.programs module_name with
-      | None -> Error (Printf.sprintf "module %s is not registered" module_name)
-      | Some (program, artifact) ->
-        let p_ref = ref None in
-        let io = instance_io t p_ref in
-        let machine =
-          Machine.create ~status_attr:status ~io
-            ~resolved:artifact.Dr_interp.Cache.a_resolved program
-        in
-        let gen = t.spawn_gen in
-        t.spawn_gen <- t.spawn_gen + 1;
-        let p =
-          { p_instance = instance;
-            p_module = module_name;
-            p_gen = gen;
-            p_host = h;
-            p_spec = spec;
-            p_machine = machine;
-            p_queues = Hashtbl.create 8;
-            p_last_queue = None;
-            p_outputs = [];
-            p_divulged = [];
-            p_on_divulge = None;
-            p_alive = true;
-            p_scheduled = false;
-            p_started = now t;
-            p_ended = None;
-            p_handle = Domain.null_handle;
-            p_out_memo = None }
-        in
-        p_ref := Some p;
-        t.procs_rev <- p :: t.procs_rev;
-        Hashtbl.replace t.live instance p;
-        p.p_handle <- Domain.alloc t.domains.(t.spawn_rr mod t.shards) p;
-        t.spawn_rr <- t.spawn_rr + 1;
-        m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
-        record t "lifecycle" "%s (%s) started on %s as %s" instance module_name
-          h.host_name status;
-        schedule_quantum t p ~delay:0.0;
-        Ok ()))
+    | Some h -> Ok h
+
+(* Build a process around [make_machine]'s machine and register it: the
+   roster, the live table, and an arena slot in the next domain
+   round-robin. *)
+let register t ~instance ~module_name ~host ~spec make_machine =
+  let p_ref = ref None in
+  let machine = make_machine (instance_io t p_ref) in
+  let gen = t.spawn_gen in
+  t.spawn_gen <- t.spawn_gen + 1;
+  let p =
+    { p_instance = instance;
+      p_module = module_name;
+      p_gen = gen;
+      p_host = host;
+      p_spec = spec;
+      p_machine = machine;
+      p_queues = Hashtbl.create 8;
+      p_last_queue = None;
+      p_outputs = [];
+      p_divulged = [];
+      p_on_divulge = None;
+      p_alive = true;
+      p_scheduled = false;
+      p_started = now t;
+      p_ended = None;
+      p_handle = Domain.null_handle;
+      p_out_memo = None }
+  in
+  p_ref := Some p;
+  t.procs_rev <- p :: t.procs_rev;
+  Hashtbl.replace t.live instance p;
+  p.p_handle <- Domain.alloc t.domains.(t.spawn_rr mod t.shards) p;
+  t.spawn_rr <- t.spawn_rr + 1;
+  p
+
+let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
+  match placement t ~instance ~host with
+  | Error _ as e -> e
+  | Ok h -> (
+    match Hashtbl.find_opt t.programs module_name with
+    | None -> Error (Printf.sprintf "module %s is not registered" module_name)
+    | Some (program, artifact) ->
+      let p =
+        register t ~instance ~module_name ~host:h ~spec (fun io ->
+            Machine.create ~status_attr:status ~io
+              ~resolved:artifact.Dr_interp.Cache.a_resolved program)
+      in
+      m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
+      record t "lifecycle" "%s (%s) started on %s as %s" instance module_name
+        h.host_name status;
+      schedule_quantum t p ~delay:0.0;
+      Ok ())
 
 let spawn_snapshot t ~of_instance ~instance ~host =
-  match find_proc t instance with
-  | Some _ -> Error (Printf.sprintf "instance %s already exists" instance)
-  | None -> (
-    match find_proc t of_instance with
-    | None -> Error (Printf.sprintf "no such instance %s" of_instance)
-    | Some source -> (
-      match find_host t host with
-      | None -> Error (Printf.sprintf "unknown host %s" host)
-      | Some _ when host_is_down t host ->
-        Error (Printf.sprintf "host %s is down" host)
-      | Some h ->
-        let p_ref = ref None in
-        let io = instance_io t p_ref in
-        let machine = Machine.clone source.p_machine ~io in
-        let gen = t.spawn_gen in
-        t.spawn_gen <- t.spawn_gen + 1;
-        let p =
-          { p_instance = instance;
-            p_module = source.p_module;
-            p_gen = gen;
-            p_host = h;
-            p_spec = source.p_spec;
-            p_machine = machine;
-            p_queues = Hashtbl.create 8;
-            p_last_queue = None;
-            p_outputs = [];
-            p_divulged = [];
-            p_on_divulge = None;
-            p_alive = true;
-            p_scheduled = false;
-            p_started = now t;
-            p_ended = None;
-            p_handle = Domain.null_handle;
-            p_out_memo = None }
-        in
-        p_ref := Some p;
-        t.procs_rev <- p :: t.procs_rev;
-        Hashtbl.replace t.live instance p;
-        p.p_handle <- Domain.alloc t.domains.(t.spawn_rr mod t.shards) p;
-        t.spawn_rr <- t.spawn_rr + 1;
-        record t "lifecycle" "%s snapshot-cloned as %s on %s" of_instance
-          instance h.host_name;
-        (* re-arm scheduling for whatever state the snapshot was in *)
-        (match Machine.status machine with
-        | Machine.Ready -> schedule_quantum t p ~delay:0.0
-        | Machine.Sleeping duration ->
-          Engine.schedule ~label:(quantum_label t p) t.engine ~delay:duration
-            (fun () ->
-              if p.p_alive then begin
-                Machine.set_ready p.p_machine;
-                schedule_quantum t p ~delay:0.0
-              end)
-        | Machine.Blocked_read _ | Machine.Blocked_decode ->
-          ()  (* woken by message/state arrival *)
-        | Machine.Halted | Machine.Crashed _ -> ());
-        Ok ()))
+  match (find_proc t of_instance, placement t ~instance ~host) with
+  | _, (Error _ as e) when Hashtbl.mem t.live instance -> e
+  | None, _ -> Error (Printf.sprintf "no such instance %s" of_instance)
+  | Some _, (Error _ as e) -> e
+  | Some source, Ok h ->
+    let p =
+      register t ~instance ~module_name:source.p_module ~host:h
+        ~spec:source.p_spec (fun io -> Machine.clone source.p_machine ~io)
+    in
+    record t "lifecycle" "%s snapshot-cloned as %s on %s" of_instance instance
+      h.host_name;
+    (* re-arm scheduling for whatever state the snapshot was in *)
+    (match Machine.status p.p_machine with
+    | Machine.Ready -> schedule_quantum t p ~delay:0.0
+    | Machine.Sleeping duration -> schedule_wake t p ~delay:duration
+    | Machine.Blocked_read _ | Machine.Blocked_decode ->
+      ()  (* woken by message/state arrival *)
+    | Machine.Halted | Machine.Crashed _ -> ());
+    Ok ()
 
 let kill t ~instance =
   match find_proc t instance with

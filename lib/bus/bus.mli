@@ -29,14 +29,16 @@ type t
 
 val create : ?params:params -> ?shards:int -> hosts:host list -> unit -> t
 (** [shards] partitions the fleet into that many broker domains
-    (default 1). With one shard the bus runs the classic per-message
-    delivery path, byte-identical to every pinned golden trace; with
-    more, instances are assigned to domains round-robin at spawn, the
-    hot path resolves destinations through flat-array arenas instead of
-    hashtables, and deliveries bound for the same domain at the same
-    virtual instant share one event-queue pop ({!Domain.Batch}).
-    Delivery contents and per-route order are unchanged at any shard
-    count. *)
+    (default 1): instances are assigned to domains round-robin at spawn
+    and traffic is attributed per domain ({!domain_stats}). Every shard
+    count runs the same delivery path: destinations resolve through
+    flat-array arenas instead of hashtables, and deliveries bound for
+    the same domain at the same virtual instant share one event-queue
+    pop ({!Domain.Batch}). A run, and its trace, is the same at any
+    shard count. In model-checking mode ({!Dr_sim.Engine.mc_enable})
+    each message is instead its own [deliver] event and each woken
+    quantum its own event, so the explorer sees every delivery as a
+    choice point. *)
 
 val engine : t -> Dr_sim.Engine.t
 val trace : t -> Dr_sim.Trace.t
@@ -249,7 +251,7 @@ val crash_process : t -> instance:string -> reason:string -> unit
     {!Dr_bus.Reliable}) sees every per-destination send of
     [route_message] before the default fire-and-forget path runs.
     Returning [true] from [tr_send] claims the message; [false] falls
-    through to the classic path, byte-for-byte. *)
+    through to the default batched delivery, byte-for-byte. *)
 
 type transport = {
   tr_send : src:endpoint -> dst:endpoint -> Dr_state.Value.t -> bool;
@@ -302,7 +304,8 @@ type delivery_kind =
 val set_delivery_observer :
   t -> (dst:endpoint -> kind:delivery_kind -> Dr_state.Value.t -> unit) option -> unit
 (** Subscribe to successful input-queue enqueues, on every delivery path
-    (classic, sharded, and the reliable layer's [deliver_now]). Strictly
+    (routed messages, [inject]/[copy_queue], and the reliable layer's
+    [deliver_now]). Strictly
     passive: never schedules, never traces. The model checker's
     exactly-once monitor counts [Fresh] deliveries per message. *)
 
@@ -374,7 +377,7 @@ val inject : t -> dst:endpoint -> Dr_state.Value.t -> unit
     it are redirected to a live, non-draining sibling so the member's
     queue runs dry while the group keeps absorbing traffic. With no
     group registered — or no member marked — every delivery path is
-    byte-for-byte the classic one (pinned by the golden traces). *)
+    byte-for-byte the plain one (pinned by the golden traces). *)
 
 val set_drain_group : t -> members:string list -> unit
 (** Register (or re-register, after a member is renamed by a
@@ -486,5 +489,5 @@ type domain_stats = {
 }
 
 val domain_stats : t -> domain_stats list
-(** Per-domain traffic attribution, in domain-id order. All zeros at
-    shard count 1 (the classic path does not touch the counters). *)
+(** Per-domain traffic attribution, in domain-id order. At shard count
+    1 the single domain carries all traffic. *)

@@ -8,12 +8,11 @@
    later reuses the slot — the stale handle simply stops resolving and
    the caller falls back to a by-name lookup.
 
-   [Batch] is the inter-domain router's per-hop batching structure:
-   messages bound for the same destination domain at the same virtual
-   delivery time accumulate into one batch, and a single event-queue
-   pop drains them all. With shard count 1 the bus never opens a batch,
-   so the classic one-event-per-message path (and its golden traces)
-   is untouched. *)
+   [Batch] is the bus's per-hop batching structure: messages bound for
+   the same destination domain at the same virtual delivery time
+   accumulate into one batch, and a single event-queue pop drains them
+   all. The bus batches at every shard count; only model-checking mode
+   schedules each message as its own event. *)
 
 type handle = { h_dom : int; h_slot : int; h_gen : int }
 

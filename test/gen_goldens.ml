@@ -10,5 +10,4 @@ let () =
   write "golden_monitor.trace" (Golden.monitor_trace ());
   write "golden_ring.trace" (Golden.ring_trace ());
   write "golden_chaos.trace" (Golden.chaos_trace ());
-  write "golden_ring_sharded.trace" (Golden.ring_sharded_trace ());
   print_endline ("goldens written to " ^ dir)

@@ -1,7 +1,7 @@
 (* Reference scenarios whose full trace output is pinned byte-for-byte
    against golden files recorded from the seed (list-based) bus. The
-   indexed bus must reproduce them exactly: same events, same order,
-   same virtual times. Regenerate with:
+   indexed, batched bus must reproduce them exactly at every shard
+   count: same events, same order, same virtual times. Regenerate with:
      dune exec test/gen_goldens.exe -- test   (from the repo root) *)
 
 module Bus = Dr_bus.Bus
@@ -16,9 +16,16 @@ let observe metrics bus =
 
 (* The paper's monitor application: run, migrate compute to the
    big-endian host mid-execution, keep running. *)
-let monitor_trace ?(metrics = false) () =
+let monitor_trace ?(metrics = false) ?shards () =
   let system = Dr_workloads.Monitor.load () in
-  let bus = Dr_workloads.Monitor.start system in
+  let bus =
+    match
+      Dynrecon.System.start system ~app:"monitor"
+        ~hosts:Dr_workloads.Monitor.hosts ?shards ~default_host:"hostA" ()
+    with
+    | Ok bus -> bus
+    | Error e -> failwith ("golden monitor: start: " ^ e)
+  in
   observe metrics bus;
   Bus.run ~until:12.0 bus;
   (match
@@ -31,9 +38,8 @@ let monitor_trace ?(metrics = false) () =
   dump bus
 
 (* The evolving token ring: run, splice a member in, keep running.
-   [~shards] picks the broker-domain count — the default (1) is the
-   classic single-domain bus and must stay byte-identical to the seed
-   golden; shard count 4 is pinned by its own golden below. *)
+   [~shards] picks the broker-domain count (default 1). Shard count only
+   partitions the fleet, so every count must reproduce the same golden. *)
 let ring_trace ?(metrics = false) ?shards () =
   let system = Dr_workloads.Ring.load () in
   let bus = Dr_workloads.Ring.start ?shards system in
@@ -47,13 +53,6 @@ let ring_trace ?(metrics = false) ?shards () =
   | Error e -> failwith ("golden ring: insert: " ^ e));
   Bus.run ~until:60.0 bus;
   dump bus
-
-(* The same ring scenario on a 4-domain sharded bus. Batched delivery
-   may legitimately change the event *count*, but the trace — what was
-   delivered, where, in what order, at what virtual time — is pinned by
-   its own golden so sharded behaviour can't drift silently. *)
-let ring_sharded_trace ?(metrics = false) () =
-  ring_trace ~metrics ~shards:4 ()
 
 (* A seeded chaos run: 5% message loss plus a host crash in the middle
    of a transactional replacement's signal->divulge window. Pins the

@@ -1,8 +1,13 @@
-(* Broker-domain sharding: shard count is a performance knob, never a
-   semantic one. These tests pin that down from four angles:
+(* Broker-domain sharding. The bus runs one send and delivery path at
+   every shard count; shard count only partitions the fleet into arenas
+   and attributes traffic to domains. These tests pin that down:
    - a differential replay of the evolving-ring scenario at shard
      counts 1/2/4 (same passes, same tap history),
-   - per-route FIFO under batched fan-in delivery,
+   - fan-in under batched delivery: exact delivery order, identical at
+     shards 1/2/4/8,
+   - model-checking granularity: in MC mode every routed message is its
+     own [deliver] choice point and a woken reader's quantum its own
+     event, at any shard count,
    - a 1k kill/re-spawn regression: arena slot reuse must never let a
      stale handle or out-route memo misroute a delivery,
    - detector overhead flatness: suspicion bookkeeping is incremental,
@@ -47,12 +52,13 @@ let test_ring_differential () =
         base_tap tap)
     [ 2; 4 ]
 
-(* ------------------------------------ per-route FIFO under batching *)
+(* ------------------------------------ fan-in order under batching *)
 
 (* Two producers on one host write interleaved token streams into a
-   single consumer: at shards > 1 their same-instant sends land in the
-   same inter-domain batch, and the drain must still deliver each
-   route's tokens in send order. *)
+   single consumer: their same-instant sends land in the same batch,
+   and the drain must deliver each route's tokens in send order. Shard
+   count changes only which domain the batch belongs to, so the global
+   delivery order is the same at every count. *)
 let fan_mil =
   {|
 module prod {
@@ -151,13 +157,89 @@ let test_fan_in_fifo () =
             (List.init 8 (fun i -> base + i + 1))
             (expect_route base history))
         [ 100; 200 ];
-      (* contents are shard-invariant even where global interleaving
-         isn't pinned *)
       Alcotest.(check (list int))
-        (Printf.sprintf "delivery contents at shards=%d" shards)
-        (List.sort compare base_history)
-        (List.sort compare history))
-    [ 2; 4 ]
+        (Printf.sprintf "delivery order at shards=%d" shards)
+        base_history history)
+    [ 1; 2; 4; 8 ]
+
+(* ------------------------------------ model-checking granularity *)
+
+(* Production delivers a batch and then runs the woken readers; the
+   explorer must see each of those steps as its own transition, or it
+   fuses interleavings that production can take. Two producers send to
+   one consumer at the same instant: in MC mode that must leave two
+   [deliver] events touching only the consumer, whatever the shard
+   count, and delivering one must leave the consumer's quantum as its
+   own event. *)
+let once_source = {|
+module once;
+
+proc main() {
+  mh_init();
+  mh_write("out", 1);
+}
+|}
+
+let sink_source = {|
+module sink;
+
+proc main() {
+  var v: int;
+  mh_init();
+  while (true) {
+    mh_read("in", v);
+  }
+}
+|}
+
+let kinds engine =
+  List.map
+    (fun (pe : Dr_sim.Engine.pending_event) ->
+      (pe.pe_label.lb_kind, pe.pe_label.lb_touch))
+    (Dr_sim.Engine.mc_pending engine)
+
+let fire_first engine kind =
+  match
+    List.find_opt
+      (fun (pe : Dr_sim.Engine.pending_event) ->
+        String.equal pe.pe_label.lb_kind kind)
+      (Dr_sim.Engine.mc_pending engine)
+  with
+  | Some pe -> Dr_sim.Engine.mc_fire engine ~seq:pe.pe_seq
+  | None -> false
+
+let test_mc_granularity () =
+  List.iter
+    (fun shards ->
+      let bus = Bus.create ~shards ~hosts:Ring.hosts () in
+      let engine = Bus.engine bus in
+      Dr_sim.Engine.mc_enable engine;
+      List.iter
+        (fun source ->
+          match Bus.register_program bus (Support.parse source) with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "register: %s" e)
+        [ once_source; sink_source ];
+      List.iter
+        (fun (instance, module_name) ->
+          match Bus.spawn bus ~instance ~module_name ~host:"hostA" () with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "spawn %s: %s" instance e)
+        [ ("pa", "once"); ("pb", "once"); ("k", "sink") ];
+      Bus.add_route bus ~src:("pa", "out") ~dst:("k", "in");
+      Bus.add_route bus ~src:("pb", "out") ~dst:("k", "in");
+      while fire_first engine "quantum" do () done;
+      let deliver = ("deliver", [ "k" ]) in
+      Alcotest.(check (list (pair string (list string))))
+        (Printf.sprintf "one deliver event per message at shards=%d" shards)
+        [ deliver; deliver ] (kinds engine);
+      ignore (fire_first engine "deliver");
+      Alcotest.(check (list (pair string (list string))))
+        (Printf.sprintf "woken reader's quantum is its own event at shards=%d"
+           shards)
+        [ deliver; ("quantum", [ "k" ]) ]
+        (kinds engine))
+    [ 1; 4 ]
 
 (* ------------------------------------ 1k kill/re-spawn regression *)
 
@@ -377,7 +459,9 @@ let () =
         [ Alcotest.test_case "ring differential at shards 1/2/4" `Quick
             test_ring_differential;
           Alcotest.test_case "fan-in FIFO under batching" `Quick
-            test_fan_in_fifo ] );
+            test_fan_in_fifo;
+          Alcotest.test_case "one MC choice point per delivery" `Quick
+            test_mc_granularity ] );
       ( "arena reuse",
         [ Alcotest.test_case "1k kill/re-spawn, zero misroutes" `Quick
             test_kill_respawn_no_misroute ] );

@@ -1,7 +1,7 @@
-(* The indexed bus must be observationally identical to the seed
-   implementation: these tests replay the monitor and ring scenarios and
-   require a byte-identical trace against goldens recorded from the
-   list-based seed bus. *)
+(* The indexed, batched bus must be observationally identical to the
+   seed implementation: these tests replay the monitor, ring and chaos
+   scenarios and require a byte-identical trace against goldens recorded
+   from the list-based seed bus. *)
 
 let read_golden name = In_channel.with_open_bin name In_channel.input_all
 
@@ -42,23 +42,35 @@ let test_ring_metrics () =
 let test_chaos_metrics () =
   check_golden "golden_chaos.trace" (Golden.chaos_trace ~metrics:true ())
 
-(* Shard count 1 is the classic code path: replaying with an explicit
-   [~shards:1] must still match the seed goldens byte-for-byte — the
-   sharded bus exists only behind [shards > 1]. *)
+(* Shard count only partitions the fleet into broker domains: the bus
+   runs the same batched delivery path at every count, so an explicit
+   [~shards:1] and a 4-domain bus must both reproduce the goldens
+   byte-for-byte, metrics on or off. *)
 let test_ring_shards1 () =
   check_golden "golden_ring.trace" (Golden.ring_trace ~shards:1 ())
 
 let test_chaos_shards1 () =
   check_golden "golden_chaos.trace" (Golden.chaos_trace ~shards:1 ())
 
-(* The 4-domain run is pinned by its own golden, recorded from the same
-   gen_goldens run — and must also be metrics-invisible. *)
+let test_monitor_sharded () =
+  check_golden "golden_monitor.trace" (Golden.monitor_trace ~shards:4 ())
+
 let test_ring_sharded () =
-  check_golden "golden_ring_sharded.trace" (Golden.ring_sharded_trace ())
+  check_golden "golden_ring.trace" (Golden.ring_trace ~shards:4 ())
+
+let test_chaos_sharded () =
+  check_golden "golden_chaos.trace" (Golden.chaos_trace ~shards:4 ())
+
+let test_monitor_sharded_metrics () =
+  check_golden "golden_monitor.trace"
+    (Golden.monitor_trace ~metrics:true ~shards:4 ())
 
 let test_ring_sharded_metrics () =
-  check_golden "golden_ring_sharded.trace"
-    (Golden.ring_sharded_trace ~metrics:true ())
+  check_golden "golden_ring.trace" (Golden.ring_trace ~metrics:true ~shards:4 ())
+
+let test_chaos_sharded_metrics () =
+  check_golden "golden_chaos.trace"
+    (Golden.chaos_trace ~metrics:true ~shards:4 ())
 
 let () =
   Alcotest.run "golden_trace"
@@ -76,6 +88,12 @@ let () =
             test_ring_shards1;
           Alcotest.test_case "chaos at explicit shards=1" `Quick
             test_chaos_shards1;
+          Alcotest.test_case "monitor at shards=4" `Quick test_monitor_sharded;
           Alcotest.test_case "ring at shards=4" `Quick test_ring_sharded;
+          Alcotest.test_case "chaos at shards=4" `Quick test_chaos_sharded;
+          Alcotest.test_case "monitor at shards=4, metrics on" `Quick
+            test_monitor_sharded_metrics;
           Alcotest.test_case "ring at shards=4, metrics on" `Quick
-            test_ring_sharded_metrics ] ) ]
+            test_ring_sharded_metrics;
+          Alcotest.test_case "chaos at shards=4, metrics on" `Quick
+            test_chaos_sharded_metrics ] ) ]
