@@ -38,6 +38,7 @@
              dune exec bench/main.exe -- disruption (window decomposition)
              dune exec bench/main.exe -- wal       (durable-log crash sweep)
              dune exec bench/main.exe -- rolling  (rolling-replacement suite)
+             dune exec bench/main.exe -- mc       (model-checker exploration)
 
    Part 7 (WAL) crashes the controller at every control-log append
    index of a transactional replace (x scenarios x loss rates), replays
@@ -52,10 +53,16 @@
    gates on exactly-once-or-shed accounting, bad-canary detection and
    post-crash recovery; emits BENCH_rolling.json.
 
+   Part 9 (MC) explores every checked model-checking configuration
+   exhaustively under DPOR (plus naive and sleep-set tiers on
+   single-replace for the reduction ratio) and gates on exhaustiveness
+   and zero monitor violations; emits BENCH_mc.json.
+
    "scaling", "chaos", "interp", "disruption", "wal" and "rolling"
    accept --quick (fewer trials/seeds, CI smoke); quick runs write
    their artifacts as BENCH_*_quick.json so a committed full artifact
-   is never clobbered by a smoke run. All suites emit machine-readable
+   is never clobbered by a smoke run ("mc" has no quick mode: its full
+   run takes a couple of seconds). All suites emit machine-readable
    BENCH_*.json artifacts next to bench_output.txt. *)
 
 open Bechamel
@@ -313,4 +320,4 @@ let () =
   if what = "disruption" then Disruption.all ~quick ();
   if what = "wal" then Wal_bench.all ~quick ();
   if what = "rolling" then Rolling.all ~quick ();
-  if what = "mc" then Mc.all ~quick ()
+  if what = "mc" then Mc.all ()

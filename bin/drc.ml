@@ -74,9 +74,9 @@ let or_die = function
     prerr_endline ("error: " ^ e);
     exit 1
 
-(* Validated numeric converters for the retry flags: zero and negative
-   values are configuration mistakes, rejected at parse time with an
-   error that names the flag. *)
+(* Validated numeric converters for counts, bounds and durations: zero
+   and negative values are configuration mistakes, rejected at parse
+   time with an error that names the flag. *)
 
 let positive_int_conv ~flag =
   Arg.conv
@@ -87,10 +87,7 @@ let positive_int_conv ~flag =
         | Some n when n <= 0 ->
           Error
             (`Msg
-               (Printf.sprintf
-                  "%s: must be at least 1 (got %d) — it counts total \
-                   attempts, including the first"
-                  flag n))
+               (Printf.sprintf "%s: must be at least 1 (got %d)" flag n))
         | Some n -> Ok n),
       Fmt.int )
 
@@ -935,14 +932,16 @@ let mc_cmd =
   let depth_arg =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "depth" ] ~docv:"N" ~doc:"Override the per-execution depth bound.")
+      & opt (some (positive_int_conv ~flag:"--depth")) None
+      & info [ "depth" ] ~docv:"N"
+          ~doc:"Override the per-execution depth bound. Must be at least 1.")
   in
   let max_execs_arg =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "max-execs" ] ~docv:"N" ~doc:"Override the execution cap.")
+      & opt (some (positive_int_conv ~flag:"--max-execs")) None
+      & info [ "max-execs" ] ~docv:"N"
+          ~doc:"Override the execution cap. Must be at least 1.")
   in
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List checked configurations.")

@@ -444,17 +444,17 @@ let recover_host t ~host =
 (* ------------------------------------------------------------ programs *)
 
 let register_program t (program : Dr_lang.Ast.program) =
-  match Dr_lang.Typecheck.check program with
+  (* Typecheck + lower + resolve through the content-keyed cache:
+     re-registering the same module text (retries, restarts, repeated
+     deployments, explored executions) reuses one checked, compiled
+     artifact. *)
+  match Dr_interp.Cache.prepare program with
   | Error errors ->
     Error
       (Fmt.str "%s does not typecheck: %a" program.module_name
          (Fmt.list ~sep:(Fmt.any "; ") Dr_lang.Typecheck.pp_error)
          errors)
-  | Ok () ->
-    (* Lower + resolve through the content-keyed cache: re-registering
-       the same module text (retries, restarts, repeated deployments)
-       reuses one compiled artifact. *)
-    let artifact = Dr_interp.Cache.prepare program in
+  | Ok artifact ->
     Hashtbl.replace t.programs program.module_name (program, artifact);
     Ok ()
 

@@ -1,11 +1,17 @@
-(* Content-keyed program cache: parse/typecheck/transform happen
-   upstream, but lowering + resolution used to run once per
-   [Bus.register_program] — and every retry, supervisor restart or
-   repeated deployment of the same module text paid it again. The cache
-   keys on a digest of the pretty-printed program (stable across
-   re-parses of the same source and across structurally identical ASTs)
-   and stores the lowered table together with the resolved artifact, so
-   N instances of one module share a single compilation. *)
+(* Content-keyed program cache. Parsing and transformation happen
+   upstream; typechecking, lowering and resolution happen here, once per
+   distinct program, so clone spawns, [Script.replace] retries,
+   supervisor restarts, repeated deployments of the same module text and
+   explored model-checking executions share one compilation. The entry
+   stores the lowered table together with the resolved artifact.
+
+   The key is a digest of the marshalled AST. The AST is plain data (no
+   closures, no lazies, no mutable fields), so marshalling it is total
+   and deterministic, and several times cheaper than pretty-printing it
+   through [Format]. Re-parsing the same source gives the same AST and
+   so the same key. Two ASTs that differ only in their [line] fields get
+   different keys: the second one compiles again, which costs time but
+   never correctness. *)
 
 type artifact = {
   a_program : Dr_lang.Ast.program;
@@ -25,22 +31,29 @@ let miss_count = ref 0
 let max_entries = 512
 
 let key (program : Dr_lang.Ast.program) =
-  Digest.string (Dr_lang.Pretty.program_to_string program)
+  Digest.string (Marshal.to_string program [ Marshal.No_sharing ])
 
-let prepare (program : Dr_lang.Ast.program) : artifact =
+(* Only programs that typecheck enter the table, so a hit — the same
+   AST, checked on its miss — skips the check. *)
+let prepare (program : Dr_lang.Ast.program) =
   let k = key program in
   match Hashtbl.find_opt table k with
   | Some artifact ->
     incr hit_count;
-    artifact
-  | None ->
-    incr miss_count;
-    let code = Lower.lower_program program in
-    let resolved = Resolve.resolve_program program code in
-    let artifact = { a_program = program; a_code = code; a_resolved = resolved } in
-    if Hashtbl.length table >= max_entries then Hashtbl.reset table;
-    Hashtbl.replace table k artifact;
-    artifact
+    Ok artifact
+  | None -> (
+    match Dr_lang.Typecheck.check program with
+    | Error _ as e -> e
+    | Ok () ->
+      incr miss_count;
+      let code = Lower.lower_program program in
+      let resolved = Resolve.resolve_program program code in
+      let artifact =
+        { a_program = program; a_code = code; a_resolved = resolved }
+      in
+      if Hashtbl.length table >= max_entries then Hashtbl.reset table;
+      Hashtbl.replace table k artifact;
+      Ok artifact)
 
 let hits () = !hit_count
 let misses () = !miss_count

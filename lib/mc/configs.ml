@@ -1,11 +1,15 @@
 (* The checked configuration catalogue.
 
-   Each constructor builds an {!Explorer.config} whose [c_setup] boots a
-   fresh simulation (bus in MC mode, workload deployed, monitors armed)
-   — called once per explored execution. Everything scheduled here must
-   go through labeled events so the explorer sees it as a transition;
-   in particular the reconfiguration kick is itself a "ctl" event, so
-   its placement relative to application traffic is explored too. *)
+   Each constructor compiles its workload once ({!Workload.load}: MIL
+   and MiniProc parse, typecheck, instrumentation) and builds an
+   {!Explorer.config} whose [c_setup] only boots: a fresh bus in MC
+   mode with the compiled programs registered and deployed, a fresh
+   WAL, reliable layer, kick event and monitor set — called once per
+   explored execution. Only immutable compiled code is shared between
+   executions. Everything scheduled here must go through labeled
+   events so the explorer sees it as a transition; in particular the
+   reconfiguration kick is itself a "ctl" event, so its placement
+   relative to application traffic is explored too. *)
 
 module Bus = Dr_bus.Bus
 module Reliable = Dr_bus.Reliable
@@ -41,8 +45,9 @@ let kick_replace bus ~at ~instance ~new_instance ?new_module ?deadline () =
    below give it teeth). *)
 let single_replace ?(k = 2) ?(fault_budget = 0) ?(crash_budget = 0)
     ?(ctlcrash = false) ?(depth = 400) ?(max_execs = 200_000) () =
+  let system = Workload.load ~two_cells:false ~k in
   let setup () =
-    let bus = Workload.boot ~two_cells:false ~k () in
+    let bus = Workload.boot system in
     let wal = fresh_wal () in
     Bus.set_wal bus wal;
     (* bounded retransmission keeps the reachable space finite: every
@@ -82,8 +87,9 @@ let single_replace ?(k = 2) ?(fault_budget = 0) ?(crash_budget = 0)
    the controller interleaving the explorer is really for. *)
 let double_replace ?(k = 1) ?(fault_budget = 0) ?(crash_budget = 0)
     ?(ctlcrash = false) ?(depth = 500) ?(max_execs = 400_000) () =
+  let system = Workload.load ~two_cells:true ~k in
   let setup () =
-    let bus = Workload.boot ~two_cells:true ~k () in
+    let bus = Workload.boot system in
     let wal = fresh_wal () in
     Bus.set_wal bus wal;
     let rel =
@@ -127,8 +133,9 @@ let double_replace ?(k = 1) ?(fault_budget = 0) ?(crash_budget = 0)
    times are wall-clock noise and stay out). *)
 let detector_restart ?(k = 1) ?(fault_budget = 1) ?(crash_budget = 1)
     ?(depth = 60) ?(max_execs = 200_000) () =
+  let system = Workload.load ~two_cells:false ~k in
   let setup () =
-    let bus = Workload.boot ~two_cells:false ~k () in
+    let bus = Workload.boot system in
     Bus.set_detector_config bus
       { Bus.dc_period = 1.0; dc_timeout = 1.5; dc_threshold = 1 };
     let detector = Detector.start bus ~watch:[ "c1" ] () in
@@ -166,9 +173,10 @@ let detector_restart ?(k = 1) ?(fault_budget = 1) ?(crash_budget = 1)
     c_depth = depth;
     c_max_execs = max_execs }
 
-(* The catalogue must stay in lockstep with the bench rows: a recorded
-   schedule only replays against the exact configuration (same workload
-   size, same budgets) that produced it. *)
+(* A recorded schedule only replays against the exact configuration
+   (same workload size, same budgets) that produced it, so the names
+   below are its only spelling: the bench, the benchmark and [drc mc]
+   all build configurations through [by_name]. *)
 let by_name name =
   match name with
   | "single-replace" -> Some (single_replace ~k:1 ())

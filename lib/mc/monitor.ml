@@ -1,8 +1,11 @@
 (* Safety monitors checked after every transition the explorer fires.
 
    Each monitor is a record of closures created fresh per execution (the
-   explorer re-runs the simulation from scratch for every schedule, so
-   monitor state must not leak across runs). [m_step] is called after
+   explorer boots a new simulation for every schedule, so monitor state
+   must not leak across runs). Monitors that read the trace keep a
+   cursor and read only the entries recorded since their last step
+   ({!Dr_sim.Trace.since}), so a step costs what the transition
+   recorded, not the length of the run so far. [m_step] is called after
    every fired transition; [m_final] once, when the execution ends, with
    a summary of what the adversary did on this path — several end-to-end
    properties (at-least-once delivery, pinger termination) only hold on
@@ -201,10 +204,8 @@ let no_lost_state ~bus () =
   { m_name = name;
     m_step =
       (fun () ->
-        let entries = Trace.entries trace in
-        let n = List.length entries in
-        let fresh = List.filteri (fun i _ -> i >= !cursor) entries in
-        cursor := n;
+        let fresh = Trace.since trace !cursor in
+        cursor := Trace.length trace;
         List.fold_left
           (fun acc (e : Trace.entry) ->
             scan_entry e;
@@ -250,10 +251,8 @@ let no_double_serve ~bus () =
   { m_name = name;
     m_step =
       (fun () ->
-        let entries = Trace.entries trace in
-        let n = List.length entries in
-        let fresh = List.filteri (fun i _ -> i >= !cursor) entries in
-        cursor := n;
+        let fresh = Trace.since trace !cursor in
+        cursor := Trace.length trace;
         List.iter
           (fun (e : Trace.entry) ->
             if String.equal e.Trace.category "supervisor" then

@@ -162,6 +162,10 @@ let hosts =
   [ { Dr_bus.Bus.host_name = "mh1"; arch = Dr_state.Arch.x86_64 };
     { Dr_bus.Bus.host_name = "mh2"; arch = Dr_state.Arch.x86_64 } ]
 
+(* Parse, typecheck and instrument the workload: once per checked
+   configuration, never per explored execution. The result holds only
+   immutable ASTs, specifications and prepared programs, so every
+   execution can boot from it. *)
 let load ~two_cells ~k =
   let mil = if two_cells then pair_mil else single_mil in
   let sources =
@@ -175,11 +179,11 @@ let load ~two_cells ~k =
   | Ok system -> system
   | Error e -> failwith ("mc workload: load failed: " ^ e)
 
-(* Assemble the bus by hand rather than through [System.start]:
-   [Engine.mc_enable] must run before the first spawn parks a quantum
-   in the event heap, and [System.start] creates the bus internally. *)
-let boot ?params ~two_cells ~k () =
-  let system = load ~two_cells ~k in
+(* Boot a fresh simulation of a loaded workload. Assemble the bus by
+   hand rather than through [System.start]: [Engine.mc_enable] must run
+   before the first spawn parks a quantum in the event heap, and
+   [System.start] creates the bus internally. *)
+let boot ?params (system : Dynrecon.System.t) =
   let bus = Dr_bus.Bus.create ?params ~hosts () in
   Dr_sim.Engine.mc_enable (Dr_bus.Bus.engine bus);
   List.iter

@@ -10,6 +10,16 @@ let record t ~time ~category ~detail =
 
 let entries t = List.rev t.rev_entries
 
+(* The newest [count - n] entries head [rev_entries]; taking them onto
+   an accumulator puts them back in recording order. *)
+let since t n =
+  let rec take k l acc =
+    match l with
+    | e :: tl when k > 0 -> take (k - 1) tl (e :: acc)
+    | _ -> acc
+  in
+  take (t.count - n) t.rev_entries []
+
 let by_category t category =
   List.filter (fun e -> String.equal e.category category) (entries t)
 

@@ -15,6 +15,12 @@ val record : t -> time:float -> category:string -> detail:string -> unit
 val entries : t -> entry list
 (** In recording order. *)
 
+val since : t -> int -> entry list
+(** [since t n] is the entries after the first [n], in recording order,
+    in time proportional to the number returned: a reader that keeps
+    [length t] as a cursor reads only what was recorded since its last
+    visit. Empty when [n >= length t]. *)
+
 val by_category : t -> string -> entry list
 
 val length : t -> int

@@ -137,6 +137,35 @@ let test_drop_schedule_replays () =
     Alcotest.(check string) "replays to quiescence" "quiescent"
       r.Explorer.rp_end
 
+(* Every explored execution boots from its configuration's compiled
+   system: two set-ups register the very same program values, so no
+   execution re-parses or re-instruments a module, and the second one
+   only hits the program cache (no typecheck, no lowering). *)
+let test_executions_share_compilation () =
+  List.iter
+    (fun name ->
+      let cfg = config name in
+      let a = (cfg.Explorer.c_setup ()).Explorer.r_bus in
+      let misses = Dr_interp.Cache.misses () in
+      let b = (cfg.Explorer.c_setup ()).Explorer.r_bus in
+      Alcotest.(check int)
+        (name ^ ": second boot compiles nothing")
+        misses (Dr_interp.Cache.misses ());
+      let modules = Dr_bus.Bus.registered_modules a in
+      Alcotest.(check (list string))
+        (name ^ ": same modules") modules
+        (Dr_bus.Bus.registered_modules b);
+      if modules = [] then Alcotest.failf "%s: no module registered" name;
+      List.iter
+        (fun m ->
+          match
+            (Dr_bus.Bus.registered_program a m, Dr_bus.Bus.registered_program b m)
+          with
+          | Some pa, Some pb when pa == pb -> ()
+          | _ -> Alcotest.failf "%s: module %s compiled per execution" name m)
+        modules)
+    Configs.names
+
 (* qcheck: any fault-free schedule the explorer visited replays to the
    same ending with no monitor firing — replay is deterministic and the
    monitors are quiet on the nominal subset. *)
@@ -173,6 +202,8 @@ let () =
           Alcotest.test_case "crash budget finds nothing" `Quick
             test_crash_config_clean;
           Alcotest.test_case "fault budget finds nothing" `Quick
-            test_faults_config_clean ] );
+            test_faults_config_clean;
+          Alcotest.test_case "executions share one compilation" `Quick
+            test_executions_share_compilation ] );
       ( "stability",
         [ QCheck_alcotest.to_alcotest replay_stability ] ) ]

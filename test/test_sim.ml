@@ -194,6 +194,28 @@ let test_trace_records_and_filters () =
   Trace.clear t;
   Alcotest.(check int) "cleared" 0 (Trace.length t)
 
+(* [since t n] is the suffix past the first [n] entries: the cursor
+   read the model-checking monitors make after every transition. *)
+let prop_trace_since =
+  Support.qcheck "since is the suffix past n"
+    QCheck2.Gen.(list_size (int_bound 64) (pair (int_bound 3) small_nat))
+    (fun records ->
+      let t = Trace.create () in
+      List.iteri
+        (fun i (c, d) ->
+          Trace.record t ~time:(float_of_int i)
+            ~category:(Printf.sprintf "c%d" c) ~detail:(string_of_int d))
+        records;
+      let all = Trace.entries t in
+      let len = Trace.length t in
+      List.for_all
+        (fun n -> Trace.since t n = List.filteri (fun i _ -> i >= n) all)
+        (List.init (len + 1) Fun.id)
+      && Trace.since t len = []
+      &&
+      (Trace.clear t;
+       Trace.since t 0 = []))
+
 let () =
   Alcotest.run "sim"
     [ ( "prng",
@@ -224,4 +246,5 @@ let () =
           Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo ] );
       ( "trace",
         [ Alcotest.test_case "records and filters" `Quick
-            test_trace_records_and_filters ] ) ]
+            test_trace_records_and_filters;
+          prop_trace_since ] ) ]
