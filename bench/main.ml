@@ -43,8 +43,9 @@
    Part 7 (WAL) crashes the controller at every control-log append
    index of a transactional replace (x scenarios x loss rates), replays
    the log, and gates on 100% post-recovery consistency; it also
-   measures append throughput per backend/sync batching and recovery
-   time vs journal depth; emits BENCH_wal.json.
+   measures append throughput per backend/sync batching (128-byte
+   records, plus 12 KiB state-image-sized ones) and recovery time vs
+   journal depth; emits BENCH_wal.json.
 
    Part 8 (Rolling) runs autonomous rolling-replacement waves over a
    replica group under live open-loop traffic, sweeping group size x
@@ -58,12 +59,12 @@
    single-replace for the reduction ratio) and gates on exhaustiveness
    and zero monitor violations; emits BENCH_mc.json.
 
-   "scaling", "chaos", "interp", "disruption", "wal" and "rolling"
-   accept --quick (fewer trials/seeds, CI smoke); quick runs write
-   their artifacts as BENCH_*_quick.json so a committed full artifact
-   is never clobbered by a smoke run ("mc" has no quick mode: its full
-   run takes a couple of seconds). All suites emit machine-readable
-   BENCH_*.json artifacts next to bench_output.txt. *)
+   "scaling", "chaos", "interp", "disruption" and "rolling" accept
+   --quick (fewer trials/seeds, CI smoke); quick runs write their
+   artifacts as BENCH_*_quick.json so a committed full artifact is
+   never clobbered by a smoke run ("wal" and "mc" have no quick mode:
+   each full run takes a couple of seconds). All suites emit
+   machine-readable BENCH_*.json artifacts next to bench_output.txt. *)
 
 open Bechamel
 open Toolkit
@@ -318,6 +319,6 @@ let () =
   if what = "chaos" then Chaos.all ~quick ();
   if what = "interp" then Interp_bench.all ~quick ();
   if what = "disruption" then Disruption.all ~quick ();
-  if what = "wal" then Wal_bench.all ~quick ();
+  if what = "wal" then Wal_bench.all ();
   if what = "rolling" then Rolling.all ~quick ();
   if what = "mc" then Mc.all ()

@@ -11,15 +11,20 @@
    snapshot (for the double-replace scenario, any committed prefix of
    the two scripts). The gate is 100% across every scenario x loss cell.
 
-   Part 2 (append) measures raw append throughput on both storage
-   backends across fsync batching levels (sync_every 1/8/64).
+   Part 2 (append) measures raw append throughput of 128-byte records
+   on both storage backends across fsync batching levels (sync_every
+   1/8/64), plus one row of 12 KiB records (memory backend, sync_every
+   1): the size of a migration's journalled state image, where the cost
+   of framing and checksumming the record shows.
 
    Part 3 (recovery time) measures the wall-clock cost of reopening the
    log and replaying an in-flight script as a function of journal depth
    (2..128 entries), with a budget gate on the deepest point.
 
-   Everything is summarised in BENCH_wal.json.
-   Run with: dune exec bench/main.exe -- wal [--quick] *)
+   Everything is summarised in BENCH_wal.json. The whole suite takes
+   about a second and a half. Every count in it (appends, trials,
+   syncs, records) is deterministic; only the timings move between runs.
+   Run with: dune exec bench/main.exe -- wal *)
 
 module Bus = Dr_bus.Bus
 module Faults = Dr_bus.Faults
@@ -205,15 +210,16 @@ let run_sweep_cell scenario ~loss ~seed =
 type append_row = {
   ap_backend : string;
   ap_sync_every : int;
+  ap_payload : int;  (* bytes per record body *)
   ap_records : int;
   ap_seconds : float;
   ap_syncs : int;
 }
 
-let append_run storage ~sync_every ~records =
+let append_run storage ~sync_every ~payload ~records =
   let config = { Wal.default_config with sync_every } in
   let wal = ok_exn (Wal.create ~config storage) in
-  let payload = Bytes.make 128 'x' in
+  let payload = Bytes.make payload 'x' in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to records do
     ignore (Wal.append wal ~kind:2 payload : int)
@@ -222,16 +228,18 @@ let append_run storage ~sync_every ~records =
   let dt = Unix.gettimeofday () -. t0 in
   (dt, Wal.syncs wal)
 
-let run_append ~quick =
-  let records = if quick then 2_000 else 20_000 in
+let memory_append ~sync_every ~payload ~records =
+  let storage = Storage.storage_of_mem (Storage.memory ()) in
+  let dt, syncs = append_run storage ~sync_every ~payload ~records in
+  { ap_backend = "memory"; ap_sync_every = sync_every; ap_payload = payload;
+    ap_records = records; ap_seconds = dt; ap_syncs = syncs }
+
+let run_append () =
+  let records = 20_000 and payload = 128 in
   let levels = [ 1; 8; 64 ] in
   let mem_rows =
     List.map
-      (fun sync_every ->
-        let storage = Storage.storage_of_mem (Storage.memory ()) in
-        let dt, syncs = append_run storage ~sync_every ~records in
-        { ap_backend = "memory"; ap_sync_every = sync_every;
-          ap_records = records; ap_seconds = dt; ap_syncs = syncs })
+      (fun sync_every -> memory_append ~sync_every ~payload ~records)
       levels
   in
   let file_rows =
@@ -239,13 +247,19 @@ let run_append ~quick =
       (fun sync_every ->
         with_tmpdir (fun dir ->
             let dt, syncs =
-              append_run (Storage.file ~dir) ~sync_every ~records
+              append_run (Storage.file ~dir) ~sync_every ~payload ~records
             in
             { ap_backend = "file"; ap_sync_every = sync_every;
-              ap_records = records; ap_seconds = dt; ap_syncs = syncs }))
+              ap_payload = payload; ap_records = records; ap_seconds = dt;
+              ap_syncs = syncs }))
       levels
   in
-  mem_rows @ file_rows
+  (* 12 KiB records, the size of a depth-64 state image in a journal
+     entry; 2 000 of them keep the in-memory log at about 25 MB *)
+  let image_row =
+    memory_append ~sync_every:1 ~payload:(12 * 1024) ~records:2_000
+  in
+  mem_rows @ file_rows @ [ image_row ]
 
 (* ------------------------------------------------ recovery vs depth *)
 
@@ -303,6 +317,7 @@ let json_of_append row =
     obj
       [ ("backend", str row.ap_backend);
         ("sync_every", int row.ap_sync_every);
+        ("payload_bytes", int row.ap_payload);
         ("records", int row.ap_records);
         ("seconds", float row.ap_seconds);
         ("syncs", int row.ap_syncs);
@@ -319,9 +334,9 @@ let json_of_recovery row =
 (* wall-clock budget for reopening + replaying the deepest journal *)
 let recovery_budget_s = 0.25
 
-let all ?(quick = false) () =
+let all () =
   Random.self_init ();
-  let losses = if quick then [ 0.0; 0.20 ] else [ 0.0; 0.10; 0.20 ] in
+  let losses = [ 0.0; 0.10; 0.20 ] in
   print_newline ();
   print_endline "==============================================================";
   print_endline "WAL: controller crash at every control-log append index";
@@ -352,14 +367,14 @@ let all ?(quick = false) () =
   print_endline "==============================================================";
   print_endline "WAL: append throughput (group commit)";
   print_endline "==============================================================";
-  Printf.printf "%-8s %12s %9s %9s %14s\n" "backend" "sync_every" "records"
-    "syncs" "records/sec";
-  Printf.printf "%s\n" (String.make 58 '-');
-  let append_rows = run_append ~quick in
+  Printf.printf "%-8s %12s %9s %9s %9s %14s\n" "backend" "sync_every"
+    "payload" "records" "syncs" "records/sec";
+  Printf.printf "%s\n" (String.make 68 '-');
+  let append_rows = run_append () in
   List.iter
     (fun r ->
-      Printf.printf "%-8s %12d %9d %9d %14.0f\n" r.ap_backend r.ap_sync_every
-        r.ap_records r.ap_syncs
+      Printf.printf "%-8s %12d %9d %9d %9d %14.0f\n" r.ap_backend
+        r.ap_sync_every r.ap_payload r.ap_records r.ap_syncs
         (float_of_int r.ap_records /. r.ap_seconds))
     append_rows;
   print_newline ();
@@ -369,7 +384,7 @@ let all ?(quick = false) () =
   Printf.printf "%-8s %9s %16s\n" "depth" "records" "reopen+replay";
   Printf.printf "%s\n" (String.make 36 '-');
   let depths = [ 2; 8; 32; 128 ] in
-  let trials = if quick then 3 else 10 in
+  let trials = 10 in
   let recovery_rows = List.map (fun depth -> recovery_run ~depth ~trials) depths in
   List.iter
     (fun r ->
@@ -387,7 +402,6 @@ let all ?(quick = false) () =
     Json_out.(
       obj
         [ ("suite", str "wal");
-          ("quick", bool quick);
           ("crash_sweep", arr (List.rev_map json_of_sweep !sweep_rows));
           ("sweep_cells_failed", int !sweep_failures);
           ("append", arr (List.map json_of_append append_rows));
@@ -395,5 +409,5 @@ let all ?(quick = false) () =
           ("recovery_budget_seconds", float recovery_budget_s);
           ("recovery_budget_ok", bool budget_ok) ])
   in
-  Json_out.write (if quick then "BENCH_wal_quick.json" else "BENCH_wal.json") json;
+  Json_out.write "BENCH_wal.json" json;
   if !sweep_failures > 0 || not budget_ok then exit 1

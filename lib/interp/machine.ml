@@ -70,7 +70,7 @@ type t = {
   mutable pending_signal : bool;
   mutable handler : string option;
   mutable capture_records : Image.record list;  (* reverse capture order *)
-  mutable restore_records : Image.record list;  (* capture order; pop from end *)
+  mutable restore_records : Image.record list;  (* restore order; pop the head *)
   mutable divulged_image : Image.t option;
   status_attr : string;
   io : Io_intf.t;
@@ -477,16 +477,18 @@ let feed_image t (image : Image.t) =
         { r with Image.values = List.map remap_value r.values })
       image.records
   in
-  t.restore_records <- t.restore_records @ records;
+  (* an image lists its records in capture order and restore consumes
+     them last-first: prepend them reversed, ahead of any still queued *)
+  t.restore_records <- List.rev_append records t.restore_records;
   set_ready t
 
 let restore t frame args =
   match args with
   | R.Ralv loc_lv :: targets -> (
-    match List.rev t.restore_records with
+    match t.restore_records with
     | [] -> runtime "mh_restore: restore buffer is empty"
-    | record :: rev_rest ->
-      t.restore_records <- List.rev rev_rest;
+    | record :: rest ->
+      t.restore_records <- rest;
       if List.length targets <> List.length record.values then
         runtime "mh_restore: record has %d values but %d targets given"
           (List.length record.values) (List.length targets);

@@ -80,8 +80,12 @@ let r_bool r = Bin_util.read_u8 r <> 0
 let w_image buf image =
   Wire.write_string buf (Bytes.unsafe_to_string (Codec.encode_abstract image))
 
+(* An embedded container, copied once out of the record. The string is
+   fresh and never escapes, so viewing it as bytes is safe. *)
+let r_container r = Bytes.unsafe_of_string (Wire.read_string r)
+
 let r_image r =
-  match Codec.decode_abstract (Bytes.of_string (Wire.read_string r)) with
+  match Codec.decode_abstract (r_container r) with
   | Ok image -> image
   | Error e -> malformed "embedded image: %s" e
 
@@ -236,7 +240,7 @@ let r_entry r =
   | 11 ->
     let dd_cap = r_cap r in
     let dd_delta =
-      match Codec.decode_delta (Bytes.of_string (Wire.read_string r)) with
+      match Codec.decode_delta (r_container r) with
       | Ok d -> d
       | Error e -> malformed "embedded delta: %s" e
     in

@@ -51,11 +51,11 @@ let write_int layout buf v =
     then malformed "integer %d does not fit a 32-bit word" v;
     Bin_util.write_i32 buf ~big:layout.big v
   end
-  else Bin_util.write_i64 buf ~big:layout.big (Int64.of_int v)
+  else Bin_util.write_i64 buf ~big:layout.big v
 
 let read_int layout r =
   if layout.word_bits = 32 then Bin_util.read_i32 r ~big:layout.big
-  else Int64.to_int (Bin_util.read_i64 r ~big:layout.big)
+  else Bin_util.read_i64 r ~big:layout.big
 
 let write_string layout buf s =
   write_int layout buf (String.length s);
@@ -118,38 +118,33 @@ let magic_v1 = "DRIMG1"
 let format_version = 2
 let format_version_meta = 3
 
+(* The body is written into a pooled buffer, copied out once into the
+   container and checksummed there ([Bin_util.sealed]). *)
 let encode_with ?meta layout (image : Image.t) =
-  let payload =
-    Bin_util.with_buffer @@ fun buf ->
-    Bin_util.write_bytes buf magic;
-    (match meta with
-    | None -> Bin_util.write_u8 buf format_version
-    | Some m ->
-      Bin_util.write_u8 buf format_version_meta;
-      write_string layout buf m);
-    write_string layout buf image.source_module;
-    write_int layout buf (List.length image.records);
-    List.iter
-      (fun (r : Image.record) ->
-        write_int layout buf r.location;
-        write_int layout buf (List.length r.values);
-        List.iter (write_value layout buf) r.values)
-      image.records;
-    write_int layout buf (List.length image.heap);
-    List.iter
-      (fun (id, (block : Image.heap_block)) ->
-        write_int layout buf id;
-        write_ty buf block.elem_ty;
-        write_int layout buf (Array.length block.cells);
-        Array.iter (write_value layout buf) block.cells)
-      image.heap;
-    Buffer.to_bytes buf
-  in
-  let n = Bytes.length payload in
-  let out = Bytes.create (n + 4) in
-  Bytes.blit payload 0 out 0 n;
-  Bytes.set_int32_be out n (Bin_util.crc32 payload);
-  out
+  Bin_util.with_buffer @@ fun buf ->
+  Bin_util.write_bytes buf magic;
+  (match meta with
+  | None -> Bin_util.write_u8 buf format_version
+  | Some m ->
+    Bin_util.write_u8 buf format_version_meta;
+    write_string layout buf m);
+  write_string layout buf image.source_module;
+  write_int layout buf (List.length image.records);
+  List.iter
+    (fun (r : Image.record) ->
+      write_int layout buf r.location;
+      write_int layout buf (List.length r.values);
+      List.iter (write_value layout buf) r.values)
+    image.records;
+  write_int layout buf (List.length image.heap);
+  List.iter
+    (fun (id, (block : Image.heap_block)) ->
+      write_int layout buf id;
+      write_ty buf block.elem_ty;
+      write_int layout buf (Array.length block.cells);
+      Array.iter (write_value layout buf) block.cells)
+    image.heap;
+  Bin_util.sealed buf
 
 let decode_body layout r : Image.t =
   let source_module = read_string layout r in
@@ -185,19 +180,28 @@ let starts_with data prefix =
   Bytes.length data >= String.length prefix
   && String.equal (Bytes.sub_string data 0 (String.length prefix)) prefix
 
+(* A sealed container is checked where it lies: the CRC-32 trailer over
+   every byte before it, then a reader bounded before the trailer and
+   positioned past the magic, so the body is parsed without being copied
+   out first. *)
+let open_sealed ~magic_len ~truncated ~mismatch data =
+  let len = Bytes.length data - 4 in
+  if len < magic_len + 1 then malformed "%s" truncated;
+  let stored = Bytes.get_int32_be data len in
+  let computed = Bin_util.crc32_sub data ~off:0 ~len in
+  if not (Int32.equal stored computed) then
+    malformed "%s (stored %08lx, computed %08lx)" mismatch stored computed;
+  let r = Bin_util.reader ~len data in
+  ignore (Bin_util.read_bytes r magic_len);
+  r
+
 let decode_with_full layout data : Image.t * string option =
   let ml = String.length magic in
   if starts_with data magic then begin
-    let len = Bytes.length data in
-    if len < ml + 1 + 4 then malformed "truncated image container";
-    let payload = Bytes.sub data 0 (len - 4) in
-    let stored = Bytes.get_int32_be data (len - 4) in
-    let computed = Bin_util.crc32 payload in
-    if not (Int32.equal stored computed) then
-      malformed "checksum mismatch (stored %08lx, computed %08lx)" stored
-        computed;
-    let r = Bin_util.reader payload in
-    ignore (Bin_util.read_bytes r ml);
+    let r =
+      open_sealed ~magic_len:ml ~truncated:"truncated image container"
+        ~mismatch:"checksum mismatch" data
+    in
     let version = Bin_util.read_u8 r in
     let meta =
       if version = format_version then None
@@ -277,37 +281,30 @@ let delta_version = 1
 
 let encode_delta (d : Image.delta) =
   let layout = abstract_layout in
-  let payload =
-    Bin_util.with_buffer @@ fun buf ->
-    Bin_util.write_bytes buf delta_magic;
-    Bin_util.write_u8 buf delta_version;
-    write_string layout buf d.Image.d_source_module;
-    Bin_util.write_i64 buf ~big:layout.big d.Image.d_base_digest;
-    write_int layout buf d.Image.d_record_count;
-    write_int layout buf (List.length d.Image.d_slots);
-    List.iter
-      (fun (ri, vi, v) ->
-        write_int layout buf ri;
-        write_int layout buf vi;
-        write_value layout buf v)
-      d.Image.d_slots;
-    write_int layout buf (List.length d.Image.d_heap_new);
-    List.iter
-      (fun (id, (block : Image.heap_block)) ->
-        write_int layout buf id;
-        write_ty buf block.elem_ty;
-        write_int layout buf (Array.length block.cells);
-        Array.iter (write_value layout buf) block.cells)
-      d.Image.d_heap_new;
-    write_int layout buf (List.length d.Image.d_heap_keep);
-    List.iter (write_int layout buf) d.Image.d_heap_keep;
-    Buffer.to_bytes buf
-  in
-  let n = Bytes.length payload in
-  let out = Bytes.create (n + 4) in
-  Bytes.blit payload 0 out 0 n;
-  Bytes.set_int32_be out n (Bin_util.crc32 payload);
-  out
+  Bin_util.with_buffer @@ fun buf ->
+  Bin_util.write_bytes buf delta_magic;
+  Bin_util.write_u8 buf delta_version;
+  write_string layout buf d.Image.d_source_module;
+  Bin_util.write_bits64 buf ~big:layout.big d.Image.d_base_digest;
+  write_int layout buf d.Image.d_record_count;
+  write_int layout buf (List.length d.Image.d_slots);
+  List.iter
+    (fun (ri, vi, v) ->
+      write_int layout buf ri;
+      write_int layout buf vi;
+      write_value layout buf v)
+    d.Image.d_slots;
+  write_int layout buf (List.length d.Image.d_heap_new);
+  List.iter
+    (fun (id, (block : Image.heap_block)) ->
+      write_int layout buf id;
+      write_ty buf block.elem_ty;
+      write_int layout buf (Array.length block.cells);
+      Array.iter (write_value layout buf) block.cells)
+    d.Image.d_heap_new;
+  write_int layout buf (List.length d.Image.d_heap_keep);
+  List.iter (write_int layout buf) d.Image.d_heap_keep;
+  Bin_util.sealed buf
 
 let decode_delta_exn data : Image.delta =
   let layout = abstract_layout in
@@ -315,21 +312,15 @@ let decode_delta_exn data : Image.delta =
   if not (starts_with data delta_magic) then
     malformed "bad delta magic %S"
       (Bytes.sub_string data 0 (min ml (Bytes.length data)));
-  let len = Bytes.length data in
-  if len < ml + 1 + 4 then malformed "truncated delta container";
-  let payload = Bytes.sub data 0 (len - 4) in
-  let stored = Bytes.get_int32_be data (len - 4) in
-  let computed = Bin_util.crc32 payload in
-  if not (Int32.equal stored computed) then
-    malformed "delta checksum mismatch (stored %08lx, computed %08lx)" stored
-      computed;
-  let r = Bin_util.reader payload in
-  ignore (Bin_util.read_bytes r ml);
+  let r =
+    open_sealed ~magic_len:ml ~truncated:"truncated delta container"
+      ~mismatch:"delta checksum mismatch" data
+  in
   let version = Bin_util.read_u8 r in
   if version <> delta_version then
     malformed "unsupported delta version %d" version;
   let d_source_module = read_string layout r in
-  let d_base_digest = Bin_util.read_i64 r ~big:layout.big in
+  let d_base_digest = Bin_util.read_bits64 r ~big:layout.big in
   let d_record_count = read_int layout r in
   if d_record_count < 0 || d_record_count > 1_000_000 then
     malformed "bad delta record count %d" d_record_count;

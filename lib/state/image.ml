@@ -70,14 +70,25 @@ let pp ppf t =
    images digest equally; a restore can therefore verify that the image
    it feeds is the image that was captured ([Bus.deposit_state
    ?expect]). This is an end-to-end check above the container's CRC-32:
-   it survives encode/translate/decode across architectures. *)
+   it survives encode/translate/decode across architectures.
+
+   The 64-bit state lives in an 8-byte buffer and is read and written
+   with unboxed loads and stores, so mixing a value allocates nothing;
+   an [int64] held in a ref or passed between functions would be boxed
+   at every step. *)
+let fnv_prime = 0x100000001b3L
+
+let[@inline] mix_bits st v =
+  Bytes.set_int64_ne st 0
+    (Int64.mul (Int64.logxor (Bytes.get_int64_ne st 0) v) fnv_prime)
+
 let compute_digest t =
-  let h = ref 0xcbf29ce484222325L in
-  let mix v = h := Int64.mul (Int64.logxor !h v) 0x100000001b3L in
-  let mix_int i = mix (Int64.of_int i) in
+  let st = Bytes.create 8 in
+  Bytes.set_int64_ne st 0 0xcbf29ce484222325L;
+  let mix_int i = mix_bits st (Int64.of_int i) in
   let mix_string s =
     mix_int (String.length s);
-    String.iter (fun c -> mix (Int64.of_int (Char.code c))) s
+    String.iter (fun c -> mix_int (Char.code c)) s
   in
   let mix_value = function
     | Value.Vint i ->
@@ -85,7 +96,7 @@ let compute_digest t =
       mix_int i
     | Value.Vfloat f ->
       mix_int 2;
-      mix (Int64.bits_of_float f)
+      mix_bits st (Int64.bits_of_float f)
     | Value.Vbool b ->
       mix_int 3;
       mix_int (if b then 1 else 0)
@@ -129,7 +140,7 @@ let compute_digest t =
       mix_int (Array.length block.cells);
       Array.iter mix_value block.cells)
     t.heap;
-  !h
+  Bytes.get_int64_ne st 0
 
 (* Memoised: the deposit path re-checks the digest of an image whose
    digest was already computed at capture/translate time; records and

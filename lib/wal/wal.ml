@@ -38,23 +38,28 @@ let ckpt_lsn name = Scanf.sscanf_opt name "ckpt-%12d%!" (fun n -> n)
 
 (* ------------------------------------------------------------ framing *)
 
-(* [u32 length][u32 crc of payload][payload = i64 lsn, u8 kind, body] *)
-let frame ~lsn ~kind body =
-  let payload =
-    Bin_util.with_buffer @@ fun buf ->
-    Bin_util.write_i64 buf ~big:true (Int64.of_int lsn);
-    Bin_util.write_u8 buf kind;
-    Bin_util.write_bytes buf (Bytes.unsafe_to_string body);
-    Buffer.to_bytes buf
-  in
-  let out =
-    Bin_util.with_buffer @@ fun buf ->
-    Bin_util.write_i32 buf ~big:true (Bytes.length payload);
-    Buffer.add_int32_be buf (Bin_util.crc32 payload);
-    Bin_util.write_bytes buf (Bytes.unsafe_to_string payload);
-    Buffer.to_bytes buf
-  in
+(* [u32 length][u32 crc of payload][payload]: the frame is allocated
+   whole, [fill] writes the [len]-byte payload at offset 8, and the CRC is
+   computed there — the payload's bytes are copied once, into the frame. *)
+let framed len fill =
+  let out = Bytes.create (8 + len) in
+  Bytes.set_int32_be out 0 (Int32.of_int len);
+  fill out;
+  Bytes.set_int32_be out 4 (Bin_util.crc32_sub out ~off:8 ~len);
   out
+
+(* a CRC-framed payload at [off] of [data] is intact *)
+let frame_ok data ~off ~len =
+  Int32.equal (Bytes.get_int32_be data (off + 4))
+    (Bin_util.crc32_sub data ~off:(off + 8) ~len)
+
+(* log record payload = i64 lsn, u8 kind, body *)
+let frame ~lsn ~kind body =
+  let n = Bytes.length body in
+  framed (9 + n) (fun out ->
+      Bytes.set_int64_be out 8 (Int64.of_int lsn);
+      Bytes.set_uint8 out 16 kind;
+      Bytes.blit body 0 out 17 n)
 
 (* ----------------------------------------------------------- scanning *)
 
@@ -77,20 +82,20 @@ let read_manifest storage =
     if n < ml + 8 + 4 then Error "manifest truncated"
     else if not (String.equal (Bytes.sub_string data 0 ml) manifest_magic) then
       Error "manifest has a bad magic"
-    else begin
-      let body = Bytes.sub data 0 (n - 4) in
-      if not (Int32.equal (Bytes.get_int32_be data (n - 4)) (Bin_util.crc32 body))
-      then Error "manifest checksum mismatch"
-      else Ok (Some (Int64.to_int (Bytes.get_int64_be data ml)))
-    end
+    else if
+      not
+        (Int32.equal
+           (Bytes.get_int32_be data (n - 4))
+           (Bin_util.crc32_sub data ~off:0 ~len:(n - 4)))
+    then Error "manifest checksum mismatch"
+    else Ok (Some (Int64.to_int (Bytes.get_int64_be data ml)))
 
 let write_manifest storage ~cp =
   let data =
     Bin_util.with_buffer @@ fun buf ->
     Bin_util.write_bytes buf manifest_magic;
-    Bin_util.write_i64 buf ~big:true (Int64.of_int cp);
-    Buffer.add_int32_be buf (Bin_util.crc32 (Buffer.to_bytes buf));
-    Buffer.to_bytes buf
+    Bin_util.write_i64 buf ~big:true cp;
+    Bin_util.sealed buf
   in
   storage.Storage.st_write manifest_blob data
 
@@ -102,22 +107,13 @@ let read_ckpt storage lsn =
     if n < 8 then None
     else
       let len = Int32.to_int (Bytes.get_int32_be data 0) in
-      if len < 0 || len <> n - 8 then None
-      else
-        let body = Bytes.sub data 8 len in
-        if Int32.equal (Bytes.get_int32_be data 4) (Bin_util.crc32 body) then
-          Some body
-        else None
+      if len < 0 || len <> n - 8 || not (frame_ok data ~off:0 ~len) then None
+      else Some (Bytes.sub data 8 len)
 
 let write_ckpt storage lsn state =
-  let data =
-    Bin_util.with_buffer @@ fun buf ->
-    Bin_util.write_i32 buf ~big:true (Bytes.length state);
-    Buffer.add_int32_be buf (Bin_util.crc32 state);
-    Bin_util.write_bytes buf (Bytes.unsafe_to_string state);
-    Buffer.to_bytes buf
-  in
-  storage.Storage.st_write (ckpt_name lsn) data
+  let n = Bytes.length state in
+  storage.Storage.st_write (ckpt_name lsn)
+    (framed n (fun out -> Bytes.blit state 0 out 8 n))
 
 (* Decode one segment blob. [last] controls torn-tail handling: a
    record that is short, oversized or checksum-damaged in the last
@@ -148,26 +144,19 @@ let scan_segment ~name ~first_lsn ~expected_lsn ~last data =
     if remaining < 8 then tear ()
     else begin
       let len = Int32.to_int (Bytes.get_int32_be data !off) in
-      if len < 9 || len > remaining - 8 then tear ()
+      if len < 9 || len > remaining - 8 || not (frame_ok data ~off:!off ~len)
+      then tear ()
       else begin
-        let payload = Bytes.sub data (!off + 8) len in
-        if
-          not
-            (Int32.equal (Bytes.get_int32_be data (!off + 4))
-               (Bin_util.crc32 payload))
-        then tear ()
+        (* verified in place; the body is the one copy taken *)
+        let lsn = Int64.to_int (Bytes.get_int64_be data (!off + 8)) in
+        if lsn <> !expected then
+          fail "record at offset %d has LSN %d, expected %d" !off lsn !expected
         else begin
-          let lsn = Int64.to_int (Bytes.get_int64_be payload 0) in
-          let kind = Char.code (Bytes.get payload 8) in
-          let body = Bytes.sub payload 9 (len - 9) in
-          if lsn <> !expected then
-            fail "record at offset %d has LSN %d, expected %d" !off lsn
-              !expected
-          else begin
-            records := (lsn, kind, body) :: !records;
-            incr expected;
-            off := !off + 8 + len
-          end
+          let kind = Bytes.get_uint8 data (!off + 16) in
+          let body = Bytes.sub data (!off + 17) (len - 9) in
+          records := (lsn, kind, body) :: !records;
+          incr expected;
+          off := !off + 8 + len
         end
       end
     end

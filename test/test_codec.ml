@@ -2,6 +2,10 @@ module Image = Dr_state.Image
 module Codec = Dr_state.Codec
 module Arch = Dr_state.Arch
 module Value = Dr_state.Value
+module Persist = Dr_reconfig.Persist
+module Primitives = Dr_reconfig.Primitives
+module Storage = Dr_wal.Storage
+module Wal = Dr_wal.Wal
 
 let sample_image =
   Image.make ~source_module:"compute"
@@ -286,6 +290,146 @@ let prop_cross_arch_roundtrip =
               | Error _ -> false)))
         [ (Arch.x86_64, Arch.sparc32); (Arch.sparc32, Arch.arm32) ])
 
+(* -------------------------------------------------------------- pins *)
+
+(* Byte-identity pins. Images frozen to disk and write-ahead logs written
+   by earlier builds must keep loading, so the container, delta, digest
+   and log-frame bytes of one fixed image are pinned as literals. The
+   image exercises every value tag and every type tag; the delta is
+   computed against a fixed base that differs in two slots and one heap
+   block. Any change to an encoder, the CRC-32 kernel or the digest that
+   moves a single byte fails here. *)
+
+let pin_image =
+  Image.make ~source_module:"pin"
+    ~records:
+      [ { Image.location = 2;
+          values = [ Value.Vint (-7); Vfloat 1.5; Vbool true; Vstr "ab" ] };
+        { Image.location = 5;
+          values = [ Value.Varr 3; Vptr (4, 1); Vnull; Vint 0x12345678 ] } ]
+    ~heap:
+      [ (3, { Image.elem_ty = Tarr Tint; cells = [| Value.Vnull |] });
+        ( 4,
+          { Image.elem_ty = Tptr Tfloat;
+            cells = [| Value.Vbool false; Vstr "" |] } ) ]
+
+let pin_base =
+  Image.make ~source_module:"pin"
+    ~records:
+      [ { Image.location = 2;
+          values = [ Value.Vint 0; Vfloat 1.5; Vbool false; Vstr "ab" ] };
+        { Image.location = 5;
+          values = [ Value.Varr 3; Vptr (4, 1); Vnull; Vint 0x12345678 ] } ]
+    ~heap:[ (3, { Image.elem_ty = Tarr Tint; cells = [| Value.Vnull |] }) ]
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+(* the abstract layout is big-endian 64-bit, so m68k shares its bytes *)
+let pin_abstract_hex =
+  "4452494d473202000000000000000370696e0000000000000002000000000000\
+   0002000000000000000400fffffffffffffff9013ff800000000000002010300\
+   0000000000000261620000000000000005000000000000000404000000000000\
+   0003050000000000000004000000000000000106000000000012345678000000\
+   0000000002000000000000000304000000000000000001060000000000000004\
+   050100000000000000020200030000000000000000880d315c"
+
+let pin_native_hex =
+  [ ( "x86_64",
+      "4452494d473202030000000000000070696e0200000000000000020000000000\
+       0000040000000000000000f9ffffffffffffff01000000000000f83f02010302\
+       0000000000000061620500000000000000040000000000000004030000000000\
+       0000050400000000000000010000000000000006007856341200000000020000\
+       0000000000030000000000000004000100000000000000060400000000000000\
+       050102000000000000000200030000000000000000ad07b3da" );
+    ( "sparc32",
+      "4452494d4732020000000370696e00000002000000020000000400fffffff901\
+       3ff8000000000000020103000000026162000000050000000404000000030500\
+       0000040000000106001234567800000002000000030400000000010600000004\
+       050100000002020003000000005b18b6f4" );
+    ( "arm32",
+      "4452494d4732020300000070696e02000000020000000400000000f9ffffff01\
+       000000000000f83f020103020000006162050000000400000004030000000504\
+       0000000100000006007856341202000000030000000400010000000604000000\
+       05010200000002000300000000a13694a9" );
+    ("m68k", pin_abstract_hex) ]
+
+let test_pin_containers () =
+  Alcotest.(check string) "abstract DRIMG2" pin_abstract_hex
+    (hex (Codec.encode_abstract pin_image));
+  List.iter
+    (fun arch ->
+      let expected = List.assoc arch.Arch.arch_name pin_native_hex in
+      Alcotest.(check string) arch.Arch.arch_name expected
+        (hex (Result.get_ok (Codec.Native.encode arch pin_image))))
+    Arch.all
+
+let test_pin_delta () =
+  let delta =
+    Image.diff ~base:pin_base
+      ~masks:[ [| true; false; true; false |]; [| false; false; false; false |] ]
+      ~heap_dirty:(fun _ -> false)
+      pin_image
+  in
+  match delta with
+  | None -> Alcotest.fail "pinned base is not aligned with the pinned image"
+  | Some delta ->
+    Alcotest.(check string) "DRIMGD1"
+      "4452494d47443101000000000000000370696efee891ccb201ac9a0000000000\
+       00000200000000000000020000000000000000000000000000000000ffffffff\
+       fffffff900000000000000000000000000000002020100000000000000010000\
+       0000000000040501000000000000000202000300000000000000000000000000\
+       000001000000000000000346a5d7e2"
+      (hex (Codec.encode_delta delta))
+
+let test_pin_digest () =
+  Alcotest.(check int64) "image digest" 0x4c25dfc8063294a8L
+    (Image.digest pin_image);
+  Alcotest.(check int64) "base digest" 0xfee891ccb201ac9aL
+    (Image.digest pin_base)
+
+let test_pin_wal_frames () =
+  let cap =
+    { Primitives.cap_instance = "c"; cap_module = "pin"; cap_host = "hostB";
+      cap_spec = None; cap_ifaces = [ "in"; "out" ];
+      cap_out_routes = [ (("c", "out"), ("d", "in")) ]; cap_in_routes = [] }
+  in
+  let record =
+    Persist.Entry
+      { sid = 3; entry = Persist.Divulged { d_cap = cap; d_image = pin_image } }
+  in
+  let storage = Storage.storage_of_mem (Storage.memory ()) in
+  let wal = Result.get_ok (Wal.create storage) in
+  ignore
+    (Wal.append wal ~kind:(Persist.kind_of record) (Persist.encode record)
+      : int);
+  let blob storage name = hex (Result.get_ok (storage.Storage.st_read name)) in
+  Alcotest.(check string) "segment holding one Divulged record"
+    "00000149b894ee17000000000000000102000000000000000308000000000000\
+     000163000000000000000370696e0000000000000005686f7374420000000000\
+     000000020000000000000002696e00000000000000036f757400000000000000\
+     0100000000000000016300000000000000036f75740000000000000001640000\
+     000000000002696e000000000000000000000000000000b94452494d47320200\
+     0000000000000370696e00000000000000020000000000000002000000000000\
+     000400fffffffffffffff9013ff8000000000000020103000000000000000261\
+     6200000000000000050000000000000004040000000000000003050000000000\
+     0000040000000000000001060000000000123456780000000000000002000000\
+     0000000003040000000000000000010600000000000000040501000000000000\
+     00020200030000000000000000880d315c"
+    (blob storage "seg-000000000001.wal");
+  Alcotest.(check string) "manifest"
+    "445257414c4d46310000000000000001e76ab081"
+    (blob storage "MANIFEST");
+  let storage = Storage.storage_of_mem (Storage.memory ()) in
+  let wal = Result.get_ok (Wal.create storage) in
+  ignore (Wal.append wal ~kind:1 (Bytes.of_string "x") : int);
+  Wal.checkpoint ~state:(Bytes.of_string "snapshot") wal;
+  Alcotest.(check string) "checkpoint blob"
+    "000000082c4d1535736e617073686f74"
+    (blob storage "ckpt-000000000002")
+
 let () =
   Alcotest.run "codec"
     [ ( "abstract",
@@ -313,4 +457,13 @@ let () =
           Alcotest.test_case "gather blocks" `Quick
             test_gather_blocks_sharing_and_cycles;
           Alcotest.test_case "byte size" `Quick test_byte_size_monotone ] );
+      (* a group name longer than "properties" widens the printed name
+         column and truncates the longest property's name *)
+      ( "pins",
+        [ Alcotest.test_case "DRIMG2 abstract and native" `Quick
+            test_pin_containers;
+          Alcotest.test_case "DRIMGD1 delta" `Quick test_pin_delta;
+          Alcotest.test_case "image digest" `Quick test_pin_digest;
+          Alcotest.test_case "WAL frame, manifest, checkpoint" `Quick
+            test_pin_wal_frames ] );
       ("properties", [ prop_abstract_roundtrip; prop_cross_arch_roundtrip ]) ]
