@@ -17,7 +17,7 @@
    duplication and jitter underneath.
 
    Both parts are summarised in BENCH_chaos.json.
-   Run with: dune exec bench/main.exe -- chaos [--quick] *)
+   Run with: dune exec bench/main.exe -- chaos *)
 
 module Bus = Dr_bus.Bus
 module Faults = Dr_bus.Faults
@@ -242,9 +242,9 @@ let json_of_sweep_row row =
           else float (row.row_latency_sum /. float_of_int row.row_completed) );
         ("retx_total", int row.row_retx) ])
 
-let all ?trials ?(quick = false) () =
-  let trials = Option.value trials ~default:(if quick then 8 else 40) in
-  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4; 5 ] in
+let all () =
+  let trials = 40 in
+  let seeds = [ 1; 2; 3; 4; 5 ] in
   print_newline ();
   print_endline "==============================================================";
   print_endline "Chaos: transactional replace under injected faults";
@@ -319,14 +319,11 @@ let all ?trials ?(quick = false) () =
     Json_out.(
       obj
         [ ("suite", str "chaos");
-          ("quick", bool quick);
           ("transactional_trials", int trials);
           ("transactional", arr (List.rev !transactional_rows));
           ("sweep_seeds", int (List.length seeds));
           ("reliable_sweep", arr (List.rev_map json_of_sweep_row !sweep_rows))
         ])
   in
-  Json_out.write
-    (if quick then "BENCH_chaos_quick.json" else "BENCH_chaos.json")
-    json;
+  Json_out.write "BENCH_chaos.json" json;
   if !worst < 0.95 || !sweep_failures > 0 then exit 1

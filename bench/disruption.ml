@@ -4,11 +4,9 @@
    with live pre-copy off and on, and read the phase decomposition back
    out of the span tree the reconfiguration script records — signal,
    drain, capture, translate, restore, all in virtual time. Emits
-   BENCH_disruption.json (full sweep) or BENCH_disruption_quick.json
-   (--quick) next to bench_output.txt.
+   BENCH_disruption.json next to bench_output.txt.
 
-   Run with: dune exec bench/main.exe -- disruption           (full sweep)
-             dune exec bench/main.exe -- disruption --quick   (CI smoke)
+   Run with: dune exec bench/main.exe -- disruption
 
    Every cell asserts the decomposition identity: the phase durations
    must tile the root span exactly (total = signal + drain + capture +
@@ -16,10 +14,9 @@
    whole window with no gap and no overlap. Pre-copy adds only
    zero-width markers, so the identity holds in every mode.
 
-   Gates (non-zero exit on failure):
-     full  — at depth 128 / payload 64, pre-copy must cut the window by
-             at least 2x against both destinations
-     quick — pre-copy must not widen the window (lenient CI smoke) *)
+   Gates (non-zero exit on failure): pre-copy must never widen the
+   window, and at depth 128 / payload 64 it must cut the window by at
+   least 2x against both destinations. *)
 
 module Bus = Dr_bus.Bus
 module Script = Dr_reconfig.Script
@@ -180,15 +177,15 @@ let cell_json c =
       ("delta_slots", Json_out.int c.c_delta_slots);
       ("delta_bytes", Json_out.int c.c_delta_bytes) ]
 
-let all ?(quick = false) () =
+let all () =
   print_newline ();
   print_endline "==============================================================";
   print_endline "Disruption window vs AR-stack depth x payload (virtual time)";
   print_endline "  migrate hostA (x86_64) -> hostB (sparc32) / hostD (x86_64)";
   print_endline "  pre-copy off vs on, deeprec_payload workload";
   print_endline "==============================================================";
-  let depths = if quick then [ 4; 16 ] else [ 2; 8; 32; 128 ] in
-  let payloads = if quick then [ 0; 8 ] else [ 0; 16; 64 ] in
+  let depths = [ 2; 8; 32; 128 ] in
+  let payloads = [ 0; 16; 64 ] in
   let dsts = [ "hostB"; "hostD" ] in
   (* pre-copy off and on for each (depth, payload, destination) row *)
   let rows =
@@ -225,27 +222,21 @@ let all ?(quick = false) () =
   let json =
     Json_out.obj
       [ ("suite", Json_out.str "disruption");
-        ("quick", Json_out.bool quick);
         ("cells", Json_out.arr (List.map cell_json cells)) ]
   in
-  Json_out.write
-    (if quick then "BENCH_disruption_quick.json" else "BENCH_disruption.json")
-    json;
+  Json_out.write "BENCH_disruption.json" json;
   (* regression gates *)
   let failed = ref false in
   List.iter
     (fun (off, on) ->
-      if quick then begin
-        (* lenient smoke gate: pre-copy must never widen the window *)
-        if on.c_total > off.c_total +. 1e-9 then begin
-          Printf.printf
-            "FAIL: depth %d payload %d -> %s: pre-copy widened the window \
-             (%.3f > %.3f)\n"
-            off.c_depth off.c_payload off.c_dst on.c_total off.c_total;
-          failed := true
-        end
-      end
-      else if off.c_depth = 128 && off.c_payload = 64 then
+      if on.c_total > off.c_total +. 1e-9 then begin
+        Printf.printf
+          "FAIL: depth %d payload %d -> %s: pre-copy widened the window \
+           (%.3f > %.3f)\n"
+          off.c_depth off.c_payload off.c_dst on.c_total off.c_total;
+        failed := true
+      end;
+      if off.c_depth = 128 && off.c_payload = 64 then
         (* headline criterion: >= 2x narrower at the deepest, fattest cell *)
         if on.c_total *. 2.0 > off.c_total then begin
           Printf.printf

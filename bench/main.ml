@@ -59,12 +59,12 @@
    single-replace for the reduction ratio) and gates on exhaustiveness
    and zero monitor violations; emits BENCH_mc.json.
 
-   "scaling", "chaos", "interp", "disruption" and "rolling" accept
-   --quick (fewer trials/seeds, CI smoke); quick runs write their
-   artifacts as BENCH_*_quick.json so a committed full artifact is
-   never clobbered by a smoke run ("wal" and "mc" have no quick mode:
-   each full run takes a couple of seconds). All suites emit
-   machine-readable BENCH_*.json artifacts next to bench_output.txt. *)
+   "scaling" and "interp" accept --quick (smaller sizes, CI smoke);
+   quick runs write their artifacts as BENCH_*_quick.json so a
+   committed full artifact is never clobbered by a smoke run. The other
+   suites have no quick mode: each full run takes at most a couple of
+   seconds. All suites emit machine-readable BENCH_*.json artifacts
+   next to bench_output.txt. *)
 
 open Bechamel
 open Toolkit
@@ -316,9 +316,9 @@ let () =
   if what = "tables" || what = "all" then Tables.all ();
   if what = "micro" || what = "all" then run_micro ();
   if what = "scaling" then Scaling.all ~quick ();
-  if what = "chaos" then Chaos.all ~quick ();
+  if what = "chaos" then Chaos.all ();
   if what = "interp" then Interp_bench.all ~quick ();
-  if what = "disruption" then Disruption.all ~quick ();
+  if what = "disruption" then Disruption.all ();
   if what = "wal" then Wal_bench.all ();
-  if what = "rolling" then Rolling.all ~quick ();
+  if what = "rolling" then Rolling.all ();
   if what = "mc" then Mc.all ()

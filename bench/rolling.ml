@@ -19,9 +19,8 @@
 
    The universal gate on every cell is the exactly-once-or-shed
    accounting identity: sent = answered + shed, nothing in flight,
-   nothing duplicated. Summarised in BENCH_rolling.json
-   (BENCH_rolling_quick.json with --quick).
-   Run with: dune exec bench/main.exe -- rolling [--quick] *)
+   nothing duplicated. Summarised in BENCH_rolling.json.
+   Run with: dune exec bench/main.exe -- rolling *)
 
 module Bus = Dr_bus.Bus
 module Faults = Dr_bus.Faults
@@ -275,25 +274,21 @@ let json_of_row r =
         ("ok", bool r.r_ok);
         ("detail", str r.r_detail) ])
 
-let all ?(quick = false) () =
+let all () =
   let cells =
-    if quick then
-      [ (3, 3.0, Clean); (3, 3.0, Loss 0.10); (3, 3.0, Kill);
-        (3, 3.0, Bad_canary); (3, 3.0, Ctl_crash 6) ]
-    else
-      List.concat_map
-        (fun n ->
-          List.concat_map
-            (fun rate ->
-              List.map
-                (fun fault -> (n, rate, fault))
-                [ Clean; Loss 0.05; Loss 0.10; Loss 0.20 ])
-            [ 3.0; 6.0 ])
-        [ 3; 5 ]
-      @ [ (3, 3.0, Kill); (5, 6.0, Kill);
-          (3, 3.0, Bad_canary); (5, 6.0, Bad_canary);
-          (3, 3.0, Ctl_crash 2); (3, 3.0, Ctl_crash 7);
-          (3, 3.0, Ctl_crash 12) ]
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun rate ->
+            List.map
+              (fun fault -> (n, rate, fault))
+              [ Clean; Loss 0.05; Loss 0.10; Loss 0.20 ])
+          [ 3.0; 6.0 ])
+      [ 3; 5 ]
+    @ [ (3, 3.0, Kill); (5, 6.0, Kill);
+        (3, 3.0, Bad_canary); (5, 6.0, Bad_canary);
+        (3, 3.0, Ctl_crash 2); (3, 3.0, Ctl_crash 7);
+        (3, 3.0, Ctl_crash 12) ]
   in
   print_newline ();
   print_endline "==============================================================";
@@ -324,11 +319,8 @@ let all ?(quick = false) () =
     Json_out.(
       obj
         [ ("suite", str "rolling");
-          ("quick", bool quick);
           ("cells", arr (List.rev_map json_of_row !rows));
           ("cells_failed", int !failures) ])
   in
-  Json_out.write
-    (if quick then "BENCH_rolling_quick.json" else "BENCH_rolling.json")
-    json;
+  Json_out.write "BENCH_rolling.json" json;
   if !failures > 0 then exit 1

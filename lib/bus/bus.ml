@@ -1,5 +1,6 @@
 module Engine = Dr_sim.Engine
 module Trace = Dr_sim.Trace
+module E = Dr_sim.Trace_event
 module Machine = Dr_interp.Machine
 module Value = Dr_state.Value
 module Image = Dr_state.Image
@@ -278,10 +279,7 @@ let hosts t = t.bus_hosts
 let find_host t name =
   List.find_opt (fun h -> String.equal h.host_name name) t.bus_hosts
 
-let record t category fmt =
-  Format.kasprintf
-    (fun detail -> Trace.record t.trace ~time:(now t) ~category ~detail)
-    fmt
+let record t ev = Trace.record t.trace ~time:(now t) ev
 
 (* invariant: [t.live] holds exactly the processes with [p_alive];
    [kill] removes its entry, so halted/crashed machines stay findable
@@ -304,7 +302,7 @@ let ctl_appends t = t.ctl_appends
 let arm_ctl_crash t ~after =
   t.ctl_crash_at <- Some after;
   Engine.set_guard t.engine (function Controller_crash -> true | _ -> false);
-  record t "fault" "controller crash armed after control-log append %d" after
+  record t (E.Ctl_crash_armed after)
 
 let ctl_tick t =
   t.ctl_appends <- t.ctl_appends + 1;
@@ -312,8 +310,7 @@ let ctl_tick t =
   | Some n when t.ctl_appends >= n ->
     t.ctl_crash_at <- None;
     t.ctl_down <- true;
-    record t "fault" "controller crashed after control-log append %d"
-      t.ctl_appends;
+    record t (E.Ctl_crashed t.ctl_appends);
     raise Controller_crash
   | _ -> ()
 
@@ -321,7 +318,7 @@ let recover_controller t =
   if t.ctl_down then begin
     t.ctl_down <- false;
     t.ctl_open <- 0;  (* whatever was open died with the controller *)
-    record t "recover" "controller restarted"
+    record t E.Ctl_restarted
   end
 
 let ctl_scripts_open t = t.ctl_open
@@ -381,12 +378,12 @@ let notify_delivery t ~dst ~kind value =
 
 let arm_image_corruption t ~instance =
   Hashtbl.replace t.corrupt_images instance ();
-  record t "fault" "image corruption armed for %s" instance
+  record t (E.Corruption_armed instance)
 
 let consume_image_corruption t ~instance =
   if Hashtbl.mem t.corrupt_images instance then begin
     Hashtbl.remove t.corrupt_images instance;
-    record t "fault" "injected image corruption: %s" instance;
+    record t (E.Corruption_injected instance);
     true
   end
   else false
@@ -397,27 +394,26 @@ let quarantine_image t ~instance ~reason ~byte_size =
     { q_time = now t; q_instance = instance; q_reason = reason;
       q_byte_size = byte_size }
     :: t.quarantine_rev;
-  record t "quarantine" "image from %s quarantined (%d byte(s)): %s" instance
-    byte_size reason
+  record t (E.Quarantined { instance; bytes = byte_size; reason })
 
 let quarantined t = List.rev t.quarantine_rev
 
 let crash_process t ~instance ~reason =
   match find_proc t instance with
-  | None -> record t "audit" "crash injection ignored: no instance %s" instance
+  | None -> record t (E.Crash_ignored instance)
   | Some p -> (
     match Machine.status p.p_machine with
     | Machine.Halted | Machine.Crashed _ -> ()
     | _ ->
       Machine.force_crash p.p_machine reason;
-      record t "crash" "%s crashed: %s" p.p_instance reason)
+      record t (E.Crashed { instance = p.p_instance; reason }))
 
 let crash_host t ~host =
   if host_is_down t host then
-    record t "audit" "host crash ignored: %s already down" host
+    record t (E.Host_crash_ignored host)
   else begin
     Hashtbl.replace t.down_hosts host ();
-    record t "fault" "host %s crashed" host;
+    record t (E.Host_crashed host);
     List.iter
       (fun p ->
         if p.p_alive && String.equal p.p_host.host_name host then begin
@@ -428,8 +424,8 @@ let crash_host t ~host =
           in
           Hashtbl.iter (fun _ q -> Queue.clear q) p.p_queues;
           if dropped > 0 then
-            record t "queue" "%s lost %d queued message(s) in host crash"
-              p.p_instance dropped
+            record t
+              (E.Host_crash_lost { instance = p.p_instance; count = dropped })
         end)
       (List.rev t.procs_rev)
   end
@@ -437,9 +433,9 @@ let crash_host t ~host =
 let recover_host t ~host =
   if host_is_down t host then begin
     Hashtbl.remove t.down_hosts host;
-    record t "fault" "host %s recovered" host
+    record t (E.Host_recovered host)
   end
-  else record t "audit" "host recovery ignored: %s is up" host
+  else record t (E.Host_recovery_ignored host)
 
 (* ------------------------------------------------------------ programs *)
 
@@ -559,9 +555,9 @@ and run_quantum t p =
     | Machine.Blocked_read _ | Machine.Blocked_decode ->
       (* parked: woken by message/state arrival *)
       ()
-    | Machine.Halted -> record t "halt" "%s halted" p.p_instance
+    | Machine.Halted -> record t (E.Halted p.p_instance)
     | Machine.Crashed message ->
-      record t "crash" "%s crashed: %s" p.p_instance message
+      record t (E.Crashed { instance = p.p_instance; reason = message })
   end
 
 and schedule_wake t p ~delay =
@@ -598,7 +594,7 @@ let add_route t ~src ~dst =
     t.routes_version <- t.routes_version + 1;
     Hashtbl.replace t.route_index src (bucket @ [ dst ]);
     t.routes_rev <- (src, dst) :: t.routes_rev;
-    record t "bind" "add %s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
+    record t (E.Bind_added { src; dst })
   end
 
 let del_route t ~src ~dst =
@@ -610,7 +606,7 @@ let del_route t ~src ~dst =
     List.filter
       (fun (s, d) -> not (endpoint_equal s src && endpoint_equal d dst))
       t.routes_rev;
-  record t "bind" "del %s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
+  record t (E.Bind_deleted { src; dst })
 
 let routes_from t src = index_bucket t src
 
@@ -669,13 +665,13 @@ let drain_group t ~instance =
 let mark_draining t ~instance =
   if not (Hashtbl.mem t.draining instance) then begin
     Hashtbl.replace t.draining instance ();
-    record t "drain" "%s draining: new deliveries shed to siblings" instance
+    record t (E.Drain_started instance)
   end
 
 let clear_draining t ~instance =
   if Hashtbl.mem t.draining instance then begin
     Hashtbl.remove t.draining instance;
-    record t "drain" "%s admitting again" instance
+    record t (E.Drain_ended instance)
   end
 
 let is_draining t ~instance = Hashtbl.mem t.draining instance
@@ -750,8 +746,7 @@ let drain_redirect t dst =
         m_incr t
           ~labels:[ ("from", instance); ("to", target) ]
           "bus.drain_redirect";
-        record t "drain" "redirect %s.%s -> %s.%s (draining)" instance iface
-          target iface;
+        record t (E.Drain_redirect { instance; iface; target });
         (target, iface)
       | Some _ | None -> dst
 
@@ -776,15 +771,14 @@ let count_delivered t p =
 
 let deliver_k t kind ~dst value =
   let dst = drain_redirect t dst in
-  let instance, iface = dst in
+  let instance = fst dst in
   match find_proc t instance with
   | None ->
     m_incr t ~labels:[ ("instance", instance) ] "bus.dropped";
-    record t "drop" "message for dead instance %s.%s" instance iface
+    record t (E.Dead_destination dst)
   | Some p ->
     if host_is_down t p.p_host.host_name then
-      record t "fault" "delivery to %s.%s failed: host %s is down" instance
-        iface p.p_host.host_name
+      record t (E.Host_down_delivery { dst; host = p.p_host.host_name })
     else begin
       count_delivered t p;
       if enqueue t kind p ~dst value then schedule_quantum t p ~delay:0.0
@@ -806,8 +800,7 @@ let copy_queue t ~src ~dst =
     let values = List.of_seq (Queue.to_seq q) in
     Queue.clear q;
     List.iter (fun v -> deliver_k t Transfer ~dst v) values;
-    record t "queue" "cq %s.%s -> %s.%s (%d message(s))" (fst src) (snd src)
-      (fst dst) (snd dst) moved
+    record t (E.Queue_copied { src; dst; count = moved })
 
 let take_queue t ep =
   match find_proc t (fst ep) with
@@ -830,7 +823,7 @@ let drop_queue t ep =
     let q = queue_of p (snd ep) in
     let dropped = Queue.length q in
     Queue.clear q;
-    record t "queue" "rmq %s.%s (%d message(s))" (fst ep) (snd ep) dropped
+    record t (E.Queue_removed { ep; count = dropped })
 
 (* ------------------------------------------------------------- send *)
 
@@ -906,8 +899,7 @@ let deliver_routed t (bm : pending_msg) =
     in
     match rebound with
     | [] ->
-      record t "drop" "in-flight message from %s.%s lost" (fst bm.bm_src)
-        (snd bm.bm_src);
+      record t (E.In_flight_lost bm.bm_src);
       None
     | dsts ->
       List.iter (fun dst -> deliver t ~dst bm.bm_value) dsts;
@@ -920,8 +912,7 @@ let deliver_routed t (bm : pending_msg) =
     None
   | Some p ->
     if host_is_down t p.p_host.host_name then begin
-      record t "fault" "delivery to %s.%s failed: host %s is down" (fst dst)
-        (snd dst) p.p_host.host_name;
+      record t (E.Host_down_delivery { dst; host = p.p_host.host_name });
       None
     end
     else begin
@@ -953,11 +944,9 @@ let with_faults t ~src ~dst ~delay send =
     match hooks.fh_message ~src ~dst with
     | Deliver -> send ~delay
     | Drop ->
-      record t "fault" "injected loss: %s.%s -> %s.%s" (fst src) (snd src)
-        (fst dst) (snd dst)
+      record t (E.Injected_loss { src; dst })
     | Duplicate ->
-      record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src) (snd src)
-        (fst dst) (snd dst);
+      record t (E.Injected_duplicate { src; dst });
       send ~delay;
       send ~delay)
 
@@ -973,7 +962,7 @@ let route_message t p iface value =
   let memo = out_memo_of t p iface in
   if Array.length memo.om_dests = 0 then begin
     m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
-    record t "drop" "%s.%s has no binding; message discarded" p.p_instance iface
+    record t (E.Unbound (p.p_instance, iface))
   end
   else begin
     let src = (p.p_instance, iface) in
@@ -1072,13 +1061,16 @@ let instance_io t (p_ref : process option ref) : Dr_interp.Io_intf.t =
       (fun line ->
         let p = the_proc () in
         p.p_outputs <- line :: p.p_outputs;
-        record t "print" "%s: %s" p.p_instance line);
+        record t (E.Print { instance = p.p_instance; line }));
     io_now = (fun () -> now t);
     io_encode =
       (fun image ->
         let p = the_proc () in
-        record t "state" "%s divulged %d record(s), %d byte(s)" p.p_instance
-          (Image.depth image) (Image.byte_size image);
+        record t
+          (E.Divulged
+             { instance = p.p_instance;
+               records = Image.depth image;
+               bytes = Image.byte_size image });
         match p.p_on_divulge with
         | Some callback ->
           p.p_on_divulge <- None;
@@ -1147,8 +1139,8 @@ let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
               ~resolved:artifact.Dr_interp.Cache.a_resolved program)
       in
       m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
-      record t "lifecycle" "%s (%s) started on %s as %s" instance module_name
-        h.host_name status;
+      record t
+        (E.Started { instance; module_name; host = h.host_name; status });
       schedule_quantum t p ~delay:0.0;
       Ok ())
 
@@ -1162,8 +1154,7 @@ let spawn_snapshot t ~of_instance ~instance ~host =
       register t ~instance ~module_name:source.p_module ~host:h
         ~spec:source.p_spec (fun io -> Machine.clone source.p_machine ~io)
     in
-    record t "lifecycle" "%s snapshot-cloned as %s on %s" of_instance instance
-      h.host_name;
+    record t (E.Snapshot_cloned { of_instance; instance; host = h.host_name });
     (* re-arm scheduling for whatever state the snapshot was in *)
     (match Machine.status p.p_machine with
     | Machine.Ready -> schedule_quantum t p ~delay:0.0
@@ -1175,7 +1166,7 @@ let spawn_snapshot t ~of_instance ~instance ~host =
 
 let kill t ~instance =
   match find_proc t instance with
-  | None -> record t "audit" "kill ignored: no instance %s" instance
+  | None -> record t (E.Kill_ignored instance)
   | Some p ->
     p.p_alive <- false;
     p.p_ended <- Some (now t);
@@ -1189,20 +1180,18 @@ let kill t ~instance =
     end;
     t.routes_version <- t.routes_version + 1;
     m_incr t ~labels:[ ("instance", instance) ] "bus.kills";
-    record t "lifecycle" "%s removed" instance;
+    record t (E.Removed instance);
     (* a divulge callback armed on a dead instance can never fire; keep
        it from lingering on the dead record *)
     if Option.is_some p.p_on_divulge then begin
       p.p_on_divulge <- None;
-      record t "state" "%s removed with a pending divulge callback; cancelled"
-        instance
+      record t (E.Removed_pending_divulge instance)
     end;
     let dropped =
       Hashtbl.fold (fun _ q acc -> acc + Queue.length q) p.p_queues 0
     in
     if dropped > 0 then
-      record t "queue" "%s removed with %d undelivered message(s)" instance
-        dropped
+      record t (E.Removed_undelivered { instance; count = dropped })
 
 type roster_entry = {
   r_instance : string;
@@ -1277,13 +1266,13 @@ let outputs t ~instance =
 
 let wake t ~instance =
   match find_proc t instance with
-  | None -> record t "audit" "wake ignored: no instance %s" instance
+  | None -> record t (E.Wake_ignored_unknown instance)
   | Some p -> (
     match Machine.status p.p_machine with
     | Machine.Halted | Machine.Crashed _ ->
       (* set_ready is a no-op on a stopped machine; scheduling a quantum
          for it would be too — make the mismatch auditable instead *)
-      record t "audit" "wake ignored: %s already stopped" instance
+      record t (E.Wake_ignored_stopped instance)
     | _ ->
       Machine.set_ready p.p_machine;
       schedule_quantum t p ~delay:0.0)
@@ -1293,7 +1282,7 @@ let signal_reconfig t ~instance =
   | None -> ()
   | Some p ->
     m_incr t ~labels:[ ("instance", instance) ] "reconfig.signals";
-    record t "signal" "reconfiguration signal -> %s" instance;
+    record t (E.Signalled instance);
     Machine.deliver_signal p.p_machine
 
 let on_divulge t ~instance callback =
@@ -1301,7 +1290,7 @@ let on_divulge t ~instance callback =
   | None ->
     (* idempotency parity with [wake]/[kill]: arming a callback on a
        removed instance is a quiet no-op, but an auditable one *)
-    record t "audit" "divulge callback for dead instance %s discarded" instance
+    record t (E.Divulge_dead_discarded instance)
   | Some p -> (
     match p.p_divulged with
     | image :: rest ->
@@ -1312,17 +1301,16 @@ let on_divulge t ~instance callback =
       | Machine.Halted | Machine.Crashed _ ->
         (* a stopped machine will never divulge; parking the callback
            would wait forever — discard it now, auditable *)
-        record t "audit" "divulge callback for %s discarded: already stopped"
-          instance
+        record t (E.Divulge_stopped_discarded instance)
       | _ -> p.p_on_divulge <- Some callback))
 
 let cancel_divulge t ~instance =
   match find_proc t instance with
-  | None -> record t "audit" "divulge cancel ignored: no instance %s" instance
+  | None -> record t (E.Divulge_cancel_ignored instance)
   | Some p ->
     if Option.is_some p.p_on_divulge then begin
       p.p_on_divulge <- None;
-      record t "state" "divulge callback for %s cancelled" instance
+      record t (E.Divulge_cancelled instance)
     end
 
 let take_divulged t ~instance =
@@ -1338,11 +1326,11 @@ let take_divulged t ~instance =
 let deposit_state t ~instance ?expect image =
   match find_proc t instance with
   | None ->
-    record t "audit" "state image for dead instance %s discarded" instance
+    record t (E.Image_dead_discarded instance)
   | Some p -> (
     match Machine.status p.p_machine with
     | Machine.Halted | Machine.Crashed _ ->
-      record t "audit" "state image for %s discarded: already stopped" instance
+      record t (E.Image_stopped_discarded instance)
     | _ -> (
       match expect with
       | Some digest when not (Int64.equal digest (Image.digest image)) ->
@@ -1353,7 +1341,7 @@ let deposit_state t ~instance ?expect image =
           ~byte_size:(Image.byte_size image)
       | _ ->
         m_incr t ~labels:[ ("instance", instance) ] "reconfig.state_deposits";
-        record t "state" "state image deposited into %s" instance;
+        record t (E.Deposited instance);
         Machine.feed_image p.p_machine image;
         schedule_quantum t p ~delay:0.0))
 

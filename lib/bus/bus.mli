@@ -44,6 +44,9 @@ val engine : t -> Dr_sim.Engine.t
 val trace : t -> Dr_sim.Trace.t
 val now : t -> float
 
+val record : t -> Dr_sim.Trace_event.t -> unit
+(** Append an event to the trace at the current virtual time. *)
+
 val set_metrics : t -> Dr_obs.Metrics.t -> unit
 (** Attach a metrics registry: bus counters (messages routed, drops,
     spawns/kills, reconfiguration signals), an in-flight gauge, and

@@ -22,6 +22,7 @@
    identical (pinned by the golden-trace tests). *)
 
 module Engine = Dr_sim.Engine
+module E = Dr_sim.Trace_event
 
 type params = {
   rto_initial : float;
@@ -66,16 +67,6 @@ type t = {
   mutable cover_all : bool;
 }
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"retx" ~detail)
-    fmt
-
-let ep_pair src dst =
-  Printf.sprintf "%s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
-
 let create_channel t ~src ~dst =
   let ch =
     { ch_src = src;
@@ -98,7 +89,7 @@ let create_channel t ~src ~dst =
       ch_fenced = 0 }
   in
   Hashtbl.replace t.channels (src, dst) ch;
-  record t "channel %s opened" (ep_pair src dst);
+  Bus.record t.bus (E.Channel_opened { src; dst });
   ch
 
 (* ----------------------------------------------------------- receiver *)
@@ -143,16 +134,25 @@ let rec drain_in_order t ch =
 let on_data t ch ~epoch ~seq value =
   if epoch <> ch.ch_epoch then begin
     ch.ch_fenced <- ch.ch_fenced + 1;
-    record t "fenced stale frame on %s: epoch %d (current %d), seq %d"
-      (ep_pair ch.ch_src ch.ch_dst) epoch ch.ch_epoch seq
+    Bus.record t.bus
+      (E.Fenced_frame
+         { src = ch.ch_src;
+           dst = ch.ch_dst;
+           epoch;
+           current = ch.ch_epoch;
+           seq })
   end
   else if seq < ch.ch_next_expected then begin
     (* already delivered: a retransmission whose original got through,
        or an injected duplicate — suppress, but re-ack so the sender
        stops resending *)
     ch.ch_dups <- ch.ch_dups + 1;
-    record t "dup suppressed on %s: seq %d (expected %d)"
-      (ep_pair ch.ch_src ch.ch_dst) seq ch.ch_next_expected;
+    Bus.record t.bus
+      (E.Dup_suppressed
+         { src = ch.ch_src;
+           dst = ch.ch_dst;
+           seq;
+           expected = ch.ch_next_expected });
     send_ack t ch
   end
   else if seq = ch.ch_next_expected then begin
@@ -181,15 +181,18 @@ let rec arm_timer t ch =
   if not ch.ch_timer_armed then begin
     ch.ch_timer_armed <- true;
     let gen = ch.ch_timer_gen in
+    let engine = Bus.engine t.bus in
     let label =
-      Engine.label
-        ~touch:[ fst ch.ch_src; fst ch.ch_dst ]
-        ~info:
-          (Printf.sprintf "retx-timer %s.%s -> %s.%s" (fst ch.ch_src)
-             (snd ch.ch_src) (fst ch.ch_dst) (snd ch.ch_dst))
-        "timer"
+      if not (Engine.mc_enabled engine) then Engine.tau
+      else
+        Engine.label
+          ~touch:[ fst ch.ch_src; fst ch.ch_dst ]
+          ~info:
+            (Printf.sprintf "retx-timer %s.%s -> %s.%s" (fst ch.ch_src)
+               (snd ch.ch_src) (fst ch.ch_dst) (snd ch.ch_dst))
+          "timer"
     in
-    Engine.schedule ~label (Bus.engine t.bus) ~delay:ch.ch_rto (fun () ->
+    Engine.schedule ~label engine ~delay:ch.ch_rto (fun () ->
         on_timeout t ch ~gen)
   end
 
@@ -203,9 +206,11 @@ and on_timeout t ch ~gen =
            channel. Keeps the model checker's state space finite — an
            adversary that starves the ack path can otherwise pump an
            unbounded retransmission storm. *)
-        record t "retx limit reached on %s: %d round(s), pausing"
-          (ep_pair ch.ch_src ch.ch_dst)
-          ch.ch_stalled_rounds
+        Bus.record t.bus
+          (E.Retx_limit
+             { src = ch.ch_src;
+               dst = ch.ch_dst;
+               rounds = ch.ch_stalled_rounds })
       else begin
         (* the expired timer ran for [ch_rto]: that whole wait is
            retransmission backoff, attributable to the channel's
@@ -216,8 +221,13 @@ and on_timeout t ch ~gen =
           | None -> ()
           | Some value ->
             ch.ch_retx <- ch.ch_retx + 1;
-            record t "retransmit on %s: seq %d (epoch %d, rto %.2f)"
-              (ep_pair ch.ch_src ch.ch_dst) seq ch.ch_epoch ch.ch_rto;
+            Bus.record t.bus
+              (E.Retransmit
+                 { src = ch.ch_src;
+                   dst = ch.ch_dst;
+                   seq;
+                   epoch = ch.ch_epoch;
+                   rto = ch.ch_rto });
             send_frame t ch ~seq value
         done;
         ch.ch_stalled_rounds <- ch.ch_stalled_rounds + 1;
@@ -277,9 +287,12 @@ let rename t ~old_instance ~new_instance ~fence =
         if fence then ch.ch_epoch <- ch.ch_epoch + 1;
         Hashtbl.replace t.channels (ch.ch_src, ch.ch_dst) ch)
       affected;
-    record t "%d channel(s) of %s transferred to %s%s" (List.length affected)
-      old_instance new_instance
-      (if fence then " (fenced)" else "")
+    Bus.record t.bus
+      (E.Channels_transferred
+         { count = List.length affected;
+           old_instance;
+           new_instance;
+           fenced = fence })
   end
 
 (* -------------------------------------------------------------- stats *)

@@ -3,9 +3,10 @@
    Each monitor is a record of closures created fresh per execution (the
    explorer boots a new simulation for every schedule, so monitor state
    must not leak across runs). Monitors that read the trace keep a
-   cursor and read only the entries recorded since their last step
-   ({!Dr_sim.Trace.since}), so a step costs what the transition
-   recorded, not the length of the run so far. [m_step] is called after
+   cursor and read only the events recorded since their last step
+   ({!Dr_sim.Trace.events_since}), so a step costs what the transition
+   recorded, not the length of the run so far; they match event
+   constructors and never render a line. [m_step] is called after
    every fired transition; [m_final] once, when the execution ends, with
    a summary of what the adversary did on this path — several end-to-end
    properties (at-least-once delivery, pinger termination) only hold on
@@ -15,6 +16,7 @@
 module Bus = Dr_bus.Bus
 module Reliable = Dr_bus.Reliable
 module Trace = Dr_sim.Trace
+module E = Dr_sim.Trace_event
 module Value = Dr_state.Value
 module Wal = Dr_wal.Wal
 module Recovery = Dr_reconfig.Recovery
@@ -153,8 +155,8 @@ let epoch_monotonic ~reliable () =
    a replace or supervised restart handed its state to) must be exactly
    1,2,3,…: a reset means a successor started from stale state, a skip
    means two live copies processed concurrently or a deposit landed
-   twice. Lineages are read off the trace: script entries name the
-   replacement successor, supervisor entries the restart successor. *)
+   twice. Lineages are read off the trace: script events name the
+   replacement successor, supervisor events the restart successor. *)
 let no_lost_state ~bus () =
   let name = "no-lost-state" in
   let trace = Bus.trace bus in
@@ -168,72 +170,38 @@ let no_lost_state ~bus () =
     if not (Hashtbl.mem root new_i) then
       Hashtbl.replace root new_i (root_of old_i)
   in
-  let find_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.equal (String.sub s i m) sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  (* first instance name in a fragment like "c1: cell on mh1" or "c1v
-     complete" *)
-  let leading_name s =
-    let stop = ref (String.length s) in
-    String.iteri (fun j c -> if (c = ':' || c = ' ') && j < !stop then stop := j) s;
-    String.sub s 0 !stop
-  in
-  let scan_entry (e : Trace.entry) =
-    if String.equal e.Trace.category "script" then begin
-      let d = e.Trace.detail in
-      if String.length d > 8 && String.equal (String.sub d 0 8) "replace " then
-        match find_sub d " -> " with
-        | None -> ()
-        | Some i ->
-          let left = String.sub d 8 (i - 8) in
-          let right = String.sub d (i + 4) (String.length d - i - 4) in
-          note_rename ~old_i:(leading_name left) ~new_i:(leading_name right)
-    end
-    else if String.equal e.Trace.category "supervisor" then
-      try
-        Scanf.sscanf e.Trace.detail "restarted %s@ as %s@ on"
-          (fun old_i new_i -> note_rename ~old_i ~new_i)
-      with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-  in
   { m_name = name;
     m_step =
       (fun () ->
-        let fresh = Trace.since trace !cursor in
+        let fresh = Trace.events_since trace !cursor in
         cursor := Trace.length trace;
         List.fold_left
-          (fun acc (e : Trace.entry) ->
-            scan_entry e;
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if not (String.equal e.Trace.category "print") then None
-              else (
-                match Workload.parse_cell_print e.Trace.detail with
-                | None -> None
-                | Some (count, _) ->
-                  let lineage =
-                    match String.index_opt e.Trace.detail ':' with
-                    | Some i -> root_of (String.sub e.Trace.detail 0 i)
-                    | None -> "?"
-                  in
-                  let prev =
-                    Option.value ~default:0 (Hashtbl.find_opt last lineage)
-                  in
-                  if count <> prev + 1 then
-                    violation name
-                      "cell count sequence broke in lineage %s: %d after %d \
-                       (%s)"
-                      lineage count prev e.Trace.detail
-                  else begin
-                    Hashtbl.replace last lineage count;
-                    None
-                  end))
+          (fun acc (_, ev) ->
+            match ev with
+            | E.Replace_started { instance; new_instance; _ }
+            | E.Replace_completed { instance; new_instance } ->
+              note_rename ~old_i:instance ~new_i:new_instance;
+              acc
+            | E.Restarted { old_instance; new_instance; _ } ->
+              note_rename ~old_i:old_instance ~new_i:new_instance;
+              acc
+            | E.Print { instance; line } when Option.is_none acc -> (
+              match Workload.parse_cell_print line with
+              | None -> None
+              | Some (count, _) ->
+                let lineage = root_of instance in
+                let prev =
+                  Option.value ~default:0 (Hashtbl.find_opt last lineage)
+                in
+                if count <> prev + 1 then
+                  violation name
+                    "cell count sequence broke in lineage %s: %d after %d (%s)"
+                    lineage count prev (E.render ev)
+                else begin
+                  Hashtbl.replace last lineage count;
+                  None
+                end)
+            | _ -> acc)
           None fresh);
     m_final = (fun _ -> None) }
 
@@ -241,8 +209,8 @@ let no_lost_state ~bus () =
 
    A fenced restart of a falsely-suspected instance must never leave
    both the "failed" original and its replacement alive: the whole point
-   of generation fencing is that the loser of that race is dead. Parsed
-   from the supervisor's trace entries. *)
+   of generation fencing is that the loser of that race is dead. Read
+   from the supervisor's restart events. *)
 let no_double_serve ~bus () =
   let name = "no-double-serve" in
   let trace = Bus.trace bus in
@@ -251,15 +219,14 @@ let no_double_serve ~bus () =
   { m_name = name;
     m_step =
       (fun () ->
-        let fresh = Trace.since trace !cursor in
+        let fresh = Trace.events_since trace !cursor in
         cursor := Trace.length trace;
         List.iter
-          (fun (e : Trace.entry) ->
-            if String.equal e.Trace.category "supervisor" then
-              try
-                Scanf.sscanf e.Trace.detail "restarted %s@ as %s@ on"
-                  (fun old_i new_i -> pairs := (old_i, new_i) :: !pairs)
-              with Scanf.Scan_failure _ | Failure _ | End_of_file -> ())
+          (fun (_, ev) ->
+            match ev with
+            | E.Restarted { old_instance; new_instance; _ } ->
+              pairs := (old_instance, new_instance) :: !pairs
+            | _ -> ())
           fresh;
         let live = Bus.instances bus in
         let is_live i = List.mem i live in

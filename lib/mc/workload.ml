@@ -208,12 +208,8 @@ let boot ?params (system : Dynrecon.System.t) =
 (* Globals the fingerprint must read from cell-family machines. *)
 let fingerprint_globals = [ "count"; "acc" ]
 
-(* Parse the cell family's per-request prints out of trace "print"
-   entries: "c1: cell 3 6" -> (3, 6). *)
-let parse_cell_print detail =
-  match String.index_opt detail ':' with
-  | None -> None
-  | Some i -> (
-    let line = String.sub detail (i + 1) (String.length detail - i - 1) in
-    try Scanf.sscanf line " cell %d %d" (fun n a -> Some (n, a))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+(* Parse one of the cell family's per-request print lines (a trace
+   [Print] event's [line]): "cell 3 6" -> (3, 6). *)
+let parse_cell_print line =
+  try Scanf.sscanf line " cell %d %d" (fun n a -> Some (n, a))
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None

@@ -33,6 +33,7 @@
      until evidence clears it. *)
 
 module Bus = Dr_bus.Bus
+module E = Dr_sim.Trace_event
 module Machine = Dr_interp.Machine
 module Engine = Dr_sim.Engine
 module Pqueue = Dr_sim.Pqueue
@@ -64,13 +65,6 @@ type t = {
   mutable total_checks : int;
 }
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"suspect" ~detail)
-    fmt
-
 (* Exactly one armed wheel entry per watched, unsuspected instance:
    armed at [watch], re-armed at pop, disarmed while suspected. *)
 let arm t instance w ~due =
@@ -89,7 +83,7 @@ let evidence t instance =
     w.w_level <- 0;
     if w.w_suspected then begin
       w.w_suspected <- false;
-      record t "%s cleared: fresh liveness evidence" instance;
+      Bus.record t.bus (E.Suspect_cleared instance);
       arm t instance w ~due:(w.w_last_seen +. t.timeout)
     end
 
@@ -123,7 +117,7 @@ let emit_heartbeat t instance =
           if Bus.instance_generation t.bus ~instance = gen then
             evidence t instance
           else
-            record t "%s: stale-generation heartbeat dropped" instance)
+            Bus.record t.bus (E.Stale_heartbeat instance))
     end
 
 let check t instance w =
@@ -135,8 +129,8 @@ let check t instance w =
       w.w_level <- w.w_level + 1;
       if w.w_level >= t.threshold then begin
         w.w_suspected <- true;
-        record t "%s suspected: silent for %.1f (level %d)" instance silence
-          w.w_level
+        Bus.record t.bus
+          (E.Suspected { instance; silence; level = w.w_level })
         (* stays disarmed until evidence clears the suspicion *)
       end
       else

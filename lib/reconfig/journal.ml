@@ -1,4 +1,5 @@
 module Bus = Dr_bus.Bus
+module E = Dr_sim.Trace_event
 module Wal = Dr_wal.Wal
 module Value = Dr_state.Value
 module Image = Dr_state.Image
@@ -79,13 +80,6 @@ let label t = t.label
 let sid t = t.sid
 
 let push t e = t.entries <- e :: t.entries
-
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"rollback" ~detail)
-    fmt
 
 (* ----------------------------------------------------------- primitives *)
 
@@ -218,73 +212,75 @@ let reinject bus ~instance queues =
       List.iter (fun v -> Bus.inject bus ~dst:(instance, iface) v) values)
     queues
 
-let restore_instance t ~pfx ~restored ~instance ~module_name ~host ?spec ~image
+let restore_instance t ~step ~restored ~instance ~module_name ~host ?spec ~image
     ~queues () =
   if Option.is_some (Bus.process_status t.bus ~instance) then begin
     (* already running — a pre-crash undo step restored it before the
        controller died and recovery is re-walking the tail *)
     Hashtbl.replace restored instance ();
-    record t "%s%s already back in service" pfx instance
+    Bus.record t.bus (E.Undo_in_service { step; instance })
   end
   else
     match
       Bus.spawn t.bus ~instance ~module_name ~host ?spec ~status:"clone" ()
     with
     | Error e ->
-      record t "%sFAILED to restore instance %s on %s: %s" pfx instance host e
+      Bus.record t.bus
+        (E.Undo_restore_failed { step; instance; host; error = e })
     | Ok () ->
       (match image with
       | Some image -> Bus.deposit_state t.bus ~instance image
       | None -> ());
       reinject t.bus ~instance queues;
       Hashtbl.replace restored instance ();
-      record t "%srestored instance %s" pfx instance
+      Bus.record t.bus (E.Undo_restored { step; instance })
 
-let undo t ~pfx ~restored = function
+let undo t ~step ~restored = function
   | Added_route (src, dst) ->
     Bus.del_route t.bus ~src ~dst;
-    record t "%sremoved route %s.%s -> %s.%s" pfx (fst src) (snd src) (fst dst)
-      (snd dst)
+    Bus.record t.bus (E.Undo_route_removed { step; src; dst })
   | Deleted_route (src, dst) ->
     Bus.add_route t.bus ~src ~dst;
-    record t "%srestored route %s.%s -> %s.%s" pfx (fst src) (snd src)
-      (fst dst) (snd dst)
+    Bus.record t.bus (E.Undo_route_restored { step; src; dst })
   | Moved_queue { mq_src; mq_dst } ->
     (* a script moves queues only at its final instant, so at rollback
        time the destination still holds exactly the moved messages (no
        engine event has fired in between); hand them back *)
     let values = Bus.take_queue t.bus mq_dst in
     List.iter (fun v -> Bus.inject t.bus ~dst:mq_src v) values;
-    record t "%sreturned %d message(s) to %s.%s" pfx (List.length values)
-      (fst mq_src) (snd mq_src)
+    Bus.record t.bus
+      (E.Undo_queue_returned { step; count = List.length values; ep = mq_src })
   | Dropped_queue (ep, values) ->
     List.iter (fun v -> Bus.inject t.bus ~dst:ep v) values;
-    record t "%srefilled %s.%s with %d message(s)" pfx (fst ep) (snd ep)
-      (List.length values)
+    Bus.record t.bus
+      (E.Undo_queue_refilled { step; ep; count = List.length values })
   | Spawned instance ->
     Bus.kill t.bus ~instance;
-    record t "%sremoved half-started instance %s" pfx instance
+    Bus.record t.bus (E.Undo_spawn_removed { step; instance })
   | Killed { k_instance; k_module; k_host; k_spec; k_image; k_queues } ->
-    restore_instance t ~pfx ~restored ~instance:k_instance
+    restore_instance t ~step ~restored ~instance:k_instance
       ~module_name:k_module ~host:k_host ?spec:k_spec ~image:k_image
       ~queues:k_queues ()
   | Armed_divulge instance ->
     Bus.cancel_divulge t.bus ~instance;
-    record t "%sdisarmed divulge callback for %s" pfx instance
+    Bus.record t.bus (E.Undo_divulge_disarmed { step; instance })
   | Renamed_transport { rt_old; rt_new; rt_fence } ->
     Bus.transport_rename t.bus ~old_instance:rt_new ~new_instance:rt_old
       ~fence:rt_fence;
-    record t "%sreturned reliable channels of %s to %s" pfx rt_new rt_old
+    Bus.record t.bus
+      (E.Undo_transport_returned
+         { step; from_instance = rt_new; to_instance = rt_old })
   | Precopy_base { pb_instance; _ } ->
     (* a snapshot of a still-running instance: nothing was changed *)
-    record t "%spre-copy base of %s discarded" pfx pb_instance
+    Bus.record t.bus (E.Undo_precopy_discarded { step; instance = pb_instance })
   | Divulged_delta { dd_cap; _ } ->
     (* never in a live journal (note_divulged keeps the full image in
        memory) — only a recovery that failed to resolve the base could
        surface one, and scan rejects that earlier. Nothing sound to
        restore from a bare delta. *)
-    record t "%scannot restore %s from an unresolved delta" pfx
-      dd_cap.Primitives.cap_instance
+    Bus.record t.bus
+      (E.Undo_unresolved_delta
+         { step; instance = dd_cap.Primitives.cap_instance })
   | Divulged { d_cap; d_image } ->
     (* The target complied: it divulged and is halting — it may even
        still be [Ready], winding down the tail of the quantum that
@@ -293,19 +289,19 @@ let undo t ~pfx ~restored = function
        [Killed] entry) already resurrected it. *)
     let instance = d_cap.Primitives.cap_instance in
     if Hashtbl.mem restored instance then
-      record t "%s%s already back in service" pfx instance
+      Bus.record t.bus (E.Undo_in_service { step; instance })
     else if Bus.host_is_down t.bus d_cap.Primitives.cap_host then
       (* killing the shell and failing the respawn would lose the
          instance outright; leave it crashed for a supervisor *)
-      record t "%scannot restore %s: host %s is down" pfx instance
-        d_cap.Primitives.cap_host
+      Bus.record t.bus
+        (E.Undo_host_down { step; instance; host = d_cap.Primitives.cap_host })
     else begin
       let queues =
         instance_queues t.bus ~instance ~ifaces:d_cap.Primitives.cap_ifaces
       in
       if Option.is_some (Bus.process_status t.bus ~instance) then
         Bus.kill t.bus ~instance;
-      restore_instance t ~pfx ~restored ~instance
+      restore_instance t ~step ~restored ~instance
         ~module_name:d_cap.Primitives.cap_module
         ~host:d_cap.Primitives.cap_host ?spec:d_cap.Primitives.cap_spec
         ~image:(Some d_image) ~queues ()
@@ -322,10 +318,11 @@ let resume_rollback t ~reason ~already_undone ~abort_logged =
     let total = List.length entries in
     let remaining = drop already_undone entries in
     if already_undone = 0 then
-      record t "%s: rolling back %d step(s): %s" t.label total reason
+      Bus.record t.bus (E.Rollback_started { label = t.label; total; reason })
     else
-      record t "%s: resuming rollback at step %d/%d: %s" t.label
-        (total - already_undone) total reason;
+      Bus.record t.bus
+        (E.Rollback_resumed
+           { label = t.label; at = total - already_undone; total; reason });
     let logged =
       if abort_logged then Option.is_some (Bus.wal t.bus)
       else log t (Persist.Abort { sid = t.sid; reason })
@@ -335,8 +332,10 @@ let resume_rollback t ~reason ~already_undone ~abort_logged =
     List.iteri
       (fun j e ->
         let index = total - already_undone - j in
-        let pfx = Printf.sprintf "%s [%d/%d]: " t.label index total in
-        undo t ~pfx ~restored e;
+        let step =
+          { E.us_label = t.label; us_index = index; us_total = total }
+        in
+        undo t ~step ~restored e;
         if logged then begin
           ignore (log t (Persist.Undo_done { sid = t.sid; index }) : bool);
           Bus.ctl_tick t.bus

@@ -1,5 +1,6 @@
 module Bus = Dr_bus.Bus
 module Wal = Dr_wal.Wal
+module E = Dr_sim.Trace_event
 
 type status =
   | Committed
@@ -227,13 +228,6 @@ type report = {
   rp_resumed : int;
 }
 
-let record bus fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace bus) ~time:(Bus.now bus)
-        ~category:"recover" ~detail)
-    fmt
-
 let replay bus =
   match Bus.wal bus with
   | None -> Error "no control log attached to this bus"
@@ -257,9 +251,11 @@ let replay bus =
                | Committed | Aborted -> false)
              scripts)
       in
-      record bus
-        "replaying %d control record(s): %d script(s), %d unterminated"
-        rp_records (List.length scripts) (List.length pending);
+      Bus.record bus
+        (E.Replay_started
+           { records = rp_records;
+             scripts = List.length scripts;
+             unterminated = List.length pending });
       (* account the scripts we are about to unwind as open, so the
          checkpoint policy cannot garbage-collect one script's records
          while a sibling is still mid-rollback *)
@@ -282,8 +278,7 @@ let replay bus =
           | Committed | Aborted -> assert false)
         pending;
       Wal.checkpoint wal;
-      record bus "recovery complete: log checkpointed at lsn %d"
-        (Wal.checkpoint_lsn wal);
+      Bus.record bus (E.Replay_completed (Wal.checkpoint_lsn wal));
       Ok
         { rp_records;
           rp_scripts = List.length scripts;

@@ -16,6 +16,7 @@
    roster they describe. *)
 
 module Bus = Dr_bus.Bus
+module E = Dr_sim.Trace_event
 module Engine = Dr_sim.Engine
 module Metrics = Dr_obs.Metrics
 module Wal = Dr_wal.Wal
@@ -88,13 +89,6 @@ type t = {
   mutable gen : int;  (* generation-name counter, wave-unique *)
 }
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"rolling" ~detail)
-    fmt
-
 let ensure_metrics bus =
   match Bus.metrics bus with
   | Some m -> m
@@ -152,7 +146,8 @@ let refresh t ~slot =
     | None -> cur
     | Some inst when inst = cur -> cur
     | Some inst ->
-      record t "slot %s: supervisor moved %s -> %s mid-wave" slot cur inst;
+      Bus.record t.bus
+        (E.Slot_moved { slot; from_instance = cur; to_instance = inst });
       if Bus.is_draining t.bus ~instance:cur then begin
         Bus.clear_draining t.bus ~instance:cur;
         Bus.mark_draining t.bus ~instance:inst
@@ -198,7 +193,7 @@ let drain t ~slot =
   ignore inst;
   let inst = loop () in
   if not (inbound_queues_empty t inst) then
-    record t "slot %s: drain timeout on %s, moving leftovers" slot inst;
+    Bus.record t.bus (E.Slot_drain_timeout { slot; instance = inst });
   inst
 
 type snap = {
@@ -299,8 +294,7 @@ let await_restart t ~slot ~inst =
     in
     if not (crashed inst) then inst
     else begin
-      record t "slot %s: %s crashed; waiting for its supervised restart"
-        slot inst;
+      Bus.record t.bus (E.Slot_crash_wait { slot; instance = inst });
       let deadline = Bus.now t.bus +. t.cfg.rc_replace_deadline in
       let rec wait i =
         if (not (crashed i)) || Bus.now t.bus >= deadline -. 1e-9 then i
@@ -326,7 +320,8 @@ let upgrade_slot t ~slot =
   let rec attempt a =
     if Bus.controller_down t.bus then Slot_ctl_down
     else begin
-      record t "slot %s: attempt %d of %d" slot a t.cfg.rc_retries;
+      Bus.record t.bus
+        (E.Slot_attempt { slot; attempt = a; attempts = t.cfg.rc_retries });
       let inst = drain t ~slot in
       let inst = await_restart t ~slot ~inst in
       (* lift the mark before the script: journalled undo (queue moves,
@@ -337,13 +332,13 @@ let upgrade_slot t ~slot =
           let backoff =
             t.cfg.rc_backoff *. Float.pow 2.0 (float_of_int (a - 1))
           in
-          record t "slot %s: attempt %d failed (%s), backing off %g" slot a
-            reason backoff;
+          Bus.record t.bus
+            (E.Slot_attempt_failed { slot; attempt = a; reason; backoff });
           drive t ~until:(Bus.now t.bus +. backoff);
           attempt (a + 1)
         end
         else begin
-          record t "slot %s: out of attempts (%s)" slot reason;
+          Bus.record t.bus (E.Slot_exhausted { slot; reason });
           Slot_failed
             { rr_slot = slot; rr_from = from; rr_attempts = a;
               rr_rollbacks = !rollbacks; rr_outcome = Rolled_back reason }
@@ -354,16 +349,17 @@ let upgrade_slot t ~slot =
       | Error e ->
         if Bus.controller_down t.bus then Slot_ctl_down else fail e
       | Ok canary_inst -> (
-        record t "slot %s: canary %s holding for %g" slot canary_inst
-          t.cfg.rc_canary_window;
+        Bus.record t.bus
+          (E.Canary_holding
+             { slot; canary = canary_inst; window = t.cfg.rc_canary_window });
         match canary t ~slot with
         | Error reason when Bus.controller_down t.bus ->
           ignore reason;
           Slot_ctl_down
         | Ok samples ->
           Metrics.incr t.metrics ~labels:[ ("slot", slot) ] "rolling.upgrades";
-          record t "slot %s: canary passed (%d sample(s)), now %s" slot
-            samples canary_inst;
+          Bus.record t.bus
+            (E.Canary_passed { slot; samples; canary = canary_inst });
           log_wave t
             (Persist.Wave_replica_done
                { wid = t.wid; wr_slot = slot; wr_instance = canary_inst });
@@ -374,8 +370,7 @@ let upgrade_slot t ~slot =
                 rr_rollbacks = !rollbacks;
                 rr_outcome = Upgraded canary_inst }
         | Error reason -> (
-          record t "slot %s: canary failed (%s), rolling back to %s" slot
-            reason origin;
+          Bus.record t.bus (E.Canary_failed { slot; reason; origin });
           incr rollbacks;
           Metrics.incr t.metrics ~labels:[ ("slot", slot) ] "rolling.rollbacks";
           (* roll back = replace the canary with the original module;
@@ -405,10 +400,10 @@ let unwind t ~upgraded =
       let origin = Hashtbl.find t.origins slot in
       match replace_to t ~slot ~instance:inst ~target:origin with
       | Ok inst' ->
-        record t "slot %s: unwound to %s (%s)" slot origin inst';
+        Bus.record t.bus (E.Slot_unwound { slot; origin; instance = inst' });
         n + 1
       | Error e ->
-        record t "slot %s: unwind failed: %s" slot e;
+        Bus.record t.bus (E.Slot_unwind_failed { slot; error = e });
         n
       | exception Bus.Controller_crash -> n)
     0 (List.rev upgraded)
@@ -463,8 +458,9 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
               (Option.get (Bus.instance_module bus ~instance:inst)))
           group;
         Bus.set_drain_group bus ~members:(current_members t);
-        record t "wave #%d: %d slot(s) -> %s" wid (Array.length t.slots)
-          cfg.rc_target;
+        Bus.record t.bus
+          (E.Wave_started
+             { wid; slots = Array.length t.slots; target = cfg.rc_target });
         log_wave t
           (Persist.Wave_begin { wid; w_group = group; w_target = cfg.rc_target });
         Bus.ctl_script_opened bus;
@@ -504,7 +500,7 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
             match !abort with
             | None ->
               log_wave t (Persist.Wave_commit { wid });
-              record t "wave #%d committed" wid;
+              Bus.record t.bus (E.Wave_committed wid);
               finish
                 (Ok
                    { rp_wid = wid; rp_target = cfg.rc_target;
@@ -512,7 +508,7 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
                      rp_replicas = List.rev !reports; rp_unwound = 0 })
             | Some reason ->
               log_wave t (Persist.Wave_abort { wid; w_reason = reason });
-              record t "wave #%d aborting: %s" wid reason;
+              Bus.record t.bus (E.Wave_aborting { wid; reason });
               let unwound = unwind t ~upgraded:!upgraded in
               if Bus.controller_down bus then
                 finish
@@ -528,7 +524,7 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
                            rr_attempts = 0; rr_rollbacks = 0;
                            rr_outcome = Skipped })
                 in
-                record t "wave #%d aborted: %d slot(s) unwound" wid unwound;
+                Bus.record t.bus (E.Wave_aborted { wid; unwound });
                 finish
                   (Ok
                      { rp_wid = wid; rp_target = cfg.rc_target;

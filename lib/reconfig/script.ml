@@ -1,5 +1,6 @@
 module P = Primitives
 module Bus = Dr_bus.Bus
+module E = Dr_sim.Trace_event
 module Image = Dr_state.Image
 module Codec = Dr_state.Codec
 module Metrics = Dr_obs.Metrics
@@ -118,13 +119,6 @@ type retry = { attempts : int; backoff : float; alt_hosts : string list }
 
 let no_retry = { attempts = 1; backoff = 0.0; alt_hosts = [] }
 
-let record bus fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace bus) ~time:(Bus.now bus)
-        ~category:"script" ~detail)
-    fmt
-
 (* The rebinding batch of Fig. 5: for every interface of the old module,
    retarget outgoing and incoming routes to the new instance of the same
    interface name, move pending queues across, and drop the old ones. *)
@@ -177,10 +171,13 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
           | [] -> host_override
           | hosts -> Some (List.nth hosts ((n - 1) mod List.length hosts))
         in
-        record bus "replace %s: attempt %d failed (%s); retrying%s in %.1f"
-          instance n e
-          (match next_host with Some h -> " on " ^ h | None -> "")
-          retry.backoff;
+        Bus.record bus
+          (E.Replace_retry
+             { instance;
+               attempt = n;
+               error = e;
+               next_host;
+               backoff = retry.backoff });
         Dr_sim.Engine.schedule
           ~label:
             (Dr_sim.Engine.label
@@ -204,8 +201,14 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
         | Some h -> h
         | None -> Option.value ~default:cap0.cap_host new_host
       in
-      record bus "replace %s: %s on %s -> %s: %s on %s" instance
-        cap0.cap_module cap0.cap_host new_instance module_name host;
+      Bus.record bus
+        (E.Replace_started
+           { instance;
+             old_module = cap0.cap_module;
+             old_host = cap0.cap_host;
+             new_instance;
+             new_module = module_name;
+             new_host = host });
       let t_req = Bus.now bus in
       let t0 = ref t_req in
       let span_attrs =
@@ -256,8 +259,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
            the model checker: single-replace-crash, wal-consistent). *)
         if !settled then ()
         else if Bus.controller_down bus then
-          record bus "replace %s: divulge ignored: controller is down"
-            instance
+          Bus.record bus (E.Replace_divulge_ignored instance)
         else
           try
           (* the reliable layer's backoff accumulated against the old
@@ -342,15 +344,17 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                 (* same layout both sides: the delta-applied image is
                    digest-verified against the capture above, so no wire
                    round trip is needed *)
-                record bus
-                  "replace %s: delta divulge: %d of %d slot(s), %d of %d \
-                   byte(s)"
-                  instance
-                  (List.length d.Image.d_slots)
-                  (List.fold_left
-                     (fun acc (r : Image.record) -> acc + List.length r.values)
-                     0 image.Image.records)
-                  (Image.delta_byte_size d) (Image.byte_size image);
+                Bus.record bus
+                  (E.Replace_delta_divulge
+                     { instance;
+                       slots = List.length d.Image.d_slots;
+                       of_slots =
+                         List.fold_left
+                           (fun acc (r : Image.record) ->
+                             acc + List.length r.values)
+                           0 image.Image.records;
+                       bytes = Image.delta_byte_size d;
+                       of_bytes = Image.byte_size image });
                 Ok (applied, Image.delta_byte_size d)
               | Error _ -> (
                 match
@@ -419,7 +423,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                 Journal.kill j ~instance ~module_name:cap.cap_module
                   ~host:cap.cap_host ?spec:cap.cap_spec ~image ();
                 Journal.commit j;
-                record bus "replace %s -> %s complete" instance new_instance;
+                Bus.record bus (E.Replace_completed { instance; new_instance });
                 conclude (Ok new_instance)))
           with Bus.Controller_crash ->
             (* the callback runs inside the target's own quantum; a
@@ -441,7 +445,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
               plain freeze path *)
            engage ()
          | Some m ->
-           record bus "replace %s: pre-copy armed at next point" instance;
+           Bus.record bus (E.Precopy_armed instance);
            Machine.set_point_hook m
              (Some
                 (fun () ->
@@ -455,12 +459,11 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                         Journal.note_precopy_base j ~instance ~image:base;
                         Machine.begin_dirty_tracking m;
                         base_info := Some (base, Bus.now bus -. t_req);
-                        record bus
-                          "replace %s: pre-copy base captured: %d record(s), \
-                           %d byte(s)"
-                          instance
-                          (List.length base.Image.records)
-                          (Image.byte_size base)
+                        Bus.record bus
+                          (E.Precopy_base_captured
+                             { instance;
+                               records = List.length base.Image.records;
+                               bytes = Image.byte_size base })
                       | None -> ());
                       engage ()
                     with Bus.Controller_crash -> ())));
@@ -479,8 +482,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                "ctl")
           (Bus.engine bus) ~delay:window (fun () ->
             if (not !settled) && not (Bus.controller_down bus) then begin
-              record bus "replace %s: deadline (%.1f) expired before divulge"
-                instance window;
+              Bus.record bus (E.Replace_deadline { instance; window });
               disarm_hook ();
               Journal.rollback j ~reason:"deadline expired";
               conclude
@@ -501,8 +503,9 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
   | Error e -> on_done (Error e)
   | Ok cap0 ->
     let replica_host = Option.value ~default:cap0.cap_host replica_host in
-    record bus "replicate %s -> %s on %s" instance replica_instance
-      replica_host;
+    Bus.record bus
+      (E.Replicate_started
+         { instance; replica = replica_instance; host = replica_host });
     let t0 = Bus.now bus in
     let sp =
       open_span bus ~kind:"replicate"
@@ -615,8 +618,9 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
                       ~dst:(replica_instance, snd dst))
                   cap.cap_in_routes;
                 Journal.commit j2;
-                record bus "replicate %s -> %s complete" instance
-                  replica_instance;
+                Bus.record bus
+                  (E.Replicate_completed
+                     { instance; replica = replica_instance });
                 on_done (Ok replica_instance)))));
     Bus.signal_reconfig bus ~instance
 
@@ -627,8 +631,8 @@ let replace_stateless bus ~instance ~new_instance ?new_module ?new_host
   | Ok cap -> (
     let module_name = Option.value ~default:cap.cap_module new_module in
     let host = Option.value ~default:cap.cap_host new_host in
-    record bus "replace-stateless %s -> %s: %s on %s" instance new_instance
-      module_name host;
+    Bus.record bus
+      (E.Stateless_started { instance; new_instance; module_name; host });
     let sp =
       open_span bus ~kind:"replace_stateless"
         ~attrs:
@@ -659,7 +663,7 @@ let replace_stateless bus ~instance ~new_instance ?new_module ?new_host
       Journal.kill j ~instance ~module_name:cap.cap_module ~host:cap.cap_host
         ?spec:cap.cap_spec ();
       Journal.commit j;
-      record bus "replace-stateless %s -> %s complete" instance new_instance;
+      Bus.record bus (E.Stateless_completed { instance; new_instance });
       (* synchronous and stateless: the whole window is one instant *)
       (match sp with
       | Some s ->

@@ -1,4 +1,5 @@
 module Bus = Dr_bus.Bus
+module E = Dr_sim.Trace_event
 
 type restart = {
   rs_time : float;
@@ -19,13 +20,6 @@ type t = {
   mutable history : restart list;  (* newest first *)
   mutable running : bool;
 }
-
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"supervisor" ~detail)
-    fmt
 
 let generation base n = Printf.sprintf "%s~%d" base n
 
@@ -51,8 +45,8 @@ let check t base =
     | Some _ ->
       if Detector.suspected t.detector ~instance:current then
         if n >= t.max_restarts then begin
-          record t "giving up on %s after %d restart(s) (still suspected)"
-            base n;
+          Bus.record t.bus
+            (E.Restart_gave_up { instance = base; restarts = n });
           Detector.unwatch t.detector ~instance:current;
           Hashtbl.remove t.watched base
         end
@@ -72,8 +66,13 @@ let check t base =
               Option.value ~default:"?"
                 (Bus.instance_host t.bus ~instance:next)
             in
-            record t "restarted %s as %s on %s (restart %d of %d)" current
-              next host (n + 1) t.max_restarts;
+            Bus.record t.bus
+              (E.Restarted
+                 { old_instance = current;
+                   new_instance = next;
+                   host;
+                   restart = n + 1;
+                   max_restarts = t.max_restarts });
             Detector.rewatch t.detector ~old_instance:current
               ~new_instance:next;
             Hashtbl.replace t.watched base (next, n + 1);
@@ -81,7 +80,9 @@ let check t base =
               { rs_time = Bus.now t.bus; rs_old = current; rs_new = next;
                 rs_host = host }
               :: t.history
-          | Error e -> record t "failed to restart %s: %s" current e
+          | Error e ->
+            Bus.record t.bus
+              (E.Restart_failed { instance = current; error = e })
         end)
 
 let start bus ?(period = 1.0) ?(max_restarts = 3) ?(fallback_hosts = [])
@@ -128,7 +129,7 @@ let adopt t ~base ~instance =
   | None -> ()
   | Some (current, n) ->
     if current <> instance then begin
-      record t "adopting %s as the current generation of %s" instance base;
+      Bus.record t.bus (E.Adopted { instance; base });
       Detector.rewatch t.detector ~old_instance:current ~new_instance:instance;
       Hashtbl.replace t.watched base (instance, n)
     end

@@ -1,5 +1,6 @@
 module Bus = Dr_bus.Bus
 module Trace = Dr_sim.Trace
+module E = Dr_sim.Trace_event
 
 let default_events =
   [ "script"; "signal"; "state"; "lifecycle"; "crash"; "fault"; "rollback";
@@ -12,26 +13,15 @@ let default_events =
    X — crash
    L — injected message loss at the sending instance
    B — instance brought back by a rollback *)
-let marker_of_entry (e : Trace.entry) instance =
-  let starts prefix =
-    let d = e.detail in
-    String.length d >= String.length prefix
-    && String.equal (String.sub d 0 (String.length prefix)) prefix
-  in
-  (* instance names can be prefixes of each other (compute, compute'):
-     where the name ends the detail, require exact equality *)
-  match e.category with
-  | "signal" when String.equal e.detail ("reconfiguration signal -> " ^ instance)
-    ->
-    Some 'S'
-  | "state" when starts (instance ^ " divulged") -> Some 'D'
-  | "state" when String.equal e.detail ("state image deposited into " ^ instance)
-    ->
-    Some 'R'
-  | "crash" when starts (instance ^ " crashed") -> Some 'X'
-  | "fault" when starts ("injected loss: " ^ instance ^ ".") -> Some 'L'
-  | "rollback" when String.equal e.detail ("restored instance " ^ instance) ->
-    Some 'B'
+let marker_of_event (ev : E.t) instance =
+  let is i = String.equal i instance in
+  match ev with
+  | E.Signalled i when is i -> Some 'S'
+  | E.Divulged { instance = i; _ } when is i -> Some 'D'
+  | E.Deposited i when is i -> Some 'R'
+  | E.Crashed { instance = i; _ } when is i -> Some 'X'
+  | E.Injected_loss { src = i, _; _ } when is i -> Some 'L'
+  | E.Undo_restored { instance = i; _ } when is i -> Some 'B'
   | _ -> None
 
 let render ?(width = 60) ?(events = default_events) bus =
@@ -52,7 +42,7 @@ let render ?(width = 60) ?(events = default_events) bus =
     (Printf.sprintf "%-*s t=0%s t=%.1f\n" name_width ""
        (String.make (max 0 (width - 8)) ' ')
        t_end);
-  let entries = Trace.entries (Bus.trace bus) in
+  let recorded = Trace.events (Bus.trace bus) in
   List.iter
     (fun (r : Bus.roster_entry) ->
       let bar = Bytes.make width ' ' in
@@ -66,11 +56,11 @@ let render ?(width = 60) ?(events = default_events) bus =
       Bytes.set bar start_col '[';
       (match r.r_ended with Some _ -> Bytes.set bar end_col ']' | None -> ());
       List.iter
-        (fun (e : Trace.entry) ->
-          match marker_of_entry e r.r_instance with
-          | Some marker -> Bytes.set bar (column e.time) marker
+        (fun (time, ev) ->
+          match marker_of_event ev r.r_instance with
+          | Some marker -> Bytes.set bar (column time) marker
           | None -> ())
-        entries;
+        recorded;
       let state =
         match r.r_status with
         | None -> "removed"
@@ -85,14 +75,15 @@ let render ?(width = 60) ?(events = default_events) bus =
     \  [ start   ] end   S signal   D divulge   R restore   X crash   L loss  \
     \ B rollback\n";
   let logged =
-    List.filter (fun (e : Trace.entry) -> List.mem e.category events) entries
+    List.filter (fun (_, ev) -> List.mem (E.category ev) events) recorded
   in
   if logged <> [] then begin
     Buffer.add_string buf "\nevents:\n";
     List.iter
-      (fun (e : Trace.entry) ->
+      (fun (time, ev) ->
         Buffer.add_string buf
-          (Printf.sprintf "  [%8.2f] %-10s %s\n" e.time e.category e.detail))
+          (Printf.sprintf "  [%8.2f] %-10s %s\n" time (E.category ev)
+             (E.render ev)))
       logged
   end;
   Buffer.contents buf

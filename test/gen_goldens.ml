@@ -10,4 +10,5 @@ let () =
   write "golden_monitor.trace" (Golden.monitor_trace ());
   write "golden_ring.trace" (Golden.ring_trace ());
   write "golden_chaos.trace" (Golden.chaos_trace ());
+  write "golden_rolling.trace" (Golden.rolling_trace ());
   print_endline ("goldens written to " ^ dir)

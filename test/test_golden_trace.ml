@@ -1,7 +1,9 @@
 (* The indexed, batched bus must be observationally identical to the
    seed implementation: these tests replay the monitor, ring and chaos
    scenarios and require a byte-identical trace against goldens recorded
-   from the list-based seed bus. *)
+   from the list-based seed bus. The rolling golden, recorded from the
+   string-storing trace, pins the high-volume categories (retx, drain,
+   rolling) of the typed trace's text view. *)
 
 let read_golden name = In_channel.with_open_bin name In_channel.input_all
 
@@ -29,6 +31,8 @@ let check_golden name produced =
 let test_monitor () = check_golden "golden_monitor.trace" (Golden.monitor_trace ())
 let test_ring () = check_golden "golden_ring.trace" (Golden.ring_trace ())
 let test_chaos () = check_golden "golden_chaos.trace" (Golden.chaos_trace ())
+let test_rolling () =
+  check_golden "golden_rolling.trace" (Golden.rolling_trace ())
 
 (* The metrics plane must be invisible to the simulation: the same
    scenarios, replayed with a registry attached, must still match the
@@ -42,6 +46,9 @@ let test_ring_metrics () =
 let test_chaos_metrics () =
   check_golden "golden_chaos.trace" (Golden.chaos_trace ~metrics:true ())
 
+let test_rolling_metrics () =
+  check_golden "golden_rolling.trace" (Golden.rolling_trace ~metrics:true ())
+
 (* Shard count only partitions the fleet into broker domains: the bus
    runs the same batched delivery path at every count, so an explicit
    [~shards:1] and a 4-domain bus must both reproduce the goldens
@@ -52,6 +59,9 @@ let test_ring_shards1 () =
 let test_chaos_shards1 () =
   check_golden "golden_chaos.trace" (Golden.chaos_trace ~shards:1 ())
 
+let test_rolling_shards1 () =
+  check_golden "golden_rolling.trace" (Golden.rolling_trace ~shards:1 ())
+
 let test_monitor_sharded () =
   check_golden "golden_monitor.trace" (Golden.monitor_trace ~shards:4 ())
 
@@ -60,6 +70,9 @@ let test_ring_sharded () =
 
 let test_chaos_sharded () =
   check_golden "golden_chaos.trace" (Golden.chaos_trace ~shards:4 ())
+
+let test_rolling_sharded () =
+  check_golden "golden_rolling.trace" (Golden.rolling_trace ~shards:4 ())
 
 let test_monitor_sharded_metrics () =
   check_golden "golden_monitor.trace"
@@ -72,28 +85,40 @@ let test_chaos_sharded_metrics () =
   check_golden "golden_chaos.trace"
     (Golden.chaos_trace ~metrics:true ~shards:4 ())
 
+let test_rolling_sharded_metrics () =
+  check_golden "golden_rolling.trace"
+    (Golden.rolling_trace ~metrics:true ~shards:4 ())
+
 let () =
   Alcotest.run "golden_trace"
     [ ( "byte-identical to seed",
         [ Alcotest.test_case "monitor migration" `Quick test_monitor;
           Alcotest.test_case "ring insertion" `Quick test_ring;
-          Alcotest.test_case "seeded chaos replace" `Quick test_chaos ] );
+          Alcotest.test_case "seeded chaos replace" `Quick test_chaos;
+          Alcotest.test_case "seeded lossy rolling wave" `Quick
+            test_rolling ] );
       ( "byte-identical with metrics on",
         [ Alcotest.test_case "monitor migration" `Quick test_monitor_metrics;
           Alcotest.test_case "ring insertion" `Quick test_ring_metrics;
-          Alcotest.test_case "seeded chaos replace" `Quick test_chaos_metrics ]
-      );
+          Alcotest.test_case "seeded chaos replace" `Quick test_chaos_metrics;
+          Alcotest.test_case "seeded lossy rolling wave" `Quick
+            test_rolling_metrics ] );
       ( "sharded bus",
         [ Alcotest.test_case "ring at explicit shards=1" `Quick
             test_ring_shards1;
           Alcotest.test_case "chaos at explicit shards=1" `Quick
             test_chaos_shards1;
+          Alcotest.test_case "rolling at explicit shards=1" `Quick
+            test_rolling_shards1;
           Alcotest.test_case "monitor at shards=4" `Quick test_monitor_sharded;
           Alcotest.test_case "ring at shards=4" `Quick test_ring_sharded;
           Alcotest.test_case "chaos at shards=4" `Quick test_chaos_sharded;
+          Alcotest.test_case "rolling at shards=4" `Quick test_rolling_sharded;
           Alcotest.test_case "monitor at shards=4, metrics on" `Quick
             test_monitor_sharded_metrics;
           Alcotest.test_case "ring at shards=4, metrics on" `Quick
             test_ring_sharded_metrics;
           Alcotest.test_case "chaos at shards=4, metrics on" `Quick
-            test_chaos_sharded_metrics ] ) ]
+            test_chaos_sharded_metrics;
+          Alcotest.test_case "rolling at shards=4, metrics on" `Quick
+            test_rolling_sharded_metrics ] ) ]

@@ -95,6 +95,31 @@ let test_crash_marker () =
   | Some lane -> Alcotest.(check bool) "X marker" true (contains lane "X")
   | None -> Alcotest.fail "no lane"
 
+(* A replacement onto a taken name fails after the target divulged, so
+   the journal brings compute back: its lane carries the rollback
+   marker. *)
+let test_rollback_marker () =
+  let system = Dr_workloads.Monitor.load () in
+  let bus = Dr_workloads.Monitor.start system in
+  Bus.run ~until:20.0 bus;
+  (match
+     Dr_reconfig.Script.run_sync bus (fun ~on_done ->
+         Dr_reconfig.Script.replace bus ~instance:"compute"
+           ~new_instance:"display" ~on_done ())
+   with
+  | Ok _ -> Alcotest.fail "replacement onto a taken name succeeded"
+  | Error _ -> ());
+  let rendered = Timeline.render bus in
+  match lane_of rendered "compute " with
+  | Some lane ->
+    let bar =
+      match String.index_opt lane '(' with
+      | Some i -> String.sub lane 0 i
+      | None -> lane
+    in
+    Alcotest.(check bool) "B marker" true (contains bar "B")
+  | None -> Alcotest.fail "no compute lane"
+
 let () =
   Alcotest.run "report"
     [ ( "timeline",
@@ -102,4 +127,6 @@ let () =
           Alcotest.test_case "no marker bleed" `Quick
             test_no_cross_instance_marker_bleed;
           Alcotest.test_case "empty bus" `Quick test_empty_bus;
-          Alcotest.test_case "crash marker" `Quick test_crash_marker ] ) ]
+          Alcotest.test_case "crash marker" `Quick test_crash_marker;
+          Alcotest.test_case "rollback marker" `Quick test_rollback_marker ] )
+    ]

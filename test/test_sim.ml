@@ -2,6 +2,7 @@ module Prng = Dr_sim.Prng
 module Pqueue = Dr_sim.Pqueue
 module Engine = Dr_sim.Engine
 module Trace = Dr_sim.Trace
+module E = Dr_sim.Trace_event
 
 let test_prng_deterministic () =
   let a = Prng.create ~seed:42 in
@@ -185,36 +186,325 @@ let test_engine_same_time_fifo () =
 
 let test_trace_records_and_filters () =
   let t = Trace.create () in
-  Trace.record t ~time:1.0 ~category:"a" ~detail:"one";
-  Trace.record t ~time:2.0 ~category:"b" ~detail:"two";
-  Trace.record t ~time:3.0 ~category:"a" ~detail:"three";
+  Trace.record t ~time:1.0 (E.Halted "one");
+  Trace.record t ~time:2.0 (E.Host_crashed "two");
+  Trace.record t ~time:3.0 (E.Halted "three");
   Alcotest.(check int) "length" 3 (Trace.length t);
-  Alcotest.(check (list string)) "filter a" [ "one"; "three" ]
-    (List.map (fun (e : Trace.entry) -> e.detail) (Trace.by_category t "a"));
+  Alcotest.(check (list string)) "filter halt" [ "one halted"; "three halted" ]
+    (List.map (fun (e : Trace.entry) -> e.detail) (Trace.by_category t "halt"));
   Trace.clear t;
   Alcotest.(check int) "cleared" 0 (Trace.length t)
 
 (* [since t n] is the suffix past the first [n] entries: the cursor
-   read the model-checking monitors make after every transition. *)
+   read the model-checking monitors make after every transition, now
+   through [events_since], its unrendered twin. Traces run past one
+   64-record storage chunk. *)
 let prop_trace_since =
   Support.qcheck "since is the suffix past n"
-    QCheck2.Gen.(list_size (int_bound 64) (pair (int_bound 3) small_nat))
+    QCheck2.Gen.(list_size (int_bound 140) (pair (int_bound 3) small_nat))
     (fun records ->
       let t = Trace.create () in
       List.iteri
         (fun i (c, d) ->
-          Trace.record t ~time:(float_of_int i)
-            ~category:(Printf.sprintf "c%d" c) ~detail:(string_of_int d))
+          let ev =
+            match c with
+            | 0 -> E.Ctl_crashed d
+            | 1 -> E.Wave_committed d
+            | 2 -> E.Replay_completed d
+            | _ -> E.Halted (string_of_int d)
+          in
+          Trace.record t ~time:(float_of_int i) ev)
         records;
       let all = Trace.entries t in
+      let all_events = Trace.events t in
       let len = Trace.length t in
+      let suffix n l = List.filteri (fun i _ -> i >= n) l in
       List.for_all
-        (fun n -> Trace.since t n = List.filteri (fun i _ -> i >= n) all)
+        (fun n ->
+          Trace.since t n = suffix n all
+          && Trace.events_since t n = suffix n all_events)
         (List.init (len + 1) Fun.id)
       && Trace.since t len = []
+      && Trace.events_since t len = []
+      && List.length all_events = List.length records
       &&
       (Trace.clear t;
-       Trace.since t 0 = []))
+       Trace.since t 0 = [] && Trace.events_since t 0 = []))
+
+(* Every event's text view, one sample per constructor (two where a
+   field picks between wordings). Each expected detail was printed by
+   the format string the event replaced, applied to the same
+   arguments, so the text trace reads exactly as it did when the
+   recording path still formatted every line. *)
+let trace_event_pins =
+  let step = { E.us_label = "replace c"; us_index = 2; us_total = 5 } in
+  [ (E.Ctl_crash_armed 3,
+      "fault", "controller crash armed after control-log append 3");
+    (E.Ctl_crashed 4, "fault", "controller crashed after control-log append 4");
+    (E.Ctl_restarted, "recover", "controller restarted");
+    (E.Corruption_armed "c", "fault", "image corruption armed for c");
+    (E.Corruption_injected "c", "fault", "injected image corruption: c");
+    (E.Quarantined { instance = "c"; bytes = 120; reason = "bad crc" },
+      "quarantine", "image from c quarantined (120 byte(s)): bad crc");
+    (E.Crash_ignored "zz", "audit", "crash injection ignored: no instance zz");
+    (E.Crashed { instance = "b"; reason = "division by zero" },
+      "crash", "b crashed: division by zero");
+    (E.Host_crash_ignored "hostB",
+      "audit", "host crash ignored: hostB already down");
+    (E.Host_crashed "hostB", "fault", "host hostB crashed");
+    (E.Host_crash_lost { instance = "c"; count = 2 },
+      "queue", "c lost 2 queued message(s) in host crash");
+    (E.Host_recovered "hostB", "fault", "host hostB recovered");
+    (E.Host_recovery_ignored "hostA",
+      "audit", "host recovery ignored: hostA is up");
+    (E.Halted "sensor", "halt", "sensor halted");
+    (E.Bind_added { src = ("a", "out"); dst = ("b", "in") },
+      "bind", "add a.out -> b.in");
+    (E.Bind_deleted { src = ("a", "out"); dst = ("b", "in") },
+      "bind", "del a.out -> b.in");
+    (E.Drain_started "s1",
+      "drain", "s1 draining: new deliveries shed to siblings");
+    (E.Drain_ended "s1", "drain", "s1 admitting again");
+    (E.Drain_redirect { instance = "s1"; iface = "req"; target = "s3" },
+      "drain", "redirect s1.req -> s3.req (draining)");
+    (E.Dead_destination ("gone", "in"),
+      "drop", "message for dead instance gone.in");
+    (E.Host_down_delivery { dst = ("c", "in"); host = "hostB" },
+      "fault", "delivery to c.in failed: host hostB is down");
+    (E.Queue_copied { src = ("c", "in"); dst = ("c2", "in"); count = 3 },
+      "queue", "cq c.in -> c2.in (3 message(s))");
+    (E.Queue_removed { ep = ("c", "in"); count = 0 },
+      "queue", "rmq c.in (0 message(s))");
+    (E.In_flight_lost ("a", "out"),
+      "drop", "in-flight message from a.out lost");
+    (E.Injected_loss { src = ("a", "out"); dst = ("b", "in") },
+      "fault", "injected loss: a.out -> b.in");
+    (E.Injected_duplicate { src = ("a", "out"); dst = ("b", "in") },
+      "fault", "injected duplicate: a.out -> b.in");
+    (E.Unbound ("a", "log"), "drop", "a.log has no binding; message discarded");
+    (E.Print { instance = "display"; line = "avg(4) = 7" },
+      "print", "display: avg(4) = 7");
+    (E.Divulged { instance = "compute"; records = 3; bytes = 212 },
+      "state", "compute divulged 3 record(s), 212 byte(s)");
+    ( E.Started
+        { instance = "c2";
+          module_name = "compute";
+          host = "hostB";
+          status = "clone" },
+      "lifecycle", "c2 (compute) started on hostB as clone");
+    (E.Snapshot_cloned { of_instance = "c"; instance = "c'"; host = "hostC" },
+      "lifecycle", "c snapshot-cloned as c' on hostC");
+    (E.Kill_ignored "zz", "audit", "kill ignored: no instance zz");
+    (E.Removed "compute", "lifecycle", "compute removed");
+    (E.Removed_pending_divulge "compute",
+      "state", "compute removed with a pending divulge callback; cancelled");
+    (E.Removed_undelivered { instance = "compute"; count = 5 },
+      "queue", "compute removed with 5 undelivered message(s)");
+    (E.Wake_ignored_unknown "zz", "audit", "wake ignored: no instance zz");
+    (E.Wake_ignored_stopped "b", "audit", "wake ignored: b already stopped");
+    (E.Signalled "compute", "signal", "reconfiguration signal -> compute");
+    (E.Divulge_dead_discarded "zz",
+      "audit", "divulge callback for dead instance zz discarded");
+    (E.Divulge_stopped_discarded "b",
+      "audit", "divulge callback for b discarded: already stopped");
+    (E.Divulge_cancel_ignored "zz",
+      "audit", "divulge cancel ignored: no instance zz");
+    (E.Divulge_cancelled "compute",
+      "state", "divulge callback for compute cancelled");
+    (E.Image_dead_discarded "zz",
+      "audit", "state image for dead instance zz discarded");
+    (E.Image_stopped_discarded "b",
+      "audit", "state image for b discarded: already stopped");
+    (E.Deposited "c2", "state", "state image deposited into c2");
+    (E.Channel_opened { src = ("s1", "out"); dst = ("rsink", "in") },
+      "retx", "channel s1.out -> rsink.in opened");
+    ( E.Fenced_frame
+        { src = ("s1", "out");
+          dst = ("rsink", "in");
+          epoch = 0;
+          current = 1;
+          seq = 7 },
+      "retx",
+      "fenced stale frame on s1.out -> rsink.in: epoch 0 (current 1), seq 7");
+    ( E.Dup_suppressed
+        { src = ("s1", "out"); dst = ("rsink", "in"); seq = 4; expected = 6 },
+      "retx", "dup suppressed on s1.out -> rsink.in: seq 4 (expected 6)");
+    (E.Retx_limit { src = ("s1", "out"); dst = ("rsink", "in"); rounds = 3 },
+      "retx", "retx limit reached on s1.out -> rsink.in: 3 round(s), pausing");
+    ( E.Retransmit
+        { src = ("s1", "out");
+          dst = ("rsink", "in");
+          seq = 12;
+          epoch = 1;
+          rto = 4.125 },
+      "retx", "retransmit on s1.out -> rsink.in: seq 12 (epoch 1, rto 4.12)");
+    ( E.Channels_transferred
+        { count = 2;
+          old_instance = "s1";
+          new_instance = "s1~1";
+          fenced = true },
+      "retx", "2 channel(s) of s1 transferred to s1~1 (fenced)");
+    ( E.Channels_transferred
+        { count = 1;
+          old_instance = "s1";
+          new_instance = "s1@1.1";
+          fenced = false },
+      "retx", "1 channel(s) of s1 transferred to s1@1.1");
+    (E.Undo_in_service { step; instance = "c" },
+      "rollback", "replace c [2/5]: c already back in service");
+    ( E.Undo_restore_failed
+        { step; instance = "c"; host = "hostB"; error = "host hostB is down" },
+      "rollback",
+      "replace c [2/5]: FAILED to restore instance c on hostB: host hostB is \
+       down");
+    (E.Undo_restored { step; instance = "c" },
+      "rollback", "replace c [2/5]: restored instance c");
+    (E.Undo_route_removed { step; src = ("b", "out"); dst = ("c2", "in") },
+      "rollback", "replace c [2/5]: removed route b.out -> c2.in");
+    (E.Undo_route_restored { step; src = ("b", "out"); dst = ("c", "in") },
+      "rollback", "replace c [2/5]: restored route b.out -> c.in");
+    (E.Undo_queue_returned { step; count = 2; ep = ("c", "in") },
+      "rollback", "replace c [2/5]: returned 2 message(s) to c.in");
+    (E.Undo_queue_refilled { step; ep = ("c", "in"); count = 1 },
+      "rollback", "replace c [2/5]: refilled c.in with 1 message(s)");
+    (E.Undo_spawn_removed { step; instance = "c2" },
+      "rollback", "replace c [2/5]: removed half-started instance c2");
+    (E.Undo_divulge_disarmed { step; instance = "c" },
+      "rollback", "replace c [2/5]: disarmed divulge callback for c");
+    ( E.Undo_transport_returned
+        { step; from_instance = "c2"; to_instance = "c" },
+      "rollback", "replace c [2/5]: returned reliable channels of c2 to c");
+    (E.Undo_precopy_discarded { step; instance = "c" },
+      "rollback", "replace c [2/5]: pre-copy base of c discarded");
+    (E.Undo_unresolved_delta { step; instance = "c" },
+      "rollback", "replace c [2/5]: cannot restore c from an unresolved delta");
+    (E.Undo_host_down { step; instance = "c"; host = "hostB" },
+      "rollback", "replace c [2/5]: cannot restore c: host hostB is down");
+    ( E.Rollback_started
+        { label = "replace c"; total = 5; reason = "deadline expired" },
+      "rollback", "replace c: rolling back 5 step(s): deadline expired");
+    ( E.Rollback_resumed
+        { label = "replace c";
+          at = 3;
+          total = 5;
+          reason = "controller crashed" },
+      "rollback",
+      "replace c: resuming rollback at step 3/5: controller crashed");
+    (E.Replay_started { records = 14; scripts = 2; unterminated = 1 },
+      "recover", "replaying 14 control record(s): 2 script(s), 1 unterminated");
+    (E.Replay_completed 15,
+      "recover", "recovery complete: log checkpointed at lsn 15");
+    (E.Slot_moved { slot = "s2"; from_instance = "s2"; to_instance = "s2~1" },
+      "rolling", "slot s2: supervisor moved s2 -> s2~1 mid-wave");
+    (E.Slot_drain_timeout { slot = "s2"; instance = "s2" },
+      "rolling", "slot s2: drain timeout on s2, moving leftovers");
+    (E.Slot_crash_wait { slot = "s2"; instance = "s2" },
+      "rolling", "slot s2: s2 crashed; waiting for its supervised restart");
+    (E.Slot_attempt { slot = "s2"; attempt = 1; attempts = 3 },
+      "rolling", "slot s2: attempt 1 of 3");
+    ( E.Slot_attempt_failed
+        { slot = "s2"; attempt = 2; reason = "canary failed"; backoff = 0.5 },
+      "rolling", "slot s2: attempt 2 failed (canary failed), backing off 0.5");
+    (E.Slot_exhausted { slot = "s2"; reason = "canary failed" },
+      "rolling", "slot s2: out of attempts (canary failed)");
+    (E.Canary_holding { slot = "s2"; canary = "s2@1.2"; window = 16. },
+      "rolling", "slot s2: canary s2@1.2 holding for 16");
+    (E.Canary_passed { slot = "s2"; samples = 8; canary = "s2@1.2" },
+      "rolling", "slot s2: canary passed (8 sample(s)), now s2@1.2");
+    ( E.Canary_failed
+        { slot = "s2"; reason = "error rate 1.00 > 0.01"; origin = "s2" },
+      "rolling",
+      "slot s2: canary failed (error rate 1.00 > 0.01), rolling back to s2");
+    (E.Slot_unwound { slot = "s1"; origin = "rstore"; instance = "s1@1.4" },
+      "rolling", "slot s1: unwound to rstore (s1@1.4)");
+    (E.Slot_unwind_failed { slot = "s1"; error = "no instance" },
+      "rolling", "slot s1: unwind failed: no instance");
+    (E.Wave_started { wid = 1; slots = 3; target = "rstorev2" },
+      "rolling", "wave #1: 3 slot(s) -> rstorev2");
+    (E.Wave_committed 1, "rolling", "wave #1 committed");
+    (E.Wave_aborting { wid = 2; reason = "slot s2 out of attempts" },
+      "rolling", "wave #2 aborting: slot s2 out of attempts");
+    (E.Wave_aborted { wid = 2; unwound = 1 },
+      "rolling", "wave #2 aborted: 1 slot(s) unwound");
+    ( E.Replace_retry
+        { instance = "c";
+          attempt = 1;
+          error = "spawn failed";
+          next_host = Some "hostC";
+          backoff = 2.25 },
+      "script",
+      "replace c: attempt 1 failed (spawn failed); retrying on hostC in 2.2");
+    ( E.Replace_retry
+        { instance = "c";
+          attempt = 2;
+          error = "spawn failed";
+          next_host = None;
+          backoff = 1. },
+      "script", "replace c: attempt 2 failed (spawn failed); retrying in 1.0");
+    ( E.Replace_started
+        { instance = "compute";
+          old_module = "compute";
+          old_host = "hostA";
+          new_instance = "c2";
+          new_module = "compute";
+          new_host = "hostB" },
+      "script", "replace compute: compute on hostA -> c2: compute on hostB");
+    (E.Replace_divulge_ignored "c",
+      "script", "replace c: divulge ignored: controller is down");
+    ( E.Replace_delta_divulge
+        { instance = "d";
+          slots = 3;
+          of_slots = 64;
+          bytes = 212;
+          of_bytes = 2104 },
+      "script",
+      "replace d: delta divulge: 3 of 64 slot(s), 212 of 2104 byte(s)");
+    (E.Replace_completed { instance = "compute"; new_instance = "c2" },
+      "script", "replace compute -> c2 complete");
+    (E.Precopy_armed "d", "script", "replace d: pre-copy armed at next point");
+    (E.Precopy_base_captured { instance = "d"; records = 64; bytes = 70200 },
+      "script",
+      "replace d: pre-copy base captured: 64 record(s), 70200 byte(s)");
+    (E.Replace_deadline { instance = "c"; window = 25. },
+      "script", "replace c: deadline (25.0) expired before divulge");
+    (E.Replicate_started { instance = "kv"; replica = "kv2"; host = "hostB" },
+      "script", "replicate kv -> kv2 on hostB");
+    (E.Replicate_completed { instance = "kv"; replica = "kv2" },
+      "script", "replicate kv -> kv2 complete");
+    ( E.Stateless_started
+        { instance = "w1";
+          new_instance = "w1b";
+          module_name = "worker";
+          host = "hostC" },
+      "script", "replace-stateless w1 -> w1b: worker on hostC");
+    (E.Stateless_completed { instance = "w1"; new_instance = "w1b" },
+      "script", "replace-stateless w1 -> w1b complete");
+    (E.Suspect_cleared "s1", "suspect", "s1 cleared: fresh liveness evidence");
+    (E.Stale_heartbeat "s1",
+      "suspect", "s1: stale-generation heartbeat dropped");
+    (E.Suspected { instance = "s1"; silence = 6.25; level = 2 },
+      "suspect", "s1 suspected: silent for 6.2 (level 2)");
+    (E.Restart_gave_up { instance = "s1"; restarts = 3 },
+      "supervisor", "giving up on s1 after 3 restart(s) (still suspected)");
+    ( E.Restarted
+        { old_instance = "s1";
+          new_instance = "s1~1";
+          host = "hostA";
+          restart = 1;
+          max_restarts = 3 },
+      "supervisor", "restarted s1 as s1~1 on hostA (restart 1 of 3)");
+    (E.Restart_failed { instance = "s1"; error = "host hostA is down" },
+      "supervisor", "failed to restart s1: host hostA is down");
+    (E.Adopted { instance = "s1@1.1"; base = "s1" },
+      "supervisor", "adopting s1@1.1 as the current generation of s1") ]
+
+let test_trace_event_pins () =
+  List.iter
+    (fun (ev, category, detail) ->
+      Alcotest.(check (pair string string))
+        detail (category, detail)
+        (E.category ev, E.render ev))
+    trace_event_pins
 
 let () =
   Alcotest.run "sim"
@@ -247,4 +537,6 @@ let () =
       ( "trace",
         [ Alcotest.test_case "records and filters" `Quick
             test_trace_records_and_filters;
-          prop_trace_since ] ) ]
+          prop_trace_since;
+          Alcotest.test_case "every event renders as before" `Quick
+            test_trace_event_pins ] ) ]
