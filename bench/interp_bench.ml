@@ -1,24 +1,20 @@
-(* Interpreter engine comparison: the resolved slot-indexed engine
-   (Machine) against the original AST-walking engine (Ast_machine), on
-   the D1 hot-loop (instrs/sec) and depth-64 capture/restore — plus the
-   resolved engine with superinstruction fusion on ({!Machine.set_fusion}:
-   compare+branch, load+store, push+call pairs dispatched in one step).
-   Emits BENCH_interp.json next to bench_output.txt so the perf
-   trajectory is tracked across PRs.
+(* Interpreter engine comparison: the production engine (Machine:
+   resolved slot-indexed code, superinstruction dispatch) against the
+   original AST-walking engine (the test-only oracle Ast_machine), on
+   the D1 hot loop (instrs/sec) and depth-64 capture/restore. Emits
+   BENCH_interp.json next to bench_output.txt so the perf trajectory is
+   tracked across PRs.
 
-   Run with: dune exec bench/main.exe -- interp           (full sizes)
-             dune exec bench/main.exe -- interp --quick   (CI smoke)
+   Run with: dune exec bench/main.exe -- interp
 
-   Gates: quick mode exits non-zero if the resolved engine is slower
-   than the AST engine, or the fused dispatch slower than plain
-   resolved, on the hot loop; full mode additionally requires fused >=
-   1.15x resolved there. All modes assert the three engines execute the
-   exact same number of instructions (the differential-correctness spot
+   Gates: exits non-zero if the two engines execute different numbers
+   of instructions on any row (the differential-correctness spot
    check; the full property suites live in test/test_resolve.ml and
-   test/test_fusion.ml). *)
+   test/test_fusion.ml), or if the production engine is slower than the
+   AST engine on the hot loop. *)
 
 module Machine = Dr_interp.Machine
-module Ast_machine = Dr_interp.Ast_machine
+module Ast_machine = Dr_oracle.Ast_machine
 module Synthetic = Dr_workloads.Synthetic
 module I = Dr_transform.Instrument
 
@@ -80,16 +76,6 @@ let hotloop_resolved program () =
       | s -> Fmt.failwith "resolved hotloop: %a" Machine.pp_status s);
       Machine.instr_count m)
 
-let hotloop_fused program () =
-  timed (fun () ->
-      let m = Machine.create ~io:null_io program in
-      Machine.set_fusion m true;
-      Machine.run ~max_steps:100_000_000 m;
-      (match Machine.status m with
-      | Machine.Halted -> ()
-      | s -> Fmt.failwith "fused hotloop: %a" Machine.pp_status s);
-      Machine.instr_count m)
-
 let hotloop_ast program () =
   timed (fun () ->
       let m = Ast_machine.create ~io:null_io program in
@@ -121,27 +107,6 @@ let capture_resolved prepared () =
         Machine.instr_count m - before)
   in
   if !divulged = [] then failwith "capture_resolved: no image divulged";
-  result
-
-let capture_fused prepared () =
-  let divulged = ref [] in
-  let io =
-    { null_io with
-      Dr_interp.Io_intf.io_encode = (fun image -> divulged := image :: !divulged)
-    }
-  in
-  let m = Machine.create ~io prepared in
-  Machine.set_fusion m true;
-  Machine.run ~max_steps:10_000_000 m;
-  Machine.deliver_signal m;
-  Machine.set_ready m;
-  let before = Machine.instr_count m in
-  let result =
-    timed (fun () ->
-        Machine.run ~max_steps:10_000_000 m;
-        Machine.instr_count m - before)
-  in
-  if !divulged = [] then failwith "capture_fused: no image divulged";
   result
 
 let capture_ast prepared () =
@@ -189,14 +154,6 @@ let restore_resolved prepared image () =
       Machine.run ~max_steps:10_000_000 clone;
       Machine.instr_count clone)
 
-let restore_fused prepared image () =
-  let clone = Machine.create ~status_attr:"clone" ~io:null_io prepared in
-  Machine.set_fusion clone true;
-  Machine.feed_image clone image;
-  timed (fun () ->
-      Machine.run ~max_steps:10_000_000 clone;
-      Machine.instr_count clone)
-
 let restore_ast prepared image () =
   let clone = Ast_machine.create ~status_attr:"clone" ~io:null_io prepared in
   Ast_machine.feed_image clone image;
@@ -211,13 +168,13 @@ let rate_str r =
   else if r >= 1e3 then Printf.sprintf "%.0fk" (r /. 1e3)
   else Printf.sprintf "%.0f" r
 
-let all ?(quick = false) () =
+let all () =
   print_newline ();
   print_endline "==============================================================";
   print_endline "Interpreter engines: AST-walking (reference) vs resolved IR";
   print_endline "==============================================================";
-  let rounds, inner = if quick then (40, 40) else (200, 200) in
-  let min_time = if quick then 0.1 else 1.0 in
+  let rounds, inner = (200, 200) in
+  let min_time = 1.0 in
   let hotloop = Synthetic.hotloop ~rounds ~inner in
   let deeprec =
     (prepare_exn (Synthetic.deeprec ~depth:64) Synthetic.deeprec_points)
@@ -225,52 +182,39 @@ let all ?(quick = false) () =
       .prepared_program
   in
   let image = image_of deeprec in
-  let triples =
+  let pairs =
     [ (Printf.sprintf "d1_hotloop_%dx%d" rounds inner,
        measure ~name:"hotloop" ~engine:"ast" ~min_time (hotloop_ast hotloop),
        measure ~name:"hotloop" ~engine:"resolved" ~min_time
-         (hotloop_resolved hotloop),
-       measure ~name:"hotloop" ~engine:"fused" ~min_time
-         (hotloop_fused hotloop));
+         (hotloop_resolved hotloop));
       ("capture_depth64",
        measure ~name:"capture" ~engine:"ast" ~min_time (capture_ast deeprec),
        measure ~name:"capture" ~engine:"resolved" ~min_time
-         (capture_resolved deeprec),
-       measure ~name:"capture" ~engine:"fused" ~min_time
-         (capture_fused deeprec));
+         (capture_resolved deeprec));
       ("restore_depth64",
        measure ~name:"restore" ~engine:"ast" ~min_time
          (restore_ast deeprec image),
        measure ~name:"restore" ~engine:"resolved" ~min_time
-         (restore_resolved deeprec image),
-       measure ~name:"restore" ~engine:"fused" ~min_time
-         (restore_fused deeprec image)) ]
+         (restore_resolved deeprec image)) ]
   in
-  (* The three engines must execute the exact same instruction stream
-     (fusion counts each sub-instruction of a pair). *)
+  (* Both engines must execute the exact same instruction stream
+     (superinstruction dispatch counts each member of a run). *)
   List.iter
-    (fun (name, ast, resolved, fused) ->
-      if
-        ast.s_instrs_per_run <> resolved.s_instrs_per_run
-        || ast.s_instrs_per_run <> fused.s_instrs_per_run
-      then
+    (fun (name, ast, resolved) ->
+      if ast.s_instrs_per_run <> resolved.s_instrs_per_run then
         failwith
-          (Printf.sprintf
-             "%s: engines disagree on instruction count (%d vs %d vs %d)" name
-             ast.s_instrs_per_run resolved.s_instrs_per_run
-             fused.s_instrs_per_run))
-    triples;
-  Printf.printf "%-24s %12s %12s %12s %12s %8s %8s\n" "workload" "instrs/run"
-    "ast i/s" "resolved i/s" "fused i/s" "res/ast" "fus/res";
-  Printf.printf "%s\n" (String.make 94 '-');
+          (Printf.sprintf "%s: engines disagree on instruction count (%d vs %d)"
+             name ast.s_instrs_per_run resolved.s_instrs_per_run))
+    pairs;
+  Printf.printf "%-24s %12s %12s %12s %8s\n" "workload" "instrs/run" "ast i/s"
+    "resolved i/s" "res/ast";
+  Printf.printf "%s\n" (String.make 72 '-');
   List.iter
-    (fun (name, ast, resolved, fused) ->
-      Printf.printf "%-24s %12d %12s %12s %12s %7.2fx %7.2fx\n" name
-        ast.s_instrs_per_run (rate_str ast.s_rate) (rate_str resolved.s_rate)
-        (rate_str fused.s_rate)
-        (resolved.s_rate /. ast.s_rate)
-        (fused.s_rate /. resolved.s_rate))
-    triples;
+    (fun (name, ast, resolved) ->
+      Printf.printf "%-24s %12d %12s %12s %7.2fx\n" name ast.s_instrs_per_run
+        (rate_str ast.s_rate) (rate_str resolved.s_rate)
+        (resolved.s_rate /. ast.s_rate))
+    pairs;
   let sample_json s =
     Json_out.obj
       [ ("name", Json_out.str s.s_name);
@@ -283,54 +227,30 @@ let all ?(quick = false) () =
   let json =
     Json_out.obj
       [ ("suite", Json_out.str "interp");
-        ("quick", Json_out.bool quick);
         ( "samples",
           Json_out.arr
             (List.concat_map
-               (fun (_, ast, resolved, fused) ->
-                 [ sample_json ast; sample_json resolved; sample_json fused ])
-               triples) );
+               (fun (_, ast, resolved) ->
+                 [ sample_json ast; sample_json resolved ])
+               pairs) );
         ( "speedup",
           Json_out.obj
             (List.map
-               (fun (name, ast, resolved, _) ->
+               (fun (name, ast, resolved) ->
                  (name, Json_out.float (resolved.s_rate /. ast.s_rate)))
-               triples) );
-        ( "fused_speedup",
-          Json_out.obj
-            (List.map
-               (fun (name, _, resolved, fused) ->
-                 (name, Json_out.float (fused.s_rate /. resolved.s_rate)))
-               triples) ) ]
+               pairs) ) ]
   in
-  Json_out.write
-    (if quick then "BENCH_interp_quick.json" else "BENCH_interp.json")
-    json;
-  (* CI gates on the hot loop (the steady-state throughput metric; the
+  Json_out.write "BENCH_interp.json" json;
+  (* Gate on the hot loop (the steady-state throughput metric; the
      capture/restore windows are too short to gate on reliably): the
-     resolved engine must beat the AST engine and fusion must not lose
-     to plain resolved dispatch; the full run additionally requires the
-     1.15x fusion win the superinstructions exist for. *)
+     production engine must beat the AST engine. *)
   List.iter
-    (fun (name, ast, resolved, fused) ->
-      if String.length name >= 2 && String.sub name 0 2 = "d1" then begin
-        if quick && resolved.s_rate < ast.s_rate then begin
-          Printf.eprintf
-            "FAIL: resolved engine slower than AST engine on %s (%.0f < %.0f instrs/s)\n"
-            name resolved.s_rate ast.s_rate;
-          exit 1
-        end;
-        if quick && fused.s_rate < resolved.s_rate then begin
-          Printf.eprintf
-            "FAIL: fused dispatch slower than resolved on %s (%.0f < %.0f instrs/s)\n"
-            name fused.s_rate resolved.s_rate;
-          exit 1
-        end;
-        if (not quick) && fused.s_rate < 1.15 *. resolved.s_rate then begin
-          Printf.eprintf
-            "FAIL: fused dispatch below 1.15x resolved on %s (%.2fx)\n" name
-            (fused.s_rate /. resolved.s_rate);
-          exit 1
-        end
+    (fun (name, ast, resolved) ->
+      if String.starts_with ~prefix:"d1" name && resolved.s_rate < ast.s_rate
+      then begin
+        Printf.eprintf
+          "FAIL: resolved engine slower than AST engine on %s (%.0f < %.0f instrs/s)\n"
+          name resolved.s_rate ast.s_rate;
+        exit 1
       end)
-    triples
+    pairs

@@ -20,8 +20,9 @@
    exactly-once sweep with the reliable delivery layer enabled (loss
    0-20%, six fault scenarios); emits BENCH_chaos.json.
 
-   Part 5 (Interp) compares the resolved slot-indexed engine against
-   the original AST-walking engine (instrs/sec on the D1 hot loop,
+   Part 5 (Interp) compares the production engine (resolved slot-indexed
+   code, superinstruction dispatch) against the original AST-walking
+   engine, the test-only oracle (instrs/sec on the D1 hot loop,
    depth-64 capture/restore) and emits BENCH_interp.json.
 
    Part 6 (Disruption) sweeps AR-stack depth x payload on a cross-
@@ -59,12 +60,12 @@
    single-replace for the reduction ratio) and gates on exhaustiveness
    and zero monitor violations; emits BENCH_mc.json.
 
-   "scaling" and "interp" accept --quick (smaller sizes, CI smoke);
-   quick runs write their artifacts as BENCH_*_quick.json so a
-   committed full artifact is never clobbered by a smoke run. The other
-   suites have no quick mode: each full run takes at most a couple of
-   seconds. All suites emit machine-readable BENCH_*.json artifacts
-   next to bench_output.txt. *)
+   Only "scaling" accepts --quick (smaller sizes, CI smoke); the quick
+   run writes _build/bench/BENCH_scaling_quick.json, outside the
+   tracked tree, so no smoke run can touch a committed artifact. The
+   other suites have no quick mode: each full run takes seconds. All
+   full runs emit machine-readable BENCH_*.json artifacts next to
+   bench_output.txt. *)
 
 open Bechamel
 open Toolkit
@@ -317,7 +318,7 @@ let () =
   if what = "micro" || what = "all" then run_micro ();
   if what = "scaling" then Scaling.all ~quick ();
   if what = "chaos" then Chaos.all ();
-  if what = "interp" then Interp_bench.all ~quick ();
+  if what = "interp" then Interp_bench.all ();
   if what = "disruption" then Disruption.all ();
   if what = "wal" then Wal_bench.all ();
   if what = "rolling" then Rolling.all ();

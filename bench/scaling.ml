@@ -15,8 +15,9 @@
    and at N >= 1000 shard count 1 spends at most 1.1 engine events per
    delivery. The full sweep also gates the 100k deploy on bounded
    wall-clock time, asserts the complete row set and writes
-   BENCH_scaling.json. The quick sweep writes BENCH_scaling_quick.json,
-   a separate artifact, so a CI run never overwrites the full rows. *)
+   BENCH_scaling.json. The quick sweep writes
+   _build/bench/BENCH_scaling_quick.json, outside the tracked tree, so
+   a CI run can never touch a committed artifact. *)
 
 module Bus = Dr_bus.Bus
 module Ring = Dr_workloads.Ring
@@ -178,6 +179,10 @@ let quick ?(sizes = [ 10; 1000; 10_000 ]) () =
   header ();
   let rows = sweep ~sizes ~deliveries:100_000 in
   gate_rows ~sizes rows;
-  write_artifact ~path:"BENCH_scaling_quick.json" rows
+  let dir = Filename.concat "_build" "bench" in
+  List.iter
+    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+    [ "_build"; dir ];
+  write_artifact ~path:(Filename.concat dir "BENCH_scaling_quick.json") rows
 
 let all ?quick:(q = false) () = if q then quick () else full ()

@@ -540,8 +540,8 @@ and run_quantum t p =
   in
   if p.p_alive && not already_stopped then begin
     (* the machine's budgeted loop pays one status check per instruction
-       instead of a [step] call, and dispatches fused pairs when the
-       instance has fusion enabled *)
+       instead of a [step] call, and dispatches fused runs that fit the
+       quantum *)
     let executed = Machine.exec_budget p.p_machine t.bus_params.quantum in
     (* the guard keeps the label list from being allocated per quantum
        when no registry is attached — this is the hottest call site *)

@@ -3,10 +3,12 @@
    Frames are flat [cell array]s and every variable access in the
    interpreter loop is an array read through a pre-computed index (see
    {!Resolve}); the per-access string hashing of the original engine
-   (preserved as {!Ast_machine}) is gone. Observable behaviour — prints,
-   statuses, instruction counts, tracer output, error messages — is
-   identical: the differential tests in test_resolve.ml and the golden
-   traces pin this. *)
+   (kept as the test-only oracle, test/oracle/ast_machine.ml) is gone.
+   Untraced execution dispatches superinstructions ({!Resolve.fused});
+   a tracer sees every instruction dispatched alone. Observable
+   behaviour — prints, statuses, instruction counts, tracer output,
+   error messages — is identical either way: the differential tests in
+   test_resolve.ml and test_fusion.ml and the golden traces pin this. *)
 
 open Dr_lang
 module Value = Dr_state.Value
@@ -104,9 +106,6 @@ type t = {
      machine executes: cleared before it runs. Used by the controller
      for live pre-copy capture at point granularity. *)
   mutable point_hook : (unit -> unit) option;
-  (* Superinstruction dispatch (rp_fused): opt-in per machine, and
-     automatically bypassed whenever a tracer is attached. *)
-  mutable fusion : bool;
 }
 
 let max_stack_depth = 4096
@@ -652,35 +651,11 @@ let run_pending_signal t =
       t.depth <- t.depth + 1
   end
 
-let step t =
-  match t.mstatus with
-  | Halted | Crashed _ | Sleeping _ | Blocked_read _ | Blocked_decode -> ()
-  | Ready -> (
-    run_pending_signal t;
-    match t.stack with
-    | [] -> t.mstatus <- Halted
-    | frame -> (
-      let frame = List.hd frame in
-      if frame.pc < 0 || frame.pc >= Array.length frame.rproc.rp_instrs then
-        t.mstatus <-
-          Crashed
-            (Printf.sprintf "pc out of range in %s" frame.rproc.rp_source.pc_name)
-      else begin
-        t.instrs_executed <- t.instrs_executed + 1;
-        (match t.tracer with
-        | Some hook ->
-          hook frame.rproc.rp_source.pc_name frame.pc
-            frame.rproc.rp_source.pc_instrs.(frame.pc)
-        | None -> ());
-        try exec_instr t frame frame.rproc.rp_instrs.(frame.pc) with
-        | Runtime_error message -> t.mstatus <- Crashed message
-      end))
-
 (* Superinstruction dispatch: execute a fused straight-line run in one
    dispatch. Instruction counting is per sub-instruction (incremented
-   before each exec, exactly like [step]), so counts, costs and crash
-   attribution are identical to unfused execution. A false-taken
-   Fcjump_run executes one instruction, not the whole run.
+   before each exec, exactly like single dispatch), so counts, costs
+   and crash attribution are identical to unfused execution. A
+   false-taken Fcjump_run executes one instruction, not the whole run.
 
    Run members are pre-destructured assigns/skips, executed here with a
    three-way match instead of the full [exec_instr] dispatch. pc is
@@ -723,12 +698,12 @@ let exec_fused t frame (f : R.fused) =
     else frame.pc <- if_false
 
 (* Budgeted execution: run at most [budget] instructions while Ready,
-   returning the number actually executed. This is the bus's quantum
-   loop, hoisted into the machine so the hot path pays one status check
-   per instruction instead of a full [step] call, and so fused pairs can
-   dispatch once. Fusion engages only when enabled, no tracer is
-   attached, and at least two instructions of budget remain (a fused
-   pair must never overrun the quantum). *)
+   returning the number actually executed. This is the machine's one
+   dispatch loop — the bus's quantum, [run] and [step] all come through
+   here — paying one status check per instruction. Untraced, it
+   dispatches a fused run whenever the whole run fits in the remaining
+   budget, so a run never overruns the quantum; near the boundary, and
+   always under a tracer, instructions dispatch one at a time. *)
 let exec_budget t budget =
   let start = t.instrs_executed in
   (* absolute threshold, so the loop and the fusion headroom test are
@@ -752,12 +727,8 @@ let exec_budget t budget =
           (try exec_instr t frame frame.rproc.rp_instrs.(frame.pc) with
           | Runtime_error message -> t.mstatus <- Crashed message)
         | None -> (
-          let fused =
-            if t.fusion && frame.pc < Array.length frame.rproc.rp_fused then
-              Array.unsafe_get frame.rproc.rp_fused frame.pc
-            else None
-          in
-          match fused with
+          (* rp_fused is index-aligned with rp_instrs: pc is in range *)
+          match Array.unsafe_get frame.rproc.rp_fused frame.pc with
           | Some f when t.instrs_executed + R.fused_length f <= stop -> (
             try exec_fused t frame f with
             | Runtime_error message -> t.mstatus <- Crashed message)
@@ -769,12 +740,13 @@ let exec_budget t budget =
   done;
   t.instrs_executed - start
 
+(* A fused run is at least two instructions, so it never fits a budget
+   of one: [step] executes exactly one instruction. *)
+let step t = ignore (exec_budget t 1)
+
 let run ?(max_steps = max_int) t = ignore (exec_budget t max_steps)
 
 (* ------------------------------------------------- live pre-copy API *)
-
-let set_fusion t on = t.fusion <- on
-let fusion_enabled t = t.fusion
 
 let set_point_hook t hook = t.point_hook <- hook
 
@@ -951,8 +923,7 @@ let clone t ~io =
     capture_masks = t.capture_masks;
     delta_masks = t.delta_masks;
     dirty_heap = Hashtbl.copy t.dirty_heap;
-    point_hook = None;  (* hooks are controller-side, never cloned *)
-    fusion = t.fusion }
+    point_hook = None  (* hooks are controller-side, never cloned *) }
 
 let replace_proc_code t (code : Ir.proc_code) =
   if not t.procs_local then begin
@@ -990,7 +961,7 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
       frames_rebuilt = 0;
       cur_gen = 1; base_gen = 0; base_depth = 0; min_depth = 0;
       stack_aligned = false; capture_masks = []; delta_masks = None;
-      dirty_heap = Hashtbl.create 8; point_hook = None; fusion = false }
+      dirty_heap = Hashtbl.create 8; point_hook = None }
   in
   let scratch_frame =
     { rproc = R.scratch_proc; slots = [||]; pc = 0; ret_slot = None }

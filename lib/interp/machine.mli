@@ -5,8 +5,8 @@
     so an external scheduler (the software bus) can interleave modules,
     deliver messages and signals, and account for simulated time. Frames
     are flat arrays of mutable cells; the interpreter loop does no string
-    hashing (the original hashtable engine survives as {!Ast_machine},
-    the semantic reference).
+    hashing (the original hashtable engine survives as the test-only
+    oracle, [test/oracle/ast_machine.ml]).
 
     Signals are delivered between instructions, as in the paper: a
     pending reconfiguration signal runs the installed handler procedure
@@ -42,7 +42,8 @@ val program : t -> Dr_lang.Ast.program
 
 val step : t -> unit
 (** Execute one instruction (or run a pending signal handler to
-    completion first). No-op unless the status is [Ready]. *)
+    completion first). No-op unless the status is [Ready]. The same
+    loop as {!exec_budget} with a budget of one. *)
 
 val run : ?max_steps:int -> t -> unit
 (** Step until the machine stops being [Ready] or the budget runs out. *)
@@ -51,15 +52,11 @@ val exec_budget : t -> int -> int
 (** [exec_budget t n] executes at most [n] instructions while [Ready]
     and returns the number actually executed — the bus's quantum loop,
     hoisted into the machine so the hot path avoids a per-instruction
-    [step] call and can dispatch fused pairs (see {!set_fusion}). *)
-
-val set_fusion : t -> bool -> unit
-(** Enable superinstruction dispatch ({!Resolve.fused}): adjacent
-    compatible instructions execute in one dispatch. Off by default.
-    Instruction counts, crash semantics and observable behaviour are
-    unchanged; a machine with a tracer attached always runs unfused. *)
-
-val fusion_enabled : t -> bool
+    [step] call. Without a tracer it dispatches superinstructions
+    ({!Resolve.fused}) whenever a whole run fits in the remaining
+    budget; instruction counts, crash semantics and observable
+    behaviour are those of one-at-a-time dispatch, which a tracer
+    always gets. *)
 
 val set_ready : t -> unit
 (** Wake a [Sleeping]/[Blocked_*] machine (the scheduler decides when). *)

@@ -435,9 +435,9 @@ let contains ~sub s =
   go 0
 
 (* The full artifact lives at the repo root (a dune dep of this test).
-   A quick CI sweep writes BENCH_scaling_quick.json instead, so the
-   full row set — N = 10 .. 100k, single and multi domain — must
-   always be present here. *)
+   A quick CI sweep writes _build/bench/BENCH_scaling_quick.json
+   instead, so the full row set — N = 10 .. 100k, single and multi
+   domain — must always be present here. *)
 let test_scaling_artifact_rows () =
   let data =
     In_channel.with_open_bin "../BENCH_scaling.json" In_channel.input_all

@@ -1,12 +1,14 @@
-(* Superinstruction fusion (lib/interp/resolve.ml fused tables +
-   lib/interp/machine.ml run dispatch) must be observationally
-   invisible: with fusion enabled the resolved engine has to produce
-   instruction counts, prints, statuses, divulged images and final
-   globals identical to its own unfused execution — on the workload
-   corpus, on random expression programs, and under adversarial quantum
-   budgets (a fused run must never overrun the quantum it was
-   dispatched in). A tracer bypasses the fused tables entirely, so
-   traced runs stay byte-identical too. *)
+(* Superinstruction dispatch (lib/interp/resolve.ml fused tables +
+   lib/interp/machine.ml run dispatch) is what every untraced machine
+   runs, the bus's included, so it must be observationally invisible.
+   A tracer makes the machine dispatch one instruction at a time, and
+   test_resolve.ml ties that traced engine to the AST oracle; here the
+   untraced engine has to produce instruction counts, prints, statuses,
+   divulged images and final globals identical to its own traced
+   execution — on the workload corpus, on random expression programs,
+   and under adversarial quantum budgets, Machine.step (a budget of
+   one) included: a fused run must never overrun the quantum it was
+   dispatched in. *)
 
 module Ast = Dr_lang.Ast
 module Resolve = Dr_interp.Resolve
@@ -22,24 +24,34 @@ type outcome = {
   o_prints : string list;
   o_images : Image.t list;
   o_globals : (string * Value.t) list;
+  o_hooks : int;  (* tracer calls; 0 untraced *)
 }
 
 (* Run a program to quiescence under the resolved engine, waking it
    from sleeps up to [wake_limit] times (optionally delivering the
-   reconfiguration signal on wake [signal_at_wake]). [quantum] is the
-   per-run step budget — small odd values force fused runs to butt
-   against the budget boundary. *)
-let drive ~fusion ?signal_at_wake ?(wake_limit = 20) ?(quantum = 20_000)
-    ?(feeds = []) (program : Ast.program) =
+   reconfiguration signal on wake [signal_at_wake]). [traced] attaches
+   a tracer that only counts its calls: the per-instruction dispatch.
+   Untraced, the machine runs as every bus machine does. [quantum] is
+   the per-run step budget — small odd values force fused runs to butt
+   against the budget boundary — and [stepped] drives the machine by
+   [Machine.step] instead. No run may execute more than its budget. *)
+let drive ~traced ?signal_at_wake ?(wake_limit = 20) ?(quantum = 20_000)
+    ?(stepped = false) ?(feeds = []) (program : Ast.program) =
   let sio = Support.script_io ~feeds () in
   let m = Machine.create ~io:sio.Support.io program in
-  Machine.set_fusion m fusion;
+  let hooks = ref 0 in
+  if traced then Machine.set_tracer m (Some (fun _ _ _ -> incr hooks));
+  let budget = if stepped then 1 else quantum in
   let wakes = ref 0 in
   let running = ref true in
   let rounds = ref 0 in
   while !running && !rounds < 1_000_000 do
     incr rounds;
-    Machine.run ~max_steps:quantum m;
+    let before = Machine.instr_count m in
+    if stepped then Machine.step m else Machine.run ~max_steps:quantum m;
+    if Machine.instr_count m - before > budget then
+      Alcotest.failf "a budget of %d ran %d instructions" budget
+        (Machine.instr_count m - before);
     match Machine.status m with
     | Machine.Sleeping _ when !wakes < wake_limit ->
       incr wakes;
@@ -56,7 +68,8 @@ let drive ~fusion ?signal_at_wake ?(wake_limit = 20) ?(quantum = 20_000)
       List.map
         (fun (g : Ast.global) ->
           (g.gname, Option.value ~default:Value.Vnull (Machine.read_global m g.gname)))
-        program.globals }
+        program.globals;
+    o_hooks = !hooks }
 
 let outcome_equal a b =
   String.equal a.o_status b.o_status
@@ -68,24 +81,27 @@ let outcome_equal a b =
        (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && Value.equal v1 v2)
        a.o_globals b.o_globals
 
-let check_differential ?signal_at_wake ?wake_limit ?quantum ?feeds name program
-    =
-  let plain =
-    drive ~fusion:false ?signal_at_wake ?wake_limit ?quantum ?feeds program
+let check_differential ?signal_at_wake ?wake_limit ?quantum ?stepped ?feeds
+    name program =
+  let traced =
+    drive ~traced:true ?signal_at_wake ?wake_limit ?quantum ?stepped ?feeds
+      program
   in
   let fused =
-    drive ~fusion:true ?signal_at_wake ?wake_limit ?quantum ?feeds program
+    drive ~traced:false ?signal_at_wake ?wake_limit ?quantum ?stepped ?feeds
+      program
   in
-  Alcotest.(check string) (name ^ ": status") plain.o_status fused.o_status;
-  Alcotest.(check int) (name ^ ": instr count") plain.o_instrs fused.o_instrs;
-  Alcotest.(check (list string)) (name ^ ": prints") plain.o_prints fused.o_prints;
+  Alcotest.(check string) (name ^ ": status") traced.o_status fused.o_status;
+  Alcotest.(check int) (name ^ ": instr count") traced.o_instrs fused.o_instrs;
+  Alcotest.(check (list string))
+    (name ^ ": prints") traced.o_prints fused.o_prints;
   Alcotest.(check bool) (name ^ ": images") true
-    (List.length plain.o_images = List.length fused.o_images
-    && List.for_all2 Image.equal plain.o_images fused.o_images);
+    (List.length traced.o_images = List.length fused.o_images
+    && List.for_all2 Image.equal traced.o_images fused.o_images);
   Alcotest.(check bool) (name ^ ": globals") true
     (List.equal
        (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && Value.equal v1 v2)
-       plain.o_globals fused.o_globals)
+       traced.o_globals fused.o_globals)
 
 (* ------------------------------------------------------ workload corpus *)
 
@@ -116,39 +132,30 @@ let test_capture_differential () =
   check_differential "deeprec capture" ~signal_at_wake:2 ~wake_limit:8 prepared
 
 let test_quantum_boundaries () =
-  (* tiny and prime quantum budgets: a fused run near the boundary must
-     fall back to single-instruction execution, never overrun, and the
-     counts must stay identical to the unfused engine under the same
-     budget *)
+  (* tiny and prime quantum budgets, and Machine.step: a fused run near
+     the boundary must fall back to single-instruction execution, never
+     overrun (drive checks every run), and the counts must stay
+     identical to the traced engine under the same budget *)
+  let program = Synthetic.hotloop ~rounds:3 ~inner:5 in
   List.iter
     (fun quantum ->
       check_differential
         (Printf.sprintf "hotloop quantum=%d" quantum)
-        ~quantum
-        (Synthetic.hotloop ~rounds:3 ~inner:5))
-    [ 1; 2; 3; 7; 13 ]
+        ~quantum program)
+    [ 1; 2; 3; 7; 13 ];
+  check_differential "hotloop Machine.step" ~stepped:true program
 
 let test_tracer_bypasses_fusion () =
-  (* with a tracer attached the fused tables are ignored: the trace of
-     a fusion-enabled machine is byte-identical to an unfused one *)
-  let trace_of ~fusion program =
-    let sio = Support.script_io () in
-    let m = Machine.create ~io:sio.Support.io program in
-    Machine.set_fusion m fusion;
-    let trace = ref [] in
-    Machine.set_tracer m
-      (Some
-         (fun proc pc instr ->
-           trace :=
-             Fmt.str "%s:%d %a" proc pc Dr_interp.Ir.pp_instr instr :: !trace));
-    Machine.run ~max_steps:20_000 m;
-    (List.rev !trace, Machine.instr_count m)
-  in
+  (* a tracer is the per-instruction path: its hook fires exactly once
+     per executed instruction, so no fused run executes under it, and
+     the traced run ends exactly as the untraced, fused one *)
   let program = Synthetic.hotloop ~rounds:3 ~inner:4 in
-  let plain, n_plain = trace_of ~fusion:false program in
-  let fused, n_fused = trace_of ~fusion:true program in
-  Alcotest.(check int) "instr count" n_plain n_fused;
-  Alcotest.(check (list string)) "trace byte-identical" plain fused
+  let traced = drive ~traced:true program in
+  let fused = drive ~traced:false program in
+  Alcotest.(check int) "one hook call per instruction" traced.o_instrs
+    traced.o_hooks;
+  Alcotest.(check bool) "traced outcome = untraced outcome" true
+    (outcome_equal traced fused)
 
 let test_fused_tables_built () =
   (* the hot loop really is covered: its resolved program must carry at
@@ -217,9 +224,9 @@ let qcheck_random_exprs =
     Gen.expr (fun e ->
       let source = harness_program (Dr_lang.Pretty.expr_to_string e) in
       let program = Support.parse source in
-      let plain = safely (drive ~fusion:false ~quantum:5_000) program in
-      let fused = safely (drive ~fusion:true ~quantum:5_000) program in
-      match (plain, fused) with
+      let traced = safely (drive ~traced:true ~quantum:5_000) program in
+      let fused = safely (drive ~traced:false ~quantum:5_000) program in
+      match (traced, fused) with
       | Ok a, Ok b -> outcome_equal a b
       | Error ea, Error eb -> String.equal ea eb
       | _ -> false)

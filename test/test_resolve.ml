@@ -3,7 +3,8 @@
    into nested loop bodies after resolution, hot-swap of resolved code,
    the program cache, and a differential property — the resolved engine
    must produce instruction counts, prints, traces, statuses and final
-   state identical to the AST-walking reference engine (Ast_machine) on
+   state identical to the AST-walking reference engine (the test-only
+   oracle Dr_oracle.Ast_machine, test/oracle/ast_machine.ml) on
    the workload corpus and on random expression programs. *)
 
 module Ast = Dr_lang.Ast
@@ -11,7 +12,7 @@ module Ir = Dr_interp.Ir
 module Lower = Dr_interp.Lower
 module Resolve = Dr_interp.Resolve
 module Machine = Dr_interp.Machine
-module Ast_machine = Dr_interp.Ast_machine
+module Ast_machine = Dr_oracle.Ast_machine
 module Cache = Dr_interp.Cache
 module Value = Dr_state.Value
 module Image = Dr_state.Image

@@ -500,7 +500,7 @@ let compiled_engine =
         | images -> Alcotest.failf "divulged %d images" (List.length images)) }
 
 let ast_engine =
-  let module M = Dr_interp.Ast_machine in
+  let module M = Dr_oracle.Ast_machine in
   let finish label m =
     M.run ~max_steps:1_000_000 m;
     match M.status m with
