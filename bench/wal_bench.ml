@@ -6,10 +6,15 @@
    appends A a scenario performs, then one trial per index 1..A arms
    [ctlcrash@N], lets the controller die, discards its unsynced storage
    tail, reopens the log (torn-tail recovery path) and runs
-   [Recovery.replay]. A trial is consistent when the fleet ends either
-   fully reconfigured or byte-identically rolled back to the pre-script
+   [Recovery.replay]. Every trial, the dry run included, then runs 5
+   vms and is judged. It is consistent when the fleet ends either fully
+   reconfigured or byte-identically rolled back to the pre-script
    snapshot (for the double-replace scenario, any committed prefix of
-   the two scripts). The gate is 100% across every scenario x loss cell.
+   the two scripts), and each replaced slot runs on its state: the
+   instance serving it is not waiting for an image and has not lost
+   passes. The gate is 100% across every scenario x loss cell. Each
+   cell also records its dry run's log size (the summed record bodies),
+   so a change that grows the journal shows in the artifact.
 
    Part 2 (append) measures raw append throughput of 128-byte records
    on both storage backends across fsync batching levels (sync_every
@@ -34,6 +39,7 @@ module Recovery = Dr_reconfig.Recovery
 module Storage = Dr_wal.Storage
 module Wal = Dr_wal.Wal
 module Ring = Dr_workloads.Ring
+module Machine = Dr_interp.Machine
 
 let ok_exn = function Ok v -> v | Error e -> failwith e
 
@@ -100,6 +106,16 @@ let replaced bus ~old_i ~new_i =
   let live = Bus.instances bus in
   List.mem new_i live && not (List.mem old_i live)
 
+(* Whichever of [old_i]/[new_i] serves the slot runs on [old_i]'s
+   state: restored (not blocked waiting for an image) with no fewer
+   than the [passes] [old_i] had made before its script. *)
+let state_kept bus ~old_i ~new_i ~passes =
+  match List.filter (fun i -> List.mem i (Bus.instances bus)) [ old_i; new_i ] with
+  | [ i ] ->
+    Bus.process_status bus ~instance:i <> Some Machine.Blocked_decode
+    && Ring.passes bus ~instance:i >= passes
+  | _ -> false
+
 let retry = { Script.attempts = 2; backoff = 5.0; alt_hosts = [ "hostA" ] }
 
 let replace_sync bus ~deadline ~instance ~new_instance =
@@ -108,7 +124,7 @@ let replace_sync bus ~deadline ~instance ~new_instance =
 
 (* One trial. [ctl_crash = None] is the dry run: it returns the total
    control-log append count so the sweep can aim a crash at every
-   index. *)
+   index, and the log's size. *)
 let run_trial scenario ~loss ~seed ~ctl_crash =
   let system = Ring.load () in
   let bus = Ring.start system in
@@ -121,12 +137,11 @@ let run_trial scenario ~loss ~seed ~ctl_crash =
   Bus.run ~until:8.0 bus;
   let before = snapshot bus in
   let deadline = scenario.sc_deadline in
+  let c_passes = Ring.passes bus ~instance:"c" in
   let first = replace_sync bus ~deadline ~instance:"c" ~new_instance:"c2" in
-  let second =
-    if scenario.sc_double && Result.is_ok first && not (Bus.controller_down bus)
-    then Some (replace_sync bus ~deadline ~instance:"b" ~new_instance:"b2")
-    else None
-  in
+  let b_passes = Ring.passes bus ~instance:"b" in
+  if scenario.sc_double && Result.is_ok first && not (Bus.controller_down bus)
+  then ignore (replace_sync bus ~deadline ~instance:"b" ~new_instance:"b2");
   let crashed = Bus.controller_down bus in
   let recovery =
     if crashed then begin
@@ -134,14 +149,12 @@ let run_trial scenario ~loss ~seed ~ctl_crash =
       Storage.crash mem;
       let wal = ok_exn (Wal.create (Storage.storage_of_mem mem)) in
       Bus.set_wal bus wal;
-      match Recovery.replay bus with
-      | Error e -> Some (Error e)
-      | Ok report ->
-        Bus.run ~until:(Bus.now bus +. 5.0) bus;
-        Some (Ok report)
+      Some (Recovery.replay bus)
     end
     else None
   in
+  (* long enough for a restored clone to take its image and pass on *)
+  Bus.run ~until:(Bus.now bus +. 5.0) bus;
   let consistent =
     match recovery with
     | Some (Error _) -> false
@@ -157,23 +170,33 @@ let run_trial scenario ~loss ~seed ~ctl_crash =
         replaced bus ~old_i:"b" ~new_i:"b2" && fully_routed bus
       in
       let second_untouched = not (replaced bus ~old_i:"b" ~new_i:"b2") in
-      back_to_start
-      || (first_done && (second_untouched || second_done))
+      (back_to_start
+      || (first_done && (second_untouched || second_done)))
+      && state_kept bus ~old_i:"c" ~new_i:"c2" ~passes:c_passes
+      && state_kept bus ~old_i:"b" ~new_i:"b2" ~passes:b_passes
   in
-  ignore second;
-  (consistent, crashed, Bus.ctl_appends bus, recovery)
+  let log_bytes =
+    match Bus.wal bus with
+    | Some wal ->
+      List.fold_left
+        (fun acc (_, _, body) -> acc + Bytes.length body)
+        0 (Wal.records wal)
+    | None -> 0
+  in
+  (consistent, crashed, Bus.ctl_appends bus, log_bytes, recovery)
 
 type sweep_row = {
   row_scenario : string;
   row_loss : float;
   row_appends : int;  (* control-log appends in the dry run *)
+  row_log_bytes : int;  (* summed record bodies of the dry run's log *)
   row_trials : int;  (* crash-at-index trials (= appends) *)
   row_consistent : int;
   row_resumed : int;  (* recoveries that resumed a mid-flight rollback *)
 }
 
 let run_sweep_cell scenario ~loss ~seed =
-  let dry_ok, dry_crashed, appends, _ =
+  let dry_ok, dry_crashed, appends, log_bytes, _ =
     run_trial scenario ~loss ~seed ~ctl_crash:None
   in
   assert (not dry_crashed);
@@ -183,7 +206,7 @@ let run_sweep_cell scenario ~loss ~seed =
   let consistent = ref (if dry_ok then 0 else -1) in
   let resumed = ref 0 in
   for n = 1 to appends do
-    let ok, crashed, _, recovery =
+    let ok, crashed, _, _, recovery =
       run_trial scenario ~loss ~seed ~ctl_crash:(Some n)
     in
     assert crashed;
@@ -201,6 +224,7 @@ let run_sweep_cell scenario ~loss ~seed =
   { row_scenario = scenario.sc_name;
     row_loss = loss;
     row_appends = appends;
+    row_log_bytes = log_bytes;
     row_trials = appends;
     row_consistent = max 0 !consistent;
     row_resumed = !resumed }
@@ -308,6 +332,7 @@ let json_of_sweep row =
       [ ("scenario", str row.row_scenario);
         ("loss", float row.row_loss);
         ("appends", int row.row_appends);
+        ("log_bytes", int row.row_log_bytes);
         ("crash_trials", int row.row_trials);
         ("consistent", int row.row_consistent);
         ("resumed_rollbacks", int row.row_resumed) ])
@@ -343,9 +368,9 @@ let all () =
   print_endline
     "dry run counts appends A; one recovery trial per index 1..A per cell";
   print_endline "==============================================================";
-  Printf.printf "%-22s %6s %9s %12s %9s\n" "scenario" "loss" "appends"
-    "consistent" "resumed";
-  Printf.printf "%s\n" (String.make 64 '-');
+  Printf.printf "%-22s %6s %9s %10s %12s %9s\n" "scenario" "loss" "appends"
+    "log bytes" "consistent" "resumed";
+  Printf.printf "%s\n" (String.make 75 '-');
   let sweep_rows = ref [] in
   let sweep_failures = ref 0 in
   List.iter
@@ -355,12 +380,12 @@ let all () =
           let row = run_sweep_cell scenario ~loss ~seed:1 in
           sweep_rows := row :: !sweep_rows;
           if row.row_consistent < row.row_trials then incr sweep_failures;
-          Printf.printf "%-22s %5.0f%% %9d %6d/%-5d %9d\n" row.row_scenario
-            (100.0 *. loss) row.row_appends row.row_consistent row.row_trials
-            row.row_resumed)
+          Printf.printf "%-22s %5.0f%% %9d %10d %6d/%-5d %9d\n"
+            row.row_scenario (100.0 *. loss) row.row_appends row.row_log_bytes
+            row.row_consistent row.row_trials row.row_resumed)
         losses)
     scenarios;
-  Printf.printf "%s\n" (String.make 64 '-');
+  Printf.printf "%s\n" (String.make 75 '-');
   Printf.printf "cells with any inconsistent trial: %d (threshold 0)\n"
     !sweep_failures;
   print_newline ();

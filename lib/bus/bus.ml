@@ -135,7 +135,6 @@ type t = {
   mutable transport : transport option;
   mutable activity_hook : (string -> unit) option;
   corrupt_images : (string, unit) Hashtbl.t;
-  mutable quarantine_rev : quarantined list;
   mutable bus_metrics : Metrics.t option;
   (* broker domains: [shards] partitions of the fleet, each with an
      arena process table; [inbound] holds the per-destination-domain
@@ -198,10 +197,10 @@ let install_collectors t registry =
                 (float_of_int (Queue.length q)))
             p.p_queues)
         t.live;
-      (* per-domain attribution: the send path bumps plain counters on
-         the Domain records; surface them, and the messages parked in
-         batches, only at snapshot time. (Model-checking mode schedules
-         each message as its own event, so nothing is parked there.) *)
+      (* per-domain attribution: the send and delivery paths bump plain
+         counters on the Domain records; surface them, and the messages
+         parked in batches, only at snapshot time (model-checking mode
+         parks nothing: each message is its own event). *)
       let in_flight = ref 0 in
       Array.iter
         (fun b -> in_flight := !in_flight + Domain.Batch.in_flight b)
@@ -243,7 +242,6 @@ let create ?(params = default_params) ?(shards = 1) ~hosts () =
       transport = None;
       activity_hook = None;
       corrupt_images = Hashtbl.create 4;
-      quarantine_rev = [];
       bus_metrics = None;
       shards;
       domains = Array.init shards (fun i -> Domain.create ~id:i);
@@ -390,13 +388,19 @@ let consume_image_corruption t ~instance =
 
 let quarantine_image t ~instance ~reason ~byte_size =
   m_incr t ~labels:[ ("instance", instance) ] "reconfig.quarantined";
-  t.quarantine_rev <-
-    { q_time = now t; q_instance = instance; q_reason = reason;
-      q_byte_size = byte_size }
-    :: t.quarantine_rev;
   record t (E.Quarantined { instance; bytes = byte_size; reason })
 
-let quarantined t = List.rev t.quarantine_rev
+(* the trace is the quarantine log *)
+let quarantined t =
+  List.filter_map
+    (fun (time, ev) ->
+      match ev with
+      | E.Quarantined { instance; bytes; reason } ->
+        Some
+          { q_time = time; q_instance = instance; q_reason = reason;
+            q_byte_size = bytes }
+      | _ -> None)
+    (Trace.events t.trace)
 
 let crash_process t ~instance ~reason =
   match find_proc t instance with
@@ -764,10 +768,7 @@ let enqueue t kind p ~dst value =
   | _ -> false
 
 let count_delivered t p =
-  let dom = p.p_handle.Domain.h_dom in
-  Domain.count_delivered t.domains.(dom);
-  if Option.is_some t.bus_metrics then
-    m_incr t ~labels:t.dom_labels.(dom) "bus.delivered"
+  Domain.count_delivered t.domains.(p.p_handle.Domain.h_dom)
 
 let deliver_k t kind ~dst value =
   let dst = drain_redirect t dst in
@@ -928,9 +929,7 @@ let deliver_batch t dom_idx batch =
   let size = List.length batch in
   Domain.count_batch t.domains.(dom_idx) ~size;
   (match t.bus_metrics with
-  | Some r ->
-    Metrics.incr r ~labels:t.dom_labels.(dom_idx) "bus.batches";
-    Metrics.observe r "bus.batch_size" (float_of_int size)
+  | Some r -> Metrics.observe r "bus.batch_size" (float_of_int size)
   | None -> ());
   List.iter (resume t) (List.filter_map (deliver_routed t) batch)
 
@@ -966,13 +965,10 @@ let route_message t p iface value =
   end
   else begin
     let src = (p.p_instance, iface) in
-    let metrics_on = Option.is_some t.bus_metrics in
     let src_dom = p.p_handle.Domain.h_dom in
     Array.iter
       (fun de ->
         Domain.count_routed t.domains.(src_dom);
-        if metrics_on then
-          m_incr t ~labels:t.dom_labels.(src_dom) "bus.messages_routed";
         let handled =
           match t.transport with
           | Some tr -> tr.tr_send ~src ~dst:de.de_dst value
@@ -1035,6 +1031,7 @@ let deliver_now t ~dst value =
   | Some p ->
     if host_is_down t p.p_host.host_name then false
     else begin
+      count_delivered t p;
       if enqueue t Fresh p ~dst value then schedule_quantum t p ~delay:0.0;
       true
     end
@@ -1312,16 +1309,6 @@ let cancel_divulge t ~instance =
       p.p_on_divulge <- None;
       record t (E.Divulge_cancelled instance)
     end
-
-let take_divulged t ~instance =
-  match find_proc t instance with
-  | None -> None
-  | Some p -> (
-    match p.p_divulged with
-    | image :: rest ->
-      p.p_divulged <- rest;
-      Some image
-    | [] -> None)
 
 let deposit_state t ~instance ?expect image =
   match find_proc t instance with

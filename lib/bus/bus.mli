@@ -48,11 +48,12 @@ val record : t -> Dr_sim.Trace_event.t -> unit
 (** Append an event to the trace at the current virtual time. *)
 
 val set_metrics : t -> Dr_obs.Metrics.t -> unit
-(** Attach a metrics registry: bus counters (messages routed, drops,
-    spawns/kills, reconfiguration signals), an in-flight gauge, and
-    snapshot-time collectors for queue depths. Purely passive — no trace
-    entries, no scheduled events, no PRNG draws — so golden traces stay
-    byte-identical with metrics attached. [create] auto-attaches a fresh
+(** Attach a metrics registry: bus counters (drops, spawns/kills,
+    reconfiguration signals), a batch-size histogram, and snapshot-time
+    collectors for queue depths, messages in flight and the per-domain
+    routed/delivered/batch counts ({!domain_stats}). Purely passive — no
+    trace entries, no scheduled events, no PRNG draws — so golden traces
+    stay byte-identical with metrics attached. [create] auto-attaches a fresh
     registry when the [DRC_METRICS] environment variable is set. *)
 
 val metrics : t -> Dr_obs.Metrics.t option
@@ -291,8 +292,9 @@ val transmit :
 
 val deliver_now : t -> dst:endpoint -> Dr_state.Value.t -> bool
 (** Enqueue a value at [dst] immediately — no latency, no fault
-    decision, no trace on success. [false] when the destination is gone
-    or its host is down (the reliable layer then withholds its ack). *)
+    decision, no trace on success — and count it as delivered into
+    [dst]'s domain. [false] when the destination is gone or its host is
+    down (the reliable layer then withholds its ack). *)
 
 val on_activity : t -> (string -> unit) option -> unit
 (** Subscribe to message-send activity: the hook is called with the
@@ -336,7 +338,7 @@ val quarantine_image :
   t -> instance:string -> reason:string -> byte_size:int -> unit
 
 val quarantined : t -> quarantined list
-(** Quarantine log, oldest first. *)
+(** Quarantine log, oldest first: the trace's ["quarantine"] events. *)
 
 (** {1 Routes and queues} *)
 
@@ -453,9 +455,8 @@ val on_divulge : t -> instance:string -> (Dr_state.Image.t -> unit) -> unit
 val cancel_divulge : t -> instance:string -> unit
 (** Disarm a pending {!on_divulge} callback (rollback of a script whose
     deadline expired before the module complied). A later divulge then
-    parks its image for {!take_divulged} instead of invoking anything. *)
-
-val take_divulged : t -> instance:string -> Dr_state.Image.t option
+    parks its image for the next {!on_divulge} instead of invoking
+    anything. *)
 
 val deposit_state :
   t -> instance:string -> ?expect:int64 -> Dr_state.Image.t -> unit

@@ -15,7 +15,6 @@ type entry = Persist.entry =
       k_module : string;
       k_host : string;
       k_spec : Dr_mil.Spec.module_spec option;
-      k_image : Image.t option;
       k_queues : (string * Value.t list) list;
     }
   | Armed_divulge of string
@@ -126,7 +125,7 @@ let spawn t ~instance ~module_name ~host ?spec ?status () =
 let instance_queues bus ~instance ~ifaces =
   List.map (fun iface -> (iface, Bus.peek_queue bus (instance, iface))) ifaces
 
-let kill t ~instance ~module_name ~host ?spec ?image () =
+let kill t ~instance ~module_name ~host ?spec () =
   let ifaces =
     match Bus.instance_spec t.bus ~instance with
     | Some s -> List.map (fun i -> i.Dr_mil.Spec.if_name) s.ifaces
@@ -147,7 +146,6 @@ let kill t ~instance ~module_name ~host ?spec ?image () =
          k_module = module_name;
          k_host = host;
          k_spec = spec;
-         k_image = image;
          k_queues })
     (fun () -> Bus.kill t.bus ~instance)
 
@@ -165,10 +163,11 @@ let note_precopy_base t ~instance ~image =
 let note_divulged ?delta t ~cap ~image =
   (* no bus operation — the record spills the divulged image (its own
      DRIMG2 checksum inside the log record's CRC) so recovery can
-     return the old instance to service. With [?delta] (pre-copy path)
-     only the dirtied slots hit the wire as a DRIMGD1 container; the
-     in-memory journal still holds the full image, so rollback never
-     depends on delta resolution. *)
+     return the old instance to service; it is the script's one copy,
+     which a later [Killed] undo re-deposits too. With [?delta]
+     (pre-copy path) only the dirtied slots hit the wire as a DRIMGD1
+     container; the in-memory journal still holds the full image, so
+     rollback never depends on delta resolution. *)
   match delta with
   | None -> logged_op t (Divulged { d_cap = cap; d_image = image }) (fun () -> ())
   | Some d ->
@@ -235,7 +234,20 @@ let restore_instance t ~step ~restored ~instance ~module_name ~host ?spec ~image
       Hashtbl.replace restored instance ();
       Bus.record t.bus (E.Undo_restored { step; instance })
 
-let undo t ~step ~restored = function
+(* The image a [Killed] undo re-deposits: the newest one [instance]
+   divulged in this script. The log holds it once, in the [Divulged]
+   entry (scan has already resolved a [Divulged_delta] to one); a
+   stateless kill finds none. *)
+let divulged_image entries ~instance =
+  List.find_map
+    (function
+      | Divulged { d_cap; d_image }
+        when String.equal d_cap.Primitives.cap_instance instance ->
+        Some d_image
+      | _ -> None)
+    entries
+
+let undo t ~step ~restored ~entries = function
   | Added_route (src, dst) ->
     Bus.del_route t.bus ~src ~dst;
     Bus.record t.bus (E.Undo_route_removed { step; src; dst })
@@ -257,9 +269,10 @@ let undo t ~step ~restored = function
   | Spawned instance ->
     Bus.kill t.bus ~instance;
     Bus.record t.bus (E.Undo_spawn_removed { step; instance })
-  | Killed { k_instance; k_module; k_host; k_spec; k_image; k_queues } ->
+  | Killed { k_instance; k_module; k_host; k_spec; k_queues } ->
     restore_instance t ~step ~restored ~instance:k_instance
-      ~module_name:k_module ~host:k_host ?spec:k_spec ~image:k_image
+      ~module_name:k_module ~host:k_host ?spec:k_spec
+      ~image:(divulged_image entries ~instance:k_instance)
       ~queues:k_queues ()
   | Armed_divulge instance ->
     Bus.cancel_divulge t.bus ~instance;
@@ -335,7 +348,7 @@ let resume_rollback t ~reason ~already_undone ~abort_logged =
         let step =
           { E.us_label = t.label; us_index = index; us_total = total }
         in
-        undo t ~step ~restored e;
+        undo t ~step ~restored ~entries e;
         if logged then begin
           ignore (log t (Persist.Undo_done { sid = t.sid; index }) : bool);
           Bus.ctl_tick t.bus

@@ -18,8 +18,8 @@
     discipline — each primitive's redo+undo record ({!Persist.record})
     is appended durably {e before} the bus operation applies, scripts
     open with a [Begin] record and close with [Commit] or
-    [Abort]/[Undo_done]*/[Abort_done], and divulged state images are
-    spilled into the log. After each record lands the journal runs the
+    [Abort]/[Undo_done]*/[Abort_done], and each divulged state image is
+    spilled into the log once. After each record lands the journal runs the
     controller-crash tick ({!Dr_bus.Bus.ctl_tick}), so an armed
     [ctlcrash@N] fault kills the controller precisely between a durable
     record and the next primitive; {!Recovery.replay} then finishes the
@@ -42,7 +42,6 @@ type entry = Persist.entry =
       k_module : string;
       k_host : string;
       k_spec : Dr_mil.Spec.module_spec option;
-      k_image : Dr_state.Image.t option;
       k_queues : (string * Dr_state.Value.t list) list;
     }
   | Armed_divulge of string
@@ -109,11 +108,11 @@ val kill :
   module_name:string ->
   host:string ->
   ?spec:Dr_mil.Spec.module_spec ->
-  ?image:Dr_state.Image.t ->
   unit ->
   unit
 (** Remove [instance], first snapshotting its queued messages. Undo
-    respawns it (as a clone), re-deposits [image] when given, and
+    respawns it (as a clone), re-deposits the image [instance] divulged
+    earlier in this script ({!note_divulged}) if there is one, and
     re-injects the snapshotted queues. *)
 
 val arm_divulge : t -> instance:string -> (Dr_state.Image.t -> unit) -> unit

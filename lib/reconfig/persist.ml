@@ -16,7 +16,6 @@ type entry =
       k_module : string;
       k_host : string;
       k_spec : Dr_mil.Spec.module_spec option;
-      k_image : Image.t option;
       k_queues : (string * Value.t list) list;
     }
   | Armed_divulge of string
@@ -165,13 +164,14 @@ let w_entry buf = function
   | Spawned instance ->
     Bin_util.write_u8 buf 5;
     Wire.write_string buf instance
-  | Killed { k_instance; k_module; k_host; k_spec; k_image; k_queues } ->
-    Bin_util.write_u8 buf 6;
+  | Killed { k_instance; k_module; k_host; k_spec; k_queues } ->
+    (* tag 6 was the layout that also carried an image: retired, so an
+       old log fails to decode instead of being mis-read *)
+    Bin_util.write_u8 buf 12;
     Wire.write_string buf k_instance;
     Wire.write_string buf k_module;
     Wire.write_string buf k_host;
     w_opt w_spec buf k_spec;
-    w_opt w_image buf k_image;
     w_queues buf k_queues
   | Armed_divulge instance ->
     Bin_util.write_u8 buf 7;
@@ -215,14 +215,6 @@ let r_entry r =
     let values = r_list Wire.read_value r in
     Dropped_queue (ep, values)
   | 5 -> Spawned (Wire.read_string r)
-  | 6 ->
-    let k_instance = Wire.read_string r in
-    let k_module = Wire.read_string r in
-    let k_host = Wire.read_string r in
-    let k_spec = r_opt r_spec r in
-    let k_image = r_opt r_image r in
-    let k_queues = r_queues r in
-    Killed { k_instance; k_module; k_host; k_spec; k_image; k_queues }
   | 7 -> Armed_divulge (Wire.read_string r)
   | 8 ->
     let d_cap = r_cap r in
@@ -245,6 +237,13 @@ let r_entry r =
       | Error e -> malformed "embedded delta: %s" e
     in
     Divulged_delta { dd_cap; dd_delta }
+  | 12 ->
+    let k_instance = Wire.read_string r in
+    let k_module = Wire.read_string r in
+    let k_host = Wire.read_string r in
+    let k_spec = r_opt r_spec r in
+    let k_queues = r_queues r in
+    Killed { k_instance; k_module; k_host; k_spec; k_queues }
   | tag -> malformed "unknown journal entry tag %d" tag
 
 (* -------------------------------------------------------------- records *)
@@ -360,11 +359,7 @@ let describe_entry = function
     Printf.sprintf "rmq %s.%s (%d message(s))" (fst ep) (snd ep)
       (List.length vs)
   | Spawned i -> Printf.sprintf "spawned %s" i
-  | Killed { k_instance; k_image; _ } ->
-    Printf.sprintf "killed %s%s" k_instance
-      (match k_image with
-      | Some img -> Printf.sprintf " (image: %d byte(s))" (Image.byte_size img)
-      | None -> "")
+  | Killed { k_instance; _ } -> Printf.sprintf "killed %s" k_instance
   | Armed_divulge i -> Printf.sprintf "armed divulge for %s" i
   | Divulged { d_cap; d_image } ->
     Printf.sprintf "%s divulged %d byte(s), digest %016Lx"

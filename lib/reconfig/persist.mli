@@ -9,11 +9,14 @@
     grammar after a controller crash.
 
     Everything rides the abstract wire layout ({!Dr_state.Codec.Wire}:
-    big-endian, 64-bit, tagged values); state images inside [Killed]
-    and [Divulged] entries are spilled as complete DRIMG2 containers
-    ({!Dr_state.Codec.encode_abstract}), so each carries its own CRC in
-    addition to the log record's framing checksum. Module
-    specifications round-trip through the MIL pretty-printer/parser.
+    big-endian, 64-bit, tagged values); state images inside [Divulged]
+    and [Precopy_base] entries are spilled as complete DRIMG2 containers
+    ({!Dr_state.Codec.encode_abstract}), and a [Divulged_delta] as a
+    DRIMGD1 one, so each carries its own CRC in addition to the log
+    record's framing checksum. A script logs its divulged image once: a
+    [Killed] entry carries none, and its undo takes the image the same
+    instance divulged earlier in the script. Module specifications
+    round-trip through the MIL pretty-printer/parser.
 
     The journal {e entry} type lives here (not in {!Journal}) so the
     codec and the journal don't depend on each other; {!Journal}
@@ -30,7 +33,6 @@ type entry =
       k_module : string;
       k_host : string;
       k_spec : Dr_mil.Spec.module_spec option;
-      k_image : Dr_state.Image.t option;
       k_queues : (string * Dr_state.Value.t list) list;
     }
   | Armed_divulge of string

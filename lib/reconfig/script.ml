@@ -421,7 +421,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                     ~retx_wait:retx_w ()
                 | None -> ());
                 Journal.kill j ~instance ~module_name:cap.cap_module
-                  ~host:cap.cap_host ?spec:cap.cap_spec ~image ();
+                  ~host:cap.cap_host ?spec:cap.cap_spec ();
                 Journal.commit j;
                 Bus.record bus (E.Replace_completed { instance; new_instance });
                 conclude (Ok new_instance)))
@@ -541,7 +541,7 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
               cap.cap_ifaces
           in
           Journal.kill j ~instance ~module_name:cap.cap_module
-            ~host:cap.cap_host ?spec:cap.cap_spec ~image ();
+            ~host:cap.cap_host ?spec:cap.cap_spec ();
           match
             Journal.spawn j ~instance ~module_name:cap.cap_module
               ~host:cap.cap_host ?spec:cap.cap_spec ~status:"clone" ()

@@ -8,6 +8,8 @@
    - model-checking granularity: in MC mode every routed message is its
      own [deliver] choice point and a woken reader's quantum its own
      event, at any shard count,
+   - delivery attribution: the domains count every enqueue the delivery
+     observer sees, reliable-layer arrivals included,
    - a 1k kill/re-spawn regression: arena slot reuse must never let a
      stale handle or out-route memo misroute a delivery,
    - detector overhead flatness: suspicion bookkeeping is incremental,
@@ -15,6 +17,7 @@
    Plus a guard that the full scaling artifact carries every row. *)
 
 module Bus = Dr_bus.Bus
+module Reliable = Dr_bus.Reliable
 module Ring = Dr_workloads.Ring
 module Detector = Dr_reconfig.Detector
 module Machine = Dr_interp.Machine
@@ -427,6 +430,39 @@ let test_detector_flat () =
   let long, _ = detector_checks ~n:100 ~until:48.0 in
   Alcotest.(check int) "no further checks after suspicion" short long
 
+(* ------------------------------------ delivery attribution *)
+
+let delivered_sum bus =
+  List.fold_left (fun acc d -> acc + d.Bus.d_delivered) 0 (Bus.domain_stats bus)
+
+(* Over one window of the 3-member ring: the enqueues the delivery
+   observer saw, and how far the domains' delivered counts moved. *)
+let delivery_window ~shards ~reliable =
+  let bus = Ring.start ~shards (Ring.load ()) in
+  if reliable then Reliable.enable_all (Reliable.attach bus);
+  let seen = ref 0 in
+  Bus.set_delivery_observer bus (Some (fun ~dst:_ ~kind:_ _ -> incr seen));
+  let before = delivered_sum bus in
+  Bus.run ~until:40.0 bus;
+  (!seen, delivered_sum bus - before)
+
+let test_delivery_attribution () =
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun reliable ->
+          let seen, counted = delivery_window ~shards ~reliable in
+          let label =
+            Printf.sprintf "shards=%d%s" shards
+              (if reliable then ", reliable" else "")
+          in
+          Alcotest.(check bool) (label ^ ": the ring delivered") true (seen > 0);
+          Alcotest.(check int)
+            (label ^ ": domains count every enqueue")
+            seen counted)
+        [ false; true ])
+    [ 1; 4 ]
+
 (* ------------------------------------ scaling artifact row set *)
 
 let contains ~sub s =
@@ -461,7 +497,9 @@ let () =
           Alcotest.test_case "fan-in FIFO under batching" `Quick
             test_fan_in_fifo;
           Alcotest.test_case "one MC choice point per delivery" `Quick
-            test_mc_granularity ] );
+            test_mc_granularity;
+          Alcotest.test_case "domains count every delivery" `Quick
+            test_delivery_attribution ] );
       ( "arena reuse",
         [ Alcotest.test_case "1k kill/re-spawn, zero misroutes" `Quick
             test_kill_respawn_no_misroute ] );

@@ -451,48 +451,90 @@ let test_rollback_lines_carry_label_and_index () =
         (contains "replace c -> c2 [1/" l))
     steps
 
-let test_crash_mid_script_rolls_back () =
-  (* a generous deadline: the dry script COMMITS; then crash at every
-     entry append before the commit and check recovery restores the
-     pre-script world *)
-  let trial ?ctl_crash () =
-    let bus = Ring.start (Ring.load ()) in
-    let mem = Storage.memory () in
-    Bus.set_wal bus (ok (Wal.create (Storage.storage_of_mem mem)));
-    (match ctl_crash with
-    | Some n -> Faults.install bus ~seed:1 (Faults.plan ~ctl_crash:n ())
-    | None -> ());
-    Bus.run ~until:8.0 bus;
-    let before = snapshot bus in
-    let outcome =
-      Script.run_sync bus (fun ~on_done ->
-          Script.replace bus ~instance:"c" ~new_instance:"c2" ~deadline:25.0
-            ~retry:Script.no_retry ~on_done ())
-    in
-    (bus, mem, before, outcome)
+(* A logged ring at 8 vms, then replace c -> c2 with a generous
+   deadline: without [ctl_crash] the script COMMITS. Also returns c's
+   pass counter read just before the script. *)
+let commit_trial ?ctl_crash () =
+  let bus = Ring.start (Ring.load ()) in
+  let mem = Storage.memory () in
+  Bus.set_wal bus (ok (Wal.create (Storage.storage_of_mem mem)));
+  (match ctl_crash with
+  | Some n -> Faults.install bus ~seed:1 (Faults.plan ~ctl_crash:n ())
+  | None -> ());
+  Bus.run ~until:8.0 bus;
+  let before = snapshot bus in
+  let passes = Ring.passes bus ~instance:"c" in
+  let outcome =
+    Script.run_sync bus (fun ~on_done ->
+        Script.replace bus ~instance:"c" ~new_instance:"c2" ~deadline:25.0
+          ~retry:Script.no_retry ~on_done ())
   in
-  let _, mem, _, outcome = trial () in
+  (bus, mem, before, passes, outcome)
+
+(* a crashed controller loses its memory and its unsynced storage tail;
+   reopen the log and replay it *)
+let recover bus mem =
+  Storage.crash mem;
+  Bus.set_wal bus (ok (reopen mem));
+  match Recovery.replay bus with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "recovery: %s" e
+
+let test_crash_mid_script_rolls_back () =
+  (* crash at entry appends before the commit and check recovery
+     restores the pre-script world *)
+  let _, mem, _, _, outcome = commit_trial () in
   Alcotest.(check bool) "dry run commits" true (Result.is_ok outcome);
   let total = List.length (Wal.records (ok (reopen mem))) in
   Alcotest.(check bool) "a real script logged records" true (total > 4);
-  (* crash mid-script (entry appends), then recover *)
   List.iter
     (fun n ->
-      let bus, mem, before, _ = trial ~ctl_crash:n () in
+      let bus, mem, before, _, _ = commit_trial ~ctl_crash:n () in
       Alcotest.(check bool) "controller died" true (Bus.controller_down bus);
-      Storage.crash mem;
-      Bus.set_wal bus (ok (reopen mem));
-      (match Recovery.replay bus with
-      | Ok r ->
-        Alcotest.(check int)
-          (Printf.sprintf "crash@%d rolled one script back" n)
-          1 r.Recovery.rp_rolled_back
-      | Error e -> Alcotest.failf "recovery: %s" e);
+      Alcotest.(check int)
+        (Printf.sprintf "crash@%d rolled one script back" n)
+        1 (recover bus mem).Recovery.rp_rolled_back;
       Alcotest.(check bool)
         (Printf.sprintf "crash@%d restored the snapshot" n)
         true
         (snapshot bus = before))
     [ 2; 3; total / 2 ]
+
+(* Topology is not enough: a rolled-back [c] respawned without its
+   image would sit in Blocked_decode with a fresh pass counter while
+   routes and roster look restored. Crash at every append of the
+   committing script (the dry run included), recover, run 5 vms, and
+   require whichever of c/c2 serves the slot to be running on c's
+   state. *)
+let test_crash_keeps_slot_state () =
+  let _, mem, _, _, _ = commit_trial () in
+  let total = List.length (Wal.records (ok (reopen mem))) in
+  List.iter
+    (fun ctl_crash ->
+      let bus, mem, _, passes, _ = commit_trial ?ctl_crash () in
+      if Bus.controller_down bus then ignore (recover bus mem : Recovery.report);
+      Bus.run ~until:(Bus.now bus +. 5.0) bus;
+      let label =
+        match ctl_crash with
+        | Some n -> Printf.sprintf "crash@%d" n
+        | None -> "dry run"
+      in
+      match
+        List.filter (fun i -> List.mem i (Bus.instances bus)) [ "c"; "c2" ]
+      with
+      | [ serving ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s is not waiting for an image" label serving)
+          false
+          (Bus.process_status bus ~instance:serving
+          = Some Dr_interp.Machine.Blocked_decode);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s kept c's %d passes" label serving passes)
+          true
+          (Ring.passes bus ~instance:serving >= passes)
+      | l ->
+        Alcotest.failf "%s: slot served by [%s]" label (String.concat "; " l))
+    (None :: List.init total (fun i -> Some (i + 1)))
 
 let test_crash_after_commit_keeps_replacement () =
   let bus = Ring.start (Ring.load ()) in
@@ -608,6 +650,85 @@ let test_precopy_delta_logged_and_recovered () =
         (snapshot bus = before))
     [ List.hd bases; List.hd deltas ]
 
+(* ----------------------------------------------------------- log format *)
+
+(* how many times [needle] occurs in a record body *)
+let occurrences needle body =
+  let s = Bytes.unsafe_to_string body and n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+(* the decoded entries of a log whose bodies hold a [needle] container,
+   one per container *)
+let containers needle mem =
+  List.concat_map
+    (fun (_, kind, body) ->
+      List.init (occurrences needle body) (fun _ ->
+          match Persist.decode ~kind body with
+          | Ok (Persist.Entry { entry; _ }) -> entry
+          | Ok r -> Alcotest.failf "container in %s" (Persist.describe r)
+          | Error e -> Alcotest.failf "log does not decode: %s" e))
+    (Wal.records (ok (reopen mem)))
+
+let killed_bodies mem =
+  List.filter_map
+    (fun (_, kind, body) ->
+      match Persist.decode ~kind body with
+      | Ok (Persist.Entry { entry = Persist.Killed _; _ }) -> Some body
+      | _ -> None)
+    (Wal.records (ok (reopen mem)))
+
+(* A script journals its divulged image once: in the Divulged entry
+   (or, under pre-copy, as a base plus a delta), never again in the
+   Killed entry that removes the old instance. The retired layout that
+   did (entry tag 6) must fail to decode, not be mis-read. *)
+let test_image_logged_once () =
+  let _, mem, _, _, outcome = commit_trial () in
+  Alcotest.(check bool) "replace commits" true (Result.is_ok outcome);
+  let image =
+    match containers "DRIMG2" mem with
+    | [ Persist.Divulged { d_image; _ } ] -> d_image
+    | l ->
+      Alcotest.failf "expected one image container, in Divulged; found %d"
+        (List.length l)
+  in
+  Alcotest.(check int) "a Killed entry is logged" 1
+    (List.length (killed_bodies mem));
+  let _, mem, _, outcome = precopy_trial () in
+  Alcotest.(check bool) "pre-copy replace commits" true (Result.is_ok outcome);
+  Alcotest.(check bool) "pre-copy logs one base image" true
+    (match containers "DRIMG2" mem with
+    | [ Persist.Precopy_base _ ] -> true
+    | _ -> false);
+  Alcotest.(check bool) "and one delta" true
+    (match containers "DRIMGD1" mem with
+    | [ Persist.Divulged_delta _ ] -> true
+    | _ -> false);
+  let killed = killed_bodies mem in
+  Alcotest.(check bool) "no Killed entry carries an image" true
+    (killed <> []
+    && List.for_all (fun body -> occurrences "DRIMG" body = 0) killed);
+  let container = Dr_state.Codec.encode_abstract image in
+  let old_killed =
+    let module W = Dr_state.Codec.Wire in
+    let module B = Dr_state.Bin_util in
+    B.with_buffer @@ fun buf ->
+    W.write_int buf 1;
+    B.write_u8 buf 6;
+    List.iter (W.write_string buf) [ "c"; "member"; "hostC" ];
+    B.write_u8 buf 0 (* no spec *);
+    B.write_u8 buf 1 (* an image *);
+    W.write_string buf (Bytes.to_string container);
+    W.write_int buf 0 (* no queues *);
+    Buffer.to_bytes buf
+  in
+  let kind = Persist.kind_of (Persist.Entry { sid = 1; entry = Spawned "c" }) in
+  Alcotest.(check bool) "an old-layout Killed body fails to decode" true
+    (Result.is_error (Persist.decode ~kind old_killed))
+
 let test_replay_idempotent () =
   let bus, _, _, _, crashed = deadline_trial ~ctl_crash:3 () in
   Alcotest.(check bool) "crashed" true crashed;
@@ -699,8 +820,12 @@ let () =
             test_rollback_lines_carry_label_and_index;
           Alcotest.test_case "crash mid-script rolls back" `Quick
             test_crash_mid_script_rolls_back;
+          Alcotest.test_case "crash at every append keeps the slot's state"
+            `Quick test_crash_keeps_slot_state;
           Alcotest.test_case "precopy base+delta logged and recovered" `Quick
             test_precopy_delta_logged_and_recovered;
+          Alcotest.test_case "each divulged image logged once" `Quick
+            test_image_logged_once;
           Alcotest.test_case "crash after commit keeps replacement" `Quick
             test_crash_after_commit_keeps_replacement;
           Alcotest.test_case "replay is idempotent" `Quick
