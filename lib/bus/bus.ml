@@ -167,6 +167,11 @@ type t = {
   (* failure-detector tunables for detectors started on this bus *)
   mutable det_config : detector_config;
   mutable spawn_gen : int;  (* next spawn generation number *)
+  (* spawn generation of the process whose quantum is running, -1
+     between quanta (quanta never nest: nothing steps the engine from
+     inside one). A machine killed by its own divulge callback runs the
+     rest of that quantum, so [kill] must not release it yet. *)
+  mutable in_quantum : int;
   (* model-checker observation point: called on every successful enqueue
      into an input queue. Passive — never schedules, never traces. *)
   mutable delivery_obs :
@@ -261,6 +266,7 @@ let create ?(params = default_params) ?(shards = 1) ~hosts () =
       drain_cursor = 0;
       det_config = default_detector_config;
       spawn_gen = 0;
+      in_quantum = -1;
       delivery_obs = None }
   in
   if Metrics.enabled_from_env () then set_metrics t (Metrics.create ());
@@ -525,6 +531,21 @@ let net_label t ~src ~dst =
            (snd dst))
       "net"
 
+(* What a removed instance keeps is its spawn-history record: name,
+   module, host, times, outputs, and its machine's status, counters,
+   stamps and globals, which [roster], [outputs] and the timeline read.
+   Its execution state, queues, parked images and memos go. *)
+let release p =
+  Machine.retire p.p_machine;
+  Hashtbl.reset p.p_queues;
+  p.p_last_queue <- None;
+  p.p_divulged <- [];
+  p.p_out_memo <- None
+
+let end_quantum t p =
+  t.in_quantum <- -1;
+  if not p.p_alive then release p
+
 let rec schedule_quantum t p ~delay =
   if p.p_alive && not p.p_scheduled then begin
     p.p_scheduled <- true;
@@ -546,14 +567,22 @@ and run_quantum t p =
     (* the machine's budgeted loop pays one status check per instruction
        instead of a [step] call, and dispatches fused runs that fit the
        quantum *)
-    let executed = Machine.exec_budget p.p_machine t.bus_params.quantum in
+    t.in_quantum <- p.p_gen;
+    let executed =
+      match Machine.exec_budget p.p_machine t.bus_params.quantum with
+      | n -> n
+      | exception e ->
+        (* a controller crash unwinding out of a divulge callback *)
+        end_quantum t p;
+        raise e
+    in
     (* the guard keeps the label list from being allocated per quantum
        when no registry is attached — this is the hottest call site *)
     if Option.is_some t.bus_metrics then
       m_incr t ~labels:[ ("instance", p.p_instance) ] ~by:executed
         "interp.instructions";
     let cost = float_of_int executed *. t.bus_params.instr_cost in
-    match Machine.status p.p_machine with
+    (match Machine.status p.p_machine with
     | Machine.Ready -> schedule_quantum t p ~delay:(Float.max cost t.bus_params.instr_cost)
     | Machine.Sleeping duration -> schedule_wake t p ~delay:(cost +. duration)
     | Machine.Blocked_read _ | Machine.Blocked_decode ->
@@ -561,7 +590,8 @@ and run_quantum t p =
       ()
     | Machine.Halted -> record t (E.Halted p.p_instance)
     | Machine.Crashed message ->
-      record t (E.Crashed { instance = p.p_instance; reason = message })
+      record t (E.Crashed { instance = p.p_instance; reason = message }));
+    end_quantum t p
   end
 
 and schedule_wake t p ~delay =
@@ -954,7 +984,7 @@ let with_faults t ~src ~dst ~delay send =
    domain at its exact delivery instant, and only the first message of a
    batch schedules an engine event. In model-checking mode each message
    is instead its own [deliver] event, a choice point for the explorer. *)
-let route_message t p iface value =
+let route_live t p iface value =
   (match t.activity_hook with
   | Some hook -> hook p.p_instance
   | None -> ());
@@ -1000,6 +1030,15 @@ let route_message t p iface value =
             ~delay:(latency t p.p_host dst_host) push
         end)
       memo.om_dests
+  end
+
+(* A machine killed by its own divulge callback runs out that quantum,
+   but its domain slot is gone: what it sends is discarded. *)
+let route_message t p iface value =
+  if p.p_alive then route_live t p iface value
+  else begin
+    m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
+    record t (E.Dead_sender (p.p_instance, iface))
   end
 
 (* A raw timed hop between two endpoints, subject to the fault hooks but
@@ -1188,7 +1227,8 @@ let kill t ~instance =
       Hashtbl.fold (fun _ q acc -> acc + Queue.length q) p.p_queues 0
     in
     if dropped > 0 then
-      record t (E.Removed_undelivered { instance; count = dropped })
+      record t (E.Removed_undelivered { instance; count = dropped });
+    if p.p_gen <> t.in_quantum then release p
 
 type roster_entry = {
   r_instance : string;

@@ -73,7 +73,6 @@ type t = {
   mutable handler : string option;
   mutable capture_records : Image.record list;  (* reverse capture order *)
   mutable restore_records : Image.record list;  (* restore order; pop the head *)
-  mutable divulged_image : Image.t option;
   status_attr : string;
   io : Io_intf.t;
   mutable instrs_executed : int;
@@ -116,7 +115,6 @@ let set_tracer t tracer = t.tracer <- tracer
 let program t = t.prog
 let instr_count t = t.instrs_executed
 let stack_depth t = t.depth
-let divulged t = t.divulged_image
 let signal_handled t = Option.is_some t.handler
 
 let signal_handled_at t = t.signal_handled_at
@@ -141,6 +139,20 @@ let force_crash t reason =
   | Halted | Crashed _ -> ()
   | Ready | Sleeping _ | Blocked_read _ | Blocked_decode ->
     t.mstatus <- Crashed reason
+
+(* A removed instance's record outlives it (the bus's spawn history
+   still reads its status and counters), but it never executes again:
+   drop everything only execution needs. *)
+let retire t =
+  t.stack <- [];
+  t.depth <- 0;
+  Hashtbl.reset t.heap;
+  t.capture_records <- [];
+  t.restore_records <- [];
+  t.capture_masks <- [];
+  t.delta_masks <- None;
+  Hashtbl.reset t.dirty_heap;
+  t.point_hook <- None
 
 let read_global t name =
   Option.map
@@ -544,7 +556,6 @@ let exec_stmt_builtin t frame name args =
     advance ()
   | "mh_encode" ->
     let image = build_image t in
-    t.divulged_image <- Some image;
     t.capture_records <- [];
     (* Latch the delta basis for the controller: masks are only usable
        if the stack stayed aligned with the pre-copy base. *)
@@ -904,7 +915,6 @@ let clone t ~io =
     handler = t.handler;
     capture_records = t.capture_records;
     restore_records = t.restore_records;
-    divulged_image = t.divulged_image;
     status_attr = t.status_attr;
     io;
     instrs_executed = t.instrs_executed;
@@ -954,7 +964,7 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
       procs_local = false; globals; global_index = rprog.rg_global_index;
       stack = []; depth = 0; heap = Hashtbl.create 16;
       next_block = 0; mstatus = Ready; pending_signal = false; handler = None;
-      capture_records = []; restore_records = []; divulged_image = None;
+      capture_records = []; restore_records = [];
       status_attr; io; instrs_executed = 0; tracer = None;
       signal_handled_at = None; capture_started_at = None;
       restore_done_at = None; captures_taken = 0; restores_applied = 0;

@@ -70,6 +70,12 @@ val force_crash : t -> string -> unit
     the machine transitions to [Crashed reason] from any live status.
     No-op on a machine that already halted or crashed. *)
 
+val retire : t -> unit
+(** Drop the execution state of a machine that will never run again
+    (its instance was removed): the stack, the heap blocks, the capture
+    and restore buffers, and the pre-copy dirty tracking. Status,
+    counters, stamps and globals stay readable. *)
+
 val signal_handled : t -> bool
 (** Has a signal handler been installed? *)
 
@@ -115,10 +121,6 @@ val read_local : t -> string -> Dr_state.Value.t option
 val heap_block : t -> int -> Dr_state.Image.heap_block option
 
 val heap_size : t -> int
-
-val divulged : t -> Dr_state.Image.t option
-(** The last image passed to [mh_encode], if any (also handed to
-    [Io_intf.io_encode]). *)
 
 val feed_image : t -> Dr_state.Image.t -> unit
 (** Deposit a state image for a blocked/future [mh_decode]. Heap blocks

@@ -32,6 +32,7 @@ type t =
   | Injected_loss of { src : endpoint; dst : endpoint }
   | Injected_duplicate of { src : endpoint; dst : endpoint }
   | Unbound of endpoint
+  | Dead_sender of endpoint
   | Print of { instance : string; line : string }
   (* bus: instances and state *)
   | Divulged of { instance : string; records : int; bytes : int }
@@ -236,7 +237,8 @@ let category = function
   | Halted _ -> "halt"
   | Bind_added _ | Bind_deleted _ -> "bind"
   | Drain_started _ | Drain_ended _ | Drain_redirect _ -> "drain"
-  | Dead_destination _ | In_flight_lost _ | Unbound _ -> "drop"
+  | Dead_destination _ | In_flight_lost _ | Unbound _ | Dead_sender _ ->
+    "drop"
   | Print _ -> "print"
   | Divulged _ | Removed_pending_divulge _ | Divulge_cancelled _
   | Deposited _ ->
@@ -308,6 +310,8 @@ let render = function
   | Injected_loss { src; dst } -> "injected loss: " ^ route src dst
   | Injected_duplicate { src; dst } -> "injected duplicate: " ^ route src dst
   | Unbound (i, f) -> sprintf "%s.%s has no binding; message discarded" i f
+  | Dead_sender (i, f) ->
+    sprintf "%s.%s sent after %s was removed; message discarded" i f i
   | Print { instance; line } -> sprintf "%s: %s" instance line
   | Divulged { instance; records; bytes } ->
     sprintf "%s divulged %d record(s), %d byte(s)" instance records bytes

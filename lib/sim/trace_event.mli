@@ -48,6 +48,7 @@ type t =
   | Injected_loss of { src : endpoint; dst : endpoint }
   | Injected_duplicate of { src : endpoint; dst : endpoint }
   | Unbound of endpoint
+  | Dead_sender of endpoint
   | Print of { instance : string; line : string }
   (* bus: instances and state *)
   | Divulged of { instance : string; records : int; bytes : int }

@@ -240,6 +240,93 @@ let test_kill_accounting () =
   Alcotest.(check bool) "late deposit_state traced" true
     (List.mem "state image for dead instance c discarded" audit)
 
+(* A divulge callback runs inside the divulging instance's quantum, and
+   a machine killed there runs the rest of that quantum: a send it makes
+   then must be discarded and counted, not routed from the freed slot. *)
+let test_killed_in_own_quantum_sends () =
+  let writer =
+    "module w;\n\
+     proc main() { mh_init(); mh_encode(); print(7); mh_write(\"out\", 1); \
+     print(8); }"
+  in
+  let run ~kill =
+    let bus = make_bus () in
+    let registry = Dr_obs.Metrics.create () in
+    Bus.set_metrics bus registry;
+    register bus writer;
+    register bus consumer;
+    spawn bus ~instance:"w0" ~module_name:"w" ~host:"hostA";
+    spawn bus ~instance:"s0" ~module_name:"consumer" ~host:"hostB";
+    Bus.add_route bus ~src:("w0", "out") ~dst:("s0", "in");
+    if kill then
+      Bus.on_divulge bus ~instance:"w0" (fun _ -> Bus.kill bus ~instance:"w0");
+    Bus.run ~until:20.0 bus;
+    (bus, registry)
+  in
+  let twin, _ = run ~kill:false in
+  let bus, registry = run ~kill:true in
+  let w0 bus = List.find (fun e -> e.Bus.r_instance = "w0") (Bus.roster bus) in
+  Alcotest.(check (list string)) "ran out its quantum" [ "7"; "8" ]
+    (Bus.outputs bus ~instance:"w0");
+  Alcotest.(check (list string)) "send discarded" []
+    (Bus.outputs bus ~instance:"s0");
+  Alcotest.(check int) "counted as dropped" 1
+    (Dr_obs.Metrics.counter_value registry
+       ~labels:[ ("instance", "w0") ] "bus.dropped");
+  Alcotest.(check (list string)) "traced as a drop"
+    [ "w0.out sent after w0 was removed; message discarded" ]
+    (trace_details bus ~category:"drop");
+  let entry = w0 bus in
+  Alcotest.(check bool) "removed" true (entry.r_status = None);
+  Alcotest.(check int) "every instruction of that quantum counted"
+    (w0 twin).r_instrs entry.r_instrs
+
+(* A removed instance keeps its history record but not its execution
+   state. One killed from outside its quantum is cleared at once; one
+   killed by its own divulge callback runs out that quantum first, and
+   is cleared when it ends. *)
+let test_kill_releases_state () =
+  let holder =
+    "module h;\n\
+     var a: int[];\n\
+     proc main() { var x: int; a = alloc_int(8); mh_init(); mh_encode(); \
+     print(7); mh_read(\"in\", x); }"
+  in
+  let held m = (Machine.stack_depth m, Machine.heap_size m) in
+  let state = Alcotest.(pair int int) in
+  let start () =
+    let bus = make_bus () in
+    register bus holder;
+    spawn bus ~instance:"h0" ~module_name:"h" ~host:"hostA";
+    match Bus.machine bus ~instance:"h0" with
+    | Some m -> (bus, m)
+    | None -> Alcotest.fail "h0 not live"
+  in
+  (* killed from outside, blocked on its read *)
+  let bus, m = start () in
+  Bus.run ~until:20.0 bus;
+  Alcotest.(check bool) "blocked with a stack and a heap" true
+    (fst (held m) > 0 && snd (held m) > 0);
+  let instrs = Machine.instr_count m in
+  Bus.kill bus ~instance:"h0";
+  Alcotest.check state "cleared at once" (0, 0) (held m);
+  let entry =
+    List.find (fun e -> e.Bus.r_instance = "h0") (Bus.roster bus)
+  in
+  Alcotest.(check int) "history keeps its count" instrs entry.r_instrs;
+  (* killed by its own divulge callback *)
+  let bus, m = start () in
+  let inside = ref (0, 0) in
+  Bus.on_divulge bus ~instance:"h0" (fun _ ->
+      Bus.kill bus ~instance:"h0";
+      inside := held m);
+  Bus.run ~until:20.0 bus;
+  Alcotest.(check bool) "kept while its quantum runs" true
+    (fst !inside > 0 && snd !inside > 0);
+  Alcotest.(check (list string)) "ran out its quantum" [ "7" ]
+    (Bus.outputs bus ~instance:"h0");
+  Alcotest.check state "cleared when the quantum ended" (0, 0) (held m)
+
 let test_spawn_errors () =
   let bus = make_bus () in
   register bus producer;
@@ -407,7 +494,11 @@ let () =
           Alcotest.test_case "register rejects ill-typed" `Quick
             test_register_rejects_ill_typed;
           Alcotest.test_case "crash traced" `Quick test_crash_is_traced;
-          Alcotest.test_case "kill accounting" `Quick test_kill_accounting ] );
+          Alcotest.test_case "kill accounting" `Quick test_kill_accounting;
+          Alcotest.test_case "killed in own quantum sends" `Quick
+            test_killed_in_own_quantum_sends;
+          Alcotest.test_case "kill releases state" `Quick
+            test_kill_releases_state ] );
       ( "timing",
         [ Alcotest.test_case "instr cost" `Quick test_instr_cost_advances_clock;
           Alcotest.test_case "deterministic" `Quick test_deterministic_runs ] );

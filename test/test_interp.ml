@@ -293,6 +293,78 @@ let test_state_size_grows () =
   Alcotest.(check bool) "heap grows state" true
     (Machine.state_size big > Machine.state_size small)
 
+(* mh_encode hands the image to the io and keeps no copy: once the
+   receiver lets go of it, the image is garbage while the machine that
+   built it is still alive. *)
+let test_encode_keeps_no_image () =
+  let source =
+    {|module t;
+var a: int[];
+proc main() {
+  var x: int;
+  a = alloc_int(64);
+  x = 7;
+  mh_capture(1, x);
+  mh_encode();
+}|}
+  in
+  let received = Weak.create 1 in
+  let io =
+    { (Dr_interp.Io_intf.null ()) with
+      io_encode = (fun image -> Weak.set received 0 (Some image)) }
+  in
+  let m = Machine.create ~io (Support.parse source) in
+  Machine.run ~max_steps:1000 m;
+  Alcotest.(check bool) "an image was divulged" true (Weak.check received 0);
+  Gc.full_major ();
+  Alcotest.(check bool) "the machine holds no copy" false
+    (Weak.check received 0);
+  Alcotest.(check int) "the machine is still alive" 1
+    (Machine.captures_taken m)
+
+(* Retiring a removed instance's machine drops its stack and heap but
+   no counter, stamp or global the bus's history reads. *)
+let test_retire_keeps_counters () =
+  let source =
+    {|module t;
+var g: int = 5;
+var a: int[];
+proc main() {
+  var loc: int; var x: int;
+  a = alloc_int(4);
+  x = 7;
+  mh_capture(3, x);
+  mh_encode();
+  x = 0;
+  mh_decode();
+  mh_restore(loc, x);
+  sleep(10);
+}|}
+  in
+  let sio = Support.script_io () in
+  let m = Machine.create ~io:sio.io (Support.parse source) in
+  Machine.run ~max_steps:1000 m;
+  (match sio.Support.divulged with
+  | image :: _ -> Machine.feed_image m image
+  | [] -> Alcotest.fail "no image divulged");
+  Machine.run ~max_steps:1000 m;
+  let readings m =
+    ( (Machine.instr_count m, Machine.captures_taken m),
+      (Machine.restores_applied m, Machine.frames_rebuilt m),
+      Machine.restore_done_at m,
+      (Machine.read_global m "g", Machine.read_global m "a") )
+  in
+  let before = readings m in
+  Alcotest.(check bool) "restored, with a stack and a heap" true
+    (Machine.restores_applied m > 0
+    && Machine.stack_depth m > 0
+    && Machine.heap_size m > 0);
+  Machine.retire m;
+  Alcotest.(check int) "stack dropped" 0 (Machine.stack_depth m);
+  Alcotest.(check int) "heap dropped" 0 (Machine.heap_size m);
+  Alcotest.(check bool) "counters, stamp and globals kept" true
+    (readings m = before)
+
 let test_no_main () =
   let machine =
     Machine.create ~io:(Dr_interp.Io_intf.null ()) (Support.parse "module t;\nproc f() { }")
@@ -412,7 +484,11 @@ let () =
         [ Alcotest.test_case "clone independent" `Quick test_clone_independent;
           Alcotest.test_case "clone ref aliasing" `Quick
             test_clone_preserves_ref_aliasing;
-          Alcotest.test_case "state size" `Quick test_state_size_grows ] );
+          Alcotest.test_case "state size" `Quick test_state_size_grows;
+          Alcotest.test_case "encode keeps no image" `Quick
+            test_encode_keeps_no_image;
+          Alcotest.test_case "retire keeps counters" `Quick
+            test_retire_keeps_counters ] );
       ( "capture runtime",
         [ Alcotest.test_case "restore on empty buffer" `Quick
             test_restore_empty_buffer_crashes;

@@ -448,6 +448,88 @@ let test_script_trace_order () =
       (s < d && d < c && c < r)
   | _ -> Alcotest.fail "missing script trace entries"
 
+(* Repeated migration must not grow the bus with its history: a removed
+   instance keeps its spawn-history record, but its machine holds no copy
+   of the image it divulged. *)
+let test_migration_retention_flat () =
+  let module Metrics = Dr_obs.Metrics in
+  let hosts =
+    [ { Bus.host_name = "hostA"; arch = Dr_state.Arch.x86_64 };
+      { Bus.host_name = "hostB"; arch = Dr_state.Arch.sparc32 } ]
+  in
+  let bus = Bus.create ~hosts () in
+  let registry = Metrics.create () in
+  Bus.set_metrics bus registry;
+  let storage = Dr_wal.Storage.storage_of_mem (Dr_wal.Storage.memory ()) in
+  (match Dr_wal.Wal.create storage with
+  | Ok wal -> Bus.set_wal bus wal
+  | Error e -> Alcotest.failf "wal: %s" e);
+  let prepared =
+    match
+      Dr_transform.Instrument.prepare
+        (Dr_workloads.Synthetic.deeprec_payload ~depth:64 ~payload:8)
+        ~points:Dr_workloads.Synthetic.deeprec_points
+    with
+    | Ok p -> p.Dr_transform.Instrument.prepared_program
+    | Error e -> Alcotest.failf "instrument: %s" e
+  in
+  (match Bus.register_program bus prepared with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "register: %s" e);
+  (match
+     Bus.spawn bus ~instance:"w0" ~module_name:"deeppay" ~host:"hostA" ()
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "spawn: %s" e);
+  Bus.run ~until:5.0 bus;
+  let words () = Obj.reachable_words (Obj.repr bus) in
+  let after_five = ref 0 in
+  for i = 1 to 25 do
+    let instance = Printf.sprintf "w%d" (i - 1) in
+    let new_instance = Printf.sprintf "w%d" i in
+    let new_host = if i mod 2 = 1 then "hostB" else "hostA" in
+    match
+      Script.run_sync bus ~watch:instance (fun ~on_done ->
+          Script.migrate bus ~precopy:true ~instance ~new_instance ~new_host
+            ~on_done ())
+    with
+    | Error e -> Alcotest.failf "migration %d: %s" i e
+    | Ok clone -> (
+      match Bus.machine bus ~instance:clone with
+      | None -> Alcotest.failf "migration %d: clone not live" i
+      | Some m ->
+        (* each move starts once the previous clone has restored *)
+        Bus.run_while bus ~max_events:1_000_000 (fun () ->
+            Machine.restore_done_at m = None);
+        if i = 5 then after_five := words ())
+  done;
+  let per_migration = (words () - !after_five) / 20 in
+  if per_migration >= 1_500 then
+    Alcotest.failf "retained %d words per migration (bound 1500)" per_migration;
+  let migrates =
+    List.filter
+      (fun s -> String.equal (Metrics.span_kind s) "migrate")
+      (Metrics.roots registry)
+  in
+  Alcotest.(check int) "one span per migration" 25 (List.length migrates);
+  List.iter
+    (fun root ->
+      match Metrics.span_duration root with
+      | None -> Alcotest.fail "a migrate span never ended"
+      | Some total ->
+        let phase kind =
+          List.fold_left
+            (fun acc s ->
+              if String.equal (Metrics.span_kind s) kind then
+                acc +. Option.value ~default:0.0 (Metrics.span_duration s)
+              else acc)
+            0.0 (Metrics.span_children root)
+        in
+        Alcotest.(check (float 1e-9)) "phases tile the window" total
+          (phase "signal" +. phase "drain" +. phase "capture"
+          +. phase "translate" +. phase "restore"))
+    migrates
+
 let () =
   Alcotest.run "reconfig"
     [ ( "primitives",
@@ -467,7 +549,9 @@ let () =
           Alcotest.test_case "add/remove module" `Quick test_add_remove_module;
           Alcotest.test_case "pending queues move" `Quick test_pending_queue_moves;
           Alcotest.test_case "stateless replacement" `Quick test_replace_stateless;
-          Alcotest.test_case "script trace order" `Quick test_script_trace_order ] );
+          Alcotest.test_case "script trace order" `Quick test_script_trace_order;
+          Alcotest.test_case "retention per migration flat" `Quick
+            test_migration_retention_flat ] );
       ( "freeze/thaw",
         [ Alcotest.test_case "cold restart" `Quick test_freeze_thaw_cold_restart;
           Alcotest.test_case "corrupt bytes" `Quick test_thaw_rejects_corrupt_bytes ] );

@@ -282,6 +282,8 @@ let trace_event_pins =
     (E.Injected_duplicate { src = ("a", "out"); dst = ("b", "in") },
       "fault", "injected duplicate: a.out -> b.in");
     (E.Unbound ("a", "log"), "drop", "a.log has no binding; message discarded");
+    (E.Dead_sender ("w0", "out"),
+      "drop", "w0.out sent after w0 was removed; message discarded");
     (E.Print { instance = "display"; line = "avg(4) = 7" },
       "print", "display: avg(4) = 7");
     (E.Divulged { instance = "compute"; records = 3; bytes = 212 },
