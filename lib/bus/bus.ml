@@ -691,11 +691,6 @@ let set_drain_group t ~members =
   let arr = Array.of_list members in
   List.iter (fun m -> Hashtbl.replace t.drain_members m arr) members
 
-let drain_group t ~instance =
-  match Hashtbl.find_opt t.drain_members instance with
-  | Some arr -> Array.to_list arr
-  | None -> []
-
 let mark_draining t ~instance =
   if not (Hashtbl.mem t.draining instance) then begin
     Hashtbl.replace t.draining instance ();

@@ -388,9 +388,6 @@ val set_drain_group : t -> members:string list -> unit
 (** Register (or re-register, after a member is renamed by a
     replacement) the sibling set. Each member maps to the full list. *)
 
-val drain_group : t -> instance:string -> string list
-(** The registered siblings of [instance] ([[]] when none). *)
-
 val mark_draining : t -> instance:string -> unit
 (** Stop admitting new deliveries: subsequent messages for [instance]
     are redirected to a sibling chosen by {!resolve_drain}. Messages

@@ -25,10 +25,6 @@ let routes_of_bind_indexed mod_index inst_index (bind : Spec.binding_decl) =
     [ (bind.b_from, bind.b_to); (bind.b_to, bind.b_from) ]
   | Some _, Some _ | None, _ | _, None -> [ (bind.b_from, bind.b_to) ]
 
-let routes_of_bind config app (bind : Spec.binding_decl) =
-  routes_of_bind_indexed (Spec.index_modules config) (Spec.index_instances app)
-    bind
-
 let host_for mod_index (inst : Spec.instance_decl) ~default_host =
   match inst.inst_host with
   | Some h -> h

@@ -5,13 +5,6 @@
     routes implied by the bindings: one route for a [define]→[use]
     binding, a route in each direction for a [client]↔[server] pair. *)
 
-val routes_of_bind :
-  Dr_mil.Spec.config ->
-  Dr_mil.Spec.application ->
-  Dr_mil.Spec.binding_decl ->
-  (Bus.endpoint * Bus.endpoint) list
-(** The directed routes a binding induces. *)
-
 val deploy :
   Bus.t ->
   config:Dr_mil.Spec.config ->

@@ -95,11 +95,6 @@ let get t h =
     t.slots.(h.h_slot)
   else None
 
-let iter_live t f =
-  for slot = 0 to t.used - 1 do
-    match t.slots.(slot) with Some v -> f v | None -> ()
-  done
-
 let routed t = t.routed
 let delivered t = t.delivered
 let batches t = t.batches

@@ -38,9 +38,6 @@ val get : 'a t -> handle -> 'a option
 (** [None] once the slot was freed (even if since reused) — the
     generation check is the aliasing guard. O(1), no hashing. *)
 
-val iter_live : 'a t -> ('a -> unit) -> unit
-(** Visit occupied slots in slot order. *)
-
 (** {1 Traffic accounting}
 
     Plain mutable counters bumped by the bus hot path and read back via

@@ -35,16 +35,11 @@ let pp_status ppf = function
   | Crashed message -> Fmt.pf ppf "crashed(%s)" message
   | Halted -> Fmt.string ppf "halted"
 
-(* A storage cell. The generation counter is the pre-copy dirty-tracking
-   write barrier: every store stamps the machine's current generation
-   into the cell (branch-free), and a cell is "dirty" relative to a base
-   snapshot iff its stamp reached the base generation. The counter lives
-   inside the cell — not in a per-frame side table — because by-reference
-   parameters alias cells across frames, and a write through the alias
-   must dirty the one shared cell. *)
-type cell = { mutable cv : Value.t; mutable cgen : int }
+(* A storage cell. By-reference parameters alias cells across frames:
+   a write through the alias lands in the one shared cell. *)
+type cell = { mutable cv : Value.t }
 
-let cell_v v = { cv = v; cgen = 0 }
+let cell_v v = { cv = v }
 
 type frame = {
   rproc : R.rproc;
@@ -86,21 +81,6 @@ type t = {
   mutable captures_taken : int;
   mutable restores_applied : int;
   mutable frames_rebuilt : int;
-  (* Pre-copy dirty tracking (see [cell]): [cur_gen] is the stamp every
-     write applies; [base_gen] > 0 arms tracking, and a cell is dirty
-     iff [cgen >= base_gen]. Stack alignment: the delta is sound only if
-     the final capture sees exactly the frames of the base snapshot —
-     same depth, and the stack never dipped below it in between
-     ([min_depth], maintained on returns until the final capture
-     starts). *)
-  mutable cur_gen : int;
-  mutable base_gen : int;
-  mutable base_depth : int;
-  mutable min_depth : int;
-  mutable stack_aligned : bool;
-  mutable capture_masks : bool array list;  (* parallel to capture_records *)
-  mutable delta_masks : bool array list option;  (* latched at mh_encode *)
-  dirty_heap : (int, unit) Hashtbl.t;
   (* One-shot hook parked at the next reconfiguration-point gate the
      machine executes: cleared before it runs. Used by the controller
      for live pre-copy capture at point granularity. *)
@@ -115,7 +95,6 @@ let set_tracer t tracer = t.tracer <- tracer
 let program t = t.prog
 let instr_count t = t.instrs_executed
 let stack_depth t = t.depth
-let signal_handled t = Option.is_some t.handler
 
 let signal_handled_at t = t.signal_handled_at
 let capture_started_at t = t.capture_started_at
@@ -123,9 +102,6 @@ let restore_done_at t = t.restore_done_at
 let captures_taken t = t.captures_taken
 let restores_applied t = t.restores_applied
 let frames_rebuilt t = t.frames_rebuilt
-
-let current_proc t =
-  match t.stack with [] -> None | f :: _ -> Some f.rproc.rp_source.pc_name
 
 let set_ready t =
   match t.mstatus with
@@ -149,9 +125,6 @@ let retire t =
   Hashtbl.reset t.heap;
   t.capture_records <- [];
   t.restore_records <- [];
-  t.capture_masks <- [];
-  t.delta_masks <- None;
-  Hashtbl.reset t.dirty_heap;
   t.point_hook <- None
 
 let read_global t name =
@@ -178,12 +151,7 @@ let cell_of_slot t frame = function
   | R.Sglobal i -> t.globals.(i)
   | R.Sunbound name -> runtime "unbound variable %s" name
 
-(* The write barrier: every store goes through here (or stamps inline),
-   keeping the dirty-tracking generation current. Branch-free — one
-   extra word store per write whether or not tracking is armed. *)
-let set_cell t cell v =
-  cell.cv <- v;
-  cell.cgen <- t.cur_gen
+let set_cell cell v = cell.cv <- v
 
 let block_cells t id =
   match Hashtbl.find_opt t.heap id with
@@ -215,16 +183,14 @@ let heap_store t base index v =
     if index < 0 || index >= Array.length cells then
       runtime "index %d out of bounds for block #%d of length %d" index id
         (Array.length cells);
-    cells.(index) <- v;
-    if t.base_gen > 0 then Hashtbl.replace t.dirty_heap id ()
+    cells.(index) <- v
   | Value.Vptr (id, off) ->
     let cells = block_cells t id in
     let i = off + index in
     if i < 0 || i >= Array.length cells then
       runtime "pointer store #%d+%d out of bounds (length %d)" id i
         (Array.length cells);
-    cells.(i) <- v;
-    if t.base_gen > 0 then Hashtbl.replace t.dirty_heap id ()
+    cells.(i) <- v
   | Value.Vnull -> runtime "null dereference in store"
   | v -> runtime "cannot index a %s" (Value.type_name v)
 
@@ -376,7 +342,7 @@ let make_frame t caller (rproc : R.rproc) (args : R.rcall_arg array) ret_slot =
         slots.(slot_idx) <- cell_of_slot t caller s
       | None -> runtime "%s: ref argument must be a variable" rproc.rp_source.pc_name
     end
-    else set_cell t slots.(slot_idx) (eval t caller a.R.ca_expr)
+    else set_cell slots.(slot_idx) (eval t caller a.R.ca_expr)
   done;
   { rproc; slots; pc = 0; ret_slot }
 
@@ -392,18 +358,13 @@ let do_return t value =
   | [] -> runtime "return with no active frame"
   | frame :: rest -> (
     (match frame.ret_slot, value with
-    | Some slot, Some v -> set_cell t slot v
+    | Some slot, Some v -> set_cell slot v
     | Some _, None ->
       runtime "procedure %s fell through without returning a value"
         frame.rproc.rp_source.pc_name
     | None, _ -> ());
     t.stack <- rest;
     t.depth <- t.depth - 1;
-    (* Stack-alignment watermark for pre-copy deltas: once the final
-       capture has started the unwind is the capture protocol itself and
-       must not count as a dip. *)
-    if t.base_gen > 0 && t.capture_records = [] then
-      t.min_depth <- min t.min_depth t.depth;
     match rest with [] -> t.mstatus <- Halted | _ -> ())
 
 (* ----------------------------------------------------- state capture *)
@@ -419,26 +380,8 @@ let capture t frame args =
           | R.Ralv _ -> runtime "mh_capture takes expressions")
         rest
     in
-    if t.capture_records = [] then begin
+    if t.capture_records = [] then
       t.capture_started_at <- Some (t.io.io_now ());
-      (* First record of the final capture: judge whether the stack still
-         matches the pre-copy base — same depth, never dipped below it. *)
-      if t.base_gen > 0 then
-        t.stack_aligned <-
-          t.depth = t.base_depth && t.min_depth >= t.base_depth
-    end;
-    if t.base_gen > 0 then begin
-      let mask =
-        Array.of_list
-          (List.map
-             (function
-               | R.Raexpr (R.Rframe i) -> frame.slots.(i).cgen >= t.base_gen
-               | R.Raexpr (R.Rglobal i) -> t.globals.(i).cgen >= t.base_gen
-               | _ -> true (* not a plain slot: treat as dirty *))
-             rest)
-      in
-      t.capture_masks <- mask :: t.capture_masks
-    end;
     t.captures_taken <- t.captures_taken + 1;
     t.capture_records <- { Image.location; values } :: t.capture_records
   | _ -> runtime "mh_capture: missing location"
@@ -505,7 +448,7 @@ let restore t frame args =
           (List.length record.values) (List.length targets);
       let assign lv v =
         match lv with
-        | R.Ralv (R.Rlvar slot) -> set_cell t (cell_of_slot t frame slot) v
+        | R.Ralv (R.Rlvar slot) -> set_cell (cell_of_slot t frame slot) v
         | R.Ralv (R.Rlindex (slot, idx)) ->
           let base = (cell_of_slot t frame slot).cv in
           heap_store t base (as_int (eval t frame idx)) v
@@ -531,7 +474,7 @@ let exec_stmt_builtin t frame name args =
       match t.io.io_read iface with
       | Some v ->
         (match target with
-        | R.Rlvar slot -> set_cell t (cell_of_slot t frame slot) v
+        | R.Rlvar slot -> set_cell (cell_of_slot t frame slot) v
         | R.Rlindex (slot, idx) ->
           let base = (cell_of_slot t frame slot).cv in
           heap_store t base (as_int (eval t frame idx)) v);
@@ -557,12 +500,6 @@ let exec_stmt_builtin t frame name args =
   | "mh_encode" ->
     let image = build_image t in
     t.capture_records <- [];
-    (* Latch the delta basis for the controller: masks are only usable
-       if the stack stayed aligned with the pre-copy base. *)
-    if t.base_gen > 0 then
-      t.delta_masks <-
-        (if t.stack_aligned then Some (List.rev t.capture_masks) else None);
-    t.capture_masks <- [];
     t.io.io_encode image;
     advance ()
   | "mh_decode" -> (
@@ -588,7 +525,7 @@ let rec exec_instr t frame (instr : R.rinstr) =
   match instr with
   | Rskip -> advance ()
   | Rassign (Rlvar slot, e) ->
-    set_cell t (cell_of_slot t frame slot) (eval t frame e);
+    set_cell (cell_of_slot t frame slot) (eval t frame e);
     advance ()
   | Rassign (Rlindex (slot, idx), e) ->
     let base = (cell_of_slot t frame slot).cv in
@@ -682,7 +619,7 @@ let exec_run t frame ~base (body : R.fmember array) (tail : R.rinstr option) =
     t.instrs_executed <- t.instrs_executed + 1;
     match Array.unsafe_get body k with
     | R.Mskip -> ()
-    | R.Massign (slot, e) -> set_cell t (cell_of_slot t frame slot) (eval t frame e)
+    | R.Massign (slot, e) -> set_cell (cell_of_slot t frame slot) (eval t frame e)
     | R.Massign_index (slot, idx, e) ->
       let b = (cell_of_slot t frame slot).cv in
       let i = as_int (eval t frame idx) in
@@ -761,24 +698,6 @@ let run ?(max_steps = max_int) t = ignore (exec_budget t max_steps)
 
 let set_point_hook t hook = t.point_hook <- hook
 
-(* Arm dirty tracking against the state as of now: bump the generation
-   so every later write stamps above [base_gen], and reset the stack
-   watermark. Called by the controller right after [live_capture]. *)
-let begin_dirty_tracking t =
-  t.cur_gen <- t.cur_gen + 1;
-  t.base_gen <- t.cur_gen;
-  t.base_depth <- t.depth;
-  t.min_depth <- t.depth;
-  t.stack_aligned <- false;
-  t.capture_masks <- [];
-  t.delta_masks <- None;
-  Hashtbl.reset t.dirty_heap
-
-let delta_basis t =
-  match t.delta_masks with
-  | None -> None
-  | Some masks -> Some (masks, fun id -> Hashtbl.mem t.dirty_heap id)
-
 (* Non-destructively capture the image the machine *would* divulge if it
    froze right now. Only valid when the machine is parked at a
    reconfiguration-point gate (the point hook fires there): the capture
@@ -790,7 +709,9 @@ let delta_basis t =
      call  block:  cjump(capturestack)  mh_capture
 
    so the innermost capture instruction sits at pc+3 and each suspended
-   caller's at its saved pc+1. Any deviation — a non-gate pc, a capture
+   caller's at its saved pc+1. A caller rebuilt by a restore block is
+   parked on that block's [jump] to the call-capture block instead, so
+   the jump is followed first. Any deviation — a non-gate pc, a capture
    argument that is not a plain slot — returns [None] and the controller
    falls back to the freeze-and-capture path. Heap cells are deep-copied
    because the machine keeps running and will mutate them. *)
@@ -827,12 +748,19 @@ let live_capture t =
           { Image.location; values }
         | _ -> raise Fallback
       in
+      let resume_pc frame =
+        if frame.pc >= 0 && frame.pc < Array.length frame.rproc.rp_instrs then
+          match frame.rproc.rp_instrs.(frame.pc) with
+          | R.Rjump target -> target
+          | _ -> frame.pc
+        else frame.pc
+      in
       try
         (* Image record order: deepest frame first, main last — the same
            order [build_image] produces. *)
         let records =
           record_of innermost (innermost.pc + 3)
-          :: List.map (fun f -> record_of f (f.pc + 1)) outer
+          :: List.map (fun f -> record_of f (resume_pc f + 1)) outer
         in
         let roots =
           List.concat_map (fun (r : Image.record) -> r.values) records
@@ -879,7 +807,7 @@ let clone t ~io =
     match List.find_opt (fun (old_cell, _) -> old_cell == cell) !cell_map with
     | Some (_, fresh) -> fresh
     | None ->
-      let fresh = { cv = cell.cv; cgen = cell.cgen } in
+      let fresh = { cv = cell.cv } in
       cell_map := (cell, fresh) :: !cell_map;
       fresh
   in
@@ -925,14 +853,6 @@ let clone t ~io =
     captures_taken = t.captures_taken;
     restores_applied = t.restores_applied;
     frames_rebuilt = t.frames_rebuilt;
-    cur_gen = t.cur_gen;
-    base_gen = t.base_gen;
-    base_depth = t.base_depth;
-    min_depth = t.min_depth;
-    stack_aligned = t.stack_aligned;
-    capture_masks = t.capture_masks;
-    delta_masks = t.delta_masks;
-    dirty_heap = Hashtbl.copy t.dirty_heap;
     point_hook = None  (* hooks are controller-side, never cloned *) }
 
 let replace_proc_code t (code : Ir.proc_code) =
@@ -968,10 +888,7 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
       status_attr; io; instrs_executed = 0; tracer = None;
       signal_handled_at = None; capture_started_at = None;
       restore_done_at = None; captures_taken = 0; restores_applied = 0;
-      frames_rebuilt = 0;
-      cur_gen = 1; base_gen = 0; base_depth = 0; min_depth = 0;
-      stack_aligned = false; capture_masks = []; delta_masks = None;
-      dirty_heap = Hashtbl.create 8; point_hook = None }
+      frames_rebuilt = 0; point_hook = None }
   in
   let scratch_frame =
     { rproc = R.scratch_proc; slots = [||]; pc = 0; ret_slot = None }

@@ -73,11 +73,8 @@ val force_crash : t -> string -> unit
 val retire : t -> unit
 (** Drop the execution state of a machine that will never run again
     (its instance was removed): the stack, the heap blocks, the capture
-    and restore buffers, and the pre-copy dirty tracking. Status,
-    counters, stamps and globals stay readable. *)
-
-val signal_handled : t -> bool
-(** Has a signal handler been installed? *)
+    and restore buffers, and any parked point hook. Status, counters,
+    stamps and globals stay readable. *)
 
 val instr_count : t -> int
 (** Total instructions executed (the virtual-time cost measure). *)
@@ -110,9 +107,6 @@ val frames_rebuilt : t -> int
 
 val stack_depth : t -> int
 
-val current_proc : t -> string option
-(** Name of the procedure on top of the stack. *)
-
 val read_global : t -> string -> Dr_state.Value.t option
 
 val read_local : t -> string -> Dr_state.Value.t option
@@ -136,14 +130,11 @@ val pp_status : Format.formatter -> status -> unit
 (** {2 Live pre-copy capture}
 
     The controller can snapshot a running instance's divulgable state
-    {e without} freezing it, then track writes so the post-freeze
-    capture ships only the dirtied slots as an {!Dr_state.Image.delta}.
-    Protocol: park a hook at the next reconfiguration point
-    ({!set_point_hook}); in the hook, {!live_capture} the base image and
-    {!begin_dirty_tracking}; after the real (frozen) capture divulges,
-    {!delta_basis} yields the per-record dirty masks for
-    {!Dr_state.Image.diff} — or [None] when the stack shape diverged
-    from the base, in which case the full image is authoritative. *)
+    {e without} freezing it. Protocol: park a hook at the next
+    reconfiguration point ({!set_point_hook}) and, in the hook,
+    {!live_capture} the base image. Which slots a delta ships is decided
+    later, over the abstract image alone: {!Dr_state.Image.diff}
+    compares the real (frozen) capture with the base. *)
 
 val set_point_hook : t -> (unit -> unit) option -> unit
 (** One-shot hook fired the next time execution reaches a
@@ -155,17 +146,9 @@ val live_capture : t -> Dr_state.Image.t option
     frozen at the current reconfiguration point. Only meaningful from
     inside a point hook (the machine must be parked at the gate);
     [None] whenever the state cannot be read without executing —
-    callers fall back to the ordinary freeze path. *)
-
-val begin_dirty_tracking : t -> unit
-(** Arm the write barrier: from now until the next capture completes,
-    every slot and heap write is tracked against the just-taken base. *)
-
-val delta_basis : t -> (bool array list * (int -> bool)) option
-(** After a divulge with tracking armed: per-record dirty masks (in
-    image record order) and a heap-block dirty predicate, suitable for
-    {!Dr_state.Image.diff} against the base. [None] if the stack shape
-    diverged from the base snapshot (the delta would be unsound). *)
+    callers fall back to the ordinary freeze path. A restored clone
+    gives a base like an original: a caller frame rebuilt by a restore
+    block is read through the block's jump to its call site. *)
 
 (** {1 Support for the baseline systems (paper §4)} *)
 

@@ -427,10 +427,3 @@ let check program =
     program.globals;
   List.iter (fun p -> errors := check_proc program p @ !errors) program.procs;
   match List.rev !errors with [] -> Ok () | es -> Error es
-
-let check_exn program =
-  match check program with
-  | Ok () -> ()
-  | Error errors ->
-    let rendered = List.map (fun e -> Fmt.str "%a" pp_error e) errors in
-    failwith ("type errors:\n  " ^ String.concat "\n  " rendered)

@@ -13,9 +13,6 @@ val pp_error : Format.formatter -> error -> unit
 val check : Ast.program -> (unit, error list) result
 (** All errors found, or [Ok ()] for a well-formed program. *)
 
-val check_exn : Ast.program -> unit
-(** @raise Failure with a rendered error list. *)
-
 val locals_of_proc : Ast.proc -> (string * Ast.ty) list
 (** Every local declared anywhere in the body, in declaration order
     (excludes parameters). Shared with the transform, which captures

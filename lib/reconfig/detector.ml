@@ -275,9 +275,6 @@ let suspicion t ~instance =
   | Some w -> w.w_level
   | None -> 0
 
-let last_evidence t ~instance =
-  Option.map (fun w -> w.w_last_seen) (Hashtbl.find_opt t.watched instance)
-
 let watched t =
   List.sort String.compare
     (Hashtbl.fold (fun k _ acc -> k :: acc) t.watched [])

@@ -42,9 +42,6 @@ val suspected : t -> instance:string -> bool
 val suspicion : t -> instance:string -> int
 (** Current suspicion level (0 = fresh evidence). *)
 
-val last_evidence : t -> instance:string -> float option
-(** Virtual time of the last liveness evidence. *)
-
 val watch : t -> instance:string -> unit
 (** Add an instance (idempotent; starts with fresh evidence). *)
 

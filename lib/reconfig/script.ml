@@ -44,14 +44,14 @@ let fail_span bus sp reason =
 
    Pre-copy runs open the root span at the freeze (the old machine's
    capture stamp) rather than at the signal: until the capture block
-   ran, the module was still serving — with a warm base already copied
-   — so the signal and drain children collapse to zero width. They add
-   two zero-width markers: [precopy] (how big the live base snapshot
-   was and how long the module kept serving after the request, the
-   [wait] attr) and [delta] (how much of the capture actually shipped,
-   or why the full image stayed authoritative). The identity total ==
-   signal + drain + capture + translate + restore holds in every mode. [retx_wait] is the
-   reliable layer's retransmission backoff accumulated inside the
+   ran, the module was still serving, so the signal and drain children
+   collapse to zero width. They add two zero-width markers: [precopy]
+   (how long the module kept serving after the request, the [wait]
+   attr, and how big the live base snapshot was when one was taken) and
+   [delta] (how much of the capture actually shipped, or why the full
+   image stayed authoritative). The identity total == signal + drain +
+   capture + translate + restore holds in every mode. [retx_wait] is
+   the reliable layer's retransmission backoff accumulated inside the
    window — the part of drain that is network stall, not quiescence. *)
 let divulge_children bus sp ~t0 ~old_machine ~restored_instance ~bytes_in
     ~bytes_out ?precopy ?delta ?retx_wait () =
@@ -85,10 +85,13 @@ let divulge_children bus sp ~t0 ~old_machine ~restored_instance ~bytes_in
     Metrics.finish dr ~at:t_cap;
     interval "capture" t_cap t_div;
     (match precopy with
-    | Some (base_bytes, base_records, wait) ->
+    | Some (wait, base) ->
       let pc = Metrics.child s ~kind:"precopy" ~start:t_div () in
-      Metrics.set_attr pc "base_bytes" (string_of_int base_bytes);
-      Metrics.set_attr pc "base_records" (string_of_int base_records);
+      (match base with
+      | Some (base_bytes, base_records) ->
+        Metrics.set_attr pc "base_bytes" (string_of_int base_bytes);
+        Metrics.set_attr pc "base_records" (string_of_int base_records)
+      | None -> ());
       Metrics.set_attr pc "wait" (Printf.sprintf "%.3f" wait);
       Metrics.finish pc ~at:t_div
     | None -> ());
@@ -118,6 +121,13 @@ let divulge_children bus sp ~t0 ~old_machine ~restored_instance ~bytes_in
 type retry = { attempts : int; backoff : float; alt_hosts : string list }
 
 let no_retry = { attempts = 1; backoff = 0.0; alt_hosts = [] }
+
+(* Would translating an image from [src] to [dst] be the identity? Only
+   then can a pre-copy delta stand in for the full image. *)
+let same_layout bus src dst =
+  match Bus.find_host bus src, Bus.find_host bus dst with
+  | Some s, Some d -> Codec.Native.same_layout s.Bus.arch d.Bus.arch
+  | _ -> false
 
 (* The rebinding batch of Fig. 5: for every interface of the old module,
    retarget outgoing and incoming routes to the new instance of the same
@@ -150,14 +160,14 @@ let rebind_batch (cap : P.module_cap) ~new_instance =
    the Fig. 5 sequence it always was.
 
    With [~precopy:true] the freeze signal is deferred: a one-shot hook
-   parks at the target's next reconfiguration point, snapshots the
-   running state there ({!Machine.live_capture}), arms the write
-   barrier, and only then signals. The module keeps serving while the
-   base image exists elsewhere; the post-freeze capture needs to ship
-   only the slots dirtied since — a delta against the base — when the
-   move is same-architecture and the stack shape held. Every guard
-   failure falls back to the full image, so pre-copy can only shrink
-   the window, never change the outcome. *)
+   parks at the target's next reconfiguration point, records how long
+   the module served until then, snapshots the running state there
+   ({!Machine.live_capture}) when the move is same-layout, and only then
+   signals. The module keeps serving while the base image exists
+   elsewhere; the post-freeze capture ships only the slots whose values
+   differ from it ({!Image.diff}) when the capture still has the base's
+   shape. Every guard failure falls back to the full image, so pre-copy
+   can only shrink the window, never change the outcome. *)
 let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
     ~new_instance ?new_module ?new_host ?deadline ?(retry = no_retry) ~on_done
     () =
@@ -246,9 +256,10 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
         Journal.rollback j ~reason:e;
         conclude (Error e)
       in
-      (* the live base snapshot and how long the module served on after
-         the request before reaching a point *)
-      let base_info = ref None in
+      (* how long the module served on after the request before reaching
+         a point, and the live base snapshot taken there *)
+      let precopy_wait = ref None in
+      let precopy_base = ref None in
       let retx0 = ref 0.0 in
       let divulge image =
         (* A crash during the deadline rollback unwinds out of the
@@ -271,12 +282,10 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
              the disruption window after it is gone. *)
           let old_machine = Bus.machine bus ~instance in
           (* Pre-copy accounting: the window opens at the freeze. The
-             module served normally — with a warm base already copied
-             and dirty tracking armed — right up to the moment its
-             capture block ran; shifting that service time out of the
-             window is the entire point of pre-copy. The pre-freeze
-             serving time is reported on the [precopy] marker as
-             [wait]. *)
+             module served normally right up to the moment its capture
+             block ran; shifting that service time out of the window is
+             the entire point of pre-copy. The pre-freeze serving time
+             is reported on the [precopy] marker as [wait]. *)
           (if precopy && Option.is_none !sp then
              let t_freeze =
                match old_machine with
@@ -302,23 +311,19 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
           match P.obj_cap bus ~instance with
           | Error e -> fail e
           | Ok cap ->
-            let same_arch =
-              match Bus.find_host bus cap.cap_host, Bus.find_host bus host with
-              | Some s, Some d -> Codec.Native.same_layout s.Bus.arch d.Bus.arch
-              | _ -> false
-            in
-            (* ship a delta only when every guard holds: a base exists,
-               the move is same-layout (translate would be identity),
-               the stack shape matched the base, the diff is structurally
-               sound, and re-applying it reproduces the capture digest.
-               Any failure leaves the full image authoritative. *)
+            (* ship a delta only when every guard holds: the move is
+               same-layout (translate would be identity), a base exists,
+               the diff finds the capture shaped like the base, and
+               re-applying it reproduces the capture digest. Any failure
+               leaves the full image authoritative. *)
             let delta_info =
-              match !base_info, old_machine with
-              | Some (base, _), Some om when same_arch -> (
-                match Machine.delta_basis om with
-                | None -> Error "misaligned"
-                | Some (masks, heap_dirty) -> (
-                  match Image.diff ~base ~masks ~heap_dirty image with
+              if not (same_layout bus cap.cap_host host) then
+                Error "cross_arch"
+              else
+                match !precopy_base with
+                | None -> Error "disabled"
+                | Some base -> (
+                  match Image.diff ~base image with
                   | None -> Error "misaligned"
                   | Some d -> (
                     match Image.apply_delta ~base d with
@@ -327,9 +332,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                         Int64.equal (Image.digest applied) (Image.digest image)
                       ->
                       Ok (d, applied)
-                    | _ -> Error "misaligned")))
-              | Some _, _ when not same_arch -> Error "cross_arch"
-              | _ -> Error "disabled"
+                    | _ -> Error "misaligned"))
             in
             Journal.note_divulged
               ?delta:(match delta_info with Ok (d, _) -> Some d | Error _ -> None)
@@ -397,11 +400,14 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                 | Some om ->
                   let precopy_marker =
                     Option.map
-                      (fun (base, wait) ->
-                        ( Image.byte_size base,
-                          List.length base.Image.records,
-                          wait ))
-                      !base_info
+                      (fun wait ->
+                        ( wait,
+                          Option.map
+                            (fun base ->
+                              ( Image.byte_size base,
+                                List.length base.Image.records ))
+                            !precopy_base ))
+                      !precopy_wait
                   in
                   let delta_marker =
                     if not precopy then None
@@ -454,17 +460,20 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                        controller crash armed on the journal record must
                        kill the script, not the bystander machine *)
                     try
-                      (match Machine.live_capture m with
-                      | Some base ->
-                        Journal.note_precopy_base j ~instance ~image:base;
-                        Machine.begin_dirty_tracking m;
-                        base_info := Some (base, Bus.now bus -. t_req);
-                        Bus.record bus
-                          (E.Precopy_base_captured
-                             { instance;
-                               records = List.length base.Image.records;
-                               bytes = Image.byte_size base })
-                      | None -> ());
+                      precopy_wait := Some (Bus.now bus -. t_req);
+                      (* a base serves only a same-layout move: across
+                         layouts the full image is translated anyway *)
+                      (if same_layout bus cap0.cap_host host then
+                         match Machine.live_capture m with
+                         | Some base ->
+                           Journal.note_precopy_base j ~instance ~image:base;
+                           precopy_base := Some base;
+                           Bus.record bus
+                             (E.Precopy_base_captured
+                                { instance;
+                                  records = List.length base.Image.records;
+                                  bytes = Image.byte_size base })
+                         | None -> ());
                       engage ()
                     with Bus.Controller_crash -> ())));
       match deadline with

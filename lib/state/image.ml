@@ -195,15 +195,14 @@ let gather_blocks ~lookup roots =
 
 (* ------------------------------------------------------------- deltas *)
 
-(* A delta image: the dirtied subset of a capture relative to a base
+(* A delta image: the part of a capture that differs from a base
    snapshot taken by the pre-copy phase. Slots are addressed by (record
    index, value index) against the base's record layout; heap blocks are
-   either shipped whole ([d_heap_new]: dirtied since the base, or absent
-   from it) or pulled from the base by id ([d_heap_keep]). Soundness
-   rests on the machine's write barrier: a slot whose generation counter
-   did not advance past the base generation still holds its base value,
-   so clean slots need no value comparison — the qcheck differential
-   (delta-apply ≡ full capture) pins this. *)
+   either shipped whole ([d_heap_new]: changed since the base, or absent
+   from it) or pulled from the base by id ([d_heap_keep]). [diff]
+   decides by comparing the two images, so a delta rebuilds the capture
+   by construction — the qcheck differential (delta-apply ≡ full
+   capture) pins this. *)
 
 type delta = {
   d_source_module : string;
@@ -214,35 +213,46 @@ type delta = {
   d_heap_keep : int list;
 }
 
-let diff ~base ~masks ~heap_dirty (final : t) =
-  let structural_ok =
+(* Floats compare by their bits, as [digest] mixes them: [Value.equal]
+   calls [0.0] and [-0.0] equal, and a delta that dropped the sign would
+   not rebuild the capture. *)
+let same_value a b =
+  match a, b with
+  | Value.Vfloat x, Value.Vfloat y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_block a b =
+  Dr_lang.Ast.equal_ty a.elem_ty b.elem_ty
+  && Array.length a.cells = Array.length b.cells
+  && Array.for_all2 same_value a.cells b.cells
+
+let diff ~base (final : t) =
+  let same_shape =
     String.equal base.source_module final.source_module
     && List.length base.records = List.length final.records
-    && List.length masks = List.length final.records
     && List.for_all2
          (fun (b : record) (f : record) ->
            b.location = f.location
            && List.length b.values = List.length f.values)
          base.records final.records
-    && List.for_all2
-         (fun mask (f : record) -> Array.length mask = List.length f.values)
-         masks final.records
   in
-  if not structural_ok then None
+  if not same_shape then None
   else begin
     let slots = ref [] in
     List.iteri
-      (fun ri (mask, (f : record)) ->
+      (fun ri ((b : record), (f : record)) ->
         List.iteri
-          (fun vi v -> if mask.(vi) then slots := (ri, vi, v) :: !slots)
-          f.values)
-      (List.combine masks final.records);
+          (fun vi (bv, fv) ->
+            if not (same_value bv fv) then slots := (ri, vi, fv) :: !slots)
+          (List.combine b.values f.values))
+      (List.combine base.records final.records);
     let heap_new = ref [] and heap_keep = ref [] in
     List.iter
       (fun (id, block) ->
-        if heap_dirty id || not (List.mem_assoc id base.heap) then
-          heap_new := (id, block) :: !heap_new
-        else heap_keep := id :: !heap_keep)
+        match List.assoc_opt id base.heap with
+        | Some kept when same_block kept block -> heap_keep := id :: !heap_keep
+        | _ -> heap_new := (id, block) :: !heap_new)
       final.heap;
     Some
       { d_source_module = final.source_module;

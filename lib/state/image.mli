@@ -70,11 +70,11 @@ val gather_blocks :
 
 (** {1 Delta images (pre-copy)}
 
-    A delta is the dirtied subset of a capture relative to a base
-    snapshot taken while the module was still serving (live pre-copy).
-    Slots are addressed by (record index, value index) against the
-    base's record layout; heap blocks are shipped whole when dirtied or
-    new ([d_heap_new]) and pulled from the base by id otherwise
+    A delta is the part of a capture that differs from a base snapshot
+    taken while the module was still serving (live pre-copy). Slots are
+    addressed by (record index, value index) against the base's record
+    layout; heap blocks are shipped whole when changed or new
+    ([d_heap_new]) and pulled from the base by id otherwise
     ([d_heap_keep]). *)
 
 type delta = {
@@ -86,19 +86,15 @@ type delta = {
   d_heap_keep : int list;
 }
 
-val diff :
-  base:t ->
-  masks:bool array list ->
-  heap_dirty:(int -> bool) ->
-  t ->
-  delta option
-(** [diff ~base ~masks ~heap_dirty final] builds the delta such that
-    [apply_delta ~base] reproduces [final]. [masks] holds one dirty mask
-    per record, in record order, from the machine's write barrier: a
-    clean slot is {e guaranteed} to hold its base value, so only dirty
-    slots are shipped and no value comparison is made. [None] on any
-    structural mismatch (record count, locations, value counts) — the
-    caller falls back to the full image. *)
+val diff : base:t -> t -> delta option
+(** [diff ~base final] builds the delta such that [apply_delta ~base]
+    reproduces [final], by comparing the two images: it ships each slot
+    whose value differs from the base's (floats compare by their bits,
+    as {!digest} mixes them, so [0.0] → [-0.0] ships) and each heap
+    block that is new or has changed; a block equal to the base's is
+    kept by id. [None] on a shape mismatch (module, record count, a
+    record's location or arity) — the caller falls back to the full
+    image. *)
 
 val apply_delta : base:t -> delta -> t option
 (** Reconstruct the full image. [None] if [base]'s digest does not match

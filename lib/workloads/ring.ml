@@ -198,15 +198,6 @@ let bypass_member bus ~instance ~pred ~succ =
   (* the bypassed member's own out-route stays: a token it holds or has
      queued still drains to [succ] *)
 
-let find_token bus ~members =
-  List.find_map
-    (fun instance ->
-      match Bus.take_queue bus (instance, "in") with
-      | [ Dr_state.Value.Vint v ] -> Some v
-      | [] -> None
-      | _ -> None)
-    members
-
 let tap_history bus =
   List.filter_map int_of_string_opt (Bus.outputs bus ~instance:"tap")
 

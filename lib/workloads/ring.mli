@@ -83,10 +83,6 @@ val bypass_member :
     bypassed member keeps its outgoing route so a token it still holds
     drains to [succ]. *)
 
-val find_token : Dr_bus.Bus.t -> members:string list -> int option
-(** Drain the ring's queues and return the token value, if the token is
-    currently queued (it may instead be inside a member). *)
-
 val tap_history : Dr_bus.Bus.t -> int list
 (** Every token value the tap observer has seen, in order. *)
 

@@ -367,12 +367,7 @@ let test_pin_containers () =
     Arch.all
 
 let test_pin_delta () =
-  let delta =
-    Image.diff ~base:pin_base
-      ~masks:[ [| true; false; true; false |]; [| false; false; false; false |] ]
-      ~heap_dirty:(fun _ -> false)
-      pin_image
-  in
+  let delta = Image.diff ~base:pin_base pin_image in
   match delta with
   | None -> Alcotest.fail "pinned base is not aligned with the pinned image"
   | Some delta ->
