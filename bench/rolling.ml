@@ -6,7 +6,8 @@
 
    - clean and lossy cells (loss 0-20%, masked by the reliable layer on
      the reply routes) upgrade the whole group to the v2 build and must
-     commit with every slot upgraded;
+     commit with every slot upgraded; a lossless cell (the reliable
+     layer over a 0% loss plan) must also retransmit nothing;
    - kill cells crash an old-generation member mid-wave; a supervisor
      restarts it fenced and the wave must still upgrade every slot
      exactly once;
@@ -19,7 +20,9 @@
 
    The universal gate on every cell is the exactly-once-or-shed
    accounting identity: sent = answered + shed, nothing in flight,
-   nothing duplicated. Summarised in BENCH_rolling.json.
+   nothing duplicated. Each cell also reports the reliable layer's
+   retransmissions and suppressed duplicates. Summarised in
+   BENCH_rolling.json.
    Run with: dune exec bench/main.exe -- rolling *)
 
 module Bus = Dr_bus.Bus
@@ -58,6 +61,8 @@ type row = {
   r_wrong : int;
   r_duplicated : int;
   r_inflight : int;
+  r_retx : int;  (* reliable-layer retransmissions *)
+  r_dups : int;  (* duplicate frames the receivers suppressed *)
   r_committed : bool;
   r_rollbacks : int;  (* canary rollbacks across the wave *)
   r_restarts : int;  (* supervisor restarts (kill cells) *)
@@ -88,19 +93,28 @@ let run_cell ~n ~rate ~fault ~seed =
   let roster = Hashtbl.create 8 in
   List.iter (fun (slot, inst) -> Hashtbl.replace roster slot inst) group;
   (* fault plane *)
-  (match fault with
-  | Clean | Bad_canary -> ()
-  | Loss p ->
-    Faults.install bus ~seed (Faults.plan ~rules:[ Faults.rule ~loss:p () ] ());
-    (* replies ride routes and the loss hook; mask it end-to-end *)
-    Reliable.enable_all (Reliable.attach bus)
-  | Kill ->
-    (* kill the LAST slot's original generation while the wave is still
-       busy with the first: its old generation is live when this fires *)
-    let victim = Kv.Replica.slot n in
-    Faults.install bus ~seed
-      (Faults.plan ~events:[ (13.0, Faults.Process_crash victim) ] ())
-  | Ctl_crash i -> Faults.install bus ~seed (Faults.plan ~ctl_crash:i ()));
+  let reliable =
+    match fault with
+    | Clean | Bad_canary -> None
+    | Loss p ->
+      Faults.install bus ~seed
+        (Faults.plan ~rules:[ Faults.rule ~loss:p () ] ());
+      (* replies ride routes and the loss hook; mask it end-to-end *)
+      let r = Reliable.attach bus in
+      Reliable.enable_all r;
+      Some r
+    | Kill ->
+      (* kill the LAST slot's original generation while the wave is
+         still busy with the first: its old generation is live when this
+         fires *)
+      let victim = Kv.Replica.slot n in
+      Faults.install bus ~seed
+        (Faults.plan ~events:[ (13.0, Faults.Process_crash victim) ] ());
+      None
+    | Ctl_crash i ->
+      Faults.install bus ~seed (Faults.plan ~ctl_crash:i ());
+      None
+  in
   let supervisor =
     match fault with
     | Kill -> Some (Supervisor.start bus ~watch:(List.map snd group) ())
@@ -173,6 +187,15 @@ let run_cell ~n ~rate ~fault ~seed =
     Bus.run ~until:(Bus.now bus +. 10.0) bus
   done;
   let s = Kv.Loadgen.stats lg in
+  let retx, dups =
+    match reliable with
+    | None -> (0, 0)
+    | Some r ->
+      ( Reliable.total_retx r,
+        List.fold_left
+          (fun acc (c : Reliable.stats) -> acc + c.st_dups)
+          0 (Reliable.stats r) )
+  in
   let committed, rollbacks, outcomes_ok, any_rolled_back =
     match wave with
     | Error _ -> (false, 0, true, false)
@@ -208,6 +231,7 @@ let run_cell ~n ~rate ~fault ~seed =
   | Clean | Loss _ | Kill ->
     gate "not committed" committed;
     gate "wrong values" (s.st_wrong = 0);
+    if fault = Loss 0.0 then gate "lossless retransmits" (retx = 0);
     if fault = Kill then begin
       gate "no supervisor restart" (restarts >= 1);
       gate "victim not upgraded"
@@ -246,6 +270,8 @@ let run_cell ~n ~rate ~fault ~seed =
     r_wrong = s.st_wrong;
     r_duplicated = s.st_duplicated;
     r_inflight = s.st_inflight;
+    r_retx = retx;
+    r_dups = dups;
     r_committed = committed;
     r_rollbacks = rollbacks;
     r_restarts = restarts;
@@ -266,6 +292,8 @@ let json_of_row r =
         ("wrong", int r.r_wrong);
         ("duplicated", int r.r_duplicated);
         ("inflight", int r.r_inflight);
+        ("retx", int r.r_retx);
+        ("dups", int r.r_dups);
         ("committed", bool r.r_committed);
         ("canary_rollbacks", int r.r_rollbacks);
         ("supervisor_restarts", int r.r_restarts);
@@ -289,16 +317,22 @@ let all () =
         (3, 3.0, Bad_canary); (5, 6.0, Bad_canary);
         (3, 3.0, Ctl_crash 2); (3, 3.0, Ctl_crash 7);
         (3, 3.0, Ctl_crash 12) ]
+    (* last, so that every earlier cell keeps its seed *)
+    @ List.concat_map
+        (fun n -> List.map (fun rate -> (n, rate, Loss 0.0)) [ 3.0; 6.0 ])
+        [ 3; 5 ]
   in
   print_newline ();
   print_endline "==============================================================";
   print_endline "Rolling: autonomous replacement waves under live traffic";
   print_endline
     "gate: sent = answered + shed, zero in flight, zero duplicated";
+  print_endline "gate: a lossless reliable cell retransmits nothing";
   print_endline "==============================================================";
-  Printf.printf "%-14s %2s %5s %6s %9s %5s %6s %4s %5s  %s\n" "fault" "n"
-    "rate" "sent" "answered" "shed" "wrong" "rb" "ok" "detail";
-  Printf.printf "%s\n" (String.make 78 '-');
+  Printf.printf "%-14s %2s %5s %6s %9s %5s %6s %4s %6s %6s %5s  %s\n" "fault"
+    "n" "rate" "sent" "answered" "shed" "wrong" "rb" "retx" "dups" "ok"
+    "detail";
+  Printf.printf "%s\n" (String.make 92 '-');
   let rows = ref [] in
   let failures = ref 0 in
   List.iteri
@@ -306,13 +340,13 @@ let all () =
       let row = run_cell ~n ~rate ~fault ~seed:(11 + i) in
       rows := row :: !rows;
       if not row.r_ok then incr failures;
-      Printf.printf "%-14s %2d %5.1f %6d %9d %5d %6d %4d %5s  %s\n"
+      Printf.printf "%-14s %2d %5.1f %6d %9d %5d %6d %4d %6d %6d %5s  %s\n"
         row.r_fault row.r_n row.r_rate row.r_sent row.r_answered row.r_shed
-        row.r_wrong row.r_rollbacks
+        row.r_wrong row.r_rollbacks row.r_retx row.r_dups
         (if row.r_ok then "yes" else "NO")
         row.r_detail)
     cells;
-  Printf.printf "%s\n" (String.make 78 '-');
+  Printf.printf "%s\n" (String.make 92 '-');
   Printf.printf "cells failed: %d of %d (threshold 0)\n" !failures
     (List.length cells);
   let json =

@@ -84,6 +84,12 @@ type t =
       epoch : int;
       rto : float;
     }
+  | Fast_retransmit of {
+      src : endpoint;
+      dst : endpoint;
+      seq : int;
+      epoch : int;
+    }
   | Channels_transferred of {
       count : int;
       old_instance : string;
@@ -246,7 +252,7 @@ let category = function
   | Started _ | Snapshot_cloned _ | Removed _ -> "lifecycle"
   | Signalled _ -> "signal"
   | Channel_opened _ | Fenced_frame _ | Dup_suppressed _ | Retx_limit _
-  | Retransmit _ | Channels_transferred _ ->
+  | Retransmit _ | Fast_retransmit _ | Channels_transferred _ ->
     "retx"
   | Undo_in_service _ | Undo_restore_failed _ | Undo_restored _
   | Undo_route_removed _ | Undo_route_restored _ | Undo_queue_returned _
@@ -353,6 +359,9 @@ let render = function
   | Retransmit { src; dst; seq; epoch; rto } ->
     sprintf "retransmit on %s: seq %d (epoch %d, rto %.2f)" (route src dst) seq
       epoch rto
+  | Fast_retransmit { src; dst; seq; epoch } ->
+    sprintf "fast retransmit on %s: seq %d (epoch %d)" (route src dst) seq
+      epoch
   | Channels_transferred { count; old_instance; new_instance; fenced } ->
     sprintf "%d channel(s) of %s transferred to %s%s" count old_instance
       new_instance

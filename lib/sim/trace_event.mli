@@ -100,6 +100,12 @@ type t =
       epoch : int;
       rto : float;
     }
+  | Fast_retransmit of {
+      src : endpoint;
+      dst : endpoint;
+      seq : int;
+      epoch : int;
+    }
   | Channels_transferred of {
       count : int;
       old_instance : string;

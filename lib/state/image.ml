@@ -28,15 +28,25 @@ let pop_record t =
 
 let depth t = List.length t.records
 
+(* Floats compare by their bits, as [digest] mixes them: [Value.equal]
+   calls [0.0] and [-0.0] equal, so [equal] would hold between images
+   that digest differently, and a delta that dropped the sign would not
+   rebuild the capture. *)
+let same_value a b =
+  match a, b with
+  | Value.Vfloat x, Value.Vfloat y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
 let equal_block a b =
   Dr_lang.Ast.equal_ty a.elem_ty b.elem_ty
   && Array.length a.cells = Array.length b.cells
-  && Array.for_all2 Value.equal a.cells b.cells
+  && Array.for_all2 same_value a.cells b.cells
 
 let equal_record a b =
   a.location = b.location
   && List.length a.values = List.length b.values
-  && List.for_all2 Value.equal a.values b.values
+  && List.for_all2 same_value a.values b.values
 
 let equal a b =
   String.equal a.source_module b.source_module
@@ -213,20 +223,6 @@ type delta = {
   d_heap_keep : int list;
 }
 
-(* Floats compare by their bits, as [digest] mixes them: [Value.equal]
-   calls [0.0] and [-0.0] equal, and a delta that dropped the sign would
-   not rebuild the capture. *)
-let same_value a b =
-  match a, b with
-  | Value.Vfloat x, Value.Vfloat y ->
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | _ -> Value.equal a b
-
-let same_block a b =
-  Dr_lang.Ast.equal_ty a.elem_ty b.elem_ty
-  && Array.length a.cells = Array.length b.cells
-  && Array.for_all2 same_value a.cells b.cells
-
 let diff ~base (final : t) =
   let same_shape =
     String.equal base.source_module final.source_module
@@ -251,7 +247,7 @@ let diff ~base (final : t) =
     List.iter
       (fun (id, block) ->
         match List.assoc_opt id base.heap with
-        | Some kept when same_block kept block -> heap_keep := id :: !heap_keep
+        | Some kept when equal_block kept block -> heap_keep := id :: !heap_keep
         | _ -> heap_new := (id, block) :: !heap_new)
       final.heap;
     Some

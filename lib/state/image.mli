@@ -41,6 +41,8 @@ val pop_record : t -> (record * t) option
 val depth : t -> int
 
 val equal : t -> t -> bool
+(** Structural equality. Floats compare by their bits, as {!digest}
+    mixes them, so [0.0] and [-0.0] differ. *)
 
 val digest : t -> int64
 (** Structural 64-bit digest (FNV-1a mixing) over everything {!equal}

@@ -206,6 +206,31 @@ let test_byte_size_monotone () =
   Alcotest.(check bool) "adding a record grows the image" true
     (Image.byte_size bigger > Image.byte_size small)
 
+let test_signed_zeros_differ () =
+  (* [equal a b] implies [digest a = digest b], so a float's sign counts
+     in a record slot and in a heap cell alike *)
+  let in_record v =
+    Image.make ~source_module:"m"
+      ~records:[ { Image.location = 1; values = [ Value.Vint 1; Vfloat v ] } ]
+      ~heap:[]
+  in
+  let in_cell v =
+    Image.make ~source_module:"m" ~records:[]
+      ~heap:
+        [ ( 0,
+            { Image.elem_ty = Dr_lang.Ast.Tfloat;
+              cells = [| Value.Vfloat v |] } ) ]
+  in
+  List.iter
+    (fun (where, make) ->
+      let pos = make 0.0 and neg = make (-0.0) in
+      Alcotest.(check bool) (where ^ ": unequal") false (Image.equal pos neg);
+      Alcotest.(check bool) (where ^ ": digests differ") false
+        (Int64.equal (Image.digest pos) (Image.digest neg));
+      Alcotest.(check bool) (where ^ ": a copy is equal") true
+        (Image.equal neg (make (-0.0))))
+    [ ("record slot", in_record); ("heap cell", in_cell) ]
+
 (* ------------------------------------------- delta container (DRIMGD1) *)
 
 let sample_delta =
@@ -451,7 +476,9 @@ let () =
         [ Alcotest.test_case "push/pop LIFO" `Quick test_image_push_pop;
           Alcotest.test_case "gather blocks" `Quick
             test_gather_blocks_sharing_and_cycles;
-          Alcotest.test_case "byte size" `Quick test_byte_size_monotone ] );
+          Alcotest.test_case "byte size" `Quick test_byte_size_monotone;
+          Alcotest.test_case "signed zeros differ" `Quick
+            test_signed_zeros_differ ] );
       (* a group name longer than "properties" widens the printed name
          column and truncates the longest property's name *)
       ( "pins",

@@ -340,6 +340,9 @@ let trace_event_pins =
           epoch = 1;
           rto = 4.125 },
       "retx", "retransmit on s1.out -> rsink.in: seq 12 (epoch 1, rto 4.12)");
+    ( E.Fast_retransmit
+        { src = ("s1", "out"); dst = ("rsink", "in"); seq = 13; epoch = 1 },
+      "retx", "fast retransmit on s1.out -> rsink.in: seq 13 (epoch 1)");
     ( E.Channels_transferred
         { count = 2;
           old_instance = "s1";
