@@ -11,8 +11,8 @@
    Every cell asserts the decomposition identity: the phase durations
    must tile the root span exactly (total = signal + drain + capture +
    translate + restore), i.e. the observability plane accounts for the
-   whole window with no gap and no overlap. Pre-copy adds only
-   zero-width markers, so the identity holds in every mode.
+   whole window with no gap and no overlap. Pre-copy adds only a
+   zero-width marker, so the identity holds in every mode.
 
    Gates (non-zero exit on failure): pre-copy must never widen the
    window, and at depth 128 / payload 64 it must cut the window by at
@@ -25,7 +25,7 @@ module Synthetic = Dr_workloads.Synthetic
 module I = Dr_transform.Instrument
 
 (* Monitor's hosts plus a second x86_64 host, so the sweep has a
-   same-architecture destination where delta images can apply. *)
+   same-architecture destination, where translation is zero-copy. *)
 let hosts =
   Dr_workloads.Monitor.hosts
   @ [ { Bus.host_name = "hostD"; arch = Dr_state.Arch.x86_64 } ]
@@ -36,7 +36,7 @@ type cell = {
   c_dst : string;      (* destination host *)
   c_precopy : bool;
   c_bytes_in : int;    (* abstract image size leaving hostA *)
-  c_bytes_out : int;   (* after translation / delta encoding *)
+  c_bytes_out : int;   (* after translation *)
   c_signal : float;
   c_drain : float;
   c_capture : float;
@@ -44,9 +44,6 @@ type cell = {
   c_restore : float;
   c_total : float;
   c_precopy_wait : float;   (* service time before the freeze signal *)
-  c_delta_fallback : string;  (* "", or none/cross_arch/misaligned/... *)
-  c_delta_slots : int;
-  c_delta_bytes : int;
 }
 
 let dur name span =
@@ -118,15 +115,11 @@ let run_cell ~depth ~payload ~dst ~precopy =
            (List.length roots))
   in
   let translate = child root "translate" in
-  let precopy_wait, delta_fallback, delta_slots, delta_bytes =
-    match child_opt root "precopy", child_opt root "delta" with
-    | Some pc, Some dc ->
-      ( float_of_string (attr pc "wait"),
-        attr dc "fallback",
-        int_attr dc "delta_slots",
-        int_attr dc "delta_bytes" )
-    | _ when precopy -> failwith "disruption: precopy run lacks marker spans"
-    | _ -> (0.0, "", 0, 0)
+  let precopy_wait =
+    match child_opt root "precopy" with
+    | Some pc -> float_of_string (attr pc "wait")
+    | None when precopy -> failwith "disruption: precopy run lacks its marker"
+    | None -> 0.0
   in
   let cell =
     { c_depth = depth;
@@ -141,10 +134,7 @@ let run_cell ~depth ~payload ~dst ~precopy =
       c_translate = dur "translate" translate;
       c_restore = dur "restore" (child root "restore");
       c_total = dur "migrate" root;
-      c_precopy_wait = precopy_wait;
-      c_delta_fallback = delta_fallback;
-      c_delta_slots = delta_slots;
-      c_delta_bytes = delta_bytes }
+      c_precopy_wait = precopy_wait }
   in
   let sum =
     cell.c_signal +. cell.c_drain +. cell.c_capture +. cell.c_translate
@@ -172,10 +162,7 @@ let cell_json c =
       ("translate", Json_out.float c.c_translate);
       ("restore", Json_out.float c.c_restore);
       ("total", Json_out.float c.c_total);
-      ("precopy_wait", Json_out.float c.c_precopy_wait);
-      ("delta_fallback", Json_out.str c.c_delta_fallback);
-      ("delta_slots", Json_out.int c.c_delta_slots);
-      ("delta_bytes", Json_out.int c.c_delta_bytes) ]
+      ("precopy_wait", Json_out.float c.c_precopy_wait) ]
 
 let all () =
   print_newline ();
@@ -202,18 +189,18 @@ let all () =
           payloads)
       depths
   in
-  Printf.printf "%6s %8s %6s %9s %10s %9s %8s %7s %11s\n" "depth" "payload"
-    "dst" "off_total" "on_total" "speedup" "pc_wait" "d_slots" "fallback";
-  Printf.printf "%s\n" (String.make 82 '-');
+  Printf.printf "%6s %8s %6s %9s %10s %9s %8s\n" "depth" "payload" "dst"
+    "off_total" "on_total" "speedup" "pc_wait";
+  Printf.printf "%s\n" (String.make 62 '-');
   List.iter
     (fun (off, on) ->
       let speedup =
         if on.c_total <= 0.0 then "     inf "
         else Printf.sprintf "%8.2fx" (off.c_total /. on.c_total)
       in
-      Printf.printf "%6d %8d %6s %9.3f %10.3f %s %8.3f %7d %11s\n" off.c_depth
+      Printf.printf "%6d %8d %6s %9.3f %10.3f %s %8.3f\n" off.c_depth
         off.c_payload off.c_dst off.c_total on.c_total speedup
-        on.c_precopy_wait on.c_delta_slots on.c_delta_fallback)
+        on.c_precopy_wait)
     rows;
   print_endline
     "(each cell checked: phases tile the window — total = signal + drain";

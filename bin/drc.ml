@@ -316,11 +316,9 @@ let precopy_arg =
     value & flag
     & info [ "precopy" ]
         ~doc:
-          "Live pre-copy for --migrate: let the module serve on to its next \
-           reconfiguration point and snapshot its state there, then freeze \
-           and ship only the slots changed since (a cross-architecture move \
-           takes no snapshot and ships the full image). Shrinks the \
-           disruption window; the outcome is unchanged.")
+          "Live pre-copy: let the module serve on to its next \
+           reconfiguration point, then freeze it there and ship its full \
+           image. Shrinks the disruption window; the outcome is unchanged.")
 
 let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the bus trace.")
 

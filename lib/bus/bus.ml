@@ -348,7 +348,6 @@ let host_is_down t name = Hashtbl.mem t.down_hosts name
    reliable-delivery layer installs one); [None] is the plain
    fire-and-forget bus, byte-for-byte. *)
 let set_transport t transport = t.transport <- Some transport
-let clear_transport t = t.transport <- None
 let has_transport t = Option.is_some t.transport
 
 (* How long the reliable layer's retransmission timers have kept frames

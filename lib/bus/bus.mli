@@ -270,8 +270,6 @@ type transport = {
 
 val set_transport : t -> transport -> unit
 
-val clear_transport : t -> unit
-
 val has_transport : t -> bool
 
 val transport_rename :

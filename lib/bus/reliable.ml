@@ -451,8 +451,6 @@ let attach ?(params = default_params) bus =
   | None -> ());
   t
 
-let detach t = Bus.clear_transport t.bus
-
 let enable_all t = t.cover_all <- true
 
 let enable_route t ~src ~dst =

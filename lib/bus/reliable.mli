@@ -53,10 +53,6 @@ val attach : ?params:params -> Bus.t -> t
 (** Install the layer as the bus transport. No route is reliable until
     {!enable_route} or {!enable_all}. *)
 
-val detach : t -> unit
-(** Uninstall; the bus reverts to fire-and-forget. In-flight channel
-    state is abandoned. *)
-
 val enable_all : t -> unit
 (** Every route gets a reliable channel, created on first send. *)
 
@@ -88,9 +84,3 @@ val total_retx : t -> int
 
 val total_unacked : t -> int
 
-val retx_wait_to : t -> instance:string -> float
-(** Accumulated retransmission-timer wait on channels towards
-    [instance] — what the bus exposes as
-    {!Bus.transport_retx_wait}. The reconfiguration scripts sample it
-    around the drain phase to report how much of the quiescence wait
-    was really reliable-layer backoff ([drain.retransmit]). *)

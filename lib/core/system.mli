@@ -87,9 +87,8 @@ val replace :
     transactional rollback, and re-attempts with virtual-time backoff.
     When a deadline or retry policy is given the run is no longer
     fail-fast on a crashed target — the script's own deadline governs.
-    [precopy] (default [false]) snapshots the running state at the
-    target's next reconfiguration point before the freeze signal, so
-    the frozen capture ships only dirtied slots
+    [precopy] (default [false]) lets the target serve on to its next
+    reconfiguration point before the freeze signal
     ({!Dr_reconfig.Script.replace}). *)
 
 val replicate :

@@ -83,7 +83,7 @@ type t = {
   mutable frames_rebuilt : int;
   (* One-shot hook parked at the next reconfiguration-point gate the
      machine executes: cleared before it runs. Used by the controller
-     for live pre-copy capture at point granularity. *)
+     to arm a pre-copy freeze at point granularity. *)
   mutable point_hook : (unit -> unit) option;
 }
 
@@ -534,7 +534,7 @@ let rec exec_instr t frame (instr : R.rinstr) =
     advance ()
   | Rpoint_gate inner ->
     (* A reconfiguration-point gate: fire the controller's one-shot hook
-       (live pre-copy capture), then run the wrapped instruction. Counts
+       (pre-copy signals from it), then run the wrapped instruction. Counts
        as the one instruction it wraps — the tracer and golden traces
        see the original source instruction. *)
     (match t.point_hook with
@@ -694,91 +694,9 @@ let step t = ignore (exec_budget t 1)
 
 let run ?(max_steps = max_int) t = ignore (exec_budget t max_steps)
 
-(* ------------------------------------------------- live pre-copy API *)
+(* ------------------------------------------------------ pre-copy hook *)
 
 let set_point_hook t hook = t.point_hook <- hook
-
-(* Non-destructively capture the image the machine *would* divulge if it
-   froze right now. Only valid when the machine is parked at a
-   reconfiguration-point gate (the point hook fires there): the capture
-   arguments of the innermost frame's point block — and of each
-   suspended caller's call-capture block — are read directly, without
-   executing anything. Lowered layout (see Transform.Instrument):
-
-     point block:  gate(pc) reconfig:=false capturestack:=true  mh_capture
-     call  block:  cjump(capturestack)  mh_capture
-
-   so the innermost capture instruction sits at pc+3 and each suspended
-   caller's at its saved pc+1. A caller rebuilt by a restore block is
-   parked on that block's [jump] to the call-capture block instead, so
-   the jump is followed first. Any deviation — a non-gate pc, a capture
-   argument that is not a plain slot — returns [None] and the controller
-   falls back to the freeze-and-capture path. Heap cells are deep-copied
-   because the machine keeps running and will mutate them. *)
-let live_capture t =
-  match t.stack with
-  | [] -> None
-  | innermost :: outer ->
-    let gate_ok =
-      innermost.pc >= 0
-      && innermost.pc < Array.length innermost.rproc.rp_instrs
-      &&
-      match innermost.rproc.rp_instrs.(innermost.pc) with
-      | R.Rpoint_gate _ -> true
-      | _ -> false
-    in
-    if not gate_ok then None
-    else begin
-      let exception Fallback in
-      let record_of frame capture_pc =
-        if capture_pc < 0 || capture_pc >= Array.length frame.rproc.rp_instrs
-        then raise Fallback;
-        match frame.rproc.rp_instrs.(capture_pc) with
-        | R.Rbuiltin_stmt
-            ("mh_capture", R.Raexpr (R.Rconst (Value.Vint location)) :: rest)
-          ->
-          let values =
-            List.map
-              (function
-                | R.Raexpr (R.Rframe i) -> frame.slots.(i).cv
-                | R.Raexpr (R.Rglobal i) -> t.globals.(i).cv
-                | _ -> raise Fallback)
-              rest
-          in
-          { Image.location; values }
-        | _ -> raise Fallback
-      in
-      let resume_pc frame =
-        if frame.pc >= 0 && frame.pc < Array.length frame.rproc.rp_instrs then
-          match frame.rproc.rp_instrs.(frame.pc) with
-          | R.Rjump target -> target
-          | _ -> frame.pc
-        else frame.pc
-      in
-      try
-        (* Image record order: deepest frame first, main last — the same
-           order [build_image] produces. *)
-        let records =
-          record_of innermost (innermost.pc + 3)
-          :: List.map (fun f -> record_of f (resume_pc f + 1)) outer
-        in
-        let roots =
-          List.concat_map (fun (r : Image.record) -> r.values) records
-        in
-        let heap =
-          Image.gather_blocks
-            ~lookup:(fun id -> Hashtbl.find_opt t.heap id)
-            roots
-        in
-        let heap =
-          List.map
-            (fun (id, (b : Image.heap_block)) ->
-              (id, { Image.elem_ty = b.elem_ty; cells = Array.copy b.cells }))
-            heap
-        in
-        Some (Image.make ~source_module:t.prog.module_name ~records ~heap)
-      with Fallback -> None
-    end
 
 (* ---------------------------------------------------- baseline support *)
 

@@ -127,28 +127,16 @@ val set_tracer : t -> (string -> int -> Ir.instr -> unit) option -> unit
 
 val pp_status : Format.formatter -> status -> unit
 
-(** {2 Live pre-copy capture}
+(** {2 Pre-copy hook}
 
-    The controller can snapshot a running instance's divulgable state
-    {e without} freezing it. Protocol: park a hook at the next
-    reconfiguration point ({!set_point_hook}) and, in the hook,
-    {!live_capture} the base image. Which slots a delta ships is decided
-    later, over the abstract image alone: {!Dr_state.Image.diff}
-    compares the real (frozen) capture with the base. *)
+    The controller can let a running instance serve on until its next
+    reconfiguration point before freezing it: it parks a hook there
+    ({!set_point_hook}) and signals from inside it. *)
 
 val set_point_hook : t -> (unit -> unit) option -> unit
 (** One-shot hook fired the next time execution reaches a
     reconfiguration-point gate (before the point's own logic runs);
     cleared before it is invoked. *)
-
-val live_capture : t -> Dr_state.Image.t option
-(** Non-destructive capture of the image the machine would divulge if
-    frozen at the current reconfiguration point. Only meaningful from
-    inside a point hook (the machine must be parked at the gate);
-    [None] whenever the state cannot be read without executing —
-    callers fall back to the ordinary freeze path. A restored clone
-    gives a base like an original: a caller frame rebuilt by a restore
-    block is read through the block's jump to its call site. *)
 
 (** {1 Support for the baseline systems (paper §4)} *)
 

@@ -74,7 +74,7 @@ type rinstr =
       (* the conditional jump opening an instrumented reconfiguration
          point's capture block (the transform labels it "_Pj"): executes
          exactly like the wrapped instruction, but the machine can park a
-         one-shot observation hook here (live pre-copy capture) that
+         one-shot observation hook here (pre-copy's freeze) that
          fires when control reaches the point *)
 
 (* Superinstructions: maximal straight-line runs pre-joined at resolve

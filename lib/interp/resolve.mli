@@ -60,7 +60,7 @@ type rinstr =
       (** the gate opening an instrumented reconfiguration point's
           capture block ("_Pj" label): executes exactly like the wrapped
           instruction, but the machine can park a one-shot hook here
-          (live pre-copy capture) that fires when control reaches the
+          (pre-copy's freeze) that fires when control reaches the
           point *)
 
 (** Superinstructions: maximal straight-line runs (up to

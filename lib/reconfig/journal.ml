@@ -20,8 +20,6 @@ type entry = Persist.entry =
   | Armed_divulge of string
   | Divulged of { d_cap : Primitives.module_cap; d_image : Image.t }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
-  | Precopy_base of { pb_instance : string; pb_image : Image.t }
-  | Divulged_delta of { dd_cap : Primitives.module_cap; dd_delta : Image.delta }
 
 type t = {
   bus : Bus.t;
@@ -153,32 +151,12 @@ let arm_divulge t ~instance callback =
   logged_op t (Armed_divulge instance) (fun () ->
       Bus.on_divulge t.bus ~instance callback)
 
-let note_precopy_base t ~instance ~image =
-  (* no bus operation — the pre-copy snapshot goes to the log so a later
-     Divulged_delta can be resolved against it on recovery. Nothing to
-     undo: a base that never gains a delta is inert. *)
-  logged_op t (Precopy_base { pb_instance = instance; pb_image = image })
-    (fun () -> ())
-
-let note_divulged ?delta t ~cap ~image =
+let note_divulged t ~cap ~image =
   (* no bus operation — the record spills the divulged image (its own
      DRIMG2 checksum inside the log record's CRC) so recovery can
      return the old instance to service; it is the script's one copy,
-     which a later [Killed] undo re-deposits too. With [?delta]
-     (pre-copy path) only the dirtied slots hit the wire as a DRIMGD1
-     container; the in-memory journal still holds the full image, so
-     rollback never depends on delta resolution. *)
-  match delta with
-  | None -> logged_op t (Divulged { d_cap = cap; d_image = image }) (fun () -> ())
-  | Some d ->
-    let logged =
-      log t
-        (Persist.Entry
-           { sid = t.sid;
-             entry = Divulged_delta { dd_cap = cap; dd_delta = d } })
-    in
-    push t (Divulged { d_cap = cap; d_image = image });
-    if logged then Bus.ctl_tick t.bus
+     which a later [Killed] undo re-deposits too *)
+  logged_op t (Divulged { d_cap = cap; d_image = image }) (fun () -> ())
 
 (* Deliberately a complete no-op (no journal entry, no bus call) when
    no transport is installed: on the classic fire-and-forget bus a
@@ -236,8 +214,7 @@ let restore_instance t ~step ~restored ~instance ~module_name ~host ?spec ~image
 
 (* The image a [Killed] undo re-deposits: the newest one [instance]
    divulged in this script. The log holds it once, in the [Divulged]
-   entry (scan has already resolved a [Divulged_delta] to one); a
-   stateless kill finds none. *)
+   entry; a stateless kill finds none. *)
 let divulged_image entries ~instance =
   List.find_map
     (function
@@ -283,17 +260,6 @@ let undo t ~step ~restored ~entries = function
     Bus.record t.bus
       (E.Undo_transport_returned
          { step; from_instance = rt_new; to_instance = rt_old })
-  | Precopy_base { pb_instance; _ } ->
-    (* a snapshot of a still-running instance: nothing was changed *)
-    Bus.record t.bus (E.Undo_precopy_discarded { step; instance = pb_instance })
-  | Divulged_delta { dd_cap; _ } ->
-    (* never in a live journal (note_divulged keeps the full image in
-       memory) — only a recovery that failed to resolve the base could
-       surface one, and scan rejects that earlier. Nothing sound to
-       restore from a bare delta. *)
-    Bus.record t.bus
-      (E.Undo_unresolved_delta
-         { step; instance = dd_cap.Primitives.cap_instance })
   | Divulged { d_cap; d_image } ->
     (* The target complied: it divulged and is halting — it may even
        still be [Ready], winding down the tail of the quantum that

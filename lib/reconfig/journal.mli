@@ -50,11 +50,6 @@ type entry = Persist.entry =
       d_image : Dr_state.Image.t;
     }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
-  | Precopy_base of { pb_instance : string; pb_image : Dr_state.Image.t }
-  | Divulged_delta of {
-      dd_cap : Primitives.module_cap;
-      dd_delta : Dr_state.Image.delta;
-    }
 
 type t
 
@@ -119,25 +114,13 @@ val arm_divulge : t -> instance:string -> (Dr_state.Image.t -> unit) -> unit
 (** {!Dr_bus.Bus.on_divulge} through the journal; undo disarms the
     callback if it has not fired. *)
 
-val note_precopy_base :
-  t -> instance:string -> image:Dr_state.Image.t -> unit
-(** Persist a live pre-copy snapshot of a still-running [instance].
-    Nothing applied, nothing to undo — the record exists so a later
-    delta divulge ({!note_divulged} [?delta]) resolves on recovery. *)
-
 val note_divulged :
-  ?delta:Dr_state.Image.delta ->
-  t ->
-  cap:Primitives.module_cap ->
-  image:Dr_state.Image.t ->
-  unit
+  t -> cap:Primitives.module_cap -> image:Dr_state.Image.t -> unit
 (** Record that the target complied: it divulged [image] and is halting.
     Undo returns it to service — kill the halted shell, respawn it under
     its own name on its own host, re-deposit [image], and re-inject the
     messages parked at its interfaces — unless a later journal entry
-    already restored it. With [?delta], only the dirtied slots are
-    written to the log (a [Divulged_delta] against the pre-copy base);
-    the in-memory undo entry still carries the full [image]. *)
+    already restored it. *)
 
 val rebind : t -> Primitives.bind_batch -> unit
 (** Apply a rebinding batch through the journal, command by command, in

@@ -21,8 +21,6 @@ type entry =
   | Armed_divulge of string
   | Divulged of { d_cap : Primitives.module_cap; d_image : Image.t }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
-  | Precopy_base of { pb_instance : string; pb_image : Image.t }
-  | Divulged_delta of { dd_cap : Primitives.module_cap; dd_delta : Image.delta }
 
 type record =
   | Begin of { sid : int; label : string }
@@ -79,12 +77,10 @@ let r_bool r = Bin_util.read_u8 r <> 0
 let w_image buf image =
   Wire.write_string buf (Bytes.unsafe_to_string (Codec.encode_abstract image))
 
-(* An embedded container, copied once out of the record. The string is
-   fresh and never escapes, so viewing it as bytes is safe. *)
-let r_container r = Bytes.unsafe_of_string (Wire.read_string r)
-
+(* The embedded container is copied once out of the record. The string
+   is fresh and never escapes, so viewing it as bytes is safe. *)
 let r_image r =
-  match Codec.decode_abstract (r_container r) with
+  match Codec.decode_abstract (Bytes.unsafe_of_string (Wire.read_string r)) with
   | Ok image -> image
   | Error e -> malformed "embedded image: %s" e
 
@@ -165,8 +161,9 @@ let w_entry buf = function
     Bin_util.write_u8 buf 5;
     Wire.write_string buf instance
   | Killed { k_instance; k_module; k_host; k_spec; k_queues } ->
-    (* tag 6 was the layout that also carried an image: retired, so an
-       old log fails to decode instead of being mis-read *)
+    (* tag 6 was the layout that also carried an image, and tags 10 and
+       11 the pre-copy base and delta divulge: all retired, so an old
+       log fails to decode instead of being mis-read *)
     Bin_util.write_u8 buf 12;
     Wire.write_string buf k_instance;
     Wire.write_string buf k_module;
@@ -185,16 +182,6 @@ let w_entry buf = function
     Wire.write_string buf rt_old;
     Wire.write_string buf rt_new;
     w_bool buf rt_fence
-  | Precopy_base { pb_instance; pb_image } ->
-    Bin_util.write_u8 buf 10;
-    Wire.write_string buf pb_instance;
-    w_image buf pb_image
-  | Divulged_delta { dd_cap; dd_delta } ->
-    Bin_util.write_u8 buf 11;
-    w_cap buf dd_cap;
-    (* like images, deltas travel as complete DRIMGD1 containers *)
-    Wire.write_string buf
-      (Bytes.unsafe_to_string (Codec.encode_delta dd_delta))
 
 let r_entry r =
   match Bin_util.read_u8 r with
@@ -225,18 +212,6 @@ let r_entry r =
     let rt_new = Wire.read_string r in
     let rt_fence = r_bool r in
     Renamed_transport { rt_old; rt_new; rt_fence }
-  | 10 ->
-    let pb_instance = Wire.read_string r in
-    let pb_image = r_image r in
-    Precopy_base { pb_instance; pb_image }
-  | 11 ->
-    let dd_cap = r_cap r in
-    let dd_delta =
-      match Codec.decode_delta (r_container r) with
-      | Ok d -> d
-      | Error e -> malformed "embedded delta: %s" e
-    in
-    Divulged_delta { dd_cap; dd_delta }
   | 12 ->
     let k_instance = Wire.read_string r in
     let k_module = Wire.read_string r in
@@ -368,14 +343,6 @@ let describe_entry = function
   | Renamed_transport { rt_old; rt_new; rt_fence } ->
     Printf.sprintf "renamed transport %s -> %s%s" rt_old rt_new
       (if rt_fence then " (fenced)" else "")
-  | Precopy_base { pb_instance; pb_image } ->
-    Printf.sprintf "pre-copy base of %s: %d byte(s), digest %016Lx"
-      pb_instance (Image.byte_size pb_image) (Image.digest pb_image)
-  | Divulged_delta { dd_cap; dd_delta } ->
-    Printf.sprintf "%s divulged delta: %d slot(s), %d byte(s), base %016Lx"
-      dd_cap.Primitives.cap_instance
-      (List.length dd_delta.Image.d_slots)
-      (Image.delta_byte_size dd_delta) dd_delta.Image.d_base_digest
 
 let describe = function
   | Begin { sid; label } -> Printf.sprintf "begin   #%d %s" sid label

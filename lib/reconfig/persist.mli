@@ -9,14 +9,14 @@
     grammar after a controller crash.
 
     Everything rides the abstract wire layout ({!Dr_state.Codec.Wire}:
-    big-endian, 64-bit, tagged values); state images inside [Divulged]
-    and [Precopy_base] entries are spilled as complete DRIMG2 containers
-    ({!Dr_state.Codec.encode_abstract}), and a [Divulged_delta] as a
-    DRIMGD1 one, so each carries its own CRC in addition to the log
-    record's framing checksum. A script logs its divulged image once: a
-    [Killed] entry carries none, and its undo takes the image the same
-    instance divulged earlier in the script. Module specifications
-    round-trip through the MIL pretty-printer/parser.
+    big-endian, 64-bit, tagged values); the state image inside a
+    [Divulged] entry is spilled as a complete DRIMG2 container
+    ({!Dr_state.Codec.encode_abstract}), so it carries its own CRC in
+    addition to the log record's framing checksum. A script logs its
+    divulged image once: a [Killed] entry carries none, and its undo
+    takes the image the same instance divulged earlier in the script.
+    Module specifications round-trip through the MIL
+    pretty-printer/parser.
 
     The journal {e entry} type lives here (not in {!Journal}) so the
     codec and the journal don't depend on each other; {!Journal}
@@ -38,15 +38,6 @@ type entry =
   | Armed_divulge of string
   | Divulged of { d_cap : Primitives.module_cap; d_image : Dr_state.Image.t }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
-  | Precopy_base of { pb_instance : string; pb_image : Dr_state.Image.t }
-      (** live pre-copy snapshot taken before the freeze; recovery keys
-          it by digest to resolve later [Divulged_delta] entries *)
-  | Divulged_delta of {
-      dd_cap : Primitives.module_cap;
-      dd_delta : Dr_state.Image.delta;
-    }
-      (** a divulge persisted as dirtied-slots-only (DRIMGD1) against
-          the pre-copy base named by [dd_delta.d_base_digest] *)
 
 type record =
   | Begin of { sid : int; label : string }
@@ -83,8 +74,6 @@ val decode : kind:int -> bytes -> (record, string) result
 (** Inverse of {!encode} on the WAL's [(kind, body)] pair. Trailing
     bytes, unknown tags, and embedded image/spec damage all fail with a
     descriptive error — never a mis-parse. *)
-
-val sid_of : record -> int
 
 val describe : record -> string
 (** One-line human summary (for [drc recover] inspection). *)

@@ -29,31 +29,7 @@ type acc = {
 let scan wal =
   let scripts : (int, acc) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
-  (* pre-copy bases seen so far, keyed by image digest: a Divulged_delta
-     is resolved to a full Divulged entry the moment it is read (its
-     base always precedes it in log order), so everything downstream of
-     scan — undo, inspection — works on complete images *)
-  let bases : (int64, Dr_state.Image.t) Hashtbl.t = Hashtbl.create 4 in
   let fail fmt = Format.kasprintf (fun s -> failwith s) fmt in
-  let resolve_entry lsn (entry : Persist.entry) =
-    match entry with
-    | Persist.Precopy_base { pb_image; _ } ->
-      Hashtbl.replace bases (Dr_state.Image.digest pb_image) pb_image;
-      entry
-    | Persist.Divulged_delta { dd_cap; dd_delta } -> (
-      match Hashtbl.find_opt bases dd_delta.Dr_state.Image.d_base_digest with
-      | None ->
-        fail "lsn %d: delta divulge of %s references unknown base %016Lx" lsn
-          dd_cap.Primitives.cap_instance dd_delta.Dr_state.Image.d_base_digest
-      | Some base -> (
-        match Dr_state.Image.apply_delta ~base dd_delta with
-        | Some image -> Persist.Divulged { d_cap = dd_cap; d_image = image }
-        | None ->
-          fail "lsn %d: delta divulge of %s does not apply to base %016Lx" lsn
-            dd_cap.Primitives.cap_instance
-            dd_delta.Dr_state.Image.d_base_digest))
-    | _ -> entry
-  in
   let lookup ~what lsn sid =
     match Hashtbl.find_opt scripts sid with
     | Some a -> a
@@ -92,7 +68,7 @@ let scan wal =
               fail "lsn %d: entry after terminator for script #%d" lsn sid;
             if Option.is_some a.a_abort then
               fail "lsn %d: entry during rollback of script #%d" lsn sid;
-            a.a_entries <- resolve_entry lsn entry :: a.a_entries
+            a.a_entries <- entry :: a.a_entries
           | Persist.Commit { sid } ->
             let a = lookup ~what:"commit" lsn sid in
             if terminated a || Option.is_some a.a_abort then

@@ -2,7 +2,6 @@ module P = Primitives
 module Bus = Dr_bus.Bus
 module E = Dr_sim.Trace_event
 module Image = Dr_state.Image
-module Codec = Dr_state.Codec
 module Metrics = Dr_obs.Metrics
 module Machine = Dr_interp.Machine
 
@@ -45,16 +44,14 @@ let fail_span bus sp reason =
    Pre-copy runs open the root span at the freeze (the old machine's
    capture stamp) rather than at the signal: until the capture block
    ran, the module was still serving, so the signal and drain children
-   collapse to zero width. They add two zero-width markers: [precopy]
-   (how long the module kept serving after the request, the [wait]
-   attr, and how big the live base snapshot was when one was taken) and
-   [delta] (how much of the capture actually shipped, or why the full
-   image stayed authoritative). The identity total == signal + drain +
-   capture + translate + restore holds in every mode. [retx_wait] is
-   the reliable layer's retransmission backoff accumulated inside the
-   window — the part of drain that is network stall, not quiescence. *)
+   collapse to zero width. They add one zero-width [precopy] marker
+   whose [wait] attr is how long the module kept serving after the
+   request. The identity total == signal + drain + capture + translate
+   + restore holds in every mode. [retx_wait] is the reliable layer's
+   retransmission backoff accumulated inside the window — the part of
+   drain that is network stall, not quiescence. *)
 let divulge_children bus sp ~t0 ~old_machine ~restored_instance ~bytes_in
-    ~bytes_out ?precopy ?delta ?retx_wait () =
+    ~bytes_out ?precopy_wait ?retx_wait () =
   match sp with
   | None -> ()
   | Some s ->
@@ -84,24 +81,11 @@ let divulge_children bus sp ~t0 ~old_machine ~restored_instance ~bytes_in
     | _ -> ());
     Metrics.finish dr ~at:t_cap;
     interval "capture" t_cap t_div;
-    (match precopy with
-    | Some (wait, base) ->
+    (match precopy_wait with
+    | Some wait ->
       let pc = Metrics.child s ~kind:"precopy" ~start:t_div () in
-      (match base with
-      | Some (base_bytes, base_records) ->
-        Metrics.set_attr pc "base_bytes" (string_of_int base_bytes);
-        Metrics.set_attr pc "base_records" (string_of_int base_records)
-      | None -> ());
       Metrics.set_attr pc "wait" (Printf.sprintf "%.3f" wait);
       Metrics.finish pc ~at:t_div
-    | None -> ());
-    (match delta with
-    | Some (fallback, slots, bytes) ->
-      let dc = Metrics.child s ~kind:"delta" ~start:t_div () in
-      Metrics.set_attr dc "fallback" fallback;
-      Metrics.set_attr dc "delta_slots" (string_of_int slots);
-      Metrics.set_attr dc "delta_bytes" (string_of_int bytes);
-      Metrics.finish dc ~at:t_div
     | None -> ());
     let tr = Metrics.child s ~kind:"translate" ~start:t_div () in
     Metrics.set_attr tr "bytes_in" (string_of_int bytes_in);
@@ -121,13 +105,6 @@ let divulge_children bus sp ~t0 ~old_machine ~restored_instance ~bytes_in
 type retry = { attempts : int; backoff : float; alt_hosts : string list }
 
 let no_retry = { attempts = 1; backoff = 0.0; alt_hosts = [] }
-
-(* Would translating an image from [src] to [dst] be the identity? Only
-   then can a pre-copy delta stand in for the full image. *)
-let same_layout bus src dst =
-  match Bus.find_host bus src, Bus.find_host bus dst with
-  | Some s, Some d -> Codec.Native.same_layout s.Bus.arch d.Bus.arch
-  | _ -> false
 
 (* The rebinding batch of Fig. 5: for every interface of the old module,
    retarget outgoing and incoming routes to the new instance of the same
@@ -161,13 +138,10 @@ let rebind_batch (cap : P.module_cap) ~new_instance =
 
    With [~precopy:true] the freeze signal is deferred: a one-shot hook
    parks at the target's next reconfiguration point, records how long
-   the module served until then, snapshots the running state there
-   ({!Machine.live_capture}) when the move is same-layout, and only then
-   signals. The module keeps serving while the base image exists
-   elsewhere; the post-freeze capture ships only the slots whose values
-   differ from it ({!Image.diff}) when the capture still has the base's
-   shape. Every guard failure falls back to the full image, so pre-copy
-   can only shrink the window, never change the outcome. *)
+   the module served until then, and only then signals. From the
+   divulge on, the move is the one without pre-copy: the full image is
+   translated, journalled and deposited, so pre-copy moves the window's
+   origin but cannot change the outcome. *)
 let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
     ~new_instance ?new_module ?new_host ?deadline ?(retry = no_retry) ~on_done
     () =
@@ -257,9 +231,8 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
         conclude (Error e)
       in
       (* how long the module served on after the request before reaching
-         a point, and the live base snapshot taken there *)
+         a point *)
       let precopy_wait = ref None in
-      let precopy_base = ref None in
       let retx0 = ref 0.0 in
       let divulge image =
         (* A crash during the deadline rollback unwinds out of the
@@ -311,71 +284,28 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
           match P.obj_cap bus ~instance with
           | Error e -> fail e
           | Ok cap ->
-            (* ship a delta only when every guard holds: the move is
-               same-layout (translate would be identity), a base exists,
-               the diff finds the capture shaped like the base, and
-               re-applying it reproduces the capture digest. Any failure
-               leaves the full image authoritative. *)
-            let delta_info =
-              if not (same_layout bus cap.cap_host host) then
-                Error "cross_arch"
-              else
-                match !precopy_base with
-                | None -> Error "disabled"
-                | Some base -> (
-                  match Image.diff ~base image with
-                  | None -> Error "misaligned"
-                  | Some d -> (
-                    match Image.apply_delta ~base d with
-                    | Some applied
-                      when
-                        Int64.equal (Image.digest applied) (Image.digest image)
-                      ->
-                      Ok (d, applied)
-                    | _ -> Error "misaligned"))
-            in
-            Journal.note_divulged
-              ?delta:(match delta_info with Ok (d, _) -> Some d | Error _ -> None)
-              j ~cap ~image;
+            Journal.note_divulged j ~cap ~image;
             (* end-to-end integrity: the digest taken at capture must
                survive encode/translate/decode, and [deposit_state
                ~expect] re-verifies it at the restore boundary *)
             let d0 = Image.digest image in
             let translated =
-              match delta_info with
-              | Ok (d, applied) ->
-                (* same layout both sides: the delta-applied image is
-                   digest-verified against the capture above, so no wire
-                   round trip is needed *)
-                Bus.record bus
-                  (E.Replace_delta_divulge
-                     { instance;
-                       slots = List.length d.Image.d_slots;
-                       of_slots =
-                         List.fold_left
-                           (fun acc (r : Image.record) ->
-                             acc + List.length r.values)
-                           0 image.Image.records;
-                       bytes = Image.delta_byte_size d;
-                       of_bytes = Image.byte_size image });
-                Ok (applied, Image.delta_byte_size d)
-              | Error _ -> (
-                match
-                  P.translate_image bus ~for_instance:instance
-                    ~src_host:cap.cap_host ~dst_host:host image
-                with
-                | Error e ->
-                  Error (Printf.sprintf "state translation failed: %s" e)
-                | Ok image' when not (Int64.equal (Image.digest image') d0) ->
-                  Bus.quarantine_image bus ~instance
-                    ~reason:"digest mismatch after translation"
-                    ~byte_size:(Image.byte_size image');
-                  Error "state image digest mismatch after translation"
-                | Ok image' -> Ok (image', Image.byte_size image'))
+              match
+                P.translate_image bus ~for_instance:instance
+                  ~src_host:cap.cap_host ~dst_host:host image
+              with
+              | Error e ->
+                Error (Printf.sprintf "state translation failed: %s" e)
+              | Ok image' when not (Int64.equal (Image.digest image') d0) ->
+                Bus.quarantine_image bus ~instance
+                  ~reason:"digest mismatch after translation"
+                  ~byte_size:(Image.byte_size image');
+                Error "state image digest mismatch after translation"
+              | Ok image' -> Ok image'
             in
             (match translated with
             | Error e -> fail e
-            | Ok (image', bytes_out) -> (
+            | Ok image' -> (
               let batch = rebind_batch cap ~new_instance in
               (* The old module has complied. Start the new instance
                  first so the batch's queue-copy commands have a live
@@ -398,33 +328,11 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                 Bus.deposit_state bus ~instance:new_instance ~expect:d0 image';
                 (match old_machine with
                 | Some om ->
-                  let precopy_marker =
-                    Option.map
-                      (fun wait ->
-                        ( wait,
-                          Option.map
-                            (fun base ->
-                              ( Image.byte_size base,
-                                List.length base.Image.records ))
-                            !precopy_base ))
-                      !precopy_wait
-                  in
-                  let delta_marker =
-                    if not precopy then None
-                    else
-                      Some
-                        (match delta_info with
-                        | Ok (d, _) ->
-                          ( "none",
-                            List.length d.Image.d_slots,
-                            Image.delta_byte_size d )
-                        | Error reason -> (reason, 0, 0))
-                  in
                   divulge_children bus !sp ~t0:!t0 ~old_machine:om
                     ~restored_instance:new_instance
-                    ~bytes_in:(Image.byte_size image) ~bytes_out
-                    ?precopy:precopy_marker ?delta:delta_marker
-                    ~retx_wait:retx_w ()
+                    ~bytes_in:(Image.byte_size image)
+                    ~bytes_out:(Image.byte_size image')
+                    ?precopy_wait:!precopy_wait ~retx_wait:retx_w ()
                 | None -> ());
                 Journal.kill j ~instance ~module_name:cap.cap_module
                   ~host:cap.cap_host ?spec:cap.cap_spec ();
@@ -447,8 +355,8 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
        else
          match Bus.machine bus ~instance with
          | None ->
-           (* nothing to snapshot live (externally backed process):
-              plain freeze path *)
+           (* no machine to park a hook on (externally backed
+              process): plain freeze path *)
            engage ()
          | Some m ->
            Bus.record bus (E.Precopy_armed instance);
@@ -461,19 +369,6 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                        kill the script, not the bystander machine *)
                     try
                       precopy_wait := Some (Bus.now bus -. t_req);
-                      (* a base serves only a same-layout move: across
-                         layouts the full image is translated anyway *)
-                      (if same_layout bus cap0.cap_host host then
-                         match Machine.live_capture m with
-                         | Some base ->
-                           Journal.note_precopy_base j ~instance ~image:base;
-                           precopy_base := Some base;
-                           Bus.record bus
-                             (E.Precopy_base_captured
-                                { instance;
-                                  records = List.length base.Image.records;
-                                  bytes = Image.byte_size base })
-                         | None -> ());
                       engage ()
                     with Bus.Controller_crash -> ())));
       match deadline with

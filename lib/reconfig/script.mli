@@ -67,19 +67,12 @@ val replace :
 
     [?precopy] (default [false]) defers the freeze signal: a one-shot
     hook parks at the target's next reconfiguration point and only then
-    signals, so the module keeps serving until it reaches one. When the
-    move is same-layout the hook also snapshots the still-running state
-    there ({!Dr_interp.Machine.live_capture}) and persists it as a base,
-    and the post-freeze capture ships only the slots whose values differ
-    from it, as a delta ({!Dr_state.Image.diff}). Every guard failure
-    (cross-architecture layout, no base, a capture shaped unlike the
-    base, digest mismatch) falls back to the full image, and with
-    [precopy:false] the script is operation-for-operation the one
-    above. Pre-copy spans start at the freeze (the wait for the first
-    point is service, not disruption) and add zero-width [precopy] and
-    [delta] children recording the wait, the base size when a base was
-    taken, the shipped slots, and the fallback reason
-    ([none]/[cross_arch]/[misaligned]/[disabled]). *)
+    signals, so the module keeps serving until it reaches one. The rest
+    of the move is the one above, full image included, and with
+    [precopy:false] the script is operation-for-operation that one.
+    Pre-copy spans start at the freeze (the wait for the first point is
+    service, not disruption) and add a zero-width [precopy] child whose
+    [wait] attr records that wait. *)
 
 val migrate :
   Dr_bus.Bus.t ->

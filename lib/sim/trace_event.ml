@@ -124,8 +124,6 @@ type t =
       from_instance : string;
       to_instance : string;
     }
-  | Undo_precopy_discarded of { step : undo_step; instance : string }
-  | Undo_unresolved_delta of { step : undo_step; instance : string }
   | Undo_host_down of { step : undo_step; instance : string; host : string }
   | Rollback_started of { label : string; total : int; reason : string }
   | Rollback_resumed of {
@@ -179,20 +177,8 @@ type t =
       new_host : string;
     }
   | Replace_divulge_ignored of string
-  | Replace_delta_divulge of {
-      instance : string;
-      slots : int;
-      of_slots : int;
-      bytes : int;
-      of_bytes : int;
-    }
   | Replace_completed of { instance : string; new_instance : string }
   | Precopy_armed of string
-  | Precopy_base_captured of {
-      instance : string;
-      records : int;
-      bytes : int;
-    }
   | Replace_deadline of { instance : string; window : float }
   | Replicate_started of {
       instance : string;
@@ -257,8 +243,7 @@ let category = function
   | Undo_in_service _ | Undo_restore_failed _ | Undo_restored _
   | Undo_route_removed _ | Undo_route_restored _ | Undo_queue_returned _
   | Undo_queue_refilled _ | Undo_spawn_removed _ | Undo_divulge_disarmed _
-  | Undo_transport_returned _ | Undo_precopy_discarded _
-  | Undo_unresolved_delta _ | Undo_host_down _ | Rollback_started _
+  | Undo_transport_returned _ | Undo_host_down _ | Rollback_started _
   | Rollback_resumed _ ->
     "rollback"
   | Slot_moved _ | Slot_drain_timeout _ | Slot_crash_wait _ | Slot_attempt _
@@ -267,9 +252,9 @@ let category = function
   | Wave_started _ | Wave_committed _ | Wave_aborting _ | Wave_aborted _ ->
     "rolling"
   | Replace_retry _ | Replace_started _ | Replace_divulge_ignored _
-  | Replace_delta_divulge _ | Replace_completed _ | Precopy_armed _
-  | Precopy_base_captured _ | Replace_deadline _ | Replicate_started _
-  | Replicate_completed _ | Stateless_started _ | Stateless_completed _ ->
+  | Replace_completed _ | Precopy_armed _ | Replace_deadline _
+  | Replicate_started _ | Replicate_completed _ | Stateless_started _
+  | Stateless_completed _ ->
     "script"
   | Suspect_cleared _ | Stale_heartbeat _ | Suspected _ -> "suspect"
   | Restart_gave_up _ | Restarted _ | Restart_failed _ | Adopted _ ->
@@ -388,11 +373,6 @@ let render = function
   | Undo_transport_returned { step; from_instance; to_instance } ->
     sprintf "%sreturned reliable channels of %s to %s" (step_prefix step)
       from_instance to_instance
-  | Undo_precopy_discarded { step; instance } ->
-    sprintf "%spre-copy base of %s discarded" (step_prefix step) instance
-  | Undo_unresolved_delta { step; instance } ->
-    sprintf "%scannot restore %s from an unresolved delta" (step_prefix step)
-      instance
   | Undo_host_down { step; instance; host } ->
     sprintf "%scannot restore %s: host %s is down" (step_prefix step) instance
       host
@@ -448,15 +428,9 @@ let render = function
       new_instance new_module new_host
   | Replace_divulge_ignored i ->
     sprintf "replace %s: divulge ignored: controller is down" i
-  | Replace_delta_divulge { instance; slots; of_slots; bytes; of_bytes } ->
-    sprintf "replace %s: delta divulge: %d of %d slot(s), %d of %d byte(s)"
-      instance slots of_slots bytes of_bytes
   | Replace_completed { instance; new_instance } ->
     sprintf "replace %s -> %s complete" instance new_instance
   | Precopy_armed i -> sprintf "replace %s: pre-copy armed at next point" i
-  | Precopy_base_captured { instance; records; bytes } ->
-    sprintf "replace %s: pre-copy base captured: %d record(s), %d byte(s)"
-      instance records bytes
   | Replace_deadline { instance; window } ->
     sprintf "replace %s: deadline (%.1f) expired before divulge" instance
       window

@@ -140,8 +140,6 @@ type t =
       from_instance : string;
       to_instance : string;
     }
-  | Undo_precopy_discarded of { step : undo_step; instance : string }
-  | Undo_unresolved_delta of { step : undo_step; instance : string }
   | Undo_host_down of { step : undo_step; instance : string; host : string }
   | Rollback_started of { label : string; total : int; reason : string }
   | Rollback_resumed of {
@@ -195,20 +193,8 @@ type t =
       new_host : string;
     }
   | Replace_divulge_ignored of string
-  | Replace_delta_divulge of {
-      instance : string;
-      slots : int;
-      of_slots : int;
-      bytes : int;
-      of_bytes : int;
-    }
   | Replace_completed of { instance : string; new_instance : string }
   | Precopy_armed of string
-  | Precopy_base_captured of {
-      instance : string;
-      records : int;
-      bytes : int;
-    }
   | Replace_deadline of { instance : string; window : float }
   | Replicate_started of {
       instance : string;

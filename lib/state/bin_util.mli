@@ -23,16 +23,12 @@ val remaining : reader -> int
 val read_u8 : reader -> int
 val read_i32 : reader -> big:bool -> int
 val read_i64 : reader -> big:bool -> int
-val read_bits64 : reader -> big:bool -> int64
-(** A raw 64-bit pattern (e.g. a digest), all 64 bits kept. *)
-
 val read_f64 : reader -> big:bool -> float
 val read_bytes : reader -> int -> string
 
 val write_u8 : Buffer.t -> int -> unit
 val write_i32 : Buffer.t -> big:bool -> int -> unit
 val write_i64 : Buffer.t -> big:bool -> int -> unit
-val write_bits64 : Buffer.t -> big:bool -> int64 -> unit
 val write_f64 : Buffer.t -> big:bool -> float -> unit
 val write_bytes : Buffer.t -> string -> unit
 

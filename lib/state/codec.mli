@@ -12,28 +12,17 @@
     round trip and reports heterogeneity errors (e.g. an integer that does
     not fit the destination word).
 
-    Container format: version 2 ("DRIMG2" magic, version byte, body,
-    CRC-32 trailer over everything before it, big-endian). A corrupted
-    byte anywhere fails decode with ["checksum mismatch"] instead of
-    restoring garbage. Version 3 additionally carries an opaque
-    metadata string (e.g. a metrics snapshot) between the version byte
-    and the body; it is emitted only when [?meta] is passed, so
-    meta-less images stay byte-identical to version 2. Version 1
-    ("DRIMG1", no version byte or checksum) is still accepted on
-    decode. *)
+    Container format: the "DRIMG2" magic, a version byte (2), the body
+    and a CRC-32 trailer over everything before it, big-endian. A
+    corrupted byte anywhere fails decode with ["checksum mismatch"]
+    instead of restoring garbage; any other magic or version is
+    refused. *)
 
 exception Malformed of string
 
-val encode_abstract : ?meta:string -> Image.t -> bytes
-(** [?meta] attaches an opaque string (covered by the checksum) and
-    switches the container to version 3. *)
+val encode_abstract : Image.t -> bytes
 
 val decode_abstract : bytes -> (Image.t, string) result
-(** Accepts versions 1–3; any attached metadata is dropped. *)
-
-val decode_abstract_full : bytes -> (Image.t * string option, string) result
-(** Like {!decode_abstract}, also returning the version-3 metadata
-    ([None] for versions 1 and 2). *)
 
 (** Abstract-layout wire primitives (big-endian, 64-bit, the same
     encoding the canonical image body uses), exposed for other durable
@@ -62,24 +51,11 @@ module Native : sig
   val translate : src:Arch.t -> dst:Arch.t -> bytes -> (bytes, string) result
   (** native(src) bytes → native(dst) bytes, through the abstract image. *)
 
-  val same_layout : Arch.t -> Arch.t -> bool
-  (** Whether the two architectures share byte order and word width —
-      i.e. their native containers are byte-identical. *)
-
   val recode : src:Arch.t -> dst:Arch.t -> bytes -> (bytes, string) result
-  (** Zero-copy {!translate}: when {!same_layout} holds the input bytes
-      are returned unchanged (no decode, no re-encode); otherwise falls
-      back to the authoritative translate path. The receiver's decode
-      still verifies the CRC, so corruption cannot ride the fast path. *)
+  (** Zero-copy {!translate}: when the two architectures share byte
+      order and word width, so their native containers are
+      byte-identical, the input bytes are returned unchanged (no
+      decode, no re-encode); otherwise falls back to the authoritative
+      translate path. The receiver's decode still verifies the CRC, so
+      corruption cannot ride the fast path. *)
 end
-
-(** {1 Delta containers}
-
-    "DRIMGD1": an {!Image.delta} in the abstract layout (magic, version
-    byte, body, CRC-32 trailer — same integrity envelope as "DRIMG2").
-    The base image is referenced by digest; resolving it is the
-    caller's job. *)
-
-val encode_delta : Image.delta -> bytes
-
-val decode_delta : bytes -> (Image.delta, string) result

@@ -30,8 +30,7 @@ let depth t = List.length t.records
 
 (* Floats compare by their bits, as [digest] mixes them: [Value.equal]
    calls [0.0] and [-0.0] equal, so [equal] would hold between images
-   that digest differently, and a delta that dropped the sign would not
-   rebuild the capture. *)
+   that digest differently. *)
 let same_value a b =
   match a, b with
   | Value.Vfloat x, Value.Vfloat y ->
@@ -202,114 +201,3 @@ let gather_blocks ~lookup roots =
   in
   List.iter visit_value roots;
   List.sort (fun (a, _) (b, _) -> compare a b) !acc
-
-(* ------------------------------------------------------------- deltas *)
-
-(* A delta image: the part of a capture that differs from a base
-   snapshot taken by the pre-copy phase. Slots are addressed by (record
-   index, value index) against the base's record layout; heap blocks are
-   either shipped whole ([d_heap_new]: changed since the base, or absent
-   from it) or pulled from the base by id ([d_heap_keep]). [diff]
-   decides by comparing the two images, so a delta rebuilds the capture
-   by construction — the qcheck differential (delta-apply ≡ full
-   capture) pins this. *)
-
-type delta = {
-  d_source_module : string;
-  d_base_digest : int64;
-  d_record_count : int;
-  d_slots : (int * int * Value.t) list;
-  d_heap_new : (int * heap_block) list;
-  d_heap_keep : int list;
-}
-
-let diff ~base (final : t) =
-  let same_shape =
-    String.equal base.source_module final.source_module
-    && List.length base.records = List.length final.records
-    && List.for_all2
-         (fun (b : record) (f : record) ->
-           b.location = f.location
-           && List.length b.values = List.length f.values)
-         base.records final.records
-  in
-  if not same_shape then None
-  else begin
-    let slots = ref [] in
-    List.iteri
-      (fun ri ((b : record), (f : record)) ->
-        List.iteri
-          (fun vi (bv, fv) ->
-            if not (same_value bv fv) then slots := (ri, vi, fv) :: !slots)
-          (List.combine b.values f.values))
-      (List.combine base.records final.records);
-    let heap_new = ref [] and heap_keep = ref [] in
-    List.iter
-      (fun (id, block) ->
-        match List.assoc_opt id base.heap with
-        | Some kept when equal_block kept block -> heap_keep := id :: !heap_keep
-        | _ -> heap_new := (id, block) :: !heap_new)
-      final.heap;
-    Some
-      { d_source_module = final.source_module;
-        d_base_digest = digest base;
-        d_record_count = List.length final.records;
-        d_slots = List.rev !slots;
-        d_heap_new = List.rev !heap_new;
-        d_heap_keep = List.rev !heap_keep }
-  end
-
-let apply_delta ~base (d : delta) =
-  if
-    (not (Int64.equal (digest base) d.d_base_digest))
-    || (not (String.equal base.source_module d.d_source_module))
-    || List.length base.records <> d.d_record_count
-  then None
-  else begin
-    let records = Array.of_list base.records in
-    let ok = ref true in
-    let patched = Array.map (fun (r : record) -> Array.of_list r.values) records in
-    List.iter
-      (fun (ri, vi, v) ->
-        if ri < 0 || ri >= Array.length patched then ok := false
-        else
-          let values = patched.(ri) in
-          if vi < 0 || vi >= Array.length values then ok := false
-          else values.(vi) <- v)
-      d.d_slots;
-    let keep =
-      List.filter_map
-        (fun id ->
-          match List.assoc_opt id base.heap with
-          | Some block -> Some (id, block)
-          | None ->
-            ok := false;
-            None)
-        d.d_heap_keep
-    in
-    if not !ok then None
-    else begin
-      let records =
-        List.mapi
-          (fun ri (r : record) ->
-            { r with values = Array.to_list patched.(ri) })
-          (Array.to_list records)
-      in
-      let heap =
-        List.sort
-          (fun (a, _) (b, _) -> compare a b)
-          (d.d_heap_new @ keep)
-      in
-      Some (make ~source_module:d.d_source_module ~records ~heap)
-    end
-  end
-
-let delta_byte_size (d : delta) =
-  let slot_size (_, _, v) = 8 + value_size v in
-  let block_size (_, b) =
-    16 + Array.fold_left (fun acc v -> acc + value_size v) 0 b.cells
-  in
-  8 (* base digest *)
-  + List.fold_left (fun acc s -> acc + slot_size s) 0 d.d_slots
-  + List.fold_left (fun acc b -> acc + block_size b) 0 d.d_heap_new
-  + (8 * List.length d.d_heap_keep)

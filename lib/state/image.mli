@@ -69,38 +69,3 @@ val gather_blocks :
     [lookup] resolves a live block id; unknown ids are ignored (dangling
     pointers are the programmer's responsibility, as in the paper).
     Result is sorted by block id; shared blocks appear once. *)
-
-(** {1 Delta images (pre-copy)}
-
-    A delta is the part of a capture that differs from a base snapshot
-    taken while the module was still serving (live pre-copy). Slots are
-    addressed by (record index, value index) against the base's record
-    layout; heap blocks are shipped whole when changed or new
-    ([d_heap_new]) and pulled from the base by id otherwise
-    ([d_heap_keep]). *)
-
-type delta = {
-  d_source_module : string;
-  d_base_digest : int64;   (** digest of the base this delta applies to *)
-  d_record_count : int;
-  d_slots : (int * int * Value.t) list;
-  d_heap_new : (int * heap_block) list;
-  d_heap_keep : int list;
-}
-
-val diff : base:t -> t -> delta option
-(** [diff ~base final] builds the delta such that [apply_delta ~base]
-    reproduces [final], by comparing the two images: it ships each slot
-    whose value differs from the base's (floats compare by their bits,
-    as {!digest} mixes them, so [0.0] → [-0.0] ships) and each heap
-    block that is new or has changed; a block equal to the base's is
-    kept by id. [None] on a shape mismatch (module, record count, a
-    record's location or arity) — the caller falls back to the full
-    image. *)
-
-val apply_delta : base:t -> delta -> t option
-(** Reconstruct the full image. [None] if [base]'s digest does not match
-    [d_base_digest] or the delta is structurally incompatible. *)
-
-val delta_byte_size : delta -> int
-(** Abstract wire size of the delta, comparable with {!byte_size}. *)

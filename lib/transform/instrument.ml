@@ -371,7 +371,7 @@ let rewrite_proc ~options (program : Ast.program) (graph : Rg.t) capture_vars
         match point_edge_by_label label with
         (* The _Pj label marks this block as a reconfiguration-point
            gate: the resolver wraps the gate's conditional jump so the
-           runtime can park observation hooks (live pre-copy capture)
+           runtime can park observation hooks (pre-copy's freeze)
            exactly at point granularity. Labels are lowering metadata —
            the emitted instruction stream is unchanged. *)
         | Some j ->

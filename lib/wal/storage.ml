@@ -17,13 +17,9 @@ type t = {
    gets). *)
 type blob = { mutable durable : Buffer.t; mutable tail : Buffer.t }
 
-type mem = {
-  blobs : (string, blob) Hashtbl.t;
-  mutable syncs : int;
-  mutable appends : int;
-}
+type mem = { blobs : (string, blob) Hashtbl.t }
 
-let memory () = { blobs = Hashtbl.create 8; syncs = 0; appends = 0 }
+let memory () = { blobs = Hashtbl.create 8 }
 
 let mem_blob m name =
   match Hashtbl.find_opt m.blobs name with
@@ -55,14 +51,10 @@ let storage_of_mem m =
         let b = { durable = Buffer.create (Bytes.length data); tail = Buffer.create 16 } in
         Buffer.add_bytes b.durable data;
         Hashtbl.replace m.blobs name b);
-    st_append =
-      (fun name data ->
-        m.appends <- m.appends + 1;
-        Buffer.add_bytes (mem_blob m name).tail data);
+    st_append = (fun name data -> Buffer.add_bytes (mem_blob m name).tail data);
     st_delete = (fun name -> Hashtbl.remove m.blobs name);
     st_sync =
       (fun () ->
-        m.syncs <- m.syncs + 1;
         Hashtbl.iter
           (fun _ b ->
             Buffer.add_buffer b.durable b.tail;
@@ -70,10 +62,6 @@ let storage_of_mem m =
           m.blobs) }
 
 let crash m = Hashtbl.iter (fun _ b -> Buffer.clear b.tail) m.blobs
-
-let sync_count m = m.syncs
-
-let append_count m = m.appends
 
 let corrupt_byte m ~blob ~at =
   match Hashtbl.find_opt m.blobs blob with

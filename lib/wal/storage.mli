@@ -38,12 +38,6 @@ val crash : mem -> unit
     cache of a crashed controller. Synced bytes and whole-blob writes
     survive. *)
 
-val sync_count : mem -> int
-(** How many times [st_sync] ran (the fsync count a batching policy is
-    trying to minimise). *)
-
-val append_count : mem -> int
-
 val corrupt_byte : mem -> blob:string -> at:int -> unit
 (** Flip one bit of the named blob (fault injection for decoder
     tests). *)

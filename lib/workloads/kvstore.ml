@@ -265,8 +265,8 @@ application rgroup {
       ("rstorebad", rstorebad_source);
       ("rsink", rsink_source) ]
 
-  (* Every replica host shares one architecture so live pre-copy ships
-     deltas instead of falling back to full images. *)
+  (* Every replica host shares one architecture, so a moved image
+     passes translation as the same bytes (zero-copy [recode]). *)
   let hosts ~n =
     List.init n (fun i ->
         { Dr_bus.Bus.host_name = host (i + 1); arch = Dr_state.Arch.x86_64 })

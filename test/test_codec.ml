@@ -101,6 +101,21 @@ let test_malformed_inputs () =
   expect_error "truncated" (Bytes.sub valid 0 (Bytes.length valid - 3));
   let extended = Bytes.cat valid (Bytes.of_string "junk") in
   expect_error "trailing bytes" extended;
+  (* the retired containers: DRIMG1 (the body under its own magic, no
+     version byte, no checksum) and version 3 (a metadata string
+     between the version byte and the body), each well-formed *)
+  let body = Bytes.sub valid 7 (Bytes.length valid - 7 - 4) in
+  expect_error "DRIMG1 container" (Bytes.cat (Bytes.of_string "DRIMG1") body);
+  let v3 =
+    let module B = Dr_state.Bin_util in
+    B.with_buffer @@ fun buf ->
+    B.write_bytes buf "DRIMG2";
+    B.write_u8 buf 3;
+    Codec.Wire.write_string buf "meta";
+    Buffer.add_bytes buf body;
+    B.sealed buf
+  in
+  expect_error "version-3 container" v3;
   let corrupted = Bytes.copy valid in
   (* flip a tag byte deep inside the payload *)
   Bytes.set corrupted (Bytes.length corrupted - 9) '\xEE';
@@ -110,55 +125,6 @@ let test_malformed_inputs () =
     (* a flipped value byte may still decode; it must then differ *)
     Alcotest.(check bool) "differs if decodable" false
       (Image.equal sample_image decoded)
-
-let test_meta_roundtrip () =
-  (* version 3: a metrics snapshot rides along with the image *)
-  let registry = Dr_obs.Metrics.create () in
-  Dr_obs.Metrics.incr registry ~labels:[ ("instance", "compute") ] ~by:7
-    "interp.instructions";
-  Dr_obs.Metrics.observe registry "capture.bytes" 184.0;
-  let snapshot = Dr_obs.Metrics.snapshot_json ~now:42.0 registry in
-  let bytes = Codec.encode_abstract ~meta:snapshot sample_image in
-  Alcotest.(check char) "version byte is 3" '\x03' (Bytes.get bytes 6);
-  (match Codec.decode_abstract_full bytes with
-  | Ok (decoded, Some meta) ->
-    Alcotest.check Support.image "image intact" sample_image decoded;
-    Alcotest.(check string) "meta intact" snapshot meta
-  | Ok (_, None) -> Alcotest.fail "meta lost"
-  | Error e -> Alcotest.failf "decode_abstract_full: %s" e);
-  (* the plain decoder accepts version 3 and drops the meta *)
-  (match Codec.decode_abstract bytes with
-  | Ok decoded -> Alcotest.check Support.image "plain decode" sample_image decoded
-  | Error e -> Alcotest.failf "decode_abstract on v3: %s" e);
-  (* the checksum covers the meta: corrupting it fails decode *)
-  let corrupted = Bytes.copy bytes in
-  Bytes.set corrupted 20 '\xEE';
-  (match Codec.decode_abstract_full corrupted with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corrupted meta decoded");
-  (* meta-less encodes are unchanged: version 2, no meta reported *)
-  let plain = Codec.encode_abstract sample_image in
-  Alcotest.(check char) "version byte is 2" '\x02' (Bytes.get plain 6);
-  match Codec.decode_abstract_full plain with
-  | Ok (decoded, None) ->
-    Alcotest.check Support.image "v2 via full decoder" sample_image decoded
-  | Ok (_, Some _) -> Alcotest.fail "phantom meta on v2"
-  | Error e -> Alcotest.failf "v2 via full decoder: %s" e
-
-let test_legacy_v1_decode () =
-  (* a version-1 container is the version-2 one minus the version byte
-     and the CRC trailer, under the old magic *)
-  let v2 = Codec.encode_abstract sample_image in
-  let body = Bytes.sub v2 7 (Bytes.length v2 - 7 - 4) in
-  let v1 = Bytes.cat (Bytes.of_string "DRIMG1") body in
-  (match Codec.decode_abstract v1 with
-  | Ok decoded -> Alcotest.check Support.image "v1 decodes" sample_image decoded
-  | Error e -> Alcotest.failf "legacy decode: %s" e);
-  match Codec.decode_abstract_full v1 with
-  | Ok (decoded, None) ->
-    Alcotest.check Support.image "v1 via full decoder" sample_image decoded
-  | Ok (_, Some _) -> Alcotest.fail "phantom meta on v1"
-  | Error e -> Alcotest.failf "legacy full decode: %s" e
 
 let test_empty_image () =
   let empty = Image.empty ~source_module:"nil" in
@@ -231,64 +197,27 @@ let test_signed_zeros_differ () =
         (Image.equal neg (make (-0.0))))
     [ ("record slot", in_record); ("heap cell", in_cell) ]
 
-(* ------------------------------------------- delta container (DRIMGD1) *)
-
-let sample_delta =
-  { Image.d_source_module = "compute";
-    d_base_digest = Image.digest sample_image;
-    d_record_count = 3;
-    d_slots =
-      [ (0, 1, Value.Vint 9); (1, 0, Value.Vstr "fresh"); (2, 1, Value.Vfloat 1.5) ];
-    d_heap_new =
-      [ (5, { Image.elem_ty = Dr_lang.Ast.Tint; cells = [| Value.Vint 7 |] }) ];
-    d_heap_keep = [ 0; 3 ] }
-
-let delta_equal (a : Image.delta) (b : Image.delta) =
-  String.equal a.d_source_module b.d_source_module
-  && Int64.equal a.d_base_digest b.d_base_digest
-  && a.d_record_count = b.d_record_count
-  && List.equal
-       (fun (i1, j1, v1) (i2, j2, v2) -> i1 = i2 && j1 = j2 && Value.equal v1 v2)
-       a.d_slots b.d_slots
-  && List.equal
-       (fun (i1, (b1 : Image.heap_block)) (i2, (b2 : Image.heap_block)) ->
-         i1 = i2 && b1.elem_ty = b2.elem_ty
-         && Array.to_list b1.cells = Array.to_list b2.cells)
-       a.d_heap_new b.d_heap_new
-  && List.equal Int.equal a.d_heap_keep b.d_heap_keep
-
-let test_delta_roundtrip () =
-  let bytes = Codec.encode_delta sample_delta in
-  match Codec.decode_delta bytes with
-  | Ok decoded ->
-    Alcotest.(check bool) "delta round-trips" true (delta_equal sample_delta decoded)
-  | Error e -> Alcotest.failf "delta decode: %s" e
-
-let test_delta_deterministic () =
-  Alcotest.(check bool) "byte-identical re-encode" true
-    (Bytes.equal (Codec.encode_delta sample_delta) (Codec.encode_delta sample_delta))
-
-let test_delta_corruption_detected () =
+let test_abstract_corruption_detected () =
   (* every single-byte flip anywhere in the container must fail decode
-     loudly — magic/version damage as a format error, anything else via
-     the CRC trailer; none may mis-parse into a different delta *)
-  let valid = Codec.encode_delta sample_delta in
+     loudly — magic damage as a format error, anything else via the CRC
+     trailer; none may mis-parse into a different image *)
+  let valid = Codec.encode_abstract sample_image in
   for i = 0 to Bytes.length valid - 1 do
     let corrupted = Bytes.copy valid in
     Bytes.set corrupted i (Char.chr (Char.code (Bytes.get corrupted i) lxor 0x41));
-    match Codec.decode_delta corrupted with
+    match Codec.decode_abstract corrupted with
     | Error _ -> ()
     | Ok decoded ->
-      if not (delta_equal sample_delta decoded) then
-        Alcotest.failf "flip at byte %d decoded into a different delta" i
+      if not (Image.equal sample_image decoded) then
+        Alcotest.failf "flip at byte %d decoded into a different image" i
       else Alcotest.failf "flip at byte %d went undetected" i
   done
 
-let test_delta_truncation_detected () =
+let test_abstract_truncation_detected () =
   (* a torn write at any prefix length must fail decode, never parse *)
-  let valid = Codec.encode_delta sample_delta in
+  let valid = Codec.encode_abstract sample_image in
   for len = 0 to Bytes.length valid - 1 do
-    match Codec.decode_delta (Bytes.sub valid 0 len) with
+    match Codec.decode_abstract (Bytes.sub valid 0 len) with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "truncation to %d bytes decoded" len
   done
@@ -318,11 +247,11 @@ let prop_cross_arch_roundtrip =
 (* -------------------------------------------------------------- pins *)
 
 (* Byte-identity pins. Images frozen to disk and write-ahead logs written
-   by earlier builds must keep loading, so the container, delta, digest
-   and log-frame bytes of one fixed image are pinned as literals. The
-   image exercises every value tag and every type tag; the delta is
-   computed against a fixed base that differs in two slots and one heap
-   block. Any change to an encoder, the CRC-32 kernel or the digest that
+   by earlier builds must keep loading, so the container, digest and
+   log-frame bytes of one fixed image are pinned as literals. The image
+   exercises every value tag and every type tag; a second image, which
+   differs from it in two slots and one heap block, pins the digest
+   too. Any change to an encoder, the CRC-32 kernel or the digest that
    moves a single byte fails here. *)
 
 let pin_image =
@@ -338,7 +267,7 @@ let pin_image =
           { Image.elem_ty = Tptr Tfloat;
             cells = [| Value.Vbool false; Vstr "" |] } ) ]
 
-let pin_base =
+let pin_second =
   Image.make ~source_module:"pin"
     ~records:
       [ { Image.location = 2;
@@ -391,24 +320,11 @@ let test_pin_containers () =
         (hex (Result.get_ok (Codec.Native.encode arch pin_image))))
     Arch.all
 
-let test_pin_delta () =
-  let delta = Image.diff ~base:pin_base pin_image in
-  match delta with
-  | None -> Alcotest.fail "pinned base is not aligned with the pinned image"
-  | Some delta ->
-    Alcotest.(check string) "DRIMGD1"
-      "4452494d47443101000000000000000370696efee891ccb201ac9a0000000000\
-       00000200000000000000020000000000000000000000000000000000ffffffff\
-       fffffff900000000000000000000000000000002020100000000000000010000\
-       0000000000040501000000000000000202000300000000000000000000000000\
-       000001000000000000000346a5d7e2"
-      (hex (Codec.encode_delta delta))
-
 let test_pin_digest () =
   Alcotest.(check int64) "image digest" 0x4c25dfc8063294a8L
     (Image.digest pin_image);
-  Alcotest.(check int64) "base digest" 0xfee891ccb201ac9aL
-    (Image.digest pin_base)
+  Alcotest.(check int64) "second image digest" 0xfee891ccb201ac9aL
+    (Image.digest pin_second)
 
 let test_pin_wal_frames () =
   let cap =
@@ -456,9 +372,11 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_abstract_roundtrip;
           Alcotest.test_case "deterministic" `Quick test_abstract_deterministic;
           Alcotest.test_case "empty image" `Quick test_empty_image;
-          Alcotest.test_case "meta roundtrip (v3)" `Quick test_meta_roundtrip;
-          Alcotest.test_case "legacy v1 decode" `Quick test_legacy_v1_decode;
-          Alcotest.test_case "malformed" `Quick test_malformed_inputs ] );
+          Alcotest.test_case "malformed" `Quick test_malformed_inputs;
+          Alcotest.test_case "bit-flip fuzz" `Quick
+            test_abstract_corruption_detected;
+          Alcotest.test_case "truncation fuzz" `Quick
+            test_abstract_truncation_detected ] );
       ( "native",
         [ Alcotest.test_case "per-arch roundtrip" `Quick
             test_native_roundtrip_per_arch;
@@ -466,12 +384,6 @@ let () =
           Alcotest.test_case "translate across archs" `Quick
             test_translate_across_archs;
           Alcotest.test_case "word overflow" `Quick test_word_overflow_detected ] );
-      ( "delta",
-        [ Alcotest.test_case "roundtrip" `Quick test_delta_roundtrip;
-          Alcotest.test_case "deterministic" `Quick test_delta_deterministic;
-          Alcotest.test_case "bit-flip fuzz" `Quick test_delta_corruption_detected;
-          Alcotest.test_case "truncation fuzz" `Quick
-            test_delta_truncation_detected ] );
       ( "image",
         [ Alcotest.test_case "push/pop LIFO" `Quick test_image_push_pop;
           Alcotest.test_case "gather blocks" `Quick
@@ -484,7 +396,6 @@ let () =
       ( "pins",
         [ Alcotest.test_case "DRIMG2 abstract and native" `Quick
             test_pin_containers;
-          Alcotest.test_case "DRIMGD1 delta" `Quick test_pin_delta;
           Alcotest.test_case "image digest" `Quick test_pin_digest;
           Alcotest.test_case "WAL frame, manifest, checkpoint" `Quick
             test_pin_wal_frames ] );

@@ -379,10 +379,6 @@ let trace_event_pins =
     ( E.Undo_transport_returned
         { step; from_instance = "c2"; to_instance = "c" },
       "rollback", "replace c [2/5]: returned reliable channels of c2 to c");
-    (E.Undo_precopy_discarded { step; instance = "c" },
-      "rollback", "replace c [2/5]: pre-copy base of c discarded");
-    (E.Undo_unresolved_delta { step; instance = "c" },
-      "rollback", "replace c [2/5]: cannot restore c from an unresolved delta");
     (E.Undo_host_down { step; instance = "c"; host = "hostB" },
       "rollback", "replace c [2/5]: cannot restore c: host hostB is down");
     ( E.Rollback_started
@@ -456,20 +452,9 @@ let trace_event_pins =
       "script", "replace compute: compute on hostA -> c2: compute on hostB");
     (E.Replace_divulge_ignored "c",
       "script", "replace c: divulge ignored: controller is down");
-    ( E.Replace_delta_divulge
-        { instance = "d";
-          slots = 3;
-          of_slots = 64;
-          bytes = 212;
-          of_bytes = 2104 },
-      "script",
-      "replace d: delta divulge: 3 of 64 slot(s), 212 of 2104 byte(s)");
     (E.Replace_completed { instance = "compute"; new_instance = "c2" },
       "script", "replace compute -> c2 complete");
     (E.Precopy_armed "d", "script", "replace d: pre-copy armed at next point");
-    (E.Precopy_base_captured { instance = "d"; records = 64; bytes = 70200 },
-      "script",
-      "replace d: pre-copy base captured: 64 record(s), 70200 byte(s)");
     (E.Replace_deadline { instance = "c"; window = 25. },
       "script", "replace c: deadline (25.0) expired before divulge");
     (E.Replicate_started { instance = "kv"; replica = "kv2"; host = "hostB" },

@@ -572,10 +572,9 @@ let test_crash_after_commit_keeps_replacement () =
     (List.mem "c2" (Bus.instances bus)
     && not (List.mem "c" (Bus.instances bus)))
 
-(* Pre-copy writes two extra entry kinds to the log: the live base
-   snapshot (Precopy_base) and the delta-form divulge (Divulged_delta,
-   resolved against the base by digest at scan time). An in-place
-   replace is same-layout, so the delta path is taken for real. *)
+(* A pre-copy replace of the deeprec worker, in place: the hook arms the
+   freeze at the next point, and from the divulge on the script is the
+   one without pre-copy. *)
 let precopy_trial ?ctl_crash () =
   let bus = Bus.create ~hosts:Dr_workloads.Monitor.hosts () in
   let mem = Storage.memory () in
@@ -602,53 +601,6 @@ let precopy_trial ?ctl_crash () =
           ~on_done ())
   in
   (bus, mem, before, outcome)
-
-let test_precopy_delta_logged_and_recovered () =
-  let _, mem, _, outcome = precopy_trial () in
-  Alcotest.(check bool) "dry run commits" true (Result.is_ok outcome);
-  let records = Wal.records (ok (reopen mem)) in
-  let lsns_of p =
-    List.filter_map
-      (fun (lsn, kind, body) ->
-        match Persist.decode ~kind body with
-        | Ok e when p e -> Some lsn
-        | _ -> None)
-      records
-  in
-  let bases =
-    lsns_of (function
-      | Persist.Entry { entry = Persist.Precopy_base _; _ } -> true
-      | _ -> false)
-  in
-  let deltas =
-    lsns_of (function
-      | Persist.Entry { entry = Persist.Divulged_delta _; _ } -> true
-      | _ -> false)
-  in
-  Alcotest.(check int) "one pre-copy base logged" 1 (List.length bases);
-  Alcotest.(check int) "one delta divulge logged" 1 (List.length deltas);
-  Alcotest.(check bool) "base precedes the delta" true
-    (List.hd bases < List.hd deltas);
-  (* crash on the base append and on the delta append: recovery must
-     resolve the delta against the logged base and roll the in-flight
-     script back to the pre-script world *)
-  List.iter
-    (fun n ->
-      let bus, mem, before, _ = precopy_trial ~ctl_crash:n () in
-      Alcotest.(check bool) "controller died" true (Bus.controller_down bus);
-      Storage.crash mem;
-      Bus.set_wal bus (ok (reopen mem));
-      (match Recovery.replay bus with
-      | Ok r ->
-        Alcotest.(check int)
-          (Printf.sprintf "crash@%d rolled one script back" n)
-          1 r.Recovery.rp_rolled_back
-      | Error e -> Alcotest.failf "recovery: %s" e);
-      Alcotest.(check bool)
-        (Printf.sprintf "crash@%d restored the snapshot" n)
-        true
-        (snapshot bus = before))
-    [ List.hd bases; List.hd deltas ]
 
 (* ----------------------------------------------------------- log format *)
 
@@ -681,10 +633,40 @@ let killed_bodies mem =
       | _ -> None)
     (Wal.records (ok (reopen mem)))
 
-(* A script journals its divulged image once: in the Divulged entry
-   (or, under pre-copy, as a base plus a delta), never again in the
-   Killed entry that removes the old instance. The retired layout that
-   did (entry tag 6) must fail to decode, not be mis-read. *)
+(* A pre-copy replace journals its image once, in the Divulged entry,
+   and a controller crash at any append before its Commit rolls the
+   world back to the pre-script snapshot. *)
+let test_precopy_logs_one_image () =
+  let _, mem, _, outcome = precopy_trial () in
+  Alcotest.(check bool) "dry run commits" true (Result.is_ok outcome);
+  Alcotest.(check bool) "one image container, in Divulged" true
+    (match containers "DRIMG2" mem with
+    | [ Persist.Divulged _ ] -> true
+    | _ -> false);
+  let total = List.length (Wal.records (ok (reopen mem))) in
+  List.iter
+    (fun n ->
+      let bus, mem, before, _ = precopy_trial ~ctl_crash:n () in
+      Alcotest.(check bool) "controller died" true (Bus.controller_down bus);
+      Storage.crash mem;
+      Bus.set_wal bus (ok (reopen mem));
+      (match Recovery.replay bus with
+      | Ok r ->
+        Alcotest.(check int)
+          (Printf.sprintf "crash@%d rolled one script back" n)
+          1 r.Recovery.rp_rolled_back
+      | Error e -> Alcotest.failf "recovery: %s" e);
+      Alcotest.(check bool)
+        (Printf.sprintf "crash@%d restored the snapshot" n)
+        true
+        (snapshot bus = before))
+    (List.init (total - 1) (fun i -> i + 1))
+
+(* A script journals its divulged image once: in the Divulged entry,
+   never again in the Killed entry that removes the old instance. The
+   retired layouts must fail to decode, not be mis-read: the Killed
+   entry that did carry the image (tag 6), and pre-copy's live base
+   (tag 10) and delta divulge (tag 11). *)
 let test_image_logged_once () =
   let _, mem, _, _, outcome = commit_trial () in
   Alcotest.(check bool) "replace commits" true (Result.is_ok outcome);
@@ -695,39 +677,50 @@ let test_image_logged_once () =
       Alcotest.failf "expected one image container, in Divulged; found %d"
         (List.length l)
   in
-  Alcotest.(check int) "a Killed entry is logged" 1
-    (List.length (killed_bodies mem));
-  let _, mem, _, outcome = precopy_trial () in
-  Alcotest.(check bool) "pre-copy replace commits" true (Result.is_ok outcome);
-  Alcotest.(check bool) "pre-copy logs one base image" true
-    (match containers "DRIMG2" mem with
-    | [ Persist.Precopy_base _ ] -> true
-    | _ -> false);
-  Alcotest.(check bool) "and one delta" true
-    (match containers "DRIMGD1" mem with
-    | [ Persist.Divulged_delta _ ] -> true
-    | _ -> false);
   let killed = killed_bodies mem in
+  Alcotest.(check int) "a Killed entry is logged" 1 (List.length killed);
   Alcotest.(check bool) "no Killed entry carries an image" true
-    (killed <> []
-    && List.for_all (fun body -> occurrences "DRIMG" body = 0) killed);
-  let container = Dr_state.Codec.encode_abstract image in
-  let old_killed =
-    let module W = Dr_state.Codec.Wire in
-    let module B = Dr_state.Bin_util in
+    (List.for_all (fun body -> occurrences "DRIMG" body = 0) killed);
+  let container = Bytes.to_string (Dr_state.Codec.encode_abstract image) in
+  let module W = Dr_state.Codec.Wire in
+  let module B = Dr_state.Bin_util in
+  let entry tag fields =
     B.with_buffer @@ fun buf ->
     W.write_int buf 1;
-    B.write_u8 buf 6;
-    List.iter (W.write_string buf) [ "c"; "member"; "hostC" ];
-    B.write_u8 buf 0 (* no spec *);
-    B.write_u8 buf 1 (* an image *);
-    W.write_string buf (Bytes.to_string container);
-    W.write_int buf 0 (* no queues *);
+    B.write_u8 buf tag;
+    fields buf;
     Buffer.to_bytes buf
   in
+  let old_killed =
+    entry 6 (fun buf ->
+        List.iter (W.write_string buf) [ "c"; "member"; "hostC" ];
+        B.write_u8 buf 0 (* no spec *);
+        B.write_u8 buf 1 (* an image *);
+        W.write_string buf container;
+        W.write_int buf 0 (* no queues *))
+  in
+  let precopy_base =
+    entry 10 (fun buf ->
+        W.write_string buf "c";
+        W.write_string buf container)
+  in
+  let divulged_delta =
+    entry 11 (fun buf ->
+        (* the module cap: instance, module, host, no spec, no
+           interfaces, no routes *)
+        List.iter (W.write_string buf) [ "c"; "member"; "hostC" ];
+        B.write_u8 buf 0;
+        List.iter (W.write_int buf) [ 0; 0; 0 ];
+        W.write_string buf "DRIMGD1\001")
+  in
   let kind = Persist.kind_of (Persist.Entry { sid = 1; entry = Spawned "c" }) in
-  Alcotest.(check bool) "an old-layout Killed body fails to decode" true
-    (Result.is_error (Persist.decode ~kind old_killed))
+  List.iter
+    (fun (what, body) ->
+      Alcotest.(check bool) (what ^ " fails to decode") true
+        (Result.is_error (Persist.decode ~kind body)))
+    [ ("an old-layout Killed body", old_killed);
+      ("a pre-copy base (tag 10)", precopy_base);
+      ("a delta divulge (tag 11)", divulged_delta) ]
 
 let test_replay_idempotent () =
   let bus, _, _, _, crashed = deadline_trial ~ctl_crash:3 () in
@@ -822,8 +815,8 @@ let () =
             test_crash_mid_script_rolls_back;
           Alcotest.test_case "crash at every append keeps the slot's state"
             `Quick test_crash_keeps_slot_state;
-          Alcotest.test_case "precopy base+delta logged and recovered" `Quick
-            test_precopy_delta_logged_and_recovered;
+          Alcotest.test_case "precopy image logged once and recovered" `Quick
+            test_precopy_logs_one_image;
           Alcotest.test_case "each divulged image logged once" `Quick
             test_image_logged_once;
           Alcotest.test_case "crash after commit keeps replacement" `Quick
