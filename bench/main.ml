@@ -9,10 +9,10 @@
    table/figure, timing the core operation behind each experiment on the
    real OCaml runtime.
 
-   Part 3 (Scaling) drives an N-member ring workload for a fixed event
-   budget at N = 10/100/1000 instances and reports wall-clock
-   deliveries/sec — the bus hot-path scaling experiment of
-   EXPERIMENTS.md.
+   Part 3 (Scaling) drives an N-member ring workload to a fixed virtual
+   horizon at N = 10 .. 100 000 instances, one row per N, and reports
+   engine events per delivery and wall-clock deliveries/sec — the bus
+   hot-path scaling experiment of EXPERIMENTS.md.
 
    Part 4 (Chaos) measures reconfiguration success rate and completion
    latency under seeded fault injection (message loss, host crashes) —

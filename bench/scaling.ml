@@ -1,18 +1,14 @@
 (* Bus scaling suite: an N-member token ring with N/10 tokens, run to a
    fixed virtual horizon, measuring deploy time, wall-clock
-   deliveries/sec and engine events per delivery. Each size runs at
-   shard count 1 and at a multi-domain count; both run the same batched
-   delivery path, so the pair checks that shard count changes nothing
-   but attribution.
+   deliveries/sec and engine events per delivery. One row per N.
 
    Run with: dune exec bench/main.exe -- scaling            (full sweep)
              dune exec bench/main.exe -- scaling --quick    (CI smoke)
 
    Each N gets its own horizon, sized so that every row does about the
    same number of deliveries (the work is fixed by virtual time, never
-   by an event budget). The gates are deterministic facts, not speed
-   ratios: at every N the deliveries are identical across shard counts,
-   and at N >= 1000 shard count 1 spends at most 1.1 engine events per
+   by an event budget). The gate is a deterministic fact, not a speed
+   ratio: at N >= 1000 the bus spends at most 1.1 engine events per
    delivery. The full sweep also gates the 100k deploy on bounded
    wall-clock time, asserts the complete row set and writes
    BENCH_scaling.json. The quick sweep writes
@@ -24,7 +20,6 @@ module Ring = Dr_workloads.Ring
 
 type row = {
   sc_n : int;
-  sc_shards : int;
   sc_deploy_ms : float;
   sc_horizon : float;  (* virtual ms the ring runs after settling *)
   sc_events : int;
@@ -39,10 +34,10 @@ let tokens n = max 1 (n / 10)
 let horizon_for ~deliveries n =
   Float.round (2.0 *. float_of_int deliveries /. float_of_int (tokens n))
 
-let run_one ~n ~shards ~horizon =
+let run_one ~n ~horizon =
   let system = Ring.load_large ~n in
   let t0 = Unix.gettimeofday () in
-  let bus = Ring.start_large system ~shards ~n ~tokens:(tokens n) in
+  let bus = Ring.start_large system ~n ~tokens:(tokens n) in
   let t1 = Unix.gettimeofday () in
   (* settle: every member runs its first quantum and parks on a read;
      the tokens are now in flight *)
@@ -60,7 +55,6 @@ let run_one ~n ~shards ~horizon =
   let t3 = Unix.gettimeofday () in
   let deliveries = passes () - passes0 in
   { sc_n = n;
-    sc_shards = shards;
     sc_deploy_ms = (t1 -. t0) *. 1e3;
     sc_horizon = horizon;
     sc_events = Dr_sim.Engine.events_fired engine - events0;
@@ -70,40 +64,29 @@ let run_one ~n ~shards ~horizon =
 let events_per_delivery r =
   float_of_int r.sc_events /. float_of_int (max 1 r.sc_deliveries)
 
-let multi_shards n = if n >= 10_000 then 8 else 4
-
-let find_row rows ~n ~multi =
-  List.find_opt
-    (fun r -> r.sc_n = n && (if multi then r.sc_shards > 1 else r.sc_shards = 1))
-    rows
 
 let header () =
   print_newline ();
   print_endline "==============================================================";
   print_endline "Bus scaling: N-member ring, N/10 tokens, fixed virtual horizon";
   print_endline "==============================================================";
-  Printf.printf "%8s %7s %12s %9s %10s %12s %8s %14s\n" "N" "shards"
-    "deploy(ms)" "horizon" "events" "deliveries" "ev/del" "deliveries/s";
-  Printf.printf "%s\n" (String.make 86 '-')
+  Printf.printf "%8s %12s %9s %10s %12s %8s %14s\n" "N" "deploy(ms)"
+    "horizon" "events" "deliveries" "ev/del" "deliveries/s";
+  Printf.printf "%s\n" (String.make 78 '-')
 
 let sweep ~sizes ~deliveries =
-  List.concat_map
+  List.map
     (fun n ->
-      let horizon = horizon_for ~deliveries n in
-      List.map
-        (fun shards ->
-          let r = run_one ~n ~shards ~horizon in
-          Printf.printf "%8d %7d %12.1f %9.0f %10d %12d %8.3f %14.0f\n%!"
-            r.sc_n r.sc_shards r.sc_deploy_ms r.sc_horizon r.sc_events
-            r.sc_deliveries (events_per_delivery r) r.sc_rate;
-          r)
-        [ 1; multi_shards n ])
+      let r = run_one ~n ~horizon:(horizon_for ~deliveries n) in
+      Printf.printf "%8d %12.1f %9.0f %10d %12d %8.3f %14.0f\n%!" r.sc_n
+        r.sc_deploy_ms r.sc_horizon r.sc_events r.sc_deliveries
+        (events_per_delivery r) r.sc_rate;
+      r)
     sizes
 
 let row_json r =
   Json_out.obj
     [ ("n", Json_out.int r.sc_n);
-      ("shards", Json_out.int r.sc_shards);
       ("deploy_ms", Json_out.float r.sc_deploy_ms);
       ("horizon_vms", Json_out.float r.sc_horizon);
       ("events", Json_out.int r.sc_events);
@@ -124,61 +107,35 @@ let fail fmt =
       exit 1)
     fmt
 
-(* The full sweep's artifact must carry the complete row set — the old
-   harness let a quick CI run overwrite it with two rows, silently
-   losing the published N=1000 figures. *)
-let assert_full_rows ~sizes rows =
+(* Deterministic gate: the batched path must keep the bus at about one
+   engine event per delivery. *)
+let gate_rows rows =
   List.iter
-    (fun n ->
-      List.iter
-        (fun multi ->
-          if find_row rows ~n ~multi = None then
-            failwith
-              (Printf.sprintf
-                 "scaling: full artifact is missing the N=%d %s-domain row" n
-                 (if multi then "multi" else "single")))
-        [ false; true ])
-    sizes
-
-(* Deterministic gates: the same virtual horizon must deliver the same
-   tokens at every shard count, and the batched path must keep the
-   single-domain bus at about one engine event per delivery. *)
-let gate_rows ~sizes rows =
-  List.iter
-    (fun n ->
-      match (find_row rows ~n ~multi:false, find_row rows ~n ~multi:true) with
-      | Some s, Some m ->
-        if s.sc_deliveries <> m.sc_deliveries then
-          fail "N=%d: %d deliveries at shards=1 but %d at shards=%d" n
-            s.sc_deliveries m.sc_deliveries m.sc_shards;
-        if n >= 1000 && events_per_delivery s > 1.1 then
-          fail "N=%d: %.3f events per delivery at shards=1 (gate <= 1.1)" n
-            (events_per_delivery s)
-      | _ -> fail "N=%d: missing a row" n)
-    sizes;
-  Printf.printf
-    "gates: deliveries identical across shard counts at every N; shards=1 \
-     events/delivery <= 1.1 at N >= 1000\n%!"
+    (fun r ->
+      if r.sc_n >= 1000 && events_per_delivery r > 1.1 then
+        fail "N=%d: %.3f events per delivery (gate <= 1.1)" r.sc_n
+          (events_per_delivery r))
+    rows;
+  Printf.printf "gate: events/delivery <= 1.1 at N >= 1000\n%!"
 
 let full ?(sizes = [ 10; 100; 1000; 10_000; 100_000 ]) () =
   header ();
   let rows = sweep ~sizes ~deliveries:200_000 in
   (* deploy-time gate: the 100k-instance deploy must complete in bounded
      wall-clock time, not just eventually *)
-  (match find_row rows ~n:100_000 ~multi:true with
-  | Some r when List.mem 100_000 sizes ->
-    Printf.printf "N=100000 multi-domain deploy: %.1f ms (gate <= 120000)\n%!"
+  (match List.find_opt (fun r -> r.sc_n = 100_000) rows with
+  | Some r ->
+    Printf.printf "N=100000 deploy: %.1f ms (gate <= 120000)\n%!"
       r.sc_deploy_ms;
     if r.sc_deploy_ms > 120_000.0 then fail "100k deploy exceeded 120s"
-  | _ -> ());
-  gate_rows ~sizes rows;
-  assert_full_rows ~sizes rows;
+  | None -> ());
+  gate_rows rows;
   write_artifact ~path:"BENCH_scaling.json" rows
 
 let quick ?(sizes = [ 10; 1000; 10_000 ]) () =
   header ();
   let rows = sweep ~sizes ~deliveries:100_000 in
-  gate_rows ~sizes rows;
+  gate_rows rows;
   let dir = Filename.concat "_build" "bench" in
   List.iter
     (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)

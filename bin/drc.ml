@@ -347,16 +347,6 @@ let reliable_arg =
 let timeline_arg =
   Arg.(value & flag & info [ "timeline" ] ~doc:"Draw an ASCII timeline of the run.")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition the bus into N broker domains (default 1). Instances \
-           are assigned round-robin and traffic is counted per domain. \
-           Every shard count runs the same batched delivery path, so the \
-           run and its trace are the same at any N.")
-
 let metrics_arg =
   Arg.(
     value
@@ -409,12 +399,12 @@ let parse_hosts specs =
     specs
 
 let run_cmd =
-  let run mil srcs app until hosts shards migrate precopy retry backoff faults
+  let run mil srcs app until hosts migrate precopy retry backoff faults
       reliable trace timeline metrics wal =
     let system = match load_system mil srcs with Ok s -> s | Error e -> or_die (Error e) in
     let hosts = parse_hosts hosts in
     let bus =
-      match Dynrecon.System.start system ~app ~hosts ~shards () with
+      match Dynrecon.System.start system ~app ~hosts () with
       | Ok bus -> bus
       | Error e -> or_die (Error e)
     in
@@ -493,9 +483,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Deploy an application and simulate it.")
     Term.(
       const run $ mil_arg $ srcs_arg $ app_arg $ until_arg $ hosts_arg
-      $ shards_arg $ migrate_arg $ precopy_arg $ retry_arg $ backoff_arg
-      $ faults_arg $ reliable_arg $ trace_arg $ timeline_arg $ metrics_arg
-      $ wal_arg)
+      $ migrate_arg $ precopy_arg $ retry_arg $ backoff_arg $ faults_arg
+      $ reliable_arg $ trace_arg $ timeline_arg $ metrics_arg $ wal_arg)
 
 let inspect_cmd =
   let run file =

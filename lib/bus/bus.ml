@@ -21,8 +21,8 @@ let default_params =
   { instr_cost = 0.01; quantum = 64; local_latency = 0.1; remote_latency = 1.0 }
 
 (* Send-path structures (see [Domain]): each process holds a
-   generational handle into its broker domain's arena, plus a memo of
-   its last-used out-route set with destinations pre-resolved to
+   generational handle into the bus's arena, plus a memo of its
+   last-used out-route set with destinations pre-resolved to
    handles. The memo is versioned against [routes_version] (bumped on
    any route/roster change) and its handles are gen-checked on use, so
    a kill or replace can never leave a stale entry aliasing a reused
@@ -62,8 +62,8 @@ type process = {
   mutable p_out_memo : out_memo option;
 }
 
-(* A routed message on its way to a destination domain: the sender, the
-   memoized destination, the send-time fan-out set (for re-routing when
+(* A routed message in a delivery batch: the sender, the memoized
+   destination, the send-time fan-out set (for re-routing when
    the destination dies in flight) and the value. *)
 type pending_msg = {
   bm_src : endpoint;
@@ -136,17 +136,16 @@ type t = {
   mutable activity_hook : (string -> unit) option;
   corrupt_images : (string, unit) Hashtbl.t;
   mutable bus_metrics : Metrics.t option;
-  (* broker domains: [shards] partitions of the fleet, each with an
-     arena process table; [inbound] holds the per-destination-domain
-     delivery batches. Shard count decides only how instances are
-     partitioned and how traffic is attributed: every count runs the
-     same send and delivery code. *)
-  shards : int;
-  domains : process Domain.t array;
-  inbound : pending_msg Domain.Batch.t array;
-  mutable spawn_rr : int;  (* round-robin domain assignment counter *)
+  (* the broker domain: the arena process table and the delivery
+     batches, plus traffic counts the hot path bumps as plain ints (no
+     labels, no hashing) and [domain_stats] and the collectors read *)
+  domain : process Domain.t;
+  inbound : pending_msg Domain.Batch.t;
+  mutable routed : int;  (* per-destination sends *)
+  mutable delivered : int;  (* enqueues into an input queue *)
+  mutable batches : int;  (* delivery batches drained *)
+  mutable batched : int;  (* messages carried by those batches *)
   mutable routes_version : int;
-  dom_labels : (string * string) list array;  (* prebuilt metric labels *)
   (* durable control plane (see Journal/Recovery in dr_reconfig): the
      write-ahead log the journal appends to, plus the controller fault
      model — a counter of control-log appends and an optional armed
@@ -202,27 +201,15 @@ let install_collectors t registry =
                 (float_of_int (Queue.length q)))
             p.p_queues)
         t.live;
-      (* per-domain attribution: the send and delivery paths bump plain
-         counters on the Domain records; surface them, and the messages
-         parked in batches, only at snapshot time (model-checking mode
-         parks nothing: each message is its own event). *)
-      let in_flight = ref 0 in
-      Array.iter
-        (fun b -> in_flight := !in_flight + Domain.Batch.in_flight b)
-        t.inbound;
-      Metrics.set_gauge r "bus.in_flight" (float_of_int !in_flight);
-      Array.iteri
-        (fun i d ->
-          let labels = t.dom_labels.(i) in
-          Metrics.set_gauge r "bus.domain_live" ~labels
-            (float_of_int (Domain.live_count d));
-          Metrics.set_gauge r "bus.domain_routed" ~labels
-            (float_of_int (Domain.routed d));
-          Metrics.set_gauge r "bus.domain_delivered" ~labels
-            (float_of_int (Domain.delivered d));
-          Metrics.set_gauge r "bus.domain_batches" ~labels
-            (float_of_int (Domain.batches d)))
-        t.domains)
+      (* the send and delivery paths bump plain counters; surface them,
+         and the messages parked in batches, only at snapshot time
+         (model-checking mode parks nothing: each message is its own
+         event) *)
+      Metrics.set_gauge r "bus.in_flight"
+        (float_of_int (Domain.Batch.in_flight t.inbound));
+      Metrics.set_gauge r "bus.routed" (float_of_int t.routed);
+      Metrics.set_gauge r "bus.delivered" (float_of_int t.delivered);
+      Metrics.set_gauge r "bus.batches" (float_of_int t.batches))
 
 let set_metrics t registry =
   t.bus_metrics <- Some registry;
@@ -230,8 +217,7 @@ let set_metrics t registry =
 
 let metrics t = t.bus_metrics
 
-let create ?(params = default_params) ?(shards = 1) ~hosts () =
-  let shards = max 1 shards in
+let create ?(params = default_params) ~hosts () =
   let t =
     { engine = Engine.create ();
       trace = Trace.create ();
@@ -248,13 +234,13 @@ let create ?(params = default_params) ?(shards = 1) ~hosts () =
       activity_hook = None;
       corrupt_images = Hashtbl.create 4;
       bus_metrics = None;
-      shards;
-      domains = Array.init shards (fun i -> Domain.create ~id:i);
-      inbound = Array.init shards (fun _ -> Domain.Batch.create ());
-      spawn_rr = 0;
+      domain = Domain.create ();
+      inbound = Domain.Batch.create ();
+      routed = 0;
+      delivered = 0;
+      batches = 0;
+      batched = 0;
       routes_version = 0;
-      dom_labels =
-        Array.init shards (fun i -> [ ("domain", string_of_int i) ]);
       bus_wal = None;
       ctl_appends = 0;
       ctl_crash_at = None;
@@ -271,8 +257,6 @@ let create ?(params = default_params) ?(shards = 1) ~hosts () =
   in
   if Metrics.enabled_from_env () then set_metrics t (Metrics.create ());
   t
-
-let shard_count t = t.shards
 
 let engine t = t.engine
 let trace t = t.trace
@@ -601,12 +585,11 @@ and schedule_wake t p ~delay =
       end)
 
 (* Run a machine that a wake or a delivery just made ready. Like the
-   send path, this picks its granularity from [Engine.mc_enabled], never
-   from shard count. In model-checking mode the quantum is its own
-   delay-0 event, so the explorer can interleave it with everything else
-   due at this instant. In production it runs right away, saving an
-   event-queue pop per wake; that order is one of the interleavings the
-   explorer visits. *)
+   send path, this picks its granularity from [Engine.mc_enabled]. In
+   model-checking mode the quantum is its own delay-0 event, so the
+   explorer can interleave it with everything else due at this instant.
+   In production it runs right away, saving an event-queue pop per wake;
+   that order is one of the interleavings the explorer visits. *)
 and resume t p =
   if Engine.mc_enabled t.engine then schedule_quantum t p ~delay:0.0
   else if not p.p_scheduled then run_quantum t p
@@ -791,8 +774,7 @@ let enqueue t kind p ~dst value =
     true
   | _ -> false
 
-let count_delivered t p =
-  Domain.count_delivered t.domains.(p.p_handle.Domain.h_dom)
+let count_delivered t = t.delivered <- t.delivered + 1
 
 let deliver_k t kind ~dst value =
   let dst = drain_redirect t dst in
@@ -805,7 +787,7 @@ let deliver_k t kind ~dst value =
     if host_is_down t p.p_host.host_name then
       record t (E.Host_down_delivery { dst; host = p.p_host.host_name })
     else begin
-      count_delivered t p;
+      count_delivered t;
       if enqueue t kind p ~dst value then schedule_quantum t p ~delay:0.0
     end
 
@@ -858,11 +840,7 @@ let drop_queue t ep =
    a kill gen-fails here even if the slot was since reused, so a stale
    memo can never alias a different instance. *)
 let resolve_dest t (de : dest_entry) =
-  let h = de.de_handle in
-  let hit =
-    if Domain.is_null h then None else Domain.get t.domains.(h.Domain.h_dom) h
-  in
-  match hit with
+  match Domain.get t.domain de.de_handle with
   | Some _ as r -> r
   | None -> (
     match find_proc t (fst de.de_dst) with
@@ -941,17 +919,18 @@ let deliver_routed t (bm : pending_msg) =
       None
     end
     else begin
-      count_delivered t p;
+      count_delivered t;
       if enqueue t Fresh p ~dst bm.bm_value then Some p else None
     end
 
-(* Deliver a batch bound for one domain, in insertion order (per-route
-   FIFO). Every message is enqueued first, then each woken reader
-   resumes once, in wake order, so a reader sees all of its same-instant
-   messages in one quantum. *)
-let deliver_batch t dom_idx batch =
+(* Deliver a batch in insertion order (per-route FIFO). Every message
+   is enqueued first, then each woken reader resumes once, in wake
+   order, so a reader sees all of its same-instant messages in one
+   quantum. *)
+let deliver_batch t batch =
   let size = List.length batch in
-  Domain.count_batch t.domains.(dom_idx) ~size;
+  t.batches <- t.batches + 1;
+  t.batched <- t.batched + size;
   (match t.bus_metrics with
   | Some r -> Metrics.observe r "bus.batch_size" (float_of_int size)
   | None -> ());
@@ -974,10 +953,10 @@ let with_faults t ~src ~dst ~delay send =
       send ~delay)
 
 (* The send path: memoized fan-out, handles instead of string keys, and
-   per-hop batching. A message joins the batch for its destination
-   domain at its exact delivery instant, and only the first message of a
-   batch schedules an engine event. In model-checking mode each message
-   is instead its own [deliver] event, a choice point for the explorer. *)
+   per-hop batching. A message joins the batch for its exact delivery
+   instant, and only the first message of a batch schedules an engine
+   event. In model-checking mode each message is instead its own
+   [deliver] event, a choice point for the explorer. *)
 let route_live t p iface value =
   (match t.activity_hook with
   | Some hook -> hook p.p_instance
@@ -989,20 +968,19 @@ let route_live t p iface value =
   end
   else begin
     let src = (p.p_instance, iface) in
-    let src_dom = p.p_handle.Domain.h_dom in
     Array.iter
       (fun de ->
-        Domain.count_routed t.domains.(src_dom);
+        t.routed <- t.routed + 1;
         let handled =
           match t.transport with
           | Some tr -> tr.tr_send ~src ~dst:de.de_dst value
           | None -> false
         in
         if not handled then begin
-          let dst_host, dst_dom =
+          let dst_host =
             match resolve_dest t de with
-            | Some dp -> (dp.p_host, dp.p_handle.Domain.h_dom)
-            | None -> (p.p_host, src_dom)
+            | Some dp -> dp.p_host
+            | None -> p.p_host
           in
           let push ~delay =
             let due = now t +. delay in
@@ -1014,11 +992,10 @@ let route_live t p iface value =
               Engine.schedule_at
                 ~label:(deliver_label t ~dst:de.de_dst value)
                 t.engine ~time:due
-                (fun () -> deliver_batch t dst_dom [ msg ])
-            else if Domain.Batch.add t.inbound.(dst_dom) ~due msg then
+                (fun () -> deliver_batch t [ msg ])
+            else if Domain.Batch.add t.inbound ~due msg then
               Engine.schedule_at t.engine ~time:due (fun () ->
-                  deliver_batch t dst_dom
-                    (Domain.Batch.drain t.inbound.(dst_dom) ~due))
+                  deliver_batch t (Domain.Batch.drain t.inbound ~due))
           in
           with_faults t ~src ~dst:de.de_dst
             ~delay:(latency t p.p_host dst_host) push
@@ -1027,7 +1004,7 @@ let route_live t p iface value =
   end
 
 (* A machine killed by its own divulge callback runs out that quantum,
-   but its domain slot is gone: what it sends is discarded. *)
+   but its arena slot is gone: what it sends is discarded. *)
 let route_message t p iface value =
   if p.p_alive then route_live t p iface value
   else begin
@@ -1064,7 +1041,7 @@ let deliver_now t ~dst value =
   | Some p ->
     if host_is_down t p.p_host.host_name then false
     else begin
-      count_delivered t p;
+      count_delivered t;
       if enqueue t Fresh p ~dst value then schedule_quantum t p ~delay:0.0;
       true
     end
@@ -1123,8 +1100,7 @@ let placement t ~instance ~host =
     | Some h -> Ok h
 
 (* Build a process around [make_machine]'s machine and register it: the
-   roster, the live table, and an arena slot in the next domain
-   round-robin. *)
+   roster, the live table, and an arena slot. *)
 let register t ~instance ~module_name ~host ~spec make_machine =
   let p_ref = ref None in
   let machine = make_machine (instance_io t p_ref) in
@@ -1152,8 +1128,7 @@ let register t ~instance ~module_name ~host ~spec make_machine =
   p_ref := Some p;
   t.procs_rev <- p :: t.procs_rev;
   Hashtbl.replace t.live instance p;
-  p.p_handle <- Domain.alloc t.domains.(t.spawn_rr mod t.shards) p;
-  t.spawn_rr <- t.spawn_rr + 1;
+  p.p_handle <- Domain.alloc t.domain p;
   p
 
 let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
@@ -1205,7 +1180,7 @@ let kill t ~instance =
        handle cached for this instance, so out-route memos can never
        alias whatever reuses the slot *)
     if not (Domain.is_null p.p_handle) then begin
-      Domain.free t.domains.(p.p_handle.Domain.h_dom) p.p_handle;
+      Domain.free t.domain p.p_handle;
       p.p_handle <- Domain.null_handle
     end;
     t.routes_version <- t.routes_version + 1;
@@ -1376,29 +1351,9 @@ let run_while t ?(max_events = max_int) predicate =
 
 let quiescent t = Engine.pending t.engine = 0
 
-(* ------------------------------------------------------------- domains *)
+(* -------------------------------------------------------------- domain *)
 
-type domain_stats = {
-  d_id : int;
-  d_live : int;
-  d_routed : int;
-  d_delivered : int;
-  d_batches : int;
-  d_batched : int;
-}
-
-let domain_of_instance t ~instance =
-  Option.bind (find_proc t instance) (fun p ->
-      if Domain.is_null p.p_handle then None else Some p.p_handle.Domain.h_dom)
+type domain_stats = { d_delivered : int; d_batches : int; d_batched : int }
 
 let domain_stats t =
-  Array.to_list
-    (Array.map
-       (fun d ->
-         { d_id = Domain.id d;
-           d_live = Domain.live_count d;
-           d_routed = Domain.routed d;
-           d_delivered = Domain.delivered d;
-           d_batches = Domain.batches d;
-           d_batched = Domain.batched d })
-       t.domains)
+  [ { d_delivered = t.delivered; d_batches = t.batches; d_batched = t.batched } ]

@@ -27,18 +27,13 @@ val default_params : params
 
 type t
 
-val create : ?params:params -> ?shards:int -> hosts:host list -> unit -> t
-(** [shards] partitions the fleet into that many broker domains
-    (default 1): instances are assigned to domains round-robin at spawn
-    and traffic is attributed per domain ({!domain_stats}). Every shard
-    count runs the same delivery path: destinations resolve through
-    flat-array arenas instead of hashtables, and deliveries bound for
-    the same domain at the same virtual instant share one event-queue
-    pop ({!Domain.Batch}). A run, and its trace, is the same at any
-    shard count. In model-checking mode ({!Dr_sim.Engine.mc_enable})
-    each message is instead its own [deliver] event and each woken
-    quantum its own event, so the explorer sees every delivery as a
-    choice point. *)
+val create : ?params:params -> hosts:host list -> unit -> t
+(** Destinations resolve through a flat-array arena ({!Domain}) instead
+    of hashtables, and deliveries due at the same virtual instant share
+    one event-queue pop ({!Domain.Batch}). In model-checking mode
+    ({!Dr_sim.Engine.mc_enable}) each message is instead its own
+    [deliver] event and each woken quantum its own event, so the
+    explorer sees every delivery as a choice point. *)
 
 val engine : t -> Dr_sim.Engine.t
 val trace : t -> Dr_sim.Trace.t
@@ -50,8 +45,8 @@ val record : t -> Dr_sim.Trace_event.t -> unit
 val set_metrics : t -> Dr_obs.Metrics.t -> unit
 (** Attach a metrics registry: bus counters (drops, spawns/kills,
     reconfiguration signals), a batch-size histogram, and snapshot-time
-    collectors for queue depths, messages in flight and the per-domain
-    routed/delivered/batch counts ({!domain_stats}). Purely passive — no
+    collectors for queue depths, messages in flight and the routed,
+    delivered and batch counts ({!domain_stats}). Purely passive — no
     trace entries, no scheduled events, no PRNG draws — so golden traces
     stay byte-identical with metrics attached. [create] auto-attaches a fresh
     registry when the [DRC_METRICS] environment variable is set. *)
@@ -290,9 +285,9 @@ val transmit :
 
 val deliver_now : t -> dst:endpoint -> Dr_state.Value.t -> bool
 (** Enqueue a value at [dst] immediately — no latency, no fault
-    decision, no trace on success — and count it as delivered into
-    [dst]'s domain. [false] when the destination is gone or its host is
-    down (the reliable layer then withholds its ack). *)
+    decision, no trace on success — and count it as delivered. [false]
+    when the destination is gone or its host is down (the reliable
+    layer then withholds its ack). *)
 
 val on_activity : t -> (string -> unit) option -> unit
 (** Subscribe to message-send activity: the hook is called with the
@@ -471,22 +466,13 @@ val run_while : t -> ?max_events:int -> (unit -> bool) -> unit
 val quiescent : t -> bool
 (** No events pending (all processes parked or finished). *)
 
-(** {1 Broker domains} *)
-
-val shard_count : t -> int
-
-val domain_of_instance : t -> instance:string -> int option
-(** The broker domain a live instance is assigned to. *)
+(** {1 Traffic counts} *)
 
 type domain_stats = {
-  d_id : int;
-  d_live : int;       (** instances currently in the domain's arena *)
-  d_routed : int;     (** messages sent by this domain's instances *)
-  d_delivered : int;  (** messages delivered into this domain *)
-  d_batches : int;    (** inter-domain batches drained *)
+  d_delivered : int;  (** messages enqueued into input queues *)
+  d_batches : int;    (** delivery batches drained *)
   d_batched : int;    (** messages carried by those batches *)
 }
 
 val domain_stats : t -> domain_stats list
-(** Per-domain traffic attribution, in domain-id order. At shard count
-    1 the single domain carries all traffic. *)
+(** The bus's traffic counts, as a one-element list. *)

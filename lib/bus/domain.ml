@@ -1,54 +1,31 @@
-(* Broker domains: the bus's process table, partitioned.
+(* The broker domain: the bus's process table and per-hop batching.
 
-   A domain owns one shard of the instance fleet. Its process table is
-   an arena — a flat array of slots with a free list — instead of a
-   hashtable, so the delivery hot path is an array index, not a string
-   hash. Handles are generational: freeing a slot bumps its generation,
-   so a handle cached before a kill can never alias an instance that
-   later reuses the slot — the stale handle simply stops resolving and
-   the caller falls back to a by-name lookup.
+   The process table is an arena — a flat array of slots with a free
+   list — instead of a hashtable, so the delivery hot path is an array
+   index, not a string hash. Handles are generational: freeing a slot
+   bumps its generation, so a handle cached before a kill can never
+   alias an instance that later reuses the slot — the stale handle
+   simply stops resolving and the caller falls back to a by-name lookup.
 
-   [Batch] is the bus's per-hop batching structure: messages bound for
-   the same destination domain at the same virtual delivery time
-   accumulate into one batch, and a single event-queue pop drains them
-   all. The bus batches at every shard count; only model-checking mode
-   schedules each message as its own event. *)
+   [Batch] is the bus's per-hop batching structure: messages due at the
+   same virtual delivery time accumulate into one batch, and a single
+   event-queue pop drains them all. Only model-checking mode schedules
+   each message as its own event. *)
 
-type handle = { h_dom : int; h_slot : int; h_gen : int }
+type handle = { h_slot : int; h_gen : int }
 
-let null_handle = { h_dom = -1; h_slot = -1; h_gen = -1 }
+let null_handle = { h_slot = -1; h_gen = -1 }
 
 let is_null h = h.h_slot < 0
 
 type 'a t = {
-  dom_id : int;
   mutable slots : 'a option array;
   mutable gens : int array;
   mutable used : int;  (* high-water mark: slots at or beyond are virgin *)
   mutable free : int list;
-  mutable live : int;
-  (* traffic accounting, written by the bus on its hot path (plain ints,
-     no labels, no hashing) and read back by [Bus.domain_stats] *)
-  mutable routed : int;
-  mutable delivered : int;
-  mutable batches : int;
-  mutable batched : int;
 }
 
-let create ~id =
-  { dom_id = id;
-    slots = [||];
-    gens = [||];
-    used = 0;
-    free = [];
-    live = 0;
-    routed = 0;
-    delivered = 0;
-    batches = 0;
-    batched = 0 }
-
-let id t = t.dom_id
-let live_count t = t.live
+let create () = { slots = [||]; gens = [||]; used = 0; free = [] }
 
 let grow t =
   let capacity = Array.length t.slots in
@@ -75,8 +52,7 @@ let alloc t v =
       slot
   in
   t.slots.(slot) <- Some v;
-  t.live <- t.live + 1;
-  { h_dom = t.dom_id; h_slot = slot; h_gen = t.gens.(slot) }
+  { h_slot = slot; h_gen = t.gens.(slot) }
 
 (* Freeing bumps the generation, so every handle minted for this slot
    so far is dead from here on — the aliasing guard. *)
@@ -86,25 +62,13 @@ let free t h =
   then begin
     t.slots.(h.h_slot) <- None;
     t.gens.(h.h_slot) <- t.gens.(h.h_slot) + 1;
-    t.free <- h.h_slot :: t.free;
-    t.live <- t.live - 1
+    t.free <- h.h_slot :: t.free
   end
 
 let get t h =
   if h.h_slot >= 0 && h.h_slot < t.used && t.gens.(h.h_slot) = h.h_gen then
     t.slots.(h.h_slot)
   else None
-
-let routed t = t.routed
-let delivered t = t.delivered
-let batches t = t.batches
-let batched t = t.batched
-let count_routed t = t.routed <- t.routed + 1
-let count_delivered t = t.delivered <- t.delivered + 1
-
-let count_batch t ~size =
-  t.batches <- t.batches + 1;
-  t.batched <- t.batched + size
 
 (* ------------------------------------------------------------- batches *)
 
@@ -122,7 +86,7 @@ module Batch = struct
   let create () = { pending = Hashtbl.create 32; in_flight = 0 }
 
   (* [true] iff this message opened a new batch — the caller then
-     schedules exactly one drain event for (domain, due). *)
+     schedules exactly one drain event at [due]. *)
   let add t ~due m =
     t.in_flight <- t.in_flight + 1;
     match Hashtbl.find_opt t.pending due with

@@ -1,30 +1,26 @@
-(** Broker domains: flat-array process tables and inter-domain batching.
+(** The broker domain: the bus's flat-array process table and its
+    per-hop batching.
 
-    A domain owns one shard of the bus's instance fleet in an arena — a
-    flat slot array with a free list — replacing per-process hashtable
-    lookups on the delivery hot path with array indexing. Handles are
-    generational: {!free} bumps the slot's generation, so a cached
-    handle can never alias an instance that later reuses the slot
-    (it stops resolving and the caller re-resolves by name).
+    The domain holds the bus's instance fleet in an arena — a flat slot
+    array with a free list — replacing per-process hashtable lookups on
+    the delivery hot path with array indexing. Handles are generational:
+    {!free} bumps the slot's generation, so a cached handle can never
+    alias an instance that later reuses the slot (it stops resolving
+    and the caller re-resolves by name).
 
-    {!Batch} is the inter-domain router's per-hop batching: messages
-    bound for the same destination domain at the same virtual delivery
-    time share one event-queue pop. *)
+    {!Batch} is the router's per-hop batching: messages due at the same
+    virtual delivery time share one event-queue pop. *)
 
-type handle = { h_dom : int; h_slot : int; h_gen : int }
+type handle = { h_slot : int; h_gen : int }
 
 val null_handle : handle
-(** Never resolves; [h_dom = -1]. *)
+(** Never resolves. *)
 
 val is_null : handle -> bool
 
 type 'a t
 
-val create : id:int -> 'a t
-
-val id : 'a t -> int
-
-val live_count : 'a t -> int
+val create : unit -> 'a t
 
 val alloc : 'a t -> 'a -> handle
 (** Place a value in a free slot (reusing freed slots first) and mint a
@@ -37,20 +33,6 @@ val free : 'a t -> handle -> unit
 val get : 'a t -> handle -> 'a option
 (** [None] once the slot was freed (even if since reused) — the
     generation check is the aliasing guard. O(1), no hashing. *)
-
-(** {1 Traffic accounting}
-
-    Plain mutable counters bumped by the bus hot path and read back via
-    [Bus.domain_stats] — no labels, no hashing, safe to update per
-    message. *)
-
-val routed : 'a t -> int
-val delivered : 'a t -> int
-val batches : 'a t -> int
-val batched : 'a t -> int
-val count_routed : 'a t -> unit
-val count_delivered : 'a t -> unit
-val count_batch : 'a t -> size:int -> unit
 
 (** {1 Per-hop batching} *)
 

@@ -55,20 +55,13 @@ let install bus ~seed p =
   if p.fp_rules = [] && p.fp_jitter = 0.0 then Bus.clear_fault_hooks bus
   else begin
     let prng = Prng.create ~seed in
-    (* injection accounting, attributed to the victim's broker domain on
-       a sharded bus. Metrics are passive (no trace, no PRNG, no events)
-       and the lookup only runs when an injection actually fires, so the
-       fault decision stream is untouched. *)
-    let count_injection kind ~dst =
+    (* injection accounting. Metrics are passive (no trace, no PRNG, no
+       events), so the fault decision stream is untouched. *)
+    let count_injection kind =
       match Bus.metrics bus with
       | None -> ()
       | Some r ->
-        let labels =
-          match Bus.domain_of_instance bus ~instance:(fst dst) with
-          | Some d -> [ ("kind", kind); ("domain", string_of_int d) ]
-          | None -> [ ("kind", kind) ]
-        in
-        Dr_obs.Metrics.incr r ~labels "faults.injected"
+        Dr_obs.Metrics.incr r ~labels:[ ("kind", kind) ] "faults.injected"
     in
     let decide ~src ~dst =
       match List.find_opt (matches ~src ~dst) p.fp_rules with
@@ -78,11 +71,11 @@ let install bus ~seed p =
            consumptions — and hence the whole run — replays from the seed *)
         let u = Prng.float prng 1.0 in
         if u < r.r_loss then begin
-          count_injection "loss" ~dst;
+          count_injection "loss";
           Bus.Drop
         end
         else if r.r_dup > 0.0 && Prng.float prng 1.0 < r.r_dup then begin
-          count_injection "dup" ~dst;
+          count_injection "dup";
           Bus.Duplicate
         end
         else Bus.Deliver
@@ -97,8 +90,13 @@ let install bus ~seed p =
 
 (* --------------------------------------------------- CLI specification *)
 
+(* A non-finite number would schedule an event at a NaN or infinite
+   time (an @T clause, or jitter) or make a probability meaningless, so
+   the parser refuses it. *)
 let parse_float_clause what v =
   match float_of_string_opt v with
+  | Some f when not (Float.is_finite f) ->
+    Error (Printf.sprintf "bad %s value %S: must be a finite number" what v)
   | Some f when f >= 0.0 -> Ok f
   | Some _ | None -> Error (Printf.sprintf "bad %s value %S" what v)
 
@@ -114,6 +112,8 @@ let parse_at what v =
     else
       match float_of_string_opt time with
       | None -> Error (Printf.sprintf "bad %s %S: expected name@time" what v)
+      | Some t when not (Float.is_finite t) ->
+        Error (Printf.sprintf "bad %s %S: time must be a finite number" what v)
       | Some t when t < 0.0 ->
         Error (Printf.sprintf "bad %s %S: time must be non-negative" what v)
       | Some t -> Ok (name, t))

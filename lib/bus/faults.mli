@@ -66,7 +66,8 @@ val parse_plan : string -> (int * plan, string) result
     (default 0) and the plan.
 
     Malformed or contradictory specifications are rejected with a
-    descriptive error: negative [@T] times, duplicate timed clauses,
+    descriptive error: negative or non-finite [@T] times, non-finite
+    [loss]/[dup]/[jitter] values, duplicate timed clauses,
     a crash and recover of the same host at the same instant, and a
     loss/dup rule whose scope an earlier, broader rule already covers
     (first match wins, so the later clause could never fire). *)

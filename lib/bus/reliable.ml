@@ -418,36 +418,7 @@ let attach ?(params = default_params) bus =
         Dr_obs.Metrics.set_gauge r "reliable.retx_total"
           (float_of_int (total_retx t));
         Dr_obs.Metrics.set_gauge r "reliable.unacked_total"
-          (float_of_int (total_unacked t));
-        (* per-domain attribution on a sharded bus: aggregate channel
-           traffic by the destination instance's broker domain — route
-           labels stay useful on small fleets, but at 100k instances
-           only the bounded per-domain series are tractable *)
-        if Bus.shard_count bus > 1 then begin
-          let shards = Bus.shard_count bus in
-          let sent = Array.make shards 0
-          and retx = Array.make shards 0
-          and unacked = Array.make shards 0 in
-          List.iter
-            (fun s ->
-              match Bus.domain_of_instance bus ~instance:(fst s.st_dst) with
-              | Some d when d >= 0 && d < shards ->
-                sent.(d) <- sent.(d) + s.st_sent;
-                retx.(d) <- retx.(d) + s.st_retx;
-                unacked.(d) <- unacked.(d) + s.st_unacked
-              | Some _ | None -> ())
-            (stats t);
-          Array.iteri
-            (fun d v ->
-              let labels = [ ("domain", string_of_int d) ] in
-              Dr_obs.Metrics.set_gauge r ~labels "reliable.domain_sent"
-                (float_of_int v);
-              Dr_obs.Metrics.set_gauge r ~labels "reliable.domain_retx"
-                (float_of_int retx.(d));
-              Dr_obs.Metrics.set_gauge r ~labels "reliable.domain_unacked"
-                (float_of_int unacked.(d)))
-            sent
-        end)
+          (float_of_int (total_unacked t)))
   | None -> ());
   t
 

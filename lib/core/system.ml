@@ -123,14 +123,14 @@ let instrumented_source t name =
     (fun m -> Dr_lang.Pretty.program_to_string (deployed_program m))
     (find_module t name)
 
-let start t ~app ~hosts ?params ?shards ?default_host () =
+let start t ~app ~hosts ?params ?default_host () =
   let* default_host =
     match default_host, hosts with
     | Some h, _ -> Ok h
     | None, first :: _ -> Ok first.Bus.host_name
     | None, [] -> Error "no hosts given"
   in
-  let bus = Bus.create ?params ?shards ~hosts () in
+  let bus = Bus.create ?params ~hosts () in
   let* () =
     List.fold_left
       (fun acc m ->

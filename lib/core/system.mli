@@ -47,14 +47,12 @@ val start :
   app:string ->
   hosts:Dr_bus.Bus.host list ->
   ?params:Dr_bus.Bus.params ->
-  ?shards:int ->
   ?default_host:string ->
   unit ->
   (Dr_bus.Bus.t, string) result
 (** Create a bus over [hosts], register every module's deployed program,
     and deploy the named application. [default_host] defaults to the
-    first host; [shards] is the broker-domain count
-    ({!Dr_bus.Bus.create}, default 1). *)
+    first host. *)
 
 (** {1 Synchronous reconfiguration wrappers} *)
 

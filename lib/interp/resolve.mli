@@ -63,8 +63,8 @@ type rinstr =
           (pre-copy's freeze) that fires when control reaches the
           point *)
 
-(** Superinstructions: maximal straight-line runs (up to
-    {!max_fused_run} instructions) pre-joined at resolve time so the
+(** Superinstructions: maximal straight-line runs (up to eight
+    instructions) pre-joined at resolve time so the
     dispatch loop pays one match for the whole run. Advisory and
     index-aligned with [rp_instrs]: jump targets landing mid-run execute
     the member unfused, and observable behaviour (instruction counts,
@@ -91,9 +91,6 @@ type fused =
       (** compare+branch heading a run: false → branch (1 instr), true →
           fall through the members into the optional tail — a tight loop
           body becomes a single dispatch per iteration *)
-
-val max_fused_run : int
-(** Upper bound on the number of instructions joined into one run. *)
 
 val fused_length : fused -> int
 (** Maximum instructions a fused run can execute (the true-path count

@@ -126,7 +126,6 @@ and pp_block_indent indent ppf block =
   end
 
 let pp_stmt ppf s = pp_stmt_indent 0 ppf s
-let pp_block ppf b = pp_block_indent 0 ppf b
 
 let pp_param ppf { pname; pty; pref } =
   if pref then Fmt.pf ppf "ref %s: %a" pname pp_ty pty

@@ -5,13 +5,8 @@
     equal to [p] (modulo line numbers). The transform relies on this to
     emit instrumented modules as ordinary source text. *)
 
-val pp_ty : Format.formatter -> Ast.ty -> unit
 val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_lvalue : Format.formatter -> Ast.lvalue -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_block : Format.formatter -> Ast.block -> unit
-val pp_proc : Format.formatter -> Ast.proc -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 
 val ty_to_string : Ast.ty -> string
 val expr_to_string : Ast.expr -> string

@@ -138,7 +138,7 @@ let detector_restart ?(k = 1) ?(fault_budget = 1) ?(crash_budget = 1)
     let bus = Workload.boot system in
     Bus.set_detector_config bus
       { Bus.dc_period = 1.0; dc_timeout = 1.5; dc_threshold = 1 };
-    let detector = Detector.start bus ~watch:[ "c1" ] () in
+    let detector = Detector.start bus ~watch:[ "c1" ] in
     let sup =
       Supervisor.start bus ~period:1.0 ~max_restarts:1 ~detector
         ~watch:[ "c1" ] ()

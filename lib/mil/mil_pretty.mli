@@ -2,6 +2,4 @@
     {!Mil_parser}. *)
 
 val pp_module : Format.formatter -> Spec.module_spec -> unit
-val pp_application : Format.formatter -> Spec.application -> unit
-val pp_config : Format.formatter -> Spec.config -> unit
 val config_to_string : Spec.config -> string

@@ -9,8 +9,6 @@
 
 val validate : Spec.config -> (unit, string list) result
 
-val validate_app : Spec.config -> Spec.application -> (unit, string list) result
-
 val check_program_against_spec :
   Spec.module_spec -> Dr_lang.Ast.program -> (unit, string list) result
 (** Cross-check a MiniProc module against its specification: the

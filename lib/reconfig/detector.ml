@@ -24,8 +24,8 @@
      only on membership change — no per-tick fold + sort allocation,
      and beat order (hence fault-plane PRNG draw order) matches the old
      sorted-scan implementation exactly;
-   - suspicion checks run off per-domain due wheels (priority queues
-     keyed by the time an instance's silence would exceed [timeout]).
+   - suspicion checks run off a due wheel (a priority queue keyed by
+     the time an instance's silence would exceed [timeout]).
      Evidence is O(1) — field writes only, no wheel surgery; a wheel
      entry made stale by fresh evidence is lazily re-armed at the next
      pop. Each tick therefore only touches instances whose silence
@@ -43,8 +43,7 @@ type watch_state = {
   mutable w_level : int;
   mutable w_suspected : bool;
   w_stamp : int;  (* identity of this watch incarnation *)
-  mutable w_armed : bool;  (* has a live entry in a due wheel *)
-  w_domain : int;  (* broker domain: which wheel holds its entries *)
+  mutable w_armed : bool;  (* has a live entry in the due wheel *)
 }
 
 type t = {
@@ -55,7 +54,7 @@ type t = {
   watched : (string, watch_state) Hashtbl.t;
   mutable running : bool;
   (* incremental check plane *)
-  wheels : (string * int) Pqueue.t array;  (* (instance, stamp) by due *)
+  wheel : (string * int) Pqueue.t;  (* (instance, stamp) by due *)
   mutable wheel_seq : int;
   mutable stamp_counter : int;
   mutable roster : (string * watch_state) array;  (* name-sorted cache *)
@@ -71,7 +70,7 @@ let arm t instance w ~due =
   if not w.w_armed then begin
     w.w_armed <- true;
     t.wheel_seq <- t.wheel_seq + 1;
-    Pqueue.push t.wheels.(w.w_domain) ~time:due ~seq:t.wheel_seq
+    Pqueue.push t.wheel ~time:due ~seq:t.wheel_seq
       (instance, w.w_stamp)
   end
 
@@ -153,32 +152,26 @@ let refresh_roster t =
            (Hashtbl.fold (fun k w acc -> (k, w) :: acc) t.watched []))
   end
 
-(* Pop every entry whose due horizon has passed, across all wheels.
-   Strictly before [now]: an entry due exactly now has silence = timeout,
-   which does not exceed it — it stays for the next tick. *)
+(* Pop every entry whose due horizon has passed. Strictly before [now]:
+   an entry due exactly now has silence = timeout, which does not exceed
+   it — it stays for the next tick. *)
 let take_due t ~now =
-  let due = ref [] in
-  Array.iter
-    (fun wheel ->
-      let rec drain () =
-        match Pqueue.peek_time wheel with
-        | Some time when time < now -> (
-          match Pqueue.pop wheel with
-          | Some (_, _, (instance, stamp)) -> (
-            (match Hashtbl.find_opt t.watched instance with
-            | Some w when w.w_stamp = stamp ->
-              w.w_armed <- false;
-              due := (instance, w) :: !due
-            | Some _ | None -> ()  (* stale incarnation: drop *));
-            drain ())
-          | None -> ())
-        | Some _ | None -> ()
-      in
-      drain ())
-    t.wheels;
+  let rec drain due =
+    match Pqueue.peek_time t.wheel with
+    | Some time when time < now -> (
+      match Pqueue.pop t.wheel with
+      | Some (_, _, (instance, stamp)) -> (
+        match Hashtbl.find_opt t.watched instance with
+        | Some w when w.w_stamp = stamp ->
+          w.w_armed <- false;
+          drain ((instance, w) :: due)
+        | Some _ | None -> drain due  (* stale incarnation: drop *))
+      | None -> due)
+    | Some _ | None -> due
+  in
   (* name order, matching the old full-scan implementation's check (and
      suspicion-trace) order; only the due set is sorted, not the fleet *)
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !due
+  List.sort (fun (a, _) (b, _) -> String.compare a b) (drain [])
 
 let rec tick t () =
   if t.running then begin
@@ -191,23 +184,17 @@ let rec tick t () =
       (Bus.engine t.bus) ~delay:t.period (tick t)
   end
 
-let fresh_state t ~instance =
+let fresh_state t =
   t.stamp_counter <- t.stamp_counter + 1;
-  let domain =
-    match Bus.domain_of_instance t.bus ~instance with
-    | Some d when d >= 0 && d < Array.length t.wheels -> d
-    | Some _ | None -> 0
-  in
   { w_last_seen = Bus.now t.bus;
     w_level = 0;
     w_suspected = false;
     w_stamp = t.stamp_counter;
-    w_armed = false;
-    w_domain = domain }
+    w_armed = false }
 
 let watch t ~instance =
   if not (Hashtbl.mem t.watched instance) then begin
-    let w = fresh_state t ~instance in
+    let w = fresh_state t in
     Hashtbl.replace t.watched instance w;
     t.roster_dirty <- true;
     arm t instance w ~due:(w.w_last_seen +. t.timeout)
@@ -223,28 +210,24 @@ let unwatch t ~instance =
 let rewatch t ~old_instance ~new_instance =
   unwatch t ~instance:old_instance;
   unwatch t ~instance:new_instance;
-  let w = fresh_state t ~instance:new_instance in
+  let w = fresh_state t in
   Hashtbl.replace t.watched new_instance w;
   t.roster_dirty <- true;
   arm t new_instance w ~due:(w.w_last_seen +. t.timeout)
 
-let start bus ?period ?timeout ?threshold ~watch:names () =
-  (* unspecified parameters come from the per-bus tunables
+let start bus ~watch:names =
+  (* the parameters come from the per-bus tunables
      (Bus.set_detector_config), not compile-time constants: a rolling
      canary window can widen the detector's patience fleet-wide *)
   let cfg = Bus.detector_config bus in
-  let period = Option.value period ~default:cfg.Bus.dc_period in
-  let timeout = Option.value timeout ~default:cfg.Bus.dc_timeout in
-  let threshold = Option.value threshold ~default:cfg.Bus.dc_threshold in
   let t =
     { bus;
-      period;
-      timeout;
-      threshold;
+      period = cfg.Bus.dc_period;
+      timeout = cfg.Bus.dc_timeout;
+      threshold = cfg.Bus.dc_threshold;
       watched = Hashtbl.create 8;
       running = true;
-      wheels =
-        Array.init (max 1 (Bus.shard_count bus)) (fun _ -> Pqueue.create ());
+      wheel = Pqueue.create ();
       wheel_seq = 0;
       stamp_counter = 0;
       roster = [||];
@@ -256,7 +239,7 @@ let start bus ?period ?timeout ?threshold ~watch:names () =
   Bus.on_activity bus (Some (fun instance -> evidence t instance));
   Engine.schedule
     ~label:(Engine.label ~info:"detector tick" "tick")
-    (Bus.engine bus) ~delay:period (tick t);
+    (Bus.engine bus) ~delay:t.period (tick t);
   t
 
 let stop t =

@@ -18,20 +18,12 @@
 
 type t
 
-val start :
-  Dr_bus.Bus.t ->
-  ?period:float ->
-  ?timeout:float ->
-  ?threshold:int ->
-  watch:string list ->
-  unit ->
-  t
-(** Begin watching. Parameters left unspecified default to the
-    {e per-bus} tunables ({!Dr_bus.Bus.set_detector_config}; period =
-    heartbeat/check tick, timeout = max silence before a tick counts
-    against the instance, threshold = silent ticks until suspected —
-    1.0 / 3.0 / 2 out of the box). Installs itself as the bus's single
-    activity hook. *)
+val start : Dr_bus.Bus.t -> watch:string list -> t
+(** Begin watching, tuned by the bus's detector config
+    ({!Dr_bus.Bus.set_detector_config}; period = heartbeat/check tick,
+    timeout = max silence before a tick counts against the instance,
+    threshold = silent ticks until suspected — 1.0 / 3.0 / 2 out of the
+    box). Installs itself as the bus's single activity hook. *)
 
 val stop : t -> unit
 (** Stop ticking and release the activity hook. *)
@@ -56,8 +48,8 @@ val watched : t -> string list
 
 (** {1 Overhead accounting}
 
-    Suspicion bookkeeping is incremental: checks run off per-domain due
-    wheels, so a tick touches only the instances whose silence horizon
+    Suspicion bookkeeping is incremental: checks run off a due wheel, so
+    a tick touches only the instances whose silence horizon
     passed, not the whole fleet. These counters expose the cost for the
     flatness regression tests. *)
 

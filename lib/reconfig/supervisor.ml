@@ -90,7 +90,7 @@ let start bus ?(period = 1.0) ?(max_restarts = 3) ?(fallback_hosts = [])
   let detector, own_detector =
     match detector with
     | Some d -> (d, false)
-    | None -> (Detector.start bus ~watch (), true)
+    | None -> (Detector.start bus ~watch, true)
   in
   List.iter (fun base -> Detector.watch detector ~instance:base) watch;
   let t =

@@ -39,6 +39,4 @@ val length : t -> int
 
 val clear : t -> unit
 
-val pp_entry : Format.formatter -> entry -> unit
-
 val dump : Format.formatter -> t -> unit

@@ -71,10 +71,6 @@ val validate_point_vars :
 val generated_label : int -> string
 (** The label the transform places after call-edge [i] ("_Li"). *)
 
-val point_label : int -> string
-(** The label the transform places on point-edge [j]'s capture block
-    ("_Pj") — the marker the resolver turns into a point gate. *)
-
 val flag_globals : string list
 (** Names of the injected module-level flags. *)
 

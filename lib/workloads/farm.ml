@@ -175,8 +175,6 @@ let scale_in bus =
        workers still drain because their routes stay up *)
     Bus.inject bus ~dst:(dispatcher, "ctl") (Dr_state.Value.Vint 1)
 
-let dispatcher_backlog bus ~instance = Bus.pending_messages bus (instance, "jobs")
-
 (* The occupied worker slots form a natural drain group: they serve the
    same jobs, so a draining worker's routed traffic can be absorbed by
    its siblings. Registers the group and returns the members. *)

@@ -29,9 +29,6 @@ val scale_in : Dr_bus.Bus.t -> unit
 (** Lower the dispatcher's active-slot count by one (the highest
     occupied slot stops receiving new jobs; its queue drains). *)
 
-val dispatcher_backlog : Dr_bus.Bus.t -> instance:string -> int
-(** Jobs queued at the dispatcher. *)
-
 val worker_drain_group : Dr_bus.Bus.t -> string list
 (** Register the live workers as a bus drain group
     ({!Dr_bus.Bus.set_drain_group}) and return them, sorted — jobs

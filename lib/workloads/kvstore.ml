@@ -109,8 +109,6 @@ let start ?params system =
   | Ok bus -> bus
   | Error e -> failwith ("kvstore: start failed: " ^ e)
 
-let encode_set ~key ~value = (key * 1000) + value
-
 let client_got bus =
   List.filter_map
     (fun line ->
@@ -137,7 +135,6 @@ module Replica = struct
   let decode_reply r = (r / 1000, r mod 1000)
   let expected_get ~key = key * 7 mod 251
   let set_ack = 507
-  let bad_value = 666
 
   let serving_body =
     {|
@@ -279,10 +276,10 @@ application rgroup {
     | Ok system -> system
     | Error e -> failwith ("kvstore replica group: load failed: " ^ e)
 
-  let start ?params ?shards ~n system =
+  let start ?params ~n system =
     match
       Dynrecon.System.start system ~app:"rgroup" ~hosts:(hosts ~n) ?params
-        ?shards ~default_host:(host 1) ()
+        ~default_host:(host 1) ()
     with
     | Ok bus -> bus
     | Error e -> failwith ("kvstore replica group: start failed: " ^ e)

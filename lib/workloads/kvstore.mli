@@ -13,9 +13,6 @@ val capacity : int
 val load : unit -> Dynrecon.System.t
 val start : ?params:Dr_bus.Bus.params -> Dynrecon.System.t -> Dr_bus.Bus.t
 
-val encode_set : key:int -> value:int -> int
-(** Commands travel as a single integer [key * 1000 + value]. *)
-
 val client_got : Dr_bus.Bus.t -> (int * int) list
 (** (key, value) pairs the client printed from [get] replies. *)
 
@@ -39,7 +36,6 @@ module Replica : sig
 
   val expected_get : key:int -> int
   val set_ack : int
-  val bad_value : int
 
   val slot : int -> string
   (** Instance name of the [i]-th replica ([s1] ..). *)
@@ -59,11 +55,7 @@ module Replica : sig
   val load : n:int -> Dynrecon.System.t
 
   val start :
-    ?params:Dr_bus.Bus.params ->
-    ?shards:int ->
-    n:int ->
-    Dynrecon.System.t ->
-    Dr_bus.Bus.t
+    ?params:Dr_bus.Bus.params -> n:int -> Dynrecon.System.t -> Dr_bus.Bus.t
 end
 
 (** Seeded open-loop traffic generator over a {!Replica} group:

@@ -7,16 +7,8 @@
 val mil : string
 (** Configuration specification (Fig. 2 port). *)
 
-val sensor_source : string
-val display_source : string
-
 val compute_source : string
 (** Fig. 3 port: the original (uninstrumented) compute module. *)
-
-val compute_v2_source : string
-(** A maintenance update of compute: same interfaces and state shape,
-    but it also reports how many requests it has served (used by the
-    live-update example). *)
 
 val sources : (string * string) list
 (** [(module name, source)] for {!Dynrecon.System.load}. *)

@@ -74,9 +74,9 @@ let load () =
   | Ok system -> system
   | Error e -> failwith ("ring: load failed: " ^ e)
 
-let start ?params ?shards system =
+let start ?params system =
   match
-    Dynrecon.System.start system ~app:"ring" ~hosts ?params ?shards
+    Dynrecon.System.start system ~app:"ring" ~hosts ?params
       ~default_host:"hostA" ()
   with
   | Ok bus ->
@@ -131,9 +131,9 @@ let load_large ~n =
   | Ok system -> system
   | Error e -> failwith ("ring: large load failed: " ^ e)
 
-let start_large ?params ?shards ?(tokens = 1) system ~n =
+let start_large ?params ?(tokens = 1) system ~n =
   match
-    Dynrecon.System.start system ~app:"ring" ~hosts ?params ?shards
+    Dynrecon.System.start system ~app:"ring" ~hosts ?params
       ~default_host:"hostA" ()
   with
   | Ok bus ->
@@ -164,8 +164,8 @@ let chaos_plan ?(loss = 0.05) ?(dup = 0.0) ?(jitter = 0.0) ?host_crash
   in
   Faults.plan ~events ~rules:[ Faults.rule ~loss ~dup () ] ~jitter ()
 
-let start_chaos ?params ?shards ?(seed = 1) ?plan system =
-  let bus = start ?params ?shards system in
+let start_chaos ?params ?(seed = 1) ?plan system =
+  let bus = start ?params system in
   Faults.install bus ~seed (Option.value ~default:(chaos_plan ()) plan);
   bus
 

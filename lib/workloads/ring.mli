@@ -15,8 +15,7 @@ val hosts : Dr_bus.Bus.host list
 
 val load : unit -> Dynrecon.System.t
 
-val start :
-  ?params:Dr_bus.Bus.params -> ?shards:int -> Dynrecon.System.t -> Dr_bus.Bus.t
+val start : ?params:Dr_bus.Bus.params -> Dynrecon.System.t -> Dr_bus.Bus.t
 (** Deploys the 3-member ring a → b → c → a and injects the initial
     token (value 0) into [a]. *)
 
@@ -31,8 +30,8 @@ val members : n:int -> string list
 val load_large : n:int -> Dynrecon.System.t
 
 val start_large :
-  ?params:Dr_bus.Bus.params -> ?shards:int -> ?tokens:int ->
-  Dynrecon.System.t -> n:int -> Dr_bus.Bus.t
+  ?params:Dr_bus.Bus.params -> ?tokens:int -> Dynrecon.System.t -> n:int ->
+  Dr_bus.Bus.t
 (** Deploy the [n]-member ring and inject [tokens] (default 1) tokens at
     evenly spaced members, so up to [tokens] deliveries are in flight at
     once. *)
@@ -54,7 +53,6 @@ val chaos_plan :
 
 val start_chaos :
   ?params:Dr_bus.Bus.params ->
-  ?shards:int ->
   ?seed:int ->
   ?plan:Dr_bus.Faults.plan ->
   Dynrecon.System.t ->

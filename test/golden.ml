@@ -2,8 +2,8 @@
    against golden files: the monitor, ring and chaos ones recorded from
    the seed (list-based) bus, the rolling one from the trace that
    formatted every line at record time. The indexed, batched bus and
-   the typed trace must reproduce them exactly at every shard count:
-   same events, same order, same virtual times. Regenerate with:
+   the typed trace must reproduce them exactly: same events, same
+   order, same virtual times. Regenerate with:
      dune exec test/gen_goldens.exe -- test   (from the repo root) *)
 
 module Bus = Dr_bus.Bus
@@ -18,12 +18,12 @@ let observe metrics bus =
 
 (* The paper's monitor application: run, migrate compute to the
    big-endian host mid-execution, keep running. *)
-let monitor_trace ?(metrics = false) ?shards () =
+let monitor_trace ?(metrics = false) () =
   let system = Dr_workloads.Monitor.load () in
   let bus =
     match
       Dynrecon.System.start system ~app:"monitor"
-        ~hosts:Dr_workloads.Monitor.hosts ?shards ~default_host:"hostA" ()
+        ~hosts:Dr_workloads.Monitor.hosts ~default_host:"hostA" ()
     with
     | Ok bus -> bus
     | Error e -> failwith ("golden monitor: start: " ^ e)
@@ -39,12 +39,10 @@ let monitor_trace ?(metrics = false) ?shards () =
   Bus.run ~until:40.0 bus;
   dump bus
 
-(* The evolving token ring: run, splice a member in, keep running.
-   [~shards] picks the broker-domain count (default 1). Shard count only
-   partitions the fleet, so every count must reproduce the same golden. *)
-let ring_trace ?(metrics = false) ?shards () =
+(* The evolving token ring: run, splice a member in, keep running. *)
+let ring_trace ?(metrics = false) () =
   let system = Dr_workloads.Ring.load () in
-  let bus = Dr_workloads.Ring.start ?shards system in
+  let bus = Dr_workloads.Ring.start system in
   observe metrics bus;
   Bus.run ~until:30.0 bus;
   (match
@@ -60,13 +58,13 @@ let ring_trace ?(metrics = false) ?shards () =
    of a transactional replacement's signal->divulge window. Pins the
    fault plane's PRNG consumption order and the journal's rollback
    records byte-for-byte. *)
-let chaos_trace ?(metrics = false) ?shards () =
+let chaos_trace ?(metrics = false) () =
   let system = Dr_workloads.Ring.load () in
   let plan =
     Dr_workloads.Ring.chaos_plan ~loss:0.05 ~host_crash:("hostB", 8.5)
       ~host_recover:20.0 ()
   in
-  let bus = Dr_workloads.Ring.start_chaos ~seed:7 ~plan ?shards system in
+  let bus = Dr_workloads.Ring.start_chaos ~seed:7 ~plan system in
   observe metrics bus;
   Bus.run ~until:8.0 bus;
   (match
@@ -85,10 +83,10 @@ let chaos_trace ?(metrics = false) ?shards () =
    pinned file. The load generator addresses only admitting members, so
    a stale client that keeps writing to whichever member serves a slot
    supplies the drain redirects. *)
-let rolling_trace ?(metrics = false) ?shards () =
+let rolling_trace ?(metrics = false) () =
   let module Kv = Dr_workloads.Kvstore in
   let n = 3 in
-  let bus = Kv.Replica.start ?shards ~n (Kv.Replica.load ~n) in
+  let bus = Kv.Replica.start ~n (Kv.Replica.load ~n) in
   observe metrics bus;
   Dr_bus.Faults.install bus ~seed:5
     (Dr_bus.Faults.plan ~rules:[ Dr_bus.Faults.rule ~loss:0.05 () ] ());

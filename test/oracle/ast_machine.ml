@@ -528,6 +528,8 @@ let exec_instr t frame (instr : Ir.instr) =
       | Vfloat f -> f
       | v -> runtime "sleep of %s" (Value.type_name v)
     in
+    (* a NaN wake-up time would break the event queue's order *)
+    if Float.is_nan duration then runtime "sleep of nan";
     (* advance first: on wake-up, execution resumes after the sleep *)
     advance ();
     t.mstatus <- Sleeping (Float.max 0.0 duration))

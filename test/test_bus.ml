@@ -374,6 +374,25 @@ let test_crash_is_traced () =
   Alcotest.(check int) "crash traced" 1
     (List.length (Dr_sim.Trace.by_category (Bus.trace bus) "crash"))
 
+(* A NaN sleep would schedule a wake-up at a NaN time, which breaks the
+   event queue's order and stalls every instance on the bus: the
+   sleeper crashes instead, and an unrelated instance keeps ticking. *)
+let test_nan_sleep_crashes_only_the_sleeper () =
+  let bus = make_bus () in
+  register bus "module napper;\nproc main() { sleep(0.0 / 0.0); }";
+  register bus
+    "module ticker;\nproc main() { while (true) { print(1); sleep(1); } }";
+  spawn bus ~instance:"z" ~module_name:"napper" ~host:"hostA";
+  spawn bus ~instance:"t" ~module_name:"ticker" ~host:"hostB";
+  Bus.run ~until:20.0 bus;
+  (match Bus.process_status bus ~instance:"z" with
+  | Some (Machine.Crashed _) -> ()
+  | s ->
+    Alcotest.failf "expected the sleeper to crash, got %s"
+      (match s with Some s -> Fmt.str "%a" Machine.pp_status s | None -> "gone"));
+  Alcotest.(check int) "one tick per virtual second" 20
+    (List.length (Bus.outputs bus ~instance:"t"))
+
 let test_deterministic_runs () =
   let run () =
     let bus = make_bus () in
@@ -501,7 +520,9 @@ let () =
             test_kill_releases_state ] );
       ( "timing",
         [ Alcotest.test_case "instr cost" `Quick test_instr_cost_advances_clock;
-          Alcotest.test_case "deterministic" `Quick test_deterministic_runs ] );
+          Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
+          Alcotest.test_case "NaN sleep crashes only the sleeper" `Quick
+            test_nan_sleep_crashes_only_the_sleeper ] );
       ( "deploy",
         [ Alcotest.test_case "monitor app" `Quick test_deploy_monitor_app;
           Alcotest.test_case "host preference" `Quick test_deploy_host_preference;

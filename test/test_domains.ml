@@ -1,14 +1,10 @@
-(* Broker-domain sharding. The bus runs one send and delivery path at
-   every shard count; shard count only partitions the fleet into arenas
-   and attributes traffic to domains. These tests pin that down:
-   - a differential replay of the evolving-ring scenario at shard
-     counts 1/2/4 (same passes, same tap history),
-   - fan-in under batched delivery: exact delivery order, identical at
-     shards 1/2/4/8,
+(* The broker domain: the bus's arena process table and per-hop
+   batched delivery. These tests pin down:
+   - fan-in under batched delivery: per-route FIFO,
    - model-checking granularity: in MC mode every routed message is its
      own [deliver] choice point and a woken reader's quantum its own
-     event, at any shard count,
-   - delivery attribution: the domains count every enqueue the delivery
+     event,
+   - delivery counting: the bus counts every enqueue the delivery
      observer sees, reliable-layer arrivals included,
    - a 1k kill/re-spawn regression: arena slot reuse must never let a
      stale handle or out-route memo misroute a delivery,
@@ -22,46 +18,11 @@ module Ring = Dr_workloads.Ring
 module Detector = Dr_reconfig.Detector
 module Machine = Dr_interp.Machine
 
-(* ------------------------------------ differential ring replay *)
-
-(* The golden-trace scenario, reduced to its observable results: how
-   often each member passed the token and what the tap saw, in order. *)
-let ring_result ~shards =
-  let system = Ring.load () in
-  let bus = Ring.start ~shards system in
-  Bus.run ~until:30.0 bus;
-  (match
-     Ring.insert_member bus ~instance:"d" ~host:"hostC" ~after:"c" ~before:"a"
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "insert_member: %s" e);
-  Bus.run ~until:60.0 bus;
-  let passes =
-    List.map (fun m -> (m, Ring.passes bus ~instance:m)) [ "a"; "b"; "c"; "d" ]
-  in
-  (passes, Ring.tap_history bus)
-
-let test_ring_differential () =
-  let base_passes, base_tap = ring_result ~shards:1 in
-  Alcotest.(check bool) "ring makes progress" true (base_tap <> []);
-  List.iter
-    (fun shards ->
-      let passes, tap = ring_result ~shards in
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "passes at shards=%d" shards)
-        base_passes passes;
-      Alcotest.(check (list int))
-        (Printf.sprintf "tap history at shards=%d" shards)
-        base_tap tap)
-    [ 2; 4 ]
-
 (* ------------------------------------ fan-in order under batching *)
 
 (* Two producers on one host write interleaved token streams into a
    single consumer: their same-instant sends land in the same batch,
-   and the drain must deliver each route's tokens in send order. Shard
-   count changes only which domain the batch belongs to, so the global
-   delivery order is the same at every count. *)
+   and the drain must deliver each route's tokens in send order. *)
 let fan_mil =
   {|
 module prod {
@@ -118,7 +79,7 @@ proc main() {
 }
 |}
 
-let fan_history ~shards =
+let fan_history () =
   let system =
     match
       Dynrecon.System.load ~mil:fan_mil
@@ -130,7 +91,7 @@ let fan_history ~shards =
   in
   let bus =
     match
-      Dynrecon.System.start system ~app:"fan" ~hosts:Ring.hosts ~shards
+      Dynrecon.System.start system ~app:"fan" ~hosts:Ring.hosts
         ~default_host:"hostA" ()
     with
     | Ok bus -> bus
@@ -145,25 +106,16 @@ let test_fan_in_fifo () =
   let expect_route base history =
     List.filter (fun v -> v > base && v <= base + 100) history
   in
-  let base_history = fan_history ~shards:1 in
+  let history = fan_history () in
+  Alcotest.(check int) "token count" 16 (List.length history);
+  (* order within each producer->consumer route is send order *)
   List.iter
-    (fun shards ->
-      let history = fan_history ~shards in
-      Alcotest.(check int)
-        (Printf.sprintf "token count at shards=%d" shards)
-        16 (List.length history);
-      (* order within each producer->consumer route is send order *)
-      List.iter
-        (fun base ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "route order (base %d) at shards=%d" base shards)
-            (List.init 8 (fun i -> base + i + 1))
-            (expect_route base history))
-        [ 100; 200 ];
+    (fun base ->
       Alcotest.(check (list int))
-        (Printf.sprintf "delivery order at shards=%d" shards)
-        base_history history)
-    [ 1; 2; 4; 8 ]
+        (Printf.sprintf "route order (base %d)" base)
+        (List.init 8 (fun i -> base + i + 1))
+        (expect_route base history))
+    [ 100; 200 ]
 
 (* ------------------------------------ model-checking granularity *)
 
@@ -171,9 +123,8 @@ let test_fan_in_fifo () =
    explorer must see each of those steps as its own transition, or it
    fuses interleavings that production can take. Two producers send to
    one consumer at the same instant: in MC mode that must leave two
-   [deliver] events touching only the consumer, whatever the shard
-   count, and delivering one must leave the consumer's quantum as its
-   own event. *)
+   [deliver] events touching only the consumer, and delivering one must
+   leave the consumer's quantum as its own event. *)
 let once_source = {|
 module once;
 
@@ -212,37 +163,32 @@ let fire_first engine kind =
   | None -> false
 
 let test_mc_granularity () =
+  let bus = Bus.create ~hosts:Ring.hosts () in
+  let engine = Bus.engine bus in
+  Dr_sim.Engine.mc_enable engine;
   List.iter
-    (fun shards ->
-      let bus = Bus.create ~shards ~hosts:Ring.hosts () in
-      let engine = Bus.engine bus in
-      Dr_sim.Engine.mc_enable engine;
-      List.iter
-        (fun source ->
-          match Bus.register_program bus (Support.parse source) with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "register: %s" e)
-        [ once_source; sink_source ];
-      List.iter
-        (fun (instance, module_name) ->
-          match Bus.spawn bus ~instance ~module_name ~host:"hostA" () with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "spawn %s: %s" instance e)
-        [ ("pa", "once"); ("pb", "once"); ("k", "sink") ];
-      Bus.add_route bus ~src:("pa", "out") ~dst:("k", "in");
-      Bus.add_route bus ~src:("pb", "out") ~dst:("k", "in");
-      while fire_first engine "quantum" do () done;
-      let deliver = ("deliver", [ "k" ]) in
-      Alcotest.(check (list (pair string (list string))))
-        (Printf.sprintf "one deliver event per message at shards=%d" shards)
-        [ deliver; deliver ] (kinds engine);
-      ignore (fire_first engine "deliver");
-      Alcotest.(check (list (pair string (list string))))
-        (Printf.sprintf "woken reader's quantum is its own event at shards=%d"
-           shards)
-        [ deliver; ("quantum", [ "k" ]) ]
-        (kinds engine))
-    [ 1; 4 ]
+    (fun source ->
+      match Bus.register_program bus (Support.parse source) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "register: %s" e)
+    [ once_source; sink_source ];
+  List.iter
+    (fun (instance, module_name) ->
+      match Bus.spawn bus ~instance ~module_name ~host:"hostA" () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "spawn %s: %s" instance e)
+    [ ("pa", "once"); ("pb", "once"); ("k", "sink") ];
+  Bus.add_route bus ~src:("pa", "out") ~dst:("k", "in");
+  Bus.add_route bus ~src:("pb", "out") ~dst:("k", "in");
+  while fire_first engine "quantum" do () done;
+  let deliver = ("deliver", [ "k" ]) in
+  Alcotest.(check (list (pair string (list string))))
+    "one deliver event per message" [ deliver; deliver ] (kinds engine);
+  ignore (fire_first engine "deliver");
+  Alcotest.(check (list (pair string (list string))))
+    "woken reader's quantum is its own event"
+    [ deliver; ("quantum", [ "k" ]) ]
+    (kinds engine)
 
 (* ------------------------------------ 1k kill/re-spawn regression *)
 
@@ -358,7 +304,7 @@ let test_kill_respawn_no_misroute () =
   in
   let bus =
     match
-      Dynrecon.System.start system ~app:"pairs" ~hosts:Ring.hosts ~shards:4
+      Dynrecon.System.start system ~app:"pairs" ~hosts:Ring.hosts
         ~default_host:"hostA" ()
     with
     | Ok bus -> bus
@@ -381,7 +327,7 @@ let test_kill_respawn_no_misroute () =
   done;
   Bus.run bus;
   assert_stores bus ~phase:"after re-spawn" ~expect:(fun i -> (20 * i) + 1);
-  (* phase 3: kill/re-spawn while deliveries are parked in inter-domain
+  (* phase 3: kill/re-spawn while deliveries are parked in delivery
      batches, so the stale handles inside pending entries must
      generation-fail and fall back to by-name resolution *)
   for i = 0 to pairs_n - 1 do
@@ -401,11 +347,9 @@ let test_kill_respawn_no_misroute () =
    suspected, costs nothing at all — however long the run and however
    big the fleet. *)
 let detector_checks ~n ~until =
-  let bus = Bus.create ~shards:4 ~hosts:Ring.hosts () in
+  let bus = Bus.create ~hosts:Ring.hosts () in
   let names = List.init n (Printf.sprintf "ghost%d") in
-  let det =
-    Detector.start bus ~period:1.0 ~timeout:3.0 ~threshold:2 ~watch:names ()
-  in
+  let det = Detector.start bus ~watch:names in
   Bus.run ~until bus;
   let checks = Detector.checks_performed det in
   let beats = Detector.beats_emitted det in
@@ -413,7 +357,7 @@ let detector_checks ~n ~until =
   (checks, beats)
 
 let test_detector_flat () =
-  let threshold = 2 in
+  let threshold = Bus.default_detector_config.Bus.dc_threshold in
   (* constant per instance, independent of fleet size *)
   List.iter
     (fun n ->
@@ -430,15 +374,15 @@ let test_detector_flat () =
   let long, _ = detector_checks ~n:100 ~until:48.0 in
   Alcotest.(check int) "no further checks after suspicion" short long
 
-(* ------------------------------------ delivery attribution *)
+(* ------------------------------------ delivery counting *)
 
 let delivered_sum bus =
   List.fold_left (fun acc d -> acc + d.Bus.d_delivered) 0 (Bus.domain_stats bus)
 
 (* Over one window of the 3-member ring: the enqueues the delivery
-   observer saw, and how far the domains' delivered counts moved. *)
-let delivery_window ~shards ~reliable =
-  let bus = Ring.start ~shards (Ring.load ()) in
+   observer saw, and how far the bus's delivered count moved. *)
+let delivery_window ~reliable =
+  let bus = Ring.start (Ring.load ()) in
   if reliable then Reliable.enable_all (Reliable.attach bus);
   let seen = ref 0 in
   Bus.set_delivery_observer bus (Some (fun ~dst:_ ~kind:_ _ -> incr seen));
@@ -446,34 +390,31 @@ let delivery_window ~shards ~reliable =
   Bus.run ~until:40.0 bus;
   (!seen, delivered_sum bus - before)
 
-let test_delivery_attribution () =
+let test_delivery_counting () =
   List.iter
-    (fun shards ->
-      List.iter
-        (fun reliable ->
-          let seen, counted = delivery_window ~shards ~reliable in
-          let label =
-            Printf.sprintf "shards=%d%s" shards
-              (if reliable then ", reliable" else "")
-          in
-          Alcotest.(check bool) (label ^ ": the ring delivered") true (seen > 0);
-          Alcotest.(check int)
-            (label ^ ": domains count every enqueue")
-            seen counted)
-        [ false; true ])
-    [ 1; 4 ]
+    (fun reliable ->
+      let seen, counted = delivery_window ~reliable in
+      let label = if reliable then "reliable" else "plain" in
+      Alcotest.(check bool) (label ^ ": the ring delivered") true (seen > 0);
+      Alcotest.(check int) (label ^ ": the bus counts every enqueue") seen counted)
+    [ false; true ]
 
 (* ------------------------------------ scaling artifact row set *)
 
-let contains ~sub s =
+let occurrences ~sub s =
   let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.equal (String.sub s i n) sub || go (i + 1)) in
-  go 0
+  let rec go i acc =
+    if i + n > m then acc
+    else go (i + 1) (if String.equal (String.sub s i n) sub then acc + 1 else acc)
+  in
+  go 0 0
+
+let contains ~sub s = occurrences ~sub s > 0
 
 (* The full artifact lives at the repo root (a dune dep of this test).
    A quick CI sweep writes _build/bench/BENCH_scaling_quick.json
-   instead, so the full row set — N = 10 .. 100k, single and multi
-   domain — must always be present here. *)
+   instead, so the full row set — one row per N = 10 .. 100k — must
+   always be present here. *)
 let test_scaling_artifact_rows () =
   let data =
     In_channel.with_open_bin "../BENCH_scaling.json" In_channel.input_all
@@ -482,24 +423,22 @@ let test_scaling_artifact_rows () =
     "artifact is the scaling suite" true
     (contains ~sub:"\"suite\": \"scaling\"" data);
   List.iter
-    (fun (n, shards) ->
-      let key = Printf.sprintf "\"n\": %d, \"shards\": %d" n shards in
+    (fun n ->
+      let key = Printf.sprintf "{\"n\": %d, " n in
       if not (contains ~sub:key data) then
-        Alcotest.failf "BENCH_scaling.json is missing the row {%s}" key)
-    [ (10, 1); (10, 4); (100, 1); (100, 4); (1000, 1); (1000, 4);
-      (10_000, 1); (10_000, 8); (100_000, 1); (100_000, 8) ]
+        Alcotest.failf "BENCH_scaling.json is missing the row %s...}" key)
+    [ 10; 100; 1000; 10_000; 100_000 ];
+  Alcotest.(check int) "one row per N" 5 (occurrences ~sub:"{\"n\": " data)
 
 let () =
   Alcotest.run "domains"
-    [ ( "shard-count invariance",
-        [ Alcotest.test_case "ring differential at shards 1/2/4" `Quick
-            test_ring_differential;
-          Alcotest.test_case "fan-in FIFO under batching" `Quick
+    [ ( "single-domain delivery",
+        [ Alcotest.test_case "fan-in FIFO under batching" `Quick
             test_fan_in_fifo;
           Alcotest.test_case "one MC choice point per delivery" `Quick
             test_mc_granularity;
-          Alcotest.test_case "domains count every delivery" `Quick
-            test_delivery_attribution ] );
+          Alcotest.test_case "bus counts every delivery" `Quick
+            test_delivery_counting ] );
       ( "arena reuse",
         [ Alcotest.test_case "1k kill/re-spawn, zero misroutes" `Quick
             test_kill_respawn_no_misroute ] );

@@ -114,6 +114,16 @@ let test_parse_plan_validation () =
   expect_parse_error "crash=hostB@x" "name@time";
   expect_parse_error "crash=@4" "name@time";
   expect_parse_error "corrupt=c@-0.5" "non-negative";
+  (* non-finite numbers: a NaN or infinite time or value would freeze
+     the run at t = 0 *)
+  expect_parse_error "kill=ticker@nan" "finite";
+  expect_parse_error "crash=alpha@nan" "finite";
+  expect_parse_error "recover=alpha@inf" "finite";
+  expect_parse_error "loss=inf" "finite";
+  expect_parse_error "dup=inf" "finite";
+  expect_parse_error "jitter=inf" "finite";
+  expect_parse_error "jitter=nan" "finite";
+  expect_parse_error "loss@a>b=inf" "finite";
   (* contradictory clauses *)
   expect_parse_error "kill=b@3,kill=b@3" "duplicate kill clause b@3";
   expect_parse_error "crash=hostB@4,recover=hostB@4"

@@ -49,46 +49,6 @@ let test_chaos_metrics () =
 let test_rolling_metrics () =
   check_golden "golden_rolling.trace" (Golden.rolling_trace ~metrics:true ())
 
-(* Shard count only partitions the fleet into broker domains: the bus
-   runs the same batched delivery path at every count, so an explicit
-   [~shards:1] and a 4-domain bus must both reproduce the goldens
-   byte-for-byte, metrics on or off. *)
-let test_ring_shards1 () =
-  check_golden "golden_ring.trace" (Golden.ring_trace ~shards:1 ())
-
-let test_chaos_shards1 () =
-  check_golden "golden_chaos.trace" (Golden.chaos_trace ~shards:1 ())
-
-let test_rolling_shards1 () =
-  check_golden "golden_rolling.trace" (Golden.rolling_trace ~shards:1 ())
-
-let test_monitor_sharded () =
-  check_golden "golden_monitor.trace" (Golden.monitor_trace ~shards:4 ())
-
-let test_ring_sharded () =
-  check_golden "golden_ring.trace" (Golden.ring_trace ~shards:4 ())
-
-let test_chaos_sharded () =
-  check_golden "golden_chaos.trace" (Golden.chaos_trace ~shards:4 ())
-
-let test_rolling_sharded () =
-  check_golden "golden_rolling.trace" (Golden.rolling_trace ~shards:4 ())
-
-let test_monitor_sharded_metrics () =
-  check_golden "golden_monitor.trace"
-    (Golden.monitor_trace ~metrics:true ~shards:4 ())
-
-let test_ring_sharded_metrics () =
-  check_golden "golden_ring.trace" (Golden.ring_trace ~metrics:true ~shards:4 ())
-
-let test_chaos_sharded_metrics () =
-  check_golden "golden_chaos.trace"
-    (Golden.chaos_trace ~metrics:true ~shards:4 ())
-
-let test_rolling_sharded_metrics () =
-  check_golden "golden_rolling.trace"
-    (Golden.rolling_trace ~metrics:true ~shards:4 ())
-
 let () =
   Alcotest.run "golden_trace"
     [ ( "byte-identical to seed",
@@ -102,23 +62,4 @@ let () =
           Alcotest.test_case "ring insertion" `Quick test_ring_metrics;
           Alcotest.test_case "seeded chaos replace" `Quick test_chaos_metrics;
           Alcotest.test_case "seeded lossy rolling wave" `Quick
-            test_rolling_metrics ] );
-      ( "sharded bus",
-        [ Alcotest.test_case "ring at explicit shards=1" `Quick
-            test_ring_shards1;
-          Alcotest.test_case "chaos at explicit shards=1" `Quick
-            test_chaos_shards1;
-          Alcotest.test_case "rolling at explicit shards=1" `Quick
-            test_rolling_shards1;
-          Alcotest.test_case "monitor at shards=4" `Quick test_monitor_sharded;
-          Alcotest.test_case "ring at shards=4" `Quick test_ring_sharded;
-          Alcotest.test_case "chaos at shards=4" `Quick test_chaos_sharded;
-          Alcotest.test_case "rolling at shards=4" `Quick test_rolling_sharded;
-          Alcotest.test_case "monitor at shards=4, metrics on" `Quick
-            test_monitor_sharded_metrics;
-          Alcotest.test_case "ring at shards=4, metrics on" `Quick
-            test_ring_sharded_metrics;
-          Alcotest.test_case "chaos at shards=4, metrics on" `Quick
-            test_chaos_sharded_metrics;
-          Alcotest.test_case "rolling at shards=4, metrics on" `Quick
-            test_rolling_sharded_metrics ] ) ]
+            test_rolling_metrics ] ) ]

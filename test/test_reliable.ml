@@ -362,9 +362,9 @@ let test_detector_suspects_crashed_instance () =
   let bus = Ring.start system in
   Faults.install bus ~seed:1
     (Faults.plan ~events:[ (5.0, Faults.Process_crash "c") ] ());
-  let d =
-    Detector.start bus ~period:1.0 ~timeout:2.0 ~threshold:2 ~watch:[ "c" ] ()
-  in
+  Bus.set_detector_config bus
+    { Bus.dc_period = 1.0; dc_timeout = 2.0; dc_threshold = 2 };
+  let d = Detector.start bus ~watch:[ "c" ] in
   Bus.run ~until:4.0 bus;
   Alcotest.(check bool) "not suspected while alive" false
     (Detector.suspected d ~instance:"c");
@@ -385,9 +385,9 @@ let test_detector_activity_is_evidence () =
     (Faults.plan
        ~rules:[ Faults.rule ~src:"c" ~dst:"_detector" ~loss:1.0 () ]
        ());
-  let d =
-    Detector.start bus ~period:1.0 ~timeout:6.0 ~threshold:2 ~watch:[ "c" ] ()
-  in
+  Bus.set_detector_config bus
+    { Bus.dc_period = 1.0; dc_timeout = 6.0; dc_threshold = 2 };
+  let d = Detector.start bus ~watch:[ "c" ] in
   Bus.run ~until:30.0 bus;
   Alcotest.(check bool) "never suspected" false
     (Detector.suspected d ~instance:"c");
@@ -408,9 +408,9 @@ let test_false_suspicion_fenced_restart () =
     (Faults.plan
        ~rules:[ Faults.rule ~src:"c" ~dst:"_detector" ~loss:1.0 () ]
        ());
-  let d =
-    Detector.start bus ~period:0.5 ~timeout:1.0 ~threshold:1 ~watch:[] ()
-  in
+  Bus.set_detector_config bus
+    { Bus.dc_period = 0.5; dc_timeout = 1.0; dc_threshold = 1 };
+  let d = Detector.start bus ~watch:[] in
   let sup = Supervisor.start bus ~period:0.5 ~detector:d ~watch:[ "c" ] () in
   Bus.run ~until:20.0 bus;
   Alcotest.(check (option string)) "supervisor replaced the suspect"

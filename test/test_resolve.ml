@@ -339,6 +339,19 @@ let test_corpus_capture_differential () =
   in
   check_differential "deeprec capture" ~signal_at_wake:2 ~wake_limit:8 prepared
 
+(* A NaN sleep would hand the scheduler a NaN wake-up time, which no
+   event queue can order: both engines must crash on it, identically,
+   before the print after it. *)
+let test_nan_sleep_differential () =
+  let program =
+    Support.parse
+      "module t;\nproc main() { print(\"a\"); sleep(0.0 / 0.0); print(\"b\"); }"
+  in
+  check_differential "nan sleep" program;
+  let o = drive_resolved program in
+  Alcotest.(check string) "crashed" "crashed(sleep of nan)" o.o_status;
+  Alcotest.(check (list string)) "stopped at the sleep" [ "a" ] o.o_prints
+
 (* ------------------------------------------------------- random programs *)
 
 (* Random call-free-or-not expressions from the shared generator,
@@ -441,6 +454,8 @@ let () =
         [ Alcotest.test_case "workload corpus" `Quick test_corpus_differential;
           Alcotest.test_case "capture/restore corpus" `Quick
             test_corpus_capture_differential;
+          Alcotest.test_case "NaN sleep crashes" `Quick
+            test_nan_sleep_differential;
           qcheck_random_exprs ] );
       ( "cache",
         [ Alcotest.test_case "N=1000 spawns share one artifact" `Quick

@@ -87,12 +87,12 @@ let test_detector_uses_bus_config () =
      must pick it up and emit twice the beats *)
   Bus.set_detector_config bus
     { Bus.default_detector_config with Bus.dc_period = 0.5 };
-  let d = Detector.start bus ~watch:[ "s1" ] () in
+  let d = Detector.start bus ~watch:[ "s1" ] in
   Bus.run ~until:(Bus.now bus +. 10.0) bus;
   let fast_beats = Detector.beats_emitted d in
   Detector.stop d;
   let bus2 = Kv.Replica.start ~n:2 (Kv.Replica.load ~n:2) in
-  let d2 = Detector.start bus2 ~watch:[ "s1" ] () in
+  let d2 = Detector.start bus2 ~watch:[ "s1" ] in
   Bus.run ~until:(Bus.now bus2 +. 10.0) bus2;
   let default_beats = Detector.beats_emitted d2 in
   Detector.stop d2;
