@@ -91,22 +91,23 @@ let positive_int_conv ~flag =
         | Some n -> Ok n),
       Fmt.int )
 
-let positive_ms_conv ~flag =
+(* A positive, finite number of [unit]: NaN and infinity are refused
+   with zero and the negatives. *)
+let positive_float_conv ~flag ~unit =
   Arg.conv
     ( (fun s ->
         match float_of_string_opt s with
         | None ->
+          Error (`Msg (Printf.sprintf "%s: expected %s, got %S" flag unit s))
+        | Some x when x <= 0.0 || not (Float.is_finite x) ->
           Error
             (`Msg
-               (Printf.sprintf "%s: expected milliseconds, got %S" flag s))
-        | Some ms when ms <= 0.0 || not (Float.is_finite ms) ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "%s: must be a positive number of milliseconds (got %s)"
-                  flag s))
-        | Some ms -> Ok ms),
-      fun ppf ms -> Fmt.pf ppf "%g" ms )
+               (Printf.sprintf "%s: must be a positive number of %s (got %s)"
+                  flag unit s))
+        | Some x -> Ok x),
+      fun ppf x -> Fmt.pf ppf "%g" x )
+
+let positive_ms_conv ~flag = positive_float_conv ~flag ~unit:"milliseconds"
 
 let retry_arg =
   Arg.(
@@ -696,9 +697,15 @@ let roll_cmd =
   in
   let rate =
     Arg.(
-      value & opt float 4.0
+      value
+      & opt
+          (positive_float_conv ~flag:"--rate"
+             ~unit:"requests per unit of virtual time")
+          4.0
       & info [ "rate" ] ~docv:"R"
-          ~doc:"Client request rate, requests per unit of virtual time.")
+          ~doc:
+            "Client request rate, requests per unit of virtual time. Must \
+             be positive.")
   in
   let target =
     Arg.(
@@ -709,17 +716,20 @@ let roll_cmd =
              build) or $(b,rstorebad) (the deliberately-bad canary \
              build, to watch the SLO gates roll it back).")
   in
+  let vtime_conv ~flag = positive_float_conv ~flag ~unit:"virtual time units" in
   let drain =
     Arg.(
-      value & opt float 6.0
+      value
+      & opt (vtime_conv ~flag:"--drain") 6.0
       & info [ "drain" ] ~docv:"T"
-          ~doc:"Drain timeout per replica, virtual time.")
+          ~doc:"Drain timeout per replica, virtual time. Must be positive.")
   in
   let window =
     Arg.(
-      value & opt float 8.0
+      value
+      & opt (vtime_conv ~flag:"--window") 8.0
       & info [ "window" ] ~docv:"T"
-          ~doc:"Canary observation window, virtual time.")
+          ~doc:"Canary observation window, virtual time. Must be positive.")
   in
   let supervise =
     Arg.(

@@ -661,10 +661,12 @@ let pending_messages t (instance, iface) =
 let detector_config t = t.det_config
 
 let set_detector_config t cfg =
-  if cfg.dc_period <= 0.0 then
-    invalid_arg "set_detector_config: period must be positive";
-  if cfg.dc_timeout <= 0.0 then
-    invalid_arg "set_detector_config: timeout must be positive";
+  (* [not (x > 0.0)] refuses NaN too: a NaN period would schedule every
+     beat at NaN and stop the clock *)
+  if not (cfg.dc_period > 0.0 && Float.is_finite cfg.dc_period) then
+    invalid_arg "set_detector_config: period must be positive and finite";
+  if not (cfg.dc_timeout > 0.0 && Float.is_finite cfg.dc_timeout) then
+    invalid_arg "set_detector_config: timeout must be positive and finite";
   if cfg.dc_threshold <= 0 then
     invalid_arg "set_detector_config: threshold must be positive";
   t.det_config <- cfg

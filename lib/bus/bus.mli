@@ -427,8 +427,8 @@ val default_detector_config : detector_config
 val detector_config : t -> detector_config
 
 val set_detector_config : t -> detector_config -> unit
-(** Rejects non-positive period/timeout/threshold with
-    [Invalid_argument]. Detectors read the config at [start]; changing
+(** Rejects a non-positive threshold, and a period or timeout that is not
+    positive and finite, with [Invalid_argument]. Detectors read the config at [start]; changing
     it does not retune detectors already running. *)
 
 (** {1 Reconfiguration support} *)

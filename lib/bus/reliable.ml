@@ -43,8 +43,8 @@ type channel = {
   ch_unacked : (int, Dr_state.Value.t) Hashtbl.t;
   mutable ch_lowest_unacked : int;
   mutable ch_rto : float;
-  mutable ch_timer_armed : bool;
-  mutable ch_timer_gen : int;
+  mutable ch_timer : Engine.event option;
+      (* the one live retransmission timer, while frames are outstanding *)
   mutable ch_dup_acks : int;
       (* acks repeating the cursor since it last moved or the timer last
          went back N, saturating at [dup_ack_threshold] *)
@@ -79,8 +79,7 @@ let create_channel t ~src ~dst =
       ch_unacked = Hashtbl.create 8;
       ch_lowest_unacked = 0;
       ch_rto = t.p.rto_initial;
-      ch_timer_armed = false;
-      ch_timer_gen = 0;
+      ch_timer = None;
       ch_dup_acks = 0;
       ch_sent = 0;
       ch_retx = 0;
@@ -118,9 +117,9 @@ let dup_ack_threshold = 3
 
    While frames are outstanding a channel has one live timer event, due
    a whole RTO after it was armed. Restarting or disarming the timer
-   bumps the generation, which leaves the pending event inert, so a
-   live event firing is always a true timeout, whatever the clock
-   reads (the model checker fires events out of timestamp order). *)
+   cancels that event, so a timer that fires is always a true timeout,
+   whatever the clock reads (the model checker fires events out of
+   timestamp order). *)
 let rec send_frame t ch ~seq value =
   let epoch = ch.ch_epoch in
   Bus.transmit t.bus ~src:ch.ch_src ~dst:ch.ch_dst (fun () ->
@@ -207,9 +206,7 @@ and on_ack t ch ~acked =
   end
 
 and arm_timer t ch =
-  if not ch.ch_timer_armed then begin
-    ch.ch_timer_armed <- true;
-    let gen = ch.ch_timer_gen in
+  if Option.is_none ch.ch_timer then begin
     let engine = Bus.engine t.bus in
     let label =
       if not (Engine.mc_enabled engine) then Engine.tau
@@ -221,60 +218,60 @@ and arm_timer t ch =
                (snd ch.ch_src) (fst ch.ch_dst) (snd ch.ch_dst))
           "timer"
     in
-    Engine.schedule ~label engine ~delay:ch.ch_rto (fun () ->
-        on_timeout t ch ~gen)
+    ch.ch_timer <-
+      Some
+        (Engine.schedule_event ~label engine ~delay:ch.ch_rto (fun () ->
+             on_timeout t ch))
   end
 
-(* Forget the pending timer event and, if frames are outstanding, arm a
+(* Cancel the pending timer event and, if frames are outstanding, arm a
    new one a whole RTO from now. *)
 and restart_timer t ch =
-  ch.ch_timer_gen <- ch.ch_timer_gen + 1;
-  ch.ch_timer_armed <- false;
+  Option.iter (Engine.cancel (Bus.engine t.bus)) ch.ch_timer;
+  ch.ch_timer <- None;
   if Hashtbl.length ch.ch_unacked > 0 then arm_timer t ch
 
-and on_timeout t ch ~gen =
-  if gen = ch.ch_timer_gen && ch.ch_timer_armed then begin
-    ch.ch_timer_armed <- false;
-    if Hashtbl.length ch.ch_unacked > 0 then
-      if t.p.retx_limit > 0 && ch.ch_stalled_rounds >= t.p.retx_limit then
-        (* retransmission budget spent without ack progress: go quiet
-           (timer stays disarmed) until a new send or an ack revives the
-           channel. Keeps the model checker's state space finite — an
-           adversary that starves the ack path can otherwise pump an
-           unbounded retransmission storm. *)
-        Bus.record t.bus
-          (E.Retx_limit
-             { src = ch.ch_src;
-               dst = ch.ch_dst;
-               rounds = ch.ch_stalled_rounds })
-      else begin
-        (* a true timeout: no progress for a whole RTO, so go back N.
-           That whole wait is retransmission backoff, attributable to
-           the channel's destination (sampled by the drain phase via
-           the bus) *)
-        ch.ch_retx_wait <- ch.ch_retx_wait +. ch.ch_rto;
-        for seq = ch.ch_lowest_unacked to ch.ch_next_seq - 1 do
-          match Hashtbl.find_opt ch.ch_unacked seq with
-          | None -> ()
-          | Some value ->
-            ch.ch_retx <- ch.ch_retx + 1;
-            Bus.record t.bus
-              (E.Retransmit
-                 { src = ch.ch_src;
-                   dst = ch.ch_dst;
-                   seq;
-                   epoch = ch.ch_epoch;
-                   rto = ch.ch_rto });
-            send_frame t ch ~seq value
-        done;
-        (* the frame at the hole went out again: a hole that outlives
-           this copy too can be fast-retransmitted again *)
-        ch.ch_dup_acks <- 0;
-        ch.ch_stalled_rounds <- ch.ch_stalled_rounds + 1;
-        ch.ch_rto <- Float.min t.p.rto_max (ch.ch_rto *. t.p.rto_backoff);
-        arm_timer t ch
-      end
-  end
+and on_timeout t ch =
+  ch.ch_timer <- None;
+  if Hashtbl.length ch.ch_unacked > 0 then
+    if t.p.retx_limit > 0 && ch.ch_stalled_rounds >= t.p.retx_limit then
+      (* retransmission budget spent without ack progress: go quiet
+         (timer stays disarmed) until a new send or an ack revives the
+         channel. Keeps the model checker's state space finite — an
+         adversary that starves the ack path can otherwise pump an
+         unbounded retransmission storm. *)
+      Bus.record t.bus
+        (E.Retx_limit
+           { src = ch.ch_src;
+             dst = ch.ch_dst;
+             rounds = ch.ch_stalled_rounds })
+    else begin
+      (* a true timeout: no progress for a whole RTO, so go back N.
+         That whole wait is retransmission backoff, attributable to
+         the channel's destination (sampled by the drain phase via
+         the bus) *)
+      ch.ch_retx_wait <- ch.ch_retx_wait +. ch.ch_rto;
+      for seq = ch.ch_lowest_unacked to ch.ch_next_seq - 1 do
+        match Hashtbl.find_opt ch.ch_unacked seq with
+        | None -> ()
+        | Some value ->
+          ch.ch_retx <- ch.ch_retx + 1;
+          Bus.record t.bus
+            (E.Retransmit
+               { src = ch.ch_src;
+                 dst = ch.ch_dst;
+                 seq;
+                 epoch = ch.ch_epoch;
+                 rto = ch.ch_rto });
+          send_frame t ch ~seq value
+      done;
+      (* the frame at the hole went out again: a hole that outlives
+         this copy too can be fast-retransmitted again *)
+      ch.ch_dup_acks <- 0;
+      ch.ch_stalled_rounds <- ch.ch_stalled_rounds + 1;
+      ch.ch_rto <- Float.min t.p.rto_max (ch.ch_rto *. t.p.rto_backoff);
+      arm_timer t ch
+    end
 
 let send t ~src ~dst value =
   let ch =

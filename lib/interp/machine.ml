@@ -219,6 +219,23 @@ let as_str = function
   | Value.Vstr s -> s
   | v -> runtime "expected a string, found %s" (Value.type_name v)
 
+(* Top-level functions of their operands, so a binary operation
+   allocates no closure. *)
+let arith fi ff va vb =
+  match va, vb with
+  | Value.Vint x, Value.Vint y -> Value.Vint (fi x y)
+  | Value.Vfloat x, Value.Vfloat y -> Value.Vfloat (ff x y)
+  | _ ->
+    runtime "arithmetic on %s and %s" (Value.type_name va) (Value.type_name vb)
+
+let compare_values va vb =
+  match va, vb with
+  | Value.Vint x, Value.Vint y -> compare x y
+  | Value.Vfloat x, Value.Vfloat y -> Float.compare x y
+  | Value.Vstr x, Value.Vstr y -> String.compare x y
+  | _ ->
+    runtime "cannot order %s and %s" (Value.type_name va) (Value.type_name vb)
+
 let rec eval t frame (e : R.rexpr) : Value.t =
   match e with
   | Rconst v -> v
@@ -250,35 +267,20 @@ let rec eval t frame (e : R.rexpr) : Value.t =
 and eval_binop t frame op a b =
   let va = eval t frame a in
   let vb = eval t frame b in
-  let arith fi ff =
-    match va, vb with
-    | Value.Vint x, Value.Vint y -> Value.Vint (fi x y)
-    | Value.Vfloat x, Value.Vfloat y -> Value.Vfloat (ff x y)
-    | _ ->
-      runtime "arithmetic on %s and %s" (Value.type_name va) (Value.type_name vb)
-  in
-  let compare_values () =
-    match va, vb with
-    | Value.Vint x, Value.Vint y -> compare x y
-    | Value.Vfloat x, Value.Vfloat y -> Float.compare x y
-    | Value.Vstr x, Value.Vstr y -> String.compare x y
-    | _ ->
-      runtime "cannot order %s and %s" (Value.type_name va) (Value.type_name vb)
-  in
   match op with
   | Ast.Add -> (
     match va, vb with
     | Value.Vptr (id, off), Value.Vint n -> Value.Vptr (id, off + n)
-    | _ -> arith ( + ) ( +. ))
+    | _ -> arith ( + ) ( +. ) va vb)
   | Sub -> (
     match va, vb with
     | Value.Vptr (id, off), Value.Vint n -> Value.Vptr (id, off - n)
-    | _ -> arith ( - ) ( -. ))
-  | Mul -> arith ( * ) ( *. )
+    | _ -> arith ( - ) ( -. ) va vb)
+  | Mul -> arith ( * ) ( *. ) va vb
   | Div -> (
     match va, vb with
     | Value.Vint _, Value.Vint 0 -> runtime "division by zero"
-    | _ -> arith ( / ) ( /. ))
+    | _ -> arith ( / ) ( /. ) va vb)
   | Mod -> (
     match va, vb with
     | Value.Vint _, Value.Vint 0 -> runtime "modulo by zero"
@@ -286,10 +288,10 @@ and eval_binop t frame op a b =
     | _ -> runtime "'%%' expects ints")
   | Eq -> Vbool (Value.equal va vb)
   | Ne -> Vbool (not (Value.equal va vb))
-  | Lt -> Vbool (compare_values () < 0)
-  | Le -> Vbool (compare_values () <= 0)
-  | Gt -> Vbool (compare_values () > 0)
-  | Ge -> Vbool (compare_values () >= 0)
+  | Lt -> Vbool (compare_values va vb < 0)
+  | Le -> Vbool (compare_values va vb <= 0)
+  | Gt -> Vbool (compare_values va vb > 0)
+  | Ge -> Vbool (compare_values va vb >= 0)
   | And -> Vbool (as_bool va && as_bool vb)
   | Or -> Vbool (as_bool va || as_bool vb)
   | Cat -> Vstr (as_str va ^ as_str vb)
@@ -463,10 +465,13 @@ let restore t frame args =
 
 (* --------------------------------------------------------- builtins *)
 
+(* Move past the current instruction; a top-level function, so a
+   dispatch allocates no closure for it. *)
+let[@inline] advance frame = frame.pc <- frame.pc + 1
+
 let exec_stmt_builtin t frame name args =
-  let advance () = frame.pc <- frame.pc + 1 in
   match name with
-  | "mh_init" -> advance ()
+  | "mh_init" -> advance frame
   | "mh_read" -> (
     match args with
     | [ R.Raexpr iface_e; Ralv target ] -> (
@@ -478,7 +483,7 @@ let exec_stmt_builtin t frame name args =
         | R.Rlindex (slot, idx) ->
           let base = (cell_of_slot t frame slot).cv in
           heap_store t base (as_int (eval t frame idx)) v);
-        advance ()
+        advance frame
       | None ->
         (* stay on this instruction; the bus re-runs it on wake-up *)
         t.mstatus <- Blocked_read iface)
@@ -489,49 +494,48 @@ let exec_stmt_builtin t frame name args =
       let iface = as_str (eval t frame iface_e) in
       let v = eval t frame value_e in
       t.io.io_write iface v;
-      advance ()
+      advance frame
     | _ -> runtime "mh_write: bad arguments")
   | "mh_capture" ->
     capture t frame args;
-    advance ()
+    advance frame
   | "mh_restore" ->
     restore t frame args;
-    advance ()
+    advance frame
   | "mh_encode" ->
     let image = build_image t in
     t.capture_records <- [];
     t.io.io_encode image;
-    advance ()
+    advance frame
   | "mh_decode" -> (
     match t.io.io_decode () with
     | Some image ->
       feed_image t image;
-      advance ()
+      advance frame
     | None ->
-      if t.restore_records <> [] then advance ()
+      if t.restore_records <> [] then advance frame
       else t.mstatus <- Blocked_decode)
   | "signal" -> (
     match args with
     | [ R.Raexpr (R.Rconst (Value.Vstr handler)) ] ->
       t.handler <- Some handler;
-      advance ()
+      advance frame
     | _ -> runtime "signal: expected a handler name literal")
   | _ -> runtime "unknown builtin statement %s" name
 
 (* -------------------------------------------------------------- step *)
 
 let rec exec_instr t frame (instr : R.rinstr) =
-  let advance () = frame.pc <- frame.pc + 1 in
   match instr with
-  | Rskip -> advance ()
+  | Rskip -> advance frame
   | Rassign (Rlvar slot, e) ->
     set_cell (cell_of_slot t frame slot) (eval t frame e);
-    advance ()
+    advance frame
   | Rassign (Rlindex (slot, idx), e) ->
     let base = (cell_of_slot t frame slot).cv in
     let i = as_int (eval t frame idx) in
     heap_store t base i (eval t frame e);
-    advance ()
+    advance frame
   | Rpoint_gate inner ->
     (* A reconfiguration-point gate: fire the controller's one-shot hook
        (pre-copy signals from it), then run the wrapped instruction. Counts
@@ -566,11 +570,11 @@ let rec exec_instr t frame (instr : R.rinstr) =
     do_return t v
   | Rjump target -> frame.pc <- target
   | Rcjump { cond; if_false } ->
-    if as_bool (eval t frame cond) then advance () else frame.pc <- if_false
+    if as_bool (eval t frame cond) then advance frame else frame.pc <- if_false
   | Rprint es ->
     let rendered = List.map (fun e -> display_value (eval t frame e)) es in
     t.io.io_print (String.concat "" rendered);
-    advance ()
+    advance frame
   | Rsleep e -> (
     let v = eval t frame e in
     let duration =
@@ -582,7 +586,7 @@ let rec exec_instr t frame (instr : R.rinstr) =
     (* a NaN wake-up time would break the event queue's order *)
     if Float.is_nan duration then runtime "sleep of nan";
     (* advance first: on wake-up, execution resumes after the sleep *)
-    advance ();
+    advance frame;
     t.mstatus <- Sleeping (Float.max 0.0 duration))
   | Rbuiltin_stmt (name, args) -> exec_stmt_builtin t frame name args
 

@@ -413,11 +413,12 @@ let unwind t ~upgraded =
 let validate cfg ~group =
   if group = [] then Error "empty replica group"
   else if cfg.rc_retries < 1 then Error "retries must be at least 1"
-  else if cfg.rc_backoff < 0.0 then Error "backoff must be non-negative"
-  else if cfg.rc_drain_timeout <= 0.0 then
-    Error "drain timeout must be positive"
-  else if cfg.rc_canary_window <= 0.0 then
-    Error "canary window must be positive"
+  else if not (cfg.rc_backoff >= 0.0 && Float.is_finite cfg.rc_backoff) then
+    Error "backoff must be non-negative and finite"
+  else if not (cfg.rc_drain_timeout > 0.0 && Float.is_finite cfg.rc_drain_timeout)
+  then Error "drain timeout must be positive and finite"
+  else if not (cfg.rc_canary_window > 0.0 && Float.is_finite cfg.rc_canary_window)
+  then Error "canary window must be positive and finite"
   else Ok ()
 
 let run bus cfg ~group ?supervisor ?on_retarget () =

@@ -142,8 +142,10 @@ val run :
     generator can follow the roster. Registers the group as a bus drain
     group and attaches a metrics registry if none is present.
 
-    [Error] on invalid configuration, an unknown group member, or a
-    controller crash mid-wave (recover with {!recover}); canary
+    [Error] on invalid configuration (an empty group, fewer than one
+    retry, a negative backoff, a drain timeout or canary window that is
+    not positive, or any of the three not finite), an unknown group
+    member, or a controller crash mid-wave (recover with {!recover}); canary
     failures and aborted waves are reported through [Ok] with
     [rp_committed = false]. *)
 

@@ -211,9 +211,12 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
           ~label:(Printf.sprintf "replace %s -> %s" instance new_instance)
       in
       let settled = ref false in
+      (* the deadline event, withdrawn once the script settles *)
+      let deadline_ev = ref None in
       let conclude outcome =
         if not !settled then begin
           settled := true;
+          Option.iter (Dr_sim.Engine.cancel (Bus.engine bus)) !deadline_ev;
           (match outcome with
           | Error e -> fail_span bus !sp e
           | Ok _ -> ());
@@ -379,22 +382,28 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
            crashed on the way) triggers rollback instead of spinning the
            event budget; under pre-copy it also bounds the wait for the
            first point *)
-        Dr_sim.Engine.schedule
-          ~label:
-            (Dr_sim.Engine.label
-               ~info:(Printf.sprintf "replace %s: deadline" instance)
-               "ctl")
-          (Bus.engine bus) ~delay:window (fun () ->
-            if (not !settled) && not (Bus.controller_down bus) then begin
-              Bus.record bus (E.Replace_deadline { instance; window });
-              disarm_hook ();
-              Journal.rollback j ~reason:"deadline expired";
-              conclude
-                (Error
-                   (Printf.sprintf
-                      "%s did not divulge within the %.1f deadline" instance
-                      window))
-            end)
+        let ev =
+          Dr_sim.Engine.schedule_event
+            ~label:
+              (Dr_sim.Engine.label
+                 ~info:(Printf.sprintf "replace %s: deadline" instance)
+                 "ctl")
+            (Bus.engine bus) ~delay:window (fun () ->
+              if (not !settled) && not (Bus.controller_down bus) then begin
+                Bus.record bus (E.Replace_deadline { instance; window });
+                disarm_hook ();
+                Journal.rollback j ~reason:"deadline expired";
+                conclude
+                  (Error
+                     (Printf.sprintf
+                        "%s did not divulge within the %.1f deadline"
+                        instance window))
+              end)
+        in
+        (* an image the target divulged earlier settles the script while
+           [engage] arms the divulge, before this point *)
+        if !settled then Dr_sim.Engine.cancel (Bus.engine bus) ev
+        else deadline_ev := Some ev
   in
   attempt 1 ~host_override:None
 

@@ -16,6 +16,13 @@ type mc_event = {
   ev_thunk : unit -> unit;
 }
 
+(* A cancellable event, in the heap or the model-checking pool. *)
+type event = Queued of (unit -> unit) Pqueue.entry | Pooled of mc_event
+
+(* A cancelled heap event's thunk is swapped for this one, so telling it
+   apart on a pop is one physical comparison. *)
+let cancelled () = ()
+
 type pending_event = {
   pe_seq : int;
   pe_time : float;
@@ -48,22 +55,40 @@ let set_guard t guard = t.guard <- guard
 
 let now t = t.clock
 
+let next_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let pool t ~label ~time f =
+  let ev =
+    { ev_seq = next_seq t; ev_time = time; ev_label = label; ev_thunk = f }
+  in
+  t.mc_pool <- ev :: t.mc_pool;
+  ev
+
+(* A NaN time would break the heap order: every comparison with it is
+   false. *)
 let schedule_at ?(label = tau) t ~time f =
+  if Float.is_nan time then invalid_arg "Engine.schedule_at: time is NaN";
   let time = if time < t.clock then t.clock else time in
-  if t.mc_on then begin
-    t.mc_pool <-
-      { ev_seq = t.next_seq; ev_time = time; ev_label = label; ev_thunk = f }
-      :: t.mc_pool;
-    t.next_seq <- t.next_seq + 1
-  end
-  else begin
-    Pqueue.push t.queue ~time ~seq:t.next_seq f;
-    t.next_seq <- t.next_seq + 1
-  end
+  if t.mc_on then ignore (pool t ~label ~time f : mc_event)
+  else Pqueue.push t.queue ~time ~seq:(next_seq t) f
 
 let schedule ?label t ~delay f =
+  if Float.is_nan delay then invalid_arg "Engine.schedule: delay is NaN";
   let delay = if delay < 0.0 then 0.0 else delay in
   schedule_at ?label t ~time:(t.clock +. delay) f
+
+let schedule_event ?(label = tau) t ~delay f =
+  if Float.is_nan delay then invalid_arg "Engine.schedule: delay is NaN";
+  let time = if delay < 0.0 then t.clock else t.clock +. delay in
+  if t.mc_on then Pooled (pool t ~label ~time f)
+  else Queued (Pqueue.add t.queue ~time ~seq:(next_seq t) f)
+
+let cancel t = function
+  | Queued e -> Pqueue.set_payload e cancelled
+  | Pooled ev -> t.mc_pool <- List.filter (fun e -> e != ev) t.mc_pool
 
 let pending t = Pqueue.length t.queue + List.length t.mc_pool
 
@@ -72,8 +97,10 @@ let step t =
   | None -> false
   | Some (time, _seq, f) ->
     t.clock <- time;
-    t.fired <- t.fired + 1;
-    (try f () with e when t.guard e -> ());
+    if f != cancelled then begin
+      t.fired <- t.fired + 1;
+      try f () with e when t.guard e -> ()
+    end;
     true
 
 let run ?(until = infinity) ?(max_events = max_int) t =

@@ -33,24 +33,46 @@ val now : t -> float
 
 val schedule : ?label:label -> t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at time [now t +. delay]. Negative delays
-    are clamped to zero. *)
+    are clamped to zero; a NaN delay raises [Invalid_argument]. *)
 
 val schedule_at : ?label:label -> t -> time:float -> (unit -> unit) -> unit
-(** Absolute-time variant. Times in the past are clamped to [now]. *)
+(** Absolute-time variant. Times in the past are clamped to [now]; a NaN
+    time raises [Invalid_argument]. *)
+
+(** {1 Cancellation} *)
+
+type event
+(** A scheduled event that can be withdrawn before it fires. *)
+
+val schedule_event :
+  ?label:label -> t -> delay:float -> (unit -> unit) -> event
+(** {!schedule}, keeping a handle for {!cancel}. *)
+
+val cancel : t -> event -> unit
+(** Withdraw an event. Cancelling an event twice, or after it fired, does
+    nothing. In model-checking mode the event leaves the pool: it is
+    never in {!mc_pending} again, and its sequence number is not reused,
+    so every other event keeps its number. In the heap the event stays
+    until it reaches the head; it is then popped and moves the clock to
+    its time, as any event does, but its thunk does not run and
+    {!events_fired} does not count it. *)
 
 val pending : t -> int
-(** Number of events not yet fired (heap plus model-checking pool). *)
+(** Number of events not yet fired (heap plus model-checking pool). A
+    cancelled event counts until the heap pops it. *)
 
 val step : t -> bool
-(** Fire the single earliest event. Returns [false] when the queue is
-    empty. *)
+(** Pop the single earliest event and fire it unless it was cancelled.
+    Returns [false] when the queue is empty. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
-(** Fire events in order until the queue empties, the clock would pass
-    [until], or [max_events] events have fired. *)
+(** Step through events in order until the queue empties, the clock would
+    pass [until], or [max_events] events have been popped (cancelled ones
+    included). *)
 
 val events_fired : t -> int
-(** Total number of events executed so far. *)
+(** Total number of events executed so far; cancelled events are not
+    counted. *)
 
 val set_guard : t -> (exn -> bool) -> unit
 (** Install an exception guard. When an event thunk raises [e] and

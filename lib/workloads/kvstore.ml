@@ -425,6 +425,8 @@ module Loadgen = struct
     end
 
   let start bus conf ~slots =
+    if not (conf.lc_rate > 0.0 && Float.is_finite conf.lc_rate) then
+      invalid_arg "Loadgen.start: rate must be positive and finite";
     let metrics =
       match Bus.metrics bus with
       | Some m -> m

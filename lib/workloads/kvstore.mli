@@ -87,7 +87,8 @@ module Loadgen : sig
       per-slot metrics are labelled by slot. Attaches a metrics
       registry to the bus if none is present. Ticks stop by themselves
       once issuing is done and every reply is in, so driver [run]
-      bounds still terminate. *)
+      bounds still terminate. Raises [Invalid_argument] unless
+      [lc_rate] is positive and finite. *)
 
   val retarget : t -> slot:string -> instance:string -> unit
   (** Follow a roster change (feed {!Dr_reconfig.Rolling.run}'s

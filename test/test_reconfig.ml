@@ -530,6 +530,49 @@ let test_migration_retention_flat () =
           +. phase "translate" +. phase "restore"))
     migrates
 
+(* A committed replacement withdraws its deadline: in model-checking
+   mode the event would otherwise stay a transition the explorer has to
+   schedule (and interleave) although it can no longer do anything. On
+   the model-checking workload's bus every other event fires in pool
+   order, so the replacement starts once both modules have run their
+   first quantum (and installed their signal handlers). *)
+let test_commit_withdraws_deadline () =
+  let bus = Dr_mc.Workload.boot (Dr_mc.Workload.load ~two_cells:false ~k:1) in
+  let engine = Bus.engine bus in
+  let result = ref None in
+  Dr_sim.Engine.schedule engine ~delay:1.0 (fun () ->
+      Script.replace bus ~instance:"c1" ~new_instance:"c1v"
+        ~new_module:"cellv2" ~deadline:50.0
+        ~on_done:(fun r -> result := Some r)
+        ());
+  let is_deadline (pe : Dr_sim.Engine.pending_event) =
+    String.equal pe.pe_label.lb_info "replace c1: deadline"
+  in
+  let deadlines () =
+    List.length (List.filter is_deadline (Dr_sim.Engine.mc_pending engine))
+  in
+  let armed = ref false in
+  let rec drive () =
+    match
+      List.find_opt
+        (fun pe -> not (is_deadline pe))
+        (Dr_sim.Engine.mc_pending engine)
+    with
+    | Some pe when Option.is_none !result ->
+      ignore (Dr_sim.Engine.mc_fire engine ~seq:pe.pe_seq);
+      if deadlines () = 1 then armed := true;
+      drive ()
+    | _ -> ()
+  in
+  drive ();
+  Alcotest.(check bool) "the deadline was armed" true !armed;
+  (match !result with
+  | Some (Ok "c1v") -> ()
+  | Some (Ok other) -> Alcotest.failf "unexpected instance %s" other
+  | Some (Error e) -> Alcotest.failf "replace: %s" e
+  | None -> Alcotest.fail "the replacement never settled");
+  Alcotest.(check int) "no deadline pending after the commit" 0 (deadlines ())
+
 let () =
   Alcotest.run "reconfig"
     [ ( "primitives",
@@ -551,7 +594,9 @@ let () =
           Alcotest.test_case "stateless replacement" `Quick test_replace_stateless;
           Alcotest.test_case "script trace order" `Quick test_script_trace_order;
           Alcotest.test_case "retention per migration flat" `Quick
-            test_migration_retention_flat ] );
+            test_migration_retention_flat;
+          Alcotest.test_case "commit withdraws the deadline" `Quick
+            test_commit_withdraws_deadline ] );
       ( "freeze/thaw",
         [ Alcotest.test_case "cold restart" `Quick test_freeze_thaw_cold_restart;
           Alcotest.test_case "corrupt bytes" `Quick test_thaw_rejects_corrupt_bytes ] );

@@ -60,8 +60,9 @@ let test_loss_masked () =
 
 (* -------------------------------------------------------- dup masking *)
 
-let pulse_sink_bus ~pulse_source =
+let pulse_sink_bus ?(mc = false) ~pulse_source () =
   let bus = Bus.create ~hosts:Monitor.hosts () in
+  if mc then Dr_sim.Engine.mc_enable (Bus.engine bus);
   let register source =
     match Bus.register_program bus (Support.parse source) with
     | Ok () -> ()
@@ -89,6 +90,7 @@ let test_dup_masked () =
         "module pulse;\n\
          proc main() { var i: int; mh_init(); i = 0; while (i < 3) { i = i + \
          1; mh_write(\"out\", i); sleep(1); } }"
+      ()
   in
   let r = Reliable.attach bus in
   Reliable.enable_all r;
@@ -130,7 +132,7 @@ let fast_retransmits bus =
    bus and how many data frames have been sent so far, this one
    included. Acks always arrive. *)
 let run_stream ~drop =
-  let bus = pulse_sink_bus ~pulse_source:stream_source in
+  let bus = pulse_sink_bus ~pulse_source:stream_source () in
   let r = Reliable.attach bus in
   Reliable.enable_all r;
   let frames = ref 0 in
@@ -218,6 +220,7 @@ let test_progress_after_backoff_restarts_timer () =
         "module pulse;\n\
          proc main() { mh_init(); mh_write(\"out\", 1); sleep(1); \
          mh_write(\"out\", 2); while (true) { sleep(50); } }"
+      ()
   in
   let r = Reliable.attach bus in
   Reliable.enable_all r;
@@ -250,6 +253,50 @@ let test_progress_after_backoff_restarts_timer () =
       rto_second
   | l -> Alcotest.failf "expected two resends of seq 1, got %d" (List.length l)
 
+(* In model-checking mode a channel's timer events are transitions the
+   explorer must schedule, so a channel holds exactly one while frames
+   are outstanding and none once its window empties. The pulse sends
+   two frames in one quantum; every event but the timers fires in pool
+   order, so the first ack moves the cursor with a frame left and the
+   second empties the window. *)
+let test_mc_one_timer_per_channel () =
+  let bus =
+    pulse_sink_bus ~mc:true
+      ~pulse_source:
+        "module pulse;\n\
+         proc main() { mh_init(); mh_write(\"out\", 1); mh_write(\"out\", \
+         2); }"
+      ()
+  in
+  let r = Reliable.attach bus in
+  Reliable.enable_all r;
+  let engine = Bus.engine bus in
+  let is_timer (pe : Dr_sim.Engine.pending_event) =
+    String.equal pe.pe_label.lb_kind "timer"
+  in
+  let seen = ref [] in
+  let rec drive () =
+    let pool = Dr_sim.Engine.mc_pending engine in
+    match List.find_opt (fun pe -> not (is_timer pe)) pool with
+    | None -> ()
+    | Some pe ->
+      ignore (Dr_sim.Engine.mc_fire engine ~seq:pe.pe_seq);
+      let state =
+        ( Reliable.total_unacked r,
+          List.length
+            (List.filter is_timer (Dr_sim.Engine.mc_pending engine)) )
+      in
+      if not (List.mem state !seen) then seen := state :: !seen;
+      drive ()
+  in
+  drive ();
+  Alcotest.(check (list string)) "both values delivered" [ "1"; "2" ]
+    (Bus.outputs bus ~instance:"sink");
+  Alcotest.(check (list (pair int int)))
+    "(unacked, pooled timers): one timer per window, none once empty"
+    [ (2, 1); (1, 1); (0, 0) ]
+    (List.rev !seen)
+
 (* ---------------------------------------------------- epoch fencing *)
 
 let test_fence_discards_stale_frames () =
@@ -263,6 +310,7 @@ let test_fence_discards_stale_frames () =
         "module pulse;\n\
          proc main() { mh_init(); mh_write(\"out\", 7); while (true) { \
          sleep(5); } }"
+      ()
   in
   let r = Reliable.attach bus in
   Reliable.enable_all r;
@@ -517,6 +565,8 @@ let () =
             `Quick test_go_back_n_restarts_dup_ack_count;
           Alcotest.test_case "progress after a backoff restarts the timer"
             `Quick test_progress_after_backoff_restarts_timer;
+          Alcotest.test_case "model checking pools one timer per window"
+            `Quick test_mc_one_timer_per_channel;
           Alcotest.test_case "fenced rename discards stale frames" `Quick
             test_fence_discards_stale_frames;
           Alcotest.test_case "exactly-once replace, loss 0-20% x 6 scenarios"

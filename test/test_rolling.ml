@@ -77,6 +77,11 @@ let test_detector_config_validation () =
   check_rejected "zero period" { d with Bus.dc_period = 0.0 };
   check_rejected "negative timeout" { d with Bus.dc_timeout = -1.0 };
   check_rejected "zero threshold" { d with Bus.dc_threshold = 0 };
+  (* a NaN period would schedule every beat at NaN and stop the clock *)
+  check_rejected "NaN period" { d with Bus.dc_period = nan };
+  check_rejected "infinite period" { d with Bus.dc_period = infinity };
+  check_rejected "NaN timeout" { d with Bus.dc_timeout = nan };
+  check_rejected "infinite timeout" { d with Bus.dc_timeout = infinity };
   let custom = { Bus.dc_period = 0.5; dc_timeout = 2.0; dc_threshold = 3 } in
   Bus.set_detector_config bus custom;
   Alcotest.(check bool) "round-trips" true (Bus.detector_config bus = custom)
@@ -391,6 +396,35 @@ let test_run_rejects_bad_config () =
   expect_error "zero retries" { good with Rolling.rc_retries = 0 };
   expect_error "negative backoff" { good with Rolling.rc_backoff = -1.0 };
   expect_error "unknown target" { good with Rolling.rc_target = "nosuch" };
+  (* Non-finite durations are refused by validation, which runs before
+     the group is looked at: the unknown member below is never reached,
+     so no wave starts and the bus does not run. *)
+  let expect_invalid name cfg =
+    match Rolling.run bus cfg ~group:[ ("sx", "sx") ] () with
+    | Error e when String.ends_with ~suffix:"and finite" e -> ()
+    | Error e -> Alcotest.failf "%s got past validation: %s" name e
+    | Ok _ -> Alcotest.failf "%s accepted" name
+  in
+  List.iter
+    (fun (what, v) ->
+      expect_invalid (what ^ " drain timeout")
+        { good with Rolling.rc_drain_timeout = v };
+      expect_invalid (what ^ " canary window")
+        { good with Rolling.rc_canary_window = v };
+      expect_invalid (what ^ " backoff") { good with Rolling.rc_backoff = v })
+    [ ("NaN", nan); ("infinite", infinity) ];
+  (* a rate that is not positive and finite would stop the clock (a
+     zero delay between requests) or send nothing *)
+  List.iter
+    (fun rate ->
+      match
+        Kv.Loadgen.start bus
+          { Kv.Loadgen.default_conf with lc_rate = rate }
+          ~slots:group
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "load generator accepted rate %g" rate)
+    [ 0.0; -1.0; nan; infinity ];
   (match Rolling.run bus good ~group:[ ("sx", "sx") ] () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown group member accepted");

@@ -184,6 +184,97 @@ let test_engine_same_time_fifo () =
   Alcotest.(check (list int)) "fifo within a timestamp" [ 1; 2; 3; 4; 5 ]
     (List.rev !log)
 
+(* A cancelled pooled event leaves the model checker's view for good,
+   and no other event changes its sequence number: recorded schedules
+   name the same events with or without the cancelled one. *)
+let test_engine_cancel_pooled () =
+  let e = Engine.create () in
+  Engine.mc_enable e;
+  let fired = ref [] in
+  let note name () = fired := name :: !fired in
+  Engine.schedule e ~delay:1.0 (note "a");
+  let b = Engine.schedule_event e ~delay:2.0 (note "b") in
+  Engine.schedule e ~delay:3.0 (note "c");
+  let seqs () =
+    List.map (fun (pe : Engine.pending_event) -> pe.pe_seq) (Engine.mc_pending e)
+  in
+  Alcotest.(check (list int)) "three pooled" [ 0; 1; 2 ] (seqs ());
+  Engine.cancel e b;
+  Alcotest.(check (list int)) "b left the pool" [ 0; 2 ] (seqs ());
+  Alcotest.(check int) "pending" 2 (Engine.pending e);
+  Engine.schedule e ~delay:4.0 (note "d");
+  Alcotest.(check (list int)) "no sequence number reused" [ 0; 2; 3 ] (seqs ());
+  Alcotest.(check bool) "cancelled event cannot fire" false
+    (Engine.mc_fire e ~seq:1);
+  List.iter (fun seq -> ignore (Engine.mc_fire e ~seq)) [ 3; 0; 2 ];
+  Alcotest.(check (list string)) "the others fired" [ "d"; "a"; "c" ]
+    (List.rev !fired);
+  Alcotest.(check int) "counted" 3 (Engine.events_fired e)
+
+(* In the heap a cancelled event still moves the clock when it reaches
+   the head, exactly as an event that does nothing would, but it is not
+   run and not counted. *)
+let test_engine_cancel_heap () =
+  let run ~cancel_it =
+    let e = Engine.create () in
+    let ran = ref false in
+    Engine.schedule e ~delay:1.0 ignore;
+    let late = Engine.schedule_event e ~delay:4.0 (fun () -> ran := true) in
+    Engine.schedule e ~delay:6.0 ignore;
+    if cancel_it then Engine.cancel e late;
+    Engine.run ~until:5.0 e;
+    (!ran, Engine.events_fired e, Engine.now e, Engine.pending e)
+  in
+  let ran, fired, clock, pending = run ~cancel_it:false in
+  Alcotest.(check bool) "uncancelled runs" true ran;
+  Alcotest.(check int) "uncancelled counted" 2 fired;
+  Alcotest.(check (float 0.0)) "clock" 4.0 clock;
+  Alcotest.(check int) "one left" 1 pending;
+  let ran', fired', clock', pending' = run ~cancel_it:true in
+  Alcotest.(check bool) "cancelled does not run" false ran';
+  Alcotest.(check int) "cancelled not counted" 1 fired';
+  Alcotest.(check (float 0.0)) "the clock moves as before" clock clock';
+  Alcotest.(check int) "popped all the same" pending pending'
+
+(* Cancelling twice, or after the event fired, is a no-op in both
+   modes. *)
+let test_engine_cancel_idempotent () =
+  let heap = Engine.create () in
+  let hits = ref 0 in
+  let ev = Engine.schedule_event heap ~delay:1.0 (fun () -> incr hits) in
+  Engine.run heap;
+  Engine.cancel heap ev;
+  Engine.cancel heap ev;
+  Alcotest.(check int) "fired once" 1 !hits;
+  let ev2 = Engine.schedule_event heap ~delay:1.0 (fun () -> incr hits) in
+  Engine.cancel heap ev2;
+  Engine.cancel heap ev2;
+  Engine.run heap;
+  Alcotest.(check int) "cancelled twice, never ran" 1 !hits;
+  Alcotest.(check int) "heap counts" 1 (Engine.events_fired heap);
+  let pool = Engine.create () in
+  Engine.mc_enable pool;
+  let a = Engine.schedule_event pool ~delay:1.0 (fun () -> incr hits) in
+  let b = Engine.schedule_event pool ~delay:1.0 (fun () -> incr hits) in
+  Alcotest.(check bool) "a fires" true (Engine.mc_fire pool ~seq:0);
+  Engine.cancel pool a;
+  Engine.cancel pool b;
+  Engine.cancel pool b;
+  Alcotest.(check int) "pool empty" 0 (Engine.pending pool);
+  Alcotest.(check int) "pool fired a only" 2 !hits
+
+(* A NaN time would break the heap order (every comparison with it is
+   false), so scheduling one is refused. *)
+let test_engine_rejects_nan () =
+  let e = Engine.create () in
+  Alcotest.check_raises "delay"
+    (Invalid_argument "Engine.schedule: delay is NaN") (fun () ->
+      Engine.schedule e ~delay:nan ignore);
+  Alcotest.check_raises "time"
+    (Invalid_argument "Engine.schedule_at: time is NaN") (fun () ->
+      Engine.schedule_at e ~time:nan ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
 let test_trace_records_and_filters () =
   let t = Trace.create () in
   Trace.record t ~time:1.0 (E.Halted "one");
@@ -523,7 +614,13 @@ let () =
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "negative delay clamped" `Quick
             test_engine_negative_delay_clamped;
-          Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo ] );
+          Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
+          Alcotest.test_case "cancel leaves the pool" `Quick
+            test_engine_cancel_pooled;
+          Alcotest.test_case "cancel in the heap" `Quick test_engine_cancel_heap;
+          Alcotest.test_case "cancel twice or late" `Quick
+            test_engine_cancel_idempotent;
+          Alcotest.test_case "NaN time refused" `Quick test_engine_rejects_nan ] );
       ( "trace",
         [ Alcotest.test_case "records and filters" `Quick
             test_trace_records_and_filters;
