@@ -1,19 +1,22 @@
 (* Bus scaling suite: an N-member token ring with N/10 tokens, run to a
    fixed virtual horizon, measuring deploy time, wall-clock
-   deliveries/sec and engine events per delivery. One row per N.
+   deliveries/sec, engine events per delivery and the minor and promoted
+   words a delivery costs. One row per N.
 
    Run with: dune exec bench/main.exe -- scaling            (full sweep)
              dune exec bench/main.exe -- scaling --quick    (CI smoke)
 
    Each N gets its own horizon, sized so that every row does about the
    same number of deliveries (the work is fixed by virtual time, never
-   by an event budget). The gate is a deterministic fact, not a speed
-   ratio: at N >= 1000 the bus spends at most 1.1 engine events per
-   delivery. The full sweep also gates the 100k deploy on bounded
-   wall-clock time, asserts the complete row set and writes
-   BENCH_scaling.json. The quick sweep writes
-   _build/bench/BENCH_scaling_quick.json, outside the tracked tree, so
-   a CI run can never touch a committed artifact. *)
+   by an event budget). The gates are deterministic facts, not speed
+   ratios: at N >= 1000 the bus spends at most 1.1 engine events and
+   allocates at most 55 minor words per delivery. The word counts come
+   from the GC's counters around the timed run; they repeat exactly for
+   a given build (not across compilers or build profiles). The full
+   sweep also gates the 100k deploy on bounded wall-clock time, asserts
+   the complete row set and writes BENCH_scaling.json. The quick sweep
+   writes _build/bench/BENCH_scaling_quick.json, outside the tracked
+   tree, so a CI run can never touch a committed artifact. *)
 
 module Bus = Dr_bus.Bus
 module Ring = Dr_workloads.Ring
@@ -25,6 +28,8 @@ type row = {
   sc_events : int;
   sc_deliveries : int;
   sc_rate : float;  (* deliveries per wall-clock second *)
+  sc_minor_words : float;  (* allocated during the timed run *)
+  sc_promoted_words : float;  (* promoted during the timed run *)
 }
 
 let tokens n = max 1 (n / 10)
@@ -50,19 +55,30 @@ let run_one ~n ~horizon =
       0 (Ring.members ~n)
   in
   let passes0 = passes () in
+  let minor0 = Gc.minor_words () in
+  let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
   let t2 = Unix.gettimeofday () in
   Bus.run ~until:horizon bus;
   let t3 = Unix.gettimeofday () in
+  let minor1 = Gc.minor_words () in
+  let promoted1 = (Gc.quick_stat ()).Gc.promoted_words in
   let deliveries = passes () - passes0 in
   { sc_n = n;
     sc_deploy_ms = (t1 -. t0) *. 1e3;
     sc_horizon = horizon;
     sc_events = Dr_sim.Engine.events_fired engine - events0;
     sc_deliveries = deliveries;
-    sc_rate = float_of_int deliveries /. (t3 -. t2) }
+    sc_rate = float_of_int deliveries /. (t3 -. t2);
+    sc_minor_words = minor1 -. minor0;
+    sc_promoted_words = promoted1 -. promoted0 }
 
-let events_per_delivery r =
-  float_of_int r.sc_events /. float_of_int (max 1 r.sc_deliveries)
+let per_delivery r x = x /. float_of_int (max 1 r.sc_deliveries)
+
+let events_per_delivery r = per_delivery r (float_of_int r.sc_events)
+
+let minor_per_delivery r = per_delivery r r.sc_minor_words
+
+let promoted_per_delivery r = per_delivery r r.sc_promoted_words
 
 
 let header () =
@@ -70,17 +86,19 @@ let header () =
   print_endline "==============================================================";
   print_endline "Bus scaling: N-member ring, N/10 tokens, fixed virtual horizon";
   print_endline "==============================================================";
-  Printf.printf "%8s %12s %9s %10s %12s %8s %14s\n" "N" "deploy(ms)"
-    "horizon" "events" "deliveries" "ev/del" "deliveries/s";
-  Printf.printf "%s\n" (String.make 78 '-')
+  Printf.printf "%8s %12s %9s %10s %12s %8s %14s %9s %9s\n" "N" "deploy(ms)"
+    "horizon" "events" "deliveries" "ev/del" "deliveries/s" "minor/del"
+    "promo/del";
+  Printf.printf "%s\n" (String.make 98 '-')
 
 let sweep ~sizes ~deliveries =
   List.map
     (fun n ->
       let r = run_one ~n ~horizon:(horizon_for ~deliveries n) in
-      Printf.printf "%8d %12.1f %9.0f %10d %12d %8.3f %14.0f\n%!" r.sc_n
-        r.sc_deploy_ms r.sc_horizon r.sc_events r.sc_deliveries
-        (events_per_delivery r) r.sc_rate;
+      Printf.printf "%8d %12.1f %9.0f %10d %12d %8.3f %14.0f %9.2f %9.2f\n%!"
+        r.sc_n r.sc_deploy_ms r.sc_horizon r.sc_events r.sc_deliveries
+        (events_per_delivery r) r.sc_rate (minor_per_delivery r)
+        (promoted_per_delivery r);
       r)
     sizes
 
@@ -92,7 +110,10 @@ let row_json r =
       ("events", Json_out.int r.sc_events);
       ("deliveries", Json_out.int r.sc_deliveries);
       ("events_per_delivery", Json_out.float (events_per_delivery r));
-      ("deliveries_per_sec", Json_out.float r.sc_rate) ]
+      ("deliveries_per_sec", Json_out.float r.sc_rate);
+      ("minor_words_per_delivery", Json_out.float (minor_per_delivery r));
+      ("promoted_words_per_delivery", Json_out.float (promoted_per_delivery r))
+    ]
 
 let write_artifact ~path rows =
   Json_out.write path
@@ -107,16 +128,21 @@ let fail fmt =
       exit 1)
     fmt
 
-(* Deterministic gate: the batched path must keep the bus at about one
-   engine event per delivery. *)
+(* Deterministic gates: the batched path must keep the bus at about one
+   engine event per delivery, and a delivery must allocate only about
+   what it keeps. *)
 let gate_rows rows =
   List.iter
     (fun r ->
       if r.sc_n >= 1000 && events_per_delivery r > 1.1 then
         fail "N=%d: %.3f events per delivery (gate <= 1.1)" r.sc_n
-          (events_per_delivery r))
+          (events_per_delivery r);
+      if r.sc_n >= 1000 && minor_per_delivery r > 55.0 then
+        fail "N=%d: %.1f minor words per delivery (gate <= 55)" r.sc_n
+          (minor_per_delivery r))
     rows;
-  Printf.printf "gate: events/delivery <= 1.1 at N >= 1000\n%!"
+  Printf.printf
+    "gate: events/delivery <= 1.1 and minor words/delivery <= 55 at N >= 1000\n%!"
 
 let full ?(sizes = [ 10; 100; 1000; 10_000; 100_000 ]) () =
   header ();

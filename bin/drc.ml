@@ -91,21 +91,24 @@ let positive_int_conv ~flag =
         | Some n -> Ok n),
       Fmt.int )
 
-(* A positive, finite number of [unit]: NaN and infinity are refused
-   with zero and the negatives. *)
-let positive_float_conv ~flag ~unit =
+(* A finite number of [unit] that [ok] accepts ([must] says which):
+   NaN and infinity are refused with the out-of-range values. *)
+let finite_float_conv ~flag ~unit ~must ok =
   Arg.conv
     ( (fun s ->
         match float_of_string_opt s with
         | None ->
           Error (`Msg (Printf.sprintf "%s: expected %s, got %S" flag unit s))
-        | Some x when x <= 0.0 || not (Float.is_finite x) ->
+        | Some x when not (Float.is_finite x && ok x) ->
           Error
             (`Msg
-               (Printf.sprintf "%s: must be a positive number of %s (got %s)"
-                  flag unit s))
+               (Printf.sprintf "%s: must be a %s number of %s (got %s)" flag
+                  must unit s))
         | Some x -> Ok x),
       fun ppf x -> Fmt.pf ppf "%g" x )
+
+let positive_float_conv ~flag ~unit =
+  finite_float_conv ~flag ~unit ~must:"positive" (fun x -> x > 0.0)
 
 let positive_ms_conv ~flag = positive_float_conv ~flag ~unit:"milliseconds"
 
@@ -297,8 +300,13 @@ let app_arg =
 
 let until_arg =
   Arg.(
-    value & opt float 100.0
-    & info [ "until" ] ~docv:"T" ~doc:"Virtual time to simulate.")
+    value
+    & opt
+        (finite_float_conv ~flag:"--until" ~unit:"virtual time units"
+           ~must:"non-negative" (fun x -> x >= 0.0))
+        100.0
+    & info [ "until" ] ~docv:"T"
+        ~doc:"Virtual time to simulate. Must be finite and non-negative.")
 
 let hosts_arg =
   Arg.(
@@ -306,11 +314,31 @@ let hosts_arg =
     & opt_all string [ "hostA=x86_64"; "hostB=sparc32"; "hostC=arm32" ]
     & info [ "host" ] ~docv:"NAME=ARCH" ~doc:"Simulated host (repeatable).")
 
+(* INST:NEW:HOST@T, with T a finite, non-negative virtual time *)
+let migrate_conv =
+  let parse spec =
+    match
+      Scanf.sscanf_opt spec "%s@:%s@:%s@@%f%!" (fun a b c t -> (a, b, c, t))
+    with
+    | None -> Error (`Msg (Printf.sprintf "bad --migrate %S" spec))
+    | Some (_, _, _, t) when not (Float.is_finite t && t >= 0.0) ->
+      Error
+        (`Msg
+           (Printf.sprintf
+              "bad --migrate %S: the time must be finite and non-negative" spec))
+    | Some m -> Ok m
+  in
+  Arg.conv
+    ( parse,
+      fun ppf (inst, fresh, host, t) -> Fmt.pf ppf "%s:%s:%s@%g" inst fresh host t )
+
 let migrate_arg =
   Arg.(
-    value & opt (some string) None
+    value & opt (some migrate_conv) None
     & info [ "migrate" ] ~docv:"INST:NEW:HOST@T"
-        ~doc:"Migrate INST to HOST as NEW at virtual time T.")
+        ~doc:
+          "Migrate INST to HOST as NEW at virtual time T (finite, \
+           non-negative).")
 
 let precopy_arg =
   Arg.(
@@ -436,21 +464,18 @@ let run_cmd =
     end;
     (match migrate with
     | None -> Dr_bus.Bus.run ~until bus
-    | Some spec -> (
-      match Scanf.sscanf_opt spec "%s@:%s@:%s@@%f" (fun a b c t -> (a, b, c, t)) with
-      | None -> or_die (Error (Printf.sprintf "bad --migrate %S" spec))
-      | Some (inst, fresh, host, t) ->
-        Dr_bus.Bus.run ~until:t bus;
-        (match
-           Dynrecon.System.migrate bus ~precopy
-             ?retry:(retry_policy retry backoff) ~instance:inst
-             ~new_instance:fresh ~new_host:host
-         with
-        | Ok _ -> Printf.printf "migrated %s -> %s on %s\n" inst fresh host
-        | Error e when Dr_bus.Bus.controller_down bus ->
-          Printf.printf "migration abandoned: %s\n" e
-        | Error e -> or_die (Error e));
-        Dr_bus.Bus.run ~until bus));
+    | Some (inst, fresh, host, t) ->
+      Dr_bus.Bus.run ~until:t bus;
+      (match
+         Dynrecon.System.migrate bus ~precopy
+           ?retry:(retry_policy retry backoff) ~instance:inst
+           ~new_instance:fresh ~new_host:host
+       with
+      | Ok _ -> Printf.printf "migrated %s -> %s on %s\n" inst fresh host
+      | Error e when Dr_bus.Bus.controller_down bus ->
+        Printf.printf "migration abandoned: %s\n" e
+      | Error e -> or_die (Error e));
+      Dr_bus.Bus.run ~until bus);
     if Dr_bus.Bus.controller_down bus then begin
       Printf.printf
         "controller crashed after control-log append %d; replaying the log\n"

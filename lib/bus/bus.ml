@@ -20,24 +20,29 @@ type params = {
 let default_params =
   { instr_cost = 0.01; quantum = 64; local_latency = 0.1; remote_latency = 1.0 }
 
-(* Send-path structures (see [Domain]): each process holds a
-   generational handle into the bus's arena, plus a memo of its
-   last-used out-route set with destinations pre-resolved to
-   handles. The memo is versioned against [routes_version] (bumped on
-   any route/roster change) and its handles are gen-checked on use, so
-   a kill or replace can never leave a stale entry aliasing a reused
-   slot — at worst the memo falls back to the by-name lookup and
-   re-warms itself. *)
-type dest_entry = { de_dst : endpoint; mutable de_handle : Domain.handle }
+(* Send-path structures: each process memoizes its last-used out-route
+   set, one entry per destination, holding the destination's process.
+   The memo is versioned against [routes_version] (bumped on any
+   route/roster change), and an entry whose process has died re-resolves
+   by name, so a kill or replace can never leave an entry pointing at a
+   dead instance: at worst the entry falls back to the by-name lookup
+   and re-warms itself. An entry also carries what a message needs when
+   its destination dies in flight: the sender's endpoint and the
+   send-time fan-out set. *)
+type dest_entry = {
+  de_src : endpoint;
+  de_dst : endpoint;
+  de_peers : endpoint list;  (* send-time fan-out set, for redirects *)
+  mutable de_proc : process option;
+}
 
-type out_memo = {
+and out_memo = {
   om_iface : string;
   om_version : int;
-  om_peers : endpoint list;  (* send-time fan-out set, for redirects *)
   om_dests : dest_entry array;
 }
 
-type process = {
+and process = {
   p_instance : string;
   p_module : string;
   p_gen : int;
@@ -58,18 +63,26 @@ type process = {
   mutable p_scheduled : bool;
   p_started : float;
   mutable p_ended : float option;
-  mutable p_handle : Domain.handle;
   mutable p_out_memo : out_memo option;
+  p_wake : unit -> unit;
+      (* the process's one wake thunk, for a sleep's end or a read a
+         delivery satisfied: scheduling or running it allocates nothing *)
 }
 
-(* A routed message in a delivery batch: the sender, the memoized
-   destination, the send-time fan-out set (for re-routing when
-   the destination dies in flight) and the value. *)
-type pending_msg = {
-  bm_src : endpoint;
-  bm_dst : dest_entry;
-  bm_peers : endpoint list;
-  bm_value : Value.t;
+(* The router's per-hop batching: the messages due at one virtual
+   delivery instant, in send order (per-route FIFO), drained by one
+   event. Delivery times repeat heavily (fixed latencies, lock-stepped
+   workloads), which is what makes batching pay; a jittered message
+   lands in a batch of its own. In model-checking mode every message is
+   a batch of its own, a choice point for the explorer. A drained batch
+   is kept for reuse, [b_drain] and all. *)
+type batch = {
+  mutable b_due : float;  (* NaN unless open in [t.batches_open] *)
+  mutable b_dests : dest_entry array;
+  mutable b_values : Value.t array;
+  mutable b_woken : (unit -> unit) array;  (* wake thunks, wake order *)
+  mutable b_len : int;
+  mutable b_drain : unit -> unit;
 }
 
 (* Hot-path data structures: [live] indexes the current process per
@@ -136,11 +149,13 @@ type t = {
   mutable activity_hook : (string -> unit) option;
   corrupt_images : (string, unit) Hashtbl.t;
   mutable bus_metrics : Metrics.t option;
-  (* the broker domain: the arena process table and the delivery
-     batches, plus traffic counts the hot path bumps as plain ints (no
-     labels, no hashing) and [domain_stats] and the collectors read *)
-  domain : process Domain.t;
-  inbound : pending_msg Domain.Batch.t;
+  (* the delivery batches, plus traffic counts the hot path bumps as
+     plain ints (no labels, no hashing) and [domain_stats] and the
+     collectors read *)
+  batches_open : (float, batch) Hashtbl.t;
+  mutable last_batch : batch;  (* the batch last opened or found *)
+  mutable spare_batches : batch list;
+  mutable in_flight : int;  (* messages batched and not yet drained *)
   mutable routed : int;  (* per-destination sends *)
   mutable delivered : int;  (* enqueues into an input queue *)
   mutable batches : int;  (* delivery batches drained *)
@@ -205,8 +220,7 @@ let install_collectors t registry =
          and the messages parked in batches, only at snapshot time
          (model-checking mode parks nothing: each message is its own
          event) *)
-      Metrics.set_gauge r "bus.in_flight"
-        (float_of_int (Domain.Batch.in_flight t.inbound));
+      Metrics.set_gauge r "bus.in_flight" (float_of_int t.in_flight);
       Metrics.set_gauge r "bus.routed" (float_of_int t.routed);
       Metrics.set_gauge r "bus.delivered" (float_of_int t.delivered);
       Metrics.set_gauge r "bus.batches" (float_of_int t.batches))
@@ -216,6 +230,12 @@ let set_metrics t registry =
   install_collectors t registry
 
 let metrics t = t.bus_metrics
+
+let vacant () = ()
+
+let no_batch =
+  { b_due = nan; b_dests = [||]; b_values = [||]; b_woken = [||]; b_len = 0;
+    b_drain = vacant }
 
 let create ?(params = default_params) ~hosts () =
   let t =
@@ -234,8 +254,10 @@ let create ?(params = default_params) ~hosts () =
       activity_hook = None;
       corrupt_images = Hashtbl.create 4;
       bus_metrics = None;
-      domain = Domain.create ();
-      inbound = Domain.Batch.create ();
+      batches_open = Hashtbl.create 32;
+      last_batch = no_batch;
+      spare_batches = [];
+      in_flight = 0;
       routed = 0;
       delivered = 0;
       batches = 0;
@@ -324,7 +346,9 @@ let note_script_id t sid = t.ctl_next_sid <- max t.ctl_next_sid sid
 let set_fault_hooks t hooks = t.fault_hooks <- Some hooks
 let clear_fault_hooks t = t.fault_hooks <- None
 
-let host_is_down t name = Hashtbl.mem t.down_hosts name
+(* hashes nothing while every host is up *)
+let host_is_down t name =
+  Hashtbl.length t.down_hosts > 0 && Hashtbl.mem t.down_hosts name
 
 (* ----------------------------------------------------------- transport *)
 
@@ -461,17 +485,17 @@ let latency t src_host dst_host =
     t.bus_params.local_latency
   else t.bus_params.remote_latency
 
-(* Event labels for the model checker: computed only in MC mode, so the
-   production hot path never pays for the route scan (and labels are inert
-   there anyway). A quantum may run controller code — a divulge callback
-   fires inside the target's quantum — so whenever a script is open or a
-   callback is armed the label degrades to global (touch = [], dependent
-   with everything). Otherwise a quantum touches its own instance plus
-   every instance its out-routes can reach, which over-approximates the
+(* Event labels for the model checker: built only in MC mode, so the
+   production hot path never pays for the route scan, nor for the
+   optional argument's box (labels are inert there anyway). A quantum
+   may run controller code — a divulge callback fires inside the
+   target's quantum — so whenever a script is open or a callback is
+   armed the label degrades to global (touch = [], dependent with
+   everything). Otherwise a quantum touches its own instance plus every
+   instance its out-routes can reach, which over-approximates the
    messages it may send. *)
 let quantum_label t p =
-  if not (Engine.mc_enabled t.engine) then Engine.tau
-  else if t.ctl_open > 0 || Option.is_some p.p_on_divulge then
+  if t.ctl_open > 0 || Option.is_some p.p_on_divulge then
     Engine.label ~info:("quantum " ^ p.p_instance) "quantum"
   else
     let out =
@@ -490,29 +514,30 @@ let quantum_label t p =
    mutations are controller transitions, which are global, so the
    approximation is benign there.) *)
 let deliver_label t ~dst value =
-  if not (Engine.mc_enabled t.engine) then Engine.tau
-  else
-    let inst = fst dst in
-    let touch =
-      match Hashtbl.find_opt t.drain_members inst with
-      | Some members -> Array.to_list members
-      | None -> [ inst ]
-    in
-    Engine.label ~touch
-      ~info:
-        (Printf.sprintf "deliver %s.%s %s" inst (snd dst)
-           (Value.to_string value))
-      "deliver"
+  let inst = fst dst in
+  let touch =
+    match Hashtbl.find_opt t.drain_members inst with
+    | Some members -> Array.to_list members
+    | None -> [ inst ]
+  in
+  Engine.label ~touch
+    ~info:
+      (Printf.sprintf "deliver %s.%s %s" inst (snd dst) (Value.to_string value))
+    "deliver"
 
-let net_label t ~src ~dst =
-  if not (Engine.mc_enabled t.engine) then Engine.tau
-  else
-    Engine.label
-      ~touch:[ fst src; fst dst ]
-      ~info:
-        (Printf.sprintf "net %s.%s -> %s.%s" (fst src) (snd src) (fst dst)
-           (snd dst))
-      "net"
+let net_label ~src ~dst =
+  Engine.label
+    ~touch:[ fst src; fst dst ]
+    ~info:
+      (Printf.sprintf "net %s.%s -> %s.%s" (fst src) (snd src) (fst dst)
+         (snd dst))
+    "net"
+
+(* Schedule one of [p]'s thunks, labelled in model-checking mode. *)
+let schedule_proc t p ~delay thunk =
+  if Engine.mc_enabled t.engine then
+    Engine.schedule ~label:(quantum_label t p) t.engine ~delay thunk
+  else Engine.schedule t.engine ~delay thunk
 
 (* What a removed instance keeps is its spawn-history record: name,
    module, host, times, outputs, and its machine's status, counters,
@@ -532,8 +557,7 @@ let end_quantum t p =
 let rec schedule_quantum t p ~delay =
   if p.p_alive && not p.p_scheduled then begin
     p.p_scheduled <- true;
-    Engine.schedule ~label:(quantum_label t p) t.engine ~delay (fun () ->
-        run_quantum t p)
+    schedule_proc t p ~delay (fun () -> run_quantum t p)
   end
 
 and run_quantum t p =
@@ -577,12 +601,7 @@ and run_quantum t p =
     end_quantum t p
   end
 
-and schedule_wake t p ~delay =
-  Engine.schedule ~label:(quantum_label t p) t.engine ~delay (fun () ->
-      if p.p_alive then begin
-        Machine.set_ready p.p_machine;
-        resume t p
-      end)
+and schedule_wake t p ~delay = schedule_proc t p ~delay p.p_wake
 
 (* Run a machine that a wake or a delivery just made ready. Like the
    send path, this picks its granularity from [Engine.mc_enabled]. In
@@ -593,6 +612,14 @@ and schedule_wake t p ~delay =
 and resume t p =
   if Engine.mc_enabled t.engine then schedule_quantum t p ~delay:0.0
   else if not p.p_scheduled then run_quantum t p
+
+(* What [p_wake] runs: the end of a sleep, or a reader a delivery made
+   ready (for which [set_ready] does nothing). *)
+let wake_proc t p =
+  if p.p_alive then begin
+    Machine.set_ready p.p_machine;
+    resume t p
+  end
 
 (* -------------------------------------------------------------- routes *)
 
@@ -836,43 +863,35 @@ let drop_queue t ep =
 
 (* ------------------------------------------------------------- send *)
 
-(* Resolve a destination entry: the gen-checked arena lookup when the
-   cached handle is fresh — an array index, no hashing — else fall back
-   to the by-name table and re-warm the handle. A handle cached before
-   a kill gen-fails here even if the slot was since reused, so a stale
-   memo can never alias a different instance. *)
+(* Resolve a memo entry: its process while that is alive (no hashing),
+   else the by-name table, re-warming the entry. A kill clears
+   [p_alive], so an entry can never resolve to a dead instance, nor miss
+   one re-spawned under the same name. *)
 let resolve_dest t (de : dest_entry) =
-  match Domain.get t.domain de.de_handle with
-  | Some _ as r -> r
-  | None -> (
-    match find_proc t (fst de.de_dst) with
-    | Some p ->
-      de.de_handle <- p.p_handle;
-      Some p
-    | None -> None)
+  match de.de_proc with
+  | Some p when p.p_alive -> de.de_proc
+  | _ ->
+    let found = find_proc t (fst de.de_dst) in
+    de.de_proc <- found;
+    found
 
 (* Rebuild the sender's out-route memo when the route table has moved
-   since it was cut (or the interface changed). [om_peers] is the
+   since it was cut (or the interface changed). [de_peers] is the
    send-time fan-out set the redirect logic needs, identical to a fresh
    [routes_from] because any add/del bumps [routes_version]. *)
 let cut_out_memo t p iface =
   let src = (p.p_instance, iface) in
-  let dsts = routes_from t src in
+  let peers = routes_from t src in
   let memo =
     { om_iface = iface;
       om_version = t.routes_version;
-      om_peers = dsts;
       om_dests =
         Array.of_list
           (List.map
              (fun dst ->
-               let handle =
-                 match find_proc t (fst dst) with
-                 | Some dp -> dp.p_handle
-                 | None -> Domain.null_handle
-               in
-               { de_dst = dst; de_handle = handle })
-             dsts) }
+               { de_src = src; de_dst = dst; de_peers = peers;
+                 de_proc = find_proc t (fst dst) })
+             peers) }
   in
   p.p_out_memo <- Some memo;
   memo
@@ -884,135 +903,212 @@ let out_memo_of t p iface =
     m
   | _ -> cut_out_memo t p iface
 
-(* Deliver one routed message. A live destination gets the value and,
-   if that woke a reader blocked on the interface, [Some reader] comes
-   back for the caller to resume. Every failure case keeps its trace
-   wording. *)
-let deliver_routed t (bm : pending_msg) =
-  let dst = bm.bm_dst.de_dst in
-  match resolve_dest t bm.bm_dst with
-  | None -> (
+(* Fills a batch's vacant slots. *)
+let no_dest =
+  { de_src = ("", ""); de_dst = ("", ""); de_peers = []; de_proc = None }
+
+(* Deliver one routed message. A live destination gets the value; if
+   that woke a reader blocked on the interface, the reader's wake thunk
+   comes back for the caller to run, else [vacant]. Every failure case
+   keeps its trace wording. *)
+let deliver_routed t de value =
+  match resolve_dest t de with
+  | None ->
     (* The destination died in flight (a reconfiguration replaced it).
        The paper's bus applies rebinding commands atomically, so the
        message follows the new bindings, but only the routes added since
        the send: re-fanning out to every current route would hand a
        duplicate to each surviving peer of a multicast binding. *)
-    let rebound =
-      List.filter
-        (fun d -> not (List.exists (endpoint_equal d) bm.bm_peers))
-        (routes_from t bm.bm_src)
-    in
-    match rebound with
-    | [] ->
-      record t (E.In_flight_lost bm.bm_src);
-      None
-    | dsts ->
-      List.iter (fun dst -> deliver t ~dst bm.bm_value) dsts;
-      None)
-  | Some _ when Hashtbl.length t.draining > 0 && Hashtbl.mem t.draining (fst dst)
+    (match
+       List.filter
+         (fun d -> not (List.exists (endpoint_equal d) de.de_peers))
+         (routes_from t de.de_src)
+     with
+    | [] -> record t (E.In_flight_lost de.de_src)
+    | dsts -> List.iter (fun dst -> deliver t ~dst value) dsts);
+    vacant
+  | Some _
+    when Hashtbl.length t.draining > 0 && Hashtbl.mem t.draining (fst de.de_dst)
     ->
     (* draining member: [deliver] redirects to an admitting sibling (only
        drain windows pay this) *)
-    deliver t ~dst bm.bm_value;
-    None
+    deliver t ~dst:de.de_dst value;
+    vacant
   | Some p ->
     if host_is_down t p.p_host.host_name then begin
-      record t (E.Host_down_delivery { dst; host = p.p_host.host_name });
-      None
+      record t
+        (E.Host_down_delivery { dst = de.de_dst; host = p.p_host.host_name });
+      vacant
     end
     else begin
       count_delivered t;
-      if enqueue t Fresh p ~dst bm.bm_value then Some p else None
+      if enqueue t Fresh p ~dst:de.de_dst value then p.p_wake else vacant
     end
 
-(* Deliver a batch in insertion order (per-route FIFO). Every message
-   is enqueued first, then each woken reader resumes once, in wake
-   order, so a reader sees all of its same-instant messages in one
-   quantum. *)
-let deliver_batch t batch =
-  let size = List.length batch in
+(* Deliver a batch in send order (per-route FIFO). Every message is
+   enqueued first, then each woken reader resumes once, in wake order,
+   so a reader sees all of its same-instant messages in one quantum.
+   The batch leaves the open table before any of that, so a message
+   sent meanwhile for this instant opens a batch of its own; it is
+   spare again once every reader has run. *)
+let deliver_batch t b =
+  if not (Float.is_nan b.b_due) then begin
+    Hashtbl.remove t.batches_open b.b_due;
+    b.b_due <- nan;
+    t.in_flight <- t.in_flight - b.b_len
+  end;
+  let size = b.b_len in
   t.batches <- t.batches + 1;
   t.batched <- t.batched + size;
   (match t.bus_metrics with
   | Some r -> Metrics.observe r "bus.batch_size" (float_of_int size)
   | None -> ());
-  List.iter (resume t) (List.filter_map (deliver_routed t) batch)
+  let woken = ref 0 in
+  for i = 0 to size - 1 do
+    let wake = deliver_routed t b.b_dests.(i) b.b_values.(i) in
+    if wake != vacant then begin
+      b.b_woken.(!woken) <- wake;
+      incr woken
+    end
+  done;
+  Array.fill b.b_dests 0 size no_dest;
+  Array.fill b.b_values 0 size Value.Vnull;
+  b.b_len <- 0;
+  for j = 0 to !woken - 1 do
+    let wake = b.b_woken.(j) in
+    b.b_woken.(j) <- vacant;
+    wake ()
+  done;
+  t.spare_batches <- b :: t.spare_batches
 
-(* Run [send ~delay] as the fault plane decides. The draw order (jitter,
-   then the loss/duplicate decision) is what seeded fault plans replay. *)
-let with_faults t ~src ~dst ~delay send =
+(* A spare batch, or a new one, for [due] (NaN: a batch the open table
+   does not hold). *)
+let take_batch t ~due =
+  match t.spare_batches with
+  | b :: rest ->
+    t.spare_batches <- rest;
+    b.b_due <- due;
+    b
+  | [] ->
+    let b =
+      { b_due = due; b_dests = [||]; b_values = [||]; b_woken = [||];
+        b_len = 0; b_drain = vacant }
+    in
+    b.b_drain <- (fun () -> deliver_batch t b);
+    b
+
+let batch_add b de value =
+  let n = b.b_len in
+  if n = Array.length b.b_dests then begin
+    let capacity = max 8 (2 * n) in
+    let dests = Array.make capacity no_dest in
+    let values = Array.make capacity Value.Vnull in
+    Array.blit b.b_dests 0 dests 0 n;
+    Array.blit b.b_values 0 values 0 n;
+    b.b_dests <- dests;
+    b.b_values <- values;
+    b.b_woken <- Array.make capacity vacant
+  end;
+  b.b_dests.(n) <- de;
+  b.b_values.(n) <- value;
+  b.b_len <- n + 1
+
+(* The open batch for [due], or a new one with its drain event. *)
+let open_batch t due =
+  match Hashtbl.find t.batches_open due with
+  | b ->
+    t.last_batch <- b;
+    b
+  | exception Not_found ->
+    let b = take_batch t ~due in
+    Hashtbl.replace t.batches_open due b;
+    t.last_batch <- b;
+    Engine.schedule_at t.engine ~time:due b.b_drain;
+    b
+
+(* Queue one routed message for delivery [delay] from now. It joins the
+   batch for its delivery instant, and only a batch's first message
+   schedules an engine event; in model-checking mode it is a batch, and
+   an event, of its own. *)
+let push t de value ~delay =
+  let due = Engine.now t.engine +. delay in
+  if Engine.mc_enabled t.engine then begin
+    let b = take_batch t ~due:nan in
+    batch_add b de value;
+    Engine.schedule_at
+      ~label:(deliver_label t ~dst:de.de_dst value)
+      t.engine ~time:due b.b_drain
+  end
+  else begin
+    let b = t.last_batch in
+    let b = if b.b_due = due then b else open_batch t due in
+    batch_add b de value;
+    t.in_flight <- t.in_flight + 1
+  end
+
+(* Run [send t a b ~delay] as the fault plane decides: once, not at all,
+   or twice. The draw order (jitter, then the loss/duplicate decision) is
+   what seeded fault plans replay. Callers pass a top-level [send], so a
+   hop allocates no closure. *)
+let with_faults t ~src ~dst ~delay send a b =
   match t.fault_hooks with
-  | None -> send ~delay
+  | None -> send t a b ~delay
   | Some hooks -> (
     let delay = delay +. hooks.fh_jitter () in
     match hooks.fh_message ~src ~dst with
-    | Deliver -> send ~delay
-    | Drop ->
-      record t (E.Injected_loss { src; dst })
+    | Deliver -> send t a b ~delay
+    | Drop -> record t (E.Injected_loss { src; dst })
     | Duplicate ->
       record t (E.Injected_duplicate { src; dst });
-      send ~delay;
-      send ~delay)
+      send t a b ~delay;
+      send t a b ~delay)
 
-(* The send path: memoized fan-out, handles instead of string keys, and
-   per-hop batching. A message joins the batch for its exact delivery
-   instant, and only the first message of a batch schedules an engine
-   event. In model-checking mode each message is instead its own
-   [deliver] event, a choice point for the explorer. *)
+(* One destination of a send: the transport's, if it takes the message,
+   else a timed hop through the fault plane. *)
+let route_one t p de value =
+  t.routed <- t.routed + 1;
+  let handled =
+    match t.transport with
+    | Some tr -> tr.tr_send ~src:de.de_src ~dst:de.de_dst value
+    | None -> false
+  in
+  if not handled then begin
+    let dst_host =
+      match resolve_dest t de with Some dp -> dp.p_host | None -> p.p_host
+    in
+    with_faults t ~src:de.de_src ~dst:de.de_dst
+      ~delay:(latency t p.p_host dst_host) push de value
+  end
+
+(* The send path: the memoized fan-out, each destination's process held
+   by its memo entry, and per-hop batching. *)
 let route_live t p iface value =
   (match t.activity_hook with
   | Some hook -> hook p.p_instance
   | None -> ());
-  let memo = out_memo_of t p iface in
-  if Array.length memo.om_dests = 0 then begin
+  let dests = (out_memo_of t p iface).om_dests in
+  if Array.length dests = 0 then begin
     m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
     record t (E.Unbound (p.p_instance, iface))
   end
-  else begin
-    let src = (p.p_instance, iface) in
-    Array.iter
-      (fun de ->
-        t.routed <- t.routed + 1;
-        let handled =
-          match t.transport with
-          | Some tr -> tr.tr_send ~src ~dst:de.de_dst value
-          | None -> false
-        in
-        if not handled then begin
-          let dst_host =
-            match resolve_dest t de with
-            | Some dp -> dp.p_host
-            | None -> p.p_host
-          in
-          let push ~delay =
-            let due = now t +. delay in
-            let msg =
-              { bm_src = src; bm_dst = de; bm_peers = memo.om_peers;
-                bm_value = value }
-            in
-            if Engine.mc_enabled t.engine then
-              Engine.schedule_at
-                ~label:(deliver_label t ~dst:de.de_dst value)
-                t.engine ~time:due
-                (fun () -> deliver_batch t [ msg ])
-            else if Domain.Batch.add t.inbound ~due msg then
-              Engine.schedule_at t.engine ~time:due (fun () ->
-                  deliver_batch t (Domain.Batch.drain t.inbound ~due))
-          in
-          with_faults t ~src ~dst:de.de_dst
-            ~delay:(latency t p.p_host dst_host) push
-        end)
-      memo.om_dests
-  end
+  else
+    for i = 0 to Array.length dests - 1 do
+      route_one t p dests.(i) value
+    done
 
 (* A machine killed by its own divulge callback runs out that quantum,
-   but its arena slot is gone: what it sends is discarded. *)
+   but it is no longer live: what it sends is discarded. *)
 let route_message t p iface value =
   if p.p_alive then route_live t p iface value
   else begin
     m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
     record t (E.Dead_sender (p.p_instance, iface))
   end
+
+let hop t (src, dst) k ~delay =
+  if Engine.mc_enabled t.engine then
+    Engine.schedule ~label:(net_label ~src ~dst) t.engine ~delay k
+  else Engine.schedule t.engine ~delay k
 
 (* A raw timed hop between two endpoints, subject to the fault hooks but
    carrying a callback rather than a queued value — the primitive the
@@ -1029,8 +1125,7 @@ let transmit t ~src ~dst k =
     | Some a, Some b -> latency t a b
     | _ -> t.bus_params.local_latency
   in
-  with_faults t ~src ~dst ~delay (fun ~delay ->
-      Engine.schedule ~label:(net_label t ~src ~dst) t.engine ~delay k)
+  with_faults t ~src ~dst ~delay hop (src, dst) k
 
 (* Hand a value straight to a destination queue with no latency, no
    fault decision and no trace on success: the reliable layer calls this
@@ -1102,13 +1197,14 @@ let placement t ~instance ~host =
     | Some h -> Ok h
 
 (* Build a process around [make_machine]'s machine and register it: the
-   roster, the live table, and an arena slot. *)
+   roster and the live table. *)
 let register t ~instance ~module_name ~host ~spec make_machine =
   let p_ref = ref None in
   let machine = make_machine (instance_io t p_ref) in
   let gen = t.spawn_gen in
   t.spawn_gen <- t.spawn_gen + 1;
-  let p =
+  let started = now t in
+  let rec p =
     { p_instance = instance;
       p_module = module_name;
       p_gen = gen;
@@ -1122,15 +1218,14 @@ let register t ~instance ~module_name ~host ~spec make_machine =
       p_on_divulge = None;
       p_alive = true;
       p_scheduled = false;
-      p_started = now t;
+      p_started = started;
       p_ended = None;
-      p_handle = Domain.null_handle;
-      p_out_memo = None }
+      p_out_memo = None;
+      p_wake = (fun () -> wake_proc t p) }
   in
   p_ref := Some p;
   t.procs_rev <- p :: t.procs_rev;
   Hashtbl.replace t.live instance p;
-  p.p_handle <- Domain.alloc t.domain p;
   p
 
 let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
@@ -1178,13 +1273,6 @@ let kill t ~instance =
     p.p_alive <- false;
     p.p_ended <- Some (now t);
     Hashtbl.remove t.live instance;
-    (* retire the arena slot: the generation bump invalidates every
-       handle cached for this instance, so out-route memos can never
-       alias whatever reuses the slot *)
-    if not (Domain.is_null p.p_handle) then begin
-      Domain.free t.domain p.p_handle;
-      p.p_handle <- Domain.null_handle
-    end;
     t.routes_version <- t.routes_version + 1;
     m_incr t ~labels:[ ("instance", instance) ] "bus.kills";
     record t (E.Removed instance);

@@ -28,9 +28,10 @@ val default_params : params
 type t
 
 val create : ?params:params -> hosts:host list -> unit -> t
-(** Destinations resolve through a flat-array arena ({!Domain}) instead
-    of hashtables, and deliveries due at the same virtual instant share
-    one event-queue pop ({!Domain.Batch}). In model-checking mode
+(** Each sender memoizes its out-routes with every destination's
+    process, so a send hashes no name while the destination lives, and
+    deliveries due at the same virtual instant share one event-queue pop
+    (a delivery batch). In model-checking mode
     ({!Dr_sim.Engine.mc_enable}) each message is instead its own
     [deliver] event and each woken quantum its own event, so the
     explorer sees every delivery as a choice point. *)

@@ -64,6 +64,7 @@ type t = {
   heap : (int, Image.heap_block) Hashtbl.t;
   mutable next_block : int;
   mutable mstatus : status;
+  mutable last_blocked : status;  (* the last [Blocked_read], for reuse *)
   mutable pending_signal : bool;
   mutable handler : string option;
   mutable capture_records : Image.record list;  (* reverse capture order *)
@@ -219,11 +220,25 @@ let as_str = function
   | Value.Vstr s -> s
   | v -> runtime "expected a string, found %s" (Value.type_name v)
 
+(* Results the machine makes and soon drops share values instead of
+   allocating them: the two booleans, and the integers in
+   [0, small_int_limit) from one table (counters and indexes mostly live
+   there). *)
+let[@inline] vbool b = if b then Value.Vbool true else Value.Vbool false
+
+let small_int_limit = 1024
+
+let small_ints = Array.init small_int_limit (fun i -> Value.Vint i)
+
+let[@inline] vint n =
+  if n >= 0 && n < small_int_limit then Array.unsafe_get small_ints n
+  else Value.Vint n
+
 (* Top-level functions of their operands, so a binary operation
    allocates no closure. *)
 let arith fi ff va vb =
   match va, vb with
-  | Value.Vint x, Value.Vint y -> Value.Vint (fi x y)
+  | Value.Vint x, Value.Vint y -> vint (fi x y)
   | Value.Vfloat x, Value.Vfloat y -> Value.Vfloat (ff x y)
   | _ ->
     runtime "arithmetic on %s and %s" (Value.type_name va) (Value.type_name vb)
@@ -255,10 +270,10 @@ let rec eval t frame (e : R.rexpr) : Value.t =
     | v -> runtime "cannot take an address into a %s" (Value.type_name v))
   | Rneg e -> (
     match eval t frame e with
-    | Vint i -> Vint (-i)
+    | Vint i -> vint (-i)
     | Vfloat f -> Vfloat (-.f)
     | v -> runtime "cannot negate a %s" (Value.type_name v))
-  | Rnot e -> Vbool (not (as_bool (eval t frame e)))
+  | Rnot e -> vbool (not (as_bool (eval t frame e)))
   | Rbinop (op, a, b) -> eval_binop t frame op a b
   | Rresidual_call name ->
     runtime "internal error: residual call to %s in expression" name
@@ -284,26 +299,26 @@ and eval_binop t frame op a b =
   | Mod -> (
     match va, vb with
     | Value.Vint _, Value.Vint 0 -> runtime "modulo by zero"
-    | Value.Vint x, Value.Vint y -> Value.Vint (x mod y)
+    | Value.Vint x, Value.Vint y -> vint (x mod y)
     | _ -> runtime "'%%' expects ints")
-  | Eq -> Vbool (Value.equal va vb)
-  | Ne -> Vbool (not (Value.equal va vb))
-  | Lt -> Vbool (compare_values va vb < 0)
-  | Le -> Vbool (compare_values va vb <= 0)
-  | Gt -> Vbool (compare_values va vb > 0)
-  | Ge -> Vbool (compare_values va vb >= 0)
-  | And -> Vbool (as_bool va && as_bool vb)
-  | Or -> Vbool (as_bool va || as_bool vb)
+  | Eq -> vbool (Value.equal va vb)
+  | Ne -> vbool (not (Value.equal va vb))
+  | Lt -> vbool (compare_values va vb < 0)
+  | Le -> vbool (compare_values va vb <= 0)
+  | Gt -> vbool (compare_values va vb > 0)
+  | Ge -> vbool (compare_values va vb >= 0)
+  | And -> vbool (as_bool va && as_bool vb)
+  | Or -> vbool (as_bool va || as_bool vb)
   | Cat -> Vstr (as_str va ^ as_str vb)
 
 and eval_builtin t frame name args =
   let arg i = List.nth args i in
   match name with
-  | "mh_query" -> Vbool (t.io.io_query (as_str (eval t frame (arg 0))))
+  | "mh_query" -> vbool (t.io.io_query (as_str (eval t frame (arg 0))))
   | "mh_getstatus" -> Vstr t.status_attr
   | "len" -> (
     match eval t frame (arg 0) with
-    | Varr id -> Vint (Array.length (block_cells t id))
+    | Varr id -> vint (Array.length (block_cells t id))
     | v -> runtime "len of %s" (Value.type_name v))
   | "float" -> (
     match eval t frame (arg 0) with
@@ -311,7 +326,7 @@ and eval_builtin t frame name args =
     | v -> runtime "float() of %s" (Value.type_name v))
   | "int" -> (
     match eval t frame (arg 0) with
-    | Vfloat f -> Vint (int_of_float f)
+    | Vfloat f -> vint (int_of_float f)
     | v -> runtime "int() of %s" (Value.type_name v))
   | "str" -> Vstr (display_value (eval t frame (arg 0)))
   | "alloc_int" -> alloc_block t Tint (as_int (eval t frame (arg 0)))
@@ -456,7 +471,7 @@ let restore t frame args =
           heap_store t base (as_int (eval t frame idx)) v
         | R.Raexpr _ -> runtime "mh_restore takes lvalues"
       in
-      assign (R.Ralv loc_lv) (Value.Vint record.location);
+      assign (R.Ralv loc_lv) (vint record.location);
       List.iter2 assign targets record.values;
       t.restores_applied <- t.restores_applied + 1;
       if t.restore_records = [] then
@@ -464,6 +479,16 @@ let restore t frame args =
   | _ -> runtime "mh_restore: missing location target"
 
 (* --------------------------------------------------------- builtins *)
+
+(* A machine blocks on the same interface again and again: reuse the
+   status value while the name is the same. *)
+let blocked_on t iface =
+  match t.last_blocked with
+  | Blocked_read last as status when String.equal last iface -> status
+  | _ ->
+    let status = Blocked_read iface in
+    t.last_blocked <- status;
+    status
 
 (* Move past the current instruction; a top-level function, so a
    dispatch allocates no closure for it. *)
@@ -486,7 +511,7 @@ let exec_stmt_builtin t frame name args =
         advance frame
       | None ->
         (* stay on this instruction; the bus re-runs it on wake-up *)
-        t.mstatus <- Blocked_read iface)
+        t.mstatus <- blocked_on t iface)
     | _ -> runtime "mh_read: bad arguments")
   | "mh_write" -> (
     match args with
@@ -763,6 +788,7 @@ let clone t ~io =
     heap;
     next_block = t.next_block;
     mstatus = t.mstatus;
+    last_blocked = Ready;
     pending_signal = t.pending_signal;
     handler = t.handler;
     capture_records = t.capture_records;
@@ -807,7 +833,8 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
     { prog; rprog; procs = rprog.rg_procs; proc_index = rprog.rg_proc_index;
       procs_local = false; globals; global_index = rprog.rg_global_index;
       stack = []; depth = 0; heap = Hashtbl.create 16;
-      next_block = 0; mstatus = Ready; pending_signal = false; handler = None;
+      next_block = 0; mstatus = Ready; last_blocked = Ready;
+      pending_signal = false; handler = None;
       capture_records = []; restore_records = [];
       status_attr; io; instrs_executed = 0; tracer = None;
       signal_handled_at = None; capture_started_at = None;

@@ -42,9 +42,7 @@ let log t record =
   match Bus.wal t.bus with
   | None -> false
   | Some wal ->
-    ignore
-      (Wal.append wal ~kind:(Persist.kind_of record) (Persist.encode record)
-        : int);
+    ignore (Persist.append wal record : int);
     true
 
 let maybe_checkpoint t =

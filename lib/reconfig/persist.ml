@@ -262,10 +262,9 @@ let sid_of = function
   | Wave_abort { wid; _ } ->
     wid
 
-let encode record =
-  Bin_util.with_buffer @@ fun buf ->
+let encode_into buf record =
   Wire.write_int buf (sid_of record);
-  (match record with
+  match record with
   | Begin { label; _ } -> Wire.write_string buf label
   | Entry { entry; _ } -> w_entry buf entry
   | Commit _ | Abort_done _ | Wave_commit _ -> ()
@@ -281,8 +280,18 @@ let encode record =
   | Wave_replica_done { wr_slot; wr_instance; _ } ->
     Wire.write_string buf wr_slot;
     Wire.write_string buf wr_instance
-  | Wave_abort { w_reason; _ } -> Wire.write_string buf w_reason);
+  | Wave_abort { w_reason; _ } -> Wire.write_string buf w_reason
+
+let encode record =
+  Bin_util.with_buffer @@ fun buf ->
+  encode_into buf record;
   Buffer.to_bytes buf
+
+(* Frame the record straight out of the pooled buffer: one copy. *)
+let append wal record =
+  Bin_util.with_buffer @@ fun buf ->
+  encode_into buf record;
+  Dr_wal.Wal.append_buffer wal ~kind:(kind_of record) buf
 
 let decode ~kind body =
   Wire.guarded @@ fun () ->

@@ -70,6 +70,10 @@ val is_wave_kind : int -> bool
 
 val encode : record -> bytes
 
+val append : Dr_wal.Wal.t -> record -> int
+(** Append the record to the log, framed straight out of the encoder's
+    buffer (the bytes written are [encode]'s); returns its LSN. *)
+
 val decode : kind:int -> bytes -> (record, string) result
 (** Inverse of {!encode} on the WAL's [(kind, body)] pair. Trailing
     bytes, unknown tags, and embedded image/spec damage all fail with a

@@ -104,8 +104,7 @@ let log_wave t rec_ =
     match Bus.wal t.bus with
     | None -> ()
     | Some wal ->
-      ignore
-        (Wal.append wal ~kind:(Persist.kind_of rec_) (Persist.encode rec_));
+      ignore (Persist.append wal rec_ : int);
       (* a ctlcrash@N fault can land on a wave record just like on a
          script record; ctl_down is set before the raise *)
       (try Bus.ctl_tick t.bus with Bus.Controller_crash -> ())

@@ -1,8 +1,14 @@
 (** Discrete-event simulation engine.
 
     The engine owns a virtual clock and a queue of timestamped events, each a
-    thunk run when the clock reaches its time. Everything is deterministic:
-    same schedule calls, same execution order. *)
+    thunk run when the clock reaches its time. Events fire in (time,
+    scheduling order) order. Everything is deterministic: same schedule
+    calls, same execution order.
+
+    The queue keeps one heap node per distinct pending instant, each a
+    FIFO of thunks, so an event due at an instant that already has a node
+    is queued and fired in O(1) (simultaneous events are the common case
+    on the bus). *)
 
 type t
 
@@ -68,7 +74,7 @@ val step : t -> bool
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Step through events in order until the queue empties, the clock would
     pass [until], or [max_events] events have been popped (cancelled ones
-    included). *)
+    included). A NaN [until] raises [Invalid_argument]. *)
 
 val events_fired : t -> int
 (** Total number of events executed so far; cancelled events are not

@@ -1,4 +1,4 @@
-type 'a entry = { time : float; seq : int; mutable payload : 'a }
+type 'a entry = { time : float; seq : int; payload : 'a }
 
 (* slots at or beyond [size] hold [None]: a popped entry (and the
    closure it carries) must not stay reachable from the heap array, or
@@ -52,17 +52,11 @@ let grow t =
     t.heap <- heap'
   end
 
-let add t ~time ~seq payload =
+let push t ~time ~seq payload =
   grow t;
-  let e = { time; seq; payload } in
-  t.heap.(t.size) <- Some e;
+  t.heap.(t.size) <- Some { time; seq; payload };
   t.size <- t.size + 1;
-  sift_up t (t.size - 1);
-  e
-
-let push t ~time ~seq payload = ignore (add t ~time ~seq payload : _ entry)
-
-let set_payload e payload = e.payload <- payload
+  sift_up t (t.size - 1)
 
 let pop t =
   if t.size = 0 then None

@@ -10,12 +10,14 @@ type t = {
 
 (* ------------------------------------------------------------- memory *)
 
-(* Each blob is a durable prefix plus an unsynced tail; [sync] folds the
-   tail into the prefix, [crash] discards it. A whole-blob [write] is
+(* Each blob is a durable prefix plus an unsynced tail, each a list of
+   the chunks appended to it, newest first: an append keeps the caller's
+   bytes, with no buffer to copy them into and regrow. [sync] moves the
+   tail onto the prefix, [crash] discards it. A whole-blob [write] is
    modelled as immediately durable (the file backend renames a fully
    written temp file into place, which is as atomic as this layer
    gets). *)
-type blob = { mutable durable : Buffer.t; mutable tail : Buffer.t }
+type blob = { mutable durable : bytes list; mutable tail : bytes list }
 
 type mem = { blobs : (string, blob) Hashtbl.t }
 
@@ -25,15 +27,12 @@ let mem_blob m name =
   match Hashtbl.find_opt m.blobs name with
   | Some b -> b
   | None ->
-    let b = { durable = Buffer.create 64; tail = Buffer.create 64 } in
+    let b = { durable = []; tail = [] } in
     Hashtbl.replace m.blobs name b;
     b
 
 let mem_contents b =
-  let out = Bytes.create (Buffer.length b.durable + Buffer.length b.tail) in
-  Buffer.blit b.durable 0 out 0 (Buffer.length b.durable);
-  Buffer.blit b.tail 0 out (Buffer.length b.durable) (Buffer.length b.tail);
-  out
+  Bytes.concat Bytes.empty (List.rev_append b.durable (List.rev b.tail))
 
 let storage_of_mem m =
   { st_kind = "memory";
@@ -48,20 +47,25 @@ let storage_of_mem m =
         | Some b -> Ok (mem_contents b));
     st_write =
       (fun name data ->
-        let b = { durable = Buffer.create (Bytes.length data); tail = Buffer.create 16 } in
-        Buffer.add_bytes b.durable data;
-        Hashtbl.replace m.blobs name b);
-    st_append = (fun name data -> Buffer.add_bytes (mem_blob m name).tail data);
+        Hashtbl.replace m.blobs name
+          { durable = [ Bytes.copy data ]; tail = [] });
+    st_append =
+      (fun name data ->
+        let b = mem_blob m name in
+        b.tail <- data :: b.tail);
     st_delete = (fun name -> Hashtbl.remove m.blobs name);
     st_sync =
       (fun () ->
         Hashtbl.iter
           (fun _ b ->
-            Buffer.add_buffer b.durable b.tail;
-            Buffer.clear b.tail)
+            match b.tail with
+            | [] -> ()
+            | tail ->
+              b.durable <- tail @ b.durable;
+              b.tail <- [])
           m.blobs) }
 
-let crash m = Hashtbl.iter (fun _ b -> Buffer.clear b.tail) m.blobs
+let crash m = Hashtbl.iter (fun _ b -> b.tail <- []) m.blobs
 
 let corrupt_byte m ~blob ~at =
   match Hashtbl.find_opt m.blobs blob with
@@ -71,19 +75,16 @@ let corrupt_byte m ~blob ~at =
     if at < 0 || at >= Bytes.length data then
       invalid_arg "corrupt_byte: offset out of range";
     Bytes.set data at (Char.chr (Char.code (Bytes.get data at) lxor 0x40));
-    b.durable <- Buffer.create (Bytes.length data);
-    Buffer.add_bytes b.durable data;
-    b.tail <- Buffer.create 16
+    b.durable <- [ data ];
+    b.tail <- []
 
 let truncate_blob m ~blob ~len =
   match Hashtbl.find_opt m.blobs blob with
   | None -> invalid_arg ("truncate_blob: no blob " ^ blob)
   | Some b ->
     let data = mem_contents b in
-    let len = min len (Bytes.length data) in
-    b.durable <- Buffer.create (max 16 len);
-    Buffer.add_bytes b.durable (Bytes.sub data 0 len);
-    b.tail <- Buffer.create 16
+    b.durable <- [ Bytes.sub data 0 (min len (Bytes.length data)) ];
+    b.tail <- []
 
 (* --------------------------------------------------------------- file *)
 

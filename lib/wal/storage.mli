@@ -21,6 +21,8 @@ type t = {
   st_read : string -> (bytes, string) result;
   st_write : string -> bytes -> unit;  (** atomic whole-blob replace *)
   st_append : string -> bytes -> unit;
+      (** the memory backend keeps [bytes] itself: do not modify them
+          after the append *)
   st_delete : string -> unit;
   st_sync : unit -> unit;  (** make every append so far durable *)
 }

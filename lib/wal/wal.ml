@@ -53,13 +53,13 @@ let frame_ok data ~off ~len =
   Int32.equal (Bytes.get_int32_be data (off + 4))
     (Bin_util.crc32_sub data ~off:(off + 8) ~len)
 
-(* log record payload = i64 lsn, u8 kind, body *)
-let frame ~lsn ~kind body =
-  let n = Bytes.length body in
-  framed (9 + n) (fun out ->
+(* log record payload = i64 lsn, u8 kind, body; [blit out off] writes
+   the [len]-byte body at [off] *)
+let frame ~lsn ~kind ~len blit =
+  framed (9 + len) (fun out ->
       Bytes.set_int64_be out 8 (Int64.of_int lsn);
       Bytes.set_uint8 out 16 kind;
-      Bytes.blit body 0 out 17 n)
+      blit out 17)
 
 (* ----------------------------------------------------------- scanning *)
 
@@ -333,9 +333,9 @@ let sync t =
   end;
   t.durable <- t.next - 1
 
-let append t ~kind body =
+let append_framed t ~kind ~len blit =
   let lsn = t.next in
-  let data = frame ~lsn ~kind body in
+  let data = frame ~lsn ~kind ~len blit in
   if t.active_bytes > 0 && t.active_bytes + Bytes.length data > t.config.segment_bytes
   then begin
     sync t;
@@ -345,12 +345,20 @@ let append t ~kind body =
   end;
   t.storage.Storage.st_append t.active data;
   t.active_bytes <- t.active_bytes + Bytes.length data;
-  t.since_cp <- t.since_cp + Bytes.length body;
+  t.since_cp <- t.since_cp + len;
   t.n_appends <- t.n_appends + 1;
   t.next <- t.next + 1;
   t.unsynced <- t.unsynced + 1;
   if t.unsynced >= t.config.sync_every then sync t;
   lsn
+
+let append t ~kind body =
+  let len = Bytes.length body in
+  append_framed t ~kind ~len (fun out off -> Bytes.blit body 0 out off len)
+
+let append_buffer t ~kind buf =
+  let len = Buffer.length buf in
+  append_framed t ~kind ~len (fun out off -> Buffer.blit buf 0 out off len)
 
 let next_lsn t = t.next
 let durable_lsn t = t.durable

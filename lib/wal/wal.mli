@@ -60,6 +60,10 @@ val append : t -> kind:int -> bytes -> int
 (** Frame and append one record; returns its LSN. Syncs before
     returning when the batching threshold is reached. *)
 
+val append_buffer : t -> kind:int -> Buffer.t -> int
+(** {!append} of the buffer's contents, framed straight out of the
+    buffer: the body is copied once, into the frame. *)
+
 val sync : t -> unit
 (** Make every appended record durable now. *)
 

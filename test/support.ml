@@ -106,8 +106,8 @@ let value = Alcotest.testable Value.pp Value.equal
 
 let image = Alcotest.testable Dr_state.Image.pp Dr_state.Image.equal
 
-let qcheck ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qcheck ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Drive a monitor-style single machine: instrumented program, scripted
    sensor/display feeds; capture mid-run and restore into a clone.

@@ -1,13 +1,13 @@
-(* The broker domain: the bus's arena process table and per-hop
-   batched delivery. These tests pin down:
+(* The broker domain: the bus's memoized routes and per-hop batched
+   delivery. These tests pin down:
    - fan-in under batched delivery: per-route FIFO,
    - model-checking granularity: in MC mode every routed message is its
      own [deliver] choice point and a woken reader's quantum its own
      event,
    - delivery counting: the bus counts every enqueue the delivery
      observer sees, reliable-layer arrivals included,
-   - a 1k kill/re-spawn regression: arena slot reuse must never let a
-     stale handle or out-route memo misroute a delivery,
+   - a 1k kill/re-spawn regression: a stale out-route memo entry must
+     never misroute a delivery,
    - detector overhead flatness: suspicion bookkeeping is incremental,
      so checks stay constant per instance and stop once suspected.
    Plus a guard that the full scaling artifact carries every row. *)
@@ -193,10 +193,10 @@ let test_mc_granularity () =
 (* ------------------------------------ 1k kill/re-spawn regression *)
 
 (* n relay->store pairs across two hosts. Stores are killed and
-   re-spawned under the same names in reverse order, so the arena free
-   list hands every re-spawn a slot that used to belong to a different
-   instance — exactly the aliasing trap for stale handles in out-route
-   memos and parked batch entries. *)
+   re-spawned under the same names in reverse order, so every relay's
+   out-route memo entry, and every entry parked in a delivery batch,
+   holds a dead process whose name now belongs to a new one: each must
+   re-resolve by name, never deliver to the dead record. *)
 let pairs_n = 1000
 
 let pairs_mil ~n =
@@ -318,7 +318,7 @@ let test_kill_respawn_no_misroute () =
   done;
   Bus.run bus;
   assert_stores bus ~phase:"warmup" ~expect:(fun i -> (10 * i) + 1);
-  (* phase 2: stale memos — every slot now holds a different instance *)
+  (* phase 2: stale memos — every entry holds a dead process *)
   kill_and_respawn_reversed bus;
   for i = 0 to pairs_n - 1 do
     Bus.inject bus
@@ -328,8 +328,8 @@ let test_kill_respawn_no_misroute () =
   Bus.run bus;
   assert_stores bus ~phase:"after re-spawn" ~expect:(fun i -> (20 * i) + 1);
   (* phase 3: kill/re-spawn while deliveries are parked in delivery
-     batches, so the stale handles inside pending entries must
-     generation-fail and fall back to by-name resolution *)
+     batches, so the entries they hold must see their process dead and
+     fall back to by-name resolution *)
   for i = 0 to pairs_n - 1 do
     Bus.inject bus
       ~dst:(Printf.sprintf "s%d" i, "in")
@@ -439,7 +439,7 @@ let () =
             test_mc_granularity;
           Alcotest.test_case "bus counts every delivery" `Quick
             test_delivery_counting ] );
-      ( "arena reuse",
+      ( "stale memo entries",
         [ Alcotest.test_case "1k kill/re-spawn, zero misroutes" `Quick
             test_kill_respawn_no_misroute ] );
       ( "detector overhead",

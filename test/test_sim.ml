@@ -275,6 +275,206 @@ let test_engine_rejects_nan () =
       Engine.schedule_at e ~time:nan ignore);
   Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
 
+(* [Engine.run] refuses a NaN horizon, as [schedule_at] refuses a NaN
+   time: every comparison with it is false, so it would run nothing. *)
+let test_engine_run_rejects_nan () =
+  let e = Engine.create () in
+  let ran = ref false in
+  Engine.schedule e ~delay:1.0 (fun () -> ran := true);
+  Alcotest.check_raises "until" (Invalid_argument "Engine.run: until is NaN")
+    (fun () -> Engine.run ~until:nan e);
+  Alcotest.(check bool) "nothing ran" false !ran;
+  Alcotest.(check int) "still pending" 1 (Engine.pending e)
+
+(* ---------------------------------------------- engine order property *)
+
+(* Random schedule / schedule_at / schedule_event / cancel / step / run
+   calls against a reference list ordered by (time, seq). Times sit on a
+   half-unit grid, so many events share an instant. A firing event may
+   schedule at its own instant or cancel any handle, including its own,
+   one already fired, or one cancelled before: so the property covers
+   scheduling and cancelling inside the instant being fired, and stale
+   handles once the engine has moved on and reused an instant's
+   storage. *)
+type follow =
+  | F_none
+  | F_sched of int  (* schedule, delay in half units *)
+  | F_sched_event of int  (* schedule_event, delay in half units *)
+  | F_cancel of int  (* cancel handle number k (mod the handle count) *)
+
+type engine_op =
+  | Schedule of int * follow  (* delay in half units; negative: clamped *)
+  | Schedule_at of int * follow  (* half units from the clock; may be past *)
+  | Schedule_event of int * follow
+  | Cancel of int
+  | Step
+  | Run of int * int  (* until: half units from the clock; max_events *)
+
+let half k = float_of_int k *. 0.5
+
+let gen_follow =
+  QCheck2.Gen.(
+    frequency
+      [ (3, pure F_none);
+        (2, map (fun d -> F_sched d) (int_range 0 2));
+        (2, map (fun d -> F_sched_event d) (int_range 0 2));
+        (3, map (fun k -> F_cancel k) small_nat) ])
+
+let gen_engine_op =
+  QCheck2.Gen.(
+    frequency
+      [ (3, map2 (fun d f -> Schedule (d, f)) (int_range (-1) 4) gen_follow);
+        (2, map2 (fun d f -> Schedule_at (d, f)) (int_range (-2) 4) gen_follow);
+        (3, map2 (fun d f -> Schedule_event (d, f)) (int_range 0 4) gen_follow);
+        (3, map (fun k -> Cancel k) small_nat);
+        (3, pure Step);
+        (2, map2 (fun u n -> Run (u, n)) (int_range 0 4) (int_range 1 8)) ])
+
+let print_engine_op =
+  let follow = function
+    | F_none -> "-"
+    | F_sched d -> Printf.sprintf "sched %d" d
+    | F_sched_event d -> Printf.sprintf "sched_event %d" d
+    | F_cancel k -> Printf.sprintf "cancel %d" k
+  in
+  function
+  | Schedule (d, f) -> Printf.sprintf "schedule %d (%s)" d (follow f)
+  | Schedule_at (d, f) -> Printf.sprintf "schedule_at +%d (%s)" d (follow f)
+  | Schedule_event (d, f) -> Printf.sprintf "schedule_event %d (%s)" d (follow f)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Step -> "step"
+  | Run (u, n) -> Printf.sprintf "run ~until:+%d ~max_events:%d" u n
+
+(* What a run shows: the ids fired, in order, and after every call the
+   clock, the pending count and the fired count. *)
+type engine_view = { fired_ids : int list; after_each : (float * int * int) list }
+
+let drive_engine ops =
+  let e = Engine.create () in
+  let log = ref [] and next_id = ref 0 in
+  let handles = Hashtbl.create 16 in
+  let cancel k =
+    let n = Hashtbl.length handles in
+    if n > 0 then Engine.cancel e (Hashtbl.find handles (k mod n))
+  in
+  let rec thunk follow =
+    let id = !next_id in
+    incr next_id;
+    fun () ->
+      log := id :: !log;
+      match follow with
+      | F_none -> ()
+      | F_sched d -> Engine.schedule e ~delay:(half d) (thunk F_none)
+      | F_sched_event d -> keep (Engine.schedule_event e ~delay:(half d) (thunk F_none))
+      | F_cancel k -> cancel k
+  and keep ev = Hashtbl.replace handles (Hashtbl.length handles) ev in
+  let after_each =
+    List.map
+      (fun op ->
+        (match op with
+        | Schedule (d, f) -> Engine.schedule e ~delay:(half d) (thunk f)
+        | Schedule_at (d, f) ->
+          Engine.schedule_at e ~time:(Engine.now e +. half d) (thunk f)
+        | Schedule_event (d, f) ->
+          keep (Engine.schedule_event e ~delay:(half d) (thunk f))
+        | Cancel k -> cancel k
+        | Step -> ignore (Engine.step e : bool)
+        | Run (u, n) ->
+          Engine.run ~until:(Engine.now e +. half u) ~max_events:n e);
+        (Engine.now e, Engine.pending e, Engine.events_fired e))
+      ops
+  in
+  { fired_ids = List.rev !log; after_each }
+
+(* The reference: a plain list of events, the next one the least
+   (time, seq) not yet popped. *)
+type ref_event = {
+  r_time : float;
+  r_seq : int;
+  r_id : int;
+  r_follow : follow;
+  mutable r_cancelled : bool;
+  mutable r_popped : bool;
+}
+
+let drive_reference ops =
+  let clock = ref 0.0 and seq = ref 0 and next_id = ref 0 and fired = ref 0 in
+  let events = ref [] and handles = ref [] and log = ref [] in
+  let add ~time follow =
+    let ev =
+      { r_time = Float.max time !clock; r_seq = !seq; r_id = !next_id;
+        r_follow = follow; r_cancelled = false; r_popped = false }
+    in
+    incr seq;
+    incr next_id;
+    events := ev :: !events;
+    ev
+  in
+  let keep ev = handles := !handles @ [ ev ] in
+  let cancel k =
+    match !handles with
+    | [] -> ()
+    | hs ->
+      let ev = List.nth hs (k mod List.length hs) in
+      if not ev.r_popped then ev.r_cancelled <- true
+  in
+  let next () =
+    List.fold_left
+      (fun best ev ->
+        if ev.r_popped then best
+        else
+          match best with
+          | Some b when (b.r_time, b.r_seq) < (ev.r_time, ev.r_seq) -> best
+          | _ -> Some ev)
+      None !events
+  in
+  let step () =
+    match next () with
+    | None -> ()
+    | Some ev ->
+      ev.r_popped <- true;
+      clock := ev.r_time;
+      if not ev.r_cancelled then begin
+        incr fired;
+        log := ev.r_id :: !log;
+        match ev.r_follow with
+        | F_none -> ()
+        | F_sched d -> ignore (add ~time:(!clock +. half d) F_none : ref_event)
+        | F_sched_event d -> keep (add ~time:(!clock +. half d) F_none)
+        | F_cancel k -> cancel k
+      end
+  in
+  let pending () = List.length (List.filter (fun ev -> not ev.r_popped) !events) in
+  let after_each =
+    List.map
+      (fun op ->
+        (match op with
+        | Schedule (d, f) -> ignore (add ~time:(!clock +. half d) f : ref_event)
+        | Schedule_at (d, f) -> ignore (add ~time:(!clock +. half d) f : ref_event)
+        | Schedule_event (d, f) -> keep (add ~time:(!clock +. half d) f)
+        | Cancel k -> cancel k
+        | Step -> step ()
+        | Run (u, n) ->
+          let until = !clock +. half u in
+          let rec loop remaining =
+            match next () with
+            | Some ev when remaining > 0 && ev.r_time <= until ->
+              step ();
+              loop (remaining - 1)
+            | Some _ | None -> ()
+          in
+          loop n);
+        (!clock, pending (), !fired))
+      ops
+  in
+  { fired_ids = List.rev !log; after_each }
+
+let prop_engine_order =
+  Support.qcheck ~count:500 "engine fires in (time, seq) order"
+    ~print:(fun ops -> String.concat "; " (List.map print_engine_op ops))
+    QCheck2.Gen.(list_size (int_range 1 80) gen_engine_op)
+    (fun ops -> drive_engine ops = drive_reference ops)
+
 let test_trace_records_and_filters () =
   let t = Trace.create () in
   Trace.record t ~time:1.0 (E.Halted "one");
@@ -620,7 +820,10 @@ let () =
           Alcotest.test_case "cancel in the heap" `Quick test_engine_cancel_heap;
           Alcotest.test_case "cancel twice or late" `Quick
             test_engine_cancel_idempotent;
-          Alcotest.test_case "NaN time refused" `Quick test_engine_rejects_nan ] );
+          Alcotest.test_case "NaN time refused" `Quick test_engine_rejects_nan;
+          Alcotest.test_case "NaN horizon refused" `Quick
+            test_engine_run_rejects_nan;
+          prop_engine_order ] );
       ( "trace",
         [ Alcotest.test_case "records and filters" `Quick
             test_trace_records_and_filters;
