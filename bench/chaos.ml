@@ -242,7 +242,7 @@ let json_of_sweep_row row =
           else float (row.row_latency_sum /. float_of_int row.row_completed) );
         ("retx_total", int row.row_retx) ])
 
-let all () =
+let all ?(path = "BENCH_chaos.json") () =
   let trials = 40 in
   let seeds = [ 1; 2; 3; 4; 5 ] in
   print_newline ();
@@ -325,5 +325,5 @@ let all () =
           ("reliable_sweep", arr (List.rev_map json_of_sweep_row !sweep_rows))
         ])
   in
-  Json_out.write "BENCH_chaos.json" json;
+  Json_out.write path json;
   if !worst < 0.95 || !sweep_failures > 0 then exit 1

@@ -25,7 +25,8 @@ module Synthetic = Dr_workloads.Synthetic
 module I = Dr_transform.Instrument
 
 (* Monitor's hosts plus a second x86_64 host, so the sweep has a
-   same-architecture destination, where translation is zero-copy. *)
+   same-architecture destination, whose decode reads the source layout
+   unchanged, beside the 32-bit hostB. *)
 let hosts =
   Dr_workloads.Monitor.hosts
   @ [ { Bus.host_name = "hostD"; arch = Dr_state.Arch.x86_64 } ]
@@ -164,7 +165,7 @@ let cell_json c =
       ("total", Json_out.float c.c_total);
       ("precopy_wait", Json_out.float c.c_precopy_wait) ]
 
-let all () =
+let all ?(path = "BENCH_disruption.json") () =
   print_newline ();
   print_endline "==============================================================";
   print_endline "Disruption window vs AR-stack depth x payload (virtual time)";
@@ -211,7 +212,7 @@ let all () =
       [ ("suite", Json_out.str "disruption");
         ("cells", Json_out.arr (List.map cell_json cells)) ]
   in
-  Json_out.write "BENCH_disruption.json" json;
+  Json_out.write path json;
   (* regression gates *)
   let failed = ref false in
   List.iter

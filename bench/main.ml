@@ -65,7 +65,11 @@
    tracked tree, so no smoke run can touch a committed artifact. The
    other suites have no quick mode: each full run takes seconds. All
    full runs emit machine-readable BENCH_*.json artifacts next to
-   bench_output.txt. *)
+   bench_output.txt. "chaos", "disruption" and "rolling" take the
+   artifact's path as an optional second argument (default: the
+   committed BENCH_<suite>.json in the current directory); `dune
+   runtest` uses it to regenerate each into _build and diff it against
+   the committed file (rules in bench/dune). *)
 
 open Bechamel
 open Toolkit
@@ -313,13 +317,14 @@ let run_micro () =
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
+  let arg = if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None in
+  let quick = arg = Some "--quick" in
   if what = "tables" || what = "all" then Tables.all ();
   if what = "micro" || what = "all" then run_micro ();
   if what = "scaling" then Scaling.all ~quick ();
-  if what = "chaos" then Chaos.all ();
+  if what = "chaos" then Chaos.all ?path:arg ();
   if what = "interp" then Interp_bench.all ();
-  if what = "disruption" then Disruption.all ();
+  if what = "disruption" then Disruption.all ?path:arg ();
   if what = "wal" then Wal_bench.all ();
-  if what = "rolling" then Rolling.all ();
+  if what = "rolling" then Rolling.all ?path:arg ();
   if what = "mc" then Mc.all ()

@@ -302,7 +302,7 @@ let json_of_row r =
         ("ok", bool r.r_ok);
         ("detail", str r.r_detail) ])
 
-let all () =
+let all ?(path = "BENCH_rolling.json") () =
   let cells =
     List.concat_map
       (fun n ->
@@ -356,5 +356,5 @@ let all () =
           ("cells", arr (List.rev_map json_of_row !rows));
           ("cells_failed", int !failures) ])
   in
-  Json_out.write "BENCH_rolling.json" json;
+  Json_out.write path json;
   if !failures > 0 then exit 1

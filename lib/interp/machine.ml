@@ -490,6 +490,22 @@ let blocked_on t iface =
     t.last_blocked <- status;
     status
 
+(* Machines sleep for the same time again and again, one after the
+   other: every machine reuses the last [Sleeping] value any of them
+   built while the duration is equal. One shared value stays live once,
+   where one per machine would stay live with every machine. Statuses
+   are immutable, so sharing them is safe. Inlined, so the duration
+   stays an unboxed float. *)
+let last_sleep = ref Ready
+
+let[@inline] sleeping duration =
+  match !last_sleep with
+  | Sleeping last as status when Float.equal last duration -> status
+  | _ ->
+    let status = Sleeping duration in
+    last_sleep := status;
+    status
+
 (* Move past the current instruction; a top-level function, so a
    dispatch allocates no closure for it. *)
 let[@inline] advance frame = frame.pc <- frame.pc + 1
@@ -612,7 +628,8 @@ let rec exec_instr t frame (instr : R.rinstr) =
     if Float.is_nan duration then runtime "sleep of nan";
     (* advance first: on wake-up, execution resumes after the sleep *)
     advance frame;
-    t.mstatus <- Sleeping (Float.max 0.0 duration))
+    (* [Float.max 0.0 duration], written out so no float is boxed *)
+    t.mstatus <- sleeping (if duration > 0.0 then duration else 0.0))
   | Rbuiltin_stmt (name, args) -> exec_stmt_builtin t frame name args
 
 let run_pending_signal t =

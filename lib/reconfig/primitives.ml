@@ -91,17 +91,10 @@ let translate_image bus ?for_instance ~src_host ~dst_host image =
           corrupted
         | _ -> native_src
       in
+      (* the destination reads the source's layout itself: one decode,
+         CRC included, whether or not the architectures differ *)
       let result =
-        let ( let* ) = Result.bind in
-        (* [recode] is the zero-copy fast path: when both hosts share
-           byte order and word width the native bytes pass through
-           untouched — no abstract-tree round trip. The destination
-           decode below still verifies the container CRC, so the
-           corruption fault above is caught on either path. *)
-        let* native_dst =
-          Codec.Native.recode ~src:src.arch ~dst:dst.arch native_src
-        in
-        Codec.Native.decode dst.arch native_dst
+        Codec.Native.receive ~src:src.arch ~dst:dst.arch native_src
       in
       (match result, for_instance with
       | Error reason, Some instance ->

@@ -58,10 +58,11 @@ val translate_image :
   dst_host:string ->
   Dr_state.Image.t ->
   (Dr_state.Image.t, string) result
-(** Push an image through the native wire formats of the two hosts
-    (src-native → abstract → dst-native), as a real heterogeneous
-    migration would. Fails when a value cannot be represented on the
-    destination architecture. With [?for_instance]: an armed
+(** Ship an image as a real heterogeneous migration would: encoded in
+    the source host's native format, then decoded once by the
+    destination ({!Dr_state.Codec.Native.receive}). Fails when a value
+    cannot be represented on the destination architecture. With
+    [?for_instance]: an armed
     {!Dr_bus.Bus.arm_image_corruption} fault corrupts the native bytes
     in flight (the codec's checksum catches it), and any translation
     failure quarantines the image against that instance. *)

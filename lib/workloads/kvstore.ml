@@ -262,8 +262,8 @@ application rgroup {
       ("rstorebad", rstorebad_source);
       ("rsink", rsink_source) ]
 
-  (* Every replica host shares one architecture, so a moved image
-     passes translation as the same bytes (zero-copy [recode]). *)
+  (* Every replica host shares one architecture, so a moved image is
+     decoded in the layout it was encoded in: nothing to translate. *)
   let hosts ~n =
     List.init n (fun i ->
         { Dr_bus.Bus.host_name = host (i + 1); arch = Dr_state.Arch.x86_64 })

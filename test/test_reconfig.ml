@@ -78,6 +78,105 @@ let test_translate_overflow_fails () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected word-size failure"
 
+(* The script-level view of an unfit move: a 2^40 held in main's
+   frame cannot live in a sparc32 word, so the move fails loudly, the
+   source container is quarantined, and the rollback returns the old
+   instance to service with its own state. *)
+let ticker_mil =
+  {|
+module ticker {
+  source = "./ticker.exe";
+  machine = "hostA";
+  define interface out pattern {integer};
+  reconfiguration point R state {big, ticks};
+}
+
+application ticking {
+  instance ticker on "hostA";
+}
+|}
+
+let ticker_source =
+  {|
+module ticker;
+
+proc main() {
+  var big: int;
+  var ticks: int;
+  big = 1099511627776;
+  ticks = 0;
+  mh_init();
+  while (true) {
+    R: ticks = ticks + 1;
+    print(big + ticks);
+    sleep(1);
+  }
+}
+|}
+
+let test_unfit_migration_rolls_back () =
+  let bus =
+    match
+      Result.bind
+        (Dynrecon.System.load ~mil:ticker_mil
+           ~sources:[ ("ticker", ticker_source) ] ())
+        (fun system ->
+          Dynrecon.System.start system ~app:"ticking"
+            ~hosts:Dr_workloads.Monitor.hosts ~default_host:"hostA" ())
+    with
+    | Ok bus -> bus
+    | Error e -> Alcotest.failf "load: %s" e
+  in
+  Bus.run ~until:3.5 bus;
+  let result =
+    Script.run_sync bus (fun ~on_done ->
+        Script.migrate bus ~instance:"ticker" ~new_instance:"t2"
+          ~new_host:"hostB" ~on_done ())
+  in
+  (match result with
+  | Ok _ -> Alcotest.fail "a 2^40 integer moved to a 32-bit host"
+  | Error e ->
+    Alcotest.(check string) "the codec's message"
+      "state translation failed: integer 1099511627776 does not fit a \
+       32-bit word"
+      e);
+  let printed () = List.length (Bus.outputs bus ~instance:"ticker") in
+  let before = printed () in
+  Bus.run ~until:(Bus.now bus +. 5.0) bus;
+  Alcotest.(check bool) "the old instance serves on" true (printed () > before);
+  Alcotest.(check bool) "no clone left" false
+    (List.mem "t2" (Bus.instances bus));
+  Alcotest.(check bool) "journal rolled back" true
+    (List.exists
+       (fun (_, ev) ->
+         match ev with
+         | Dr_sim.Trace_event.Rollback_started _ -> true
+         | _ -> false)
+       (Dr_sim.Trace.events (Bus.trace bus)));
+  (* the state it serves with is still its own: freezing it now
+     captures the same shape at the same point, so its x86_64 container
+     has the size the quarantine recorded *)
+  let frozen =
+    match Dr_reconfig.Freeze.freeze bus ~instance:"ticker" () with
+    | Ok bytes -> Result.get_ok (Dr_state.Codec.decode_abstract bytes)
+    | Error e -> Alcotest.failf "freeze: %s" e
+  in
+  Alcotest.(check bool) "2^40 kept" true
+    (List.exists
+       (fun (r : Dr_state.Image.record) ->
+         List.mem (Dr_state.Value.Vint 1099511627776) r.values)
+       frozen.records);
+  match Bus.quarantined bus with
+  | [ q ] ->
+    Alcotest.(check string) "quarantined against the source" "ticker"
+      q.Bus.q_instance;
+    let native =
+      Dr_state.Codec.Native.encode Dr_state.Arch.x86_64 frozen
+    in
+    Alcotest.(check int) "the source container's size"
+      (Bytes.length (Result.get_ok native)) q.Bus.q_byte_size
+  | l -> Alcotest.failf "expected one quarantined image, got %d" (List.length l)
+
 let test_migrate_monitor () =
   let bus = monitor () in
   run_until_displays bus 2;
@@ -583,7 +682,9 @@ let () =
           Alcotest.test_case "translate image" `Quick
             test_translate_image_across_hosts;
           Alcotest.test_case "translate overflow" `Quick
-            test_translate_overflow_fails ] );
+            test_translate_overflow_fails;
+          Alcotest.test_case "unfit move rolls back" `Quick
+            test_unfit_migration_rolls_back ] );
       ( "scripts",
         [ Alcotest.test_case "migrate monitor" `Quick test_migrate_monitor;
           Alcotest.test_case "replace same host" `Quick test_replace_same_host;
