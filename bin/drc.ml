@@ -905,18 +905,22 @@ let mc_cmd =
           (List.length tokens) name;
         let r = Explorer.replay cfg tokens in
         Printf.printf "end: %s\n" r.Explorer.rp_end;
-        (match r.Explorer.rp_violation with
-        | Some v ->
+        (match (r.Explorer.rp_violation, r.Explorer.rp_run) with
+        | Some v, _ ->
           Printf.printf "VIOLATION [%s] %s\n" v.Dr_mc.Monitor.v_monitor
             v.Dr_mc.Monitor.v_detail
-        | None -> Printf.printf "no monitor fired\n");
+        | None, Some _ -> Printf.printf "no monitor fired\n"
+        | None, None -> ());
         (match r.Explorer.rp_run with
         | Some run when trace_dump ->
           print_endline "--- trace ---";
           Fmt.pr "%a@." Dr_sim.Trace.dump
             (Dr_bus.Bus.trace run.Explorer.r_bus)
         | _ -> ());
-        if r.Explorer.rp_violation <> None then exit 1)
+        (* a schedule that does not replay tested nothing: fail as
+           loudly as a monitor that fired *)
+        if r.Explorer.rp_violation <> None || r.Explorer.rp_run = None then
+          exit 1)
     | None ->
       let name = Option.value config_name ~default:"single-replace" in
       let cfg = get_config name in
@@ -974,7 +978,9 @@ let mc_cmd =
       & opt (some file) None
       & info [ "repro" ] ~docv:"FILE"
           ~doc:
-            "Replay a recorded counterexample schedule instead of exploring.")
+            "Replay a recorded counterexample schedule instead of exploring. \
+             Exits 1 when a monitor fires or when the schedule does not \
+             replay (a choice the configuration does not enable).")
   in
   let trace_arg =
     Arg.(

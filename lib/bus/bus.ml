@@ -138,7 +138,7 @@ type t = {
   trace : Trace.t;
   bus_params : params;
   bus_hosts : host list;
-  programs : (string, Dr_lang.Ast.program * Dr_interp.Cache.artifact) Hashtbl.t;
+  programs : (string, Dr_interp.Cache.artifact) Hashtbl.t;
   mutable procs_rev : process list;
   live : (string, process) Hashtbl.t;
   mutable routes_rev : (endpoint * endpoint) list;
@@ -456,11 +456,14 @@ let recover_host t ~host =
 
 (* ------------------------------------------------------------ programs *)
 
+let register_prepared t (artifact : Dr_interp.Cache.artifact) =
+  Hashtbl.replace t.programs artifact.a_program.module_name artifact
+
 let register_program t (program : Dr_lang.Ast.program) =
   (* Typecheck + lower + resolve through the content-keyed cache:
      re-registering the same module text (retries, restarts, repeated
-     deployments, explored executions) reuses one checked, compiled
-     artifact. *)
+     deployments) reuses one checked, compiled artifact, whose program
+     equals this one (the key covers the whole AST). *)
   match Dr_interp.Cache.prepare program with
   | Error errors ->
     Error
@@ -468,11 +471,13 @@ let register_program t (program : Dr_lang.Ast.program) =
          (Fmt.list ~sep:(Fmt.any "; ") Dr_lang.Typecheck.pp_error)
          errors)
   | Ok artifact ->
-    Hashtbl.replace t.programs program.module_name (program, artifact);
+    register_prepared t artifact;
     Ok ()
 
 let registered_program t name =
-  Option.map fst (Hashtbl.find_opt t.programs name)
+  Option.map
+    (fun (a : Dr_interp.Cache.artifact) -> a.a_program)
+    (Hashtbl.find_opt t.programs name)
 
 let registered_modules t =
   List.sort String.compare
@@ -1234,11 +1239,12 @@ let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
   | Ok h -> (
     match Hashtbl.find_opt t.programs module_name with
     | None -> Error (Printf.sprintf "module %s is not registered" module_name)
-    | Some (program, artifact) ->
+    | Some artifact ->
       let p =
         register t ~instance ~module_name ~host:h ~spec (fun io ->
             Machine.create ~status_attr:status ~io
-              ~resolved:artifact.Dr_interp.Cache.a_resolved program)
+              ~resolved:artifact.Dr_interp.Cache.a_resolved
+              artifact.Dr_interp.Cache.a_program)
       in
       m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
       record t

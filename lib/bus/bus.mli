@@ -63,6 +63,10 @@ val find_host : t -> string -> host option
 val register_program : t -> Dr_lang.Ast.program -> (unit, string) result
 (** Typecheck, lower once, and file under the program's module name. *)
 
+val register_prepared : t -> Dr_interp.Cache.artifact -> unit
+(** File an artifact {!Dr_interp.Cache.prepare} already built, under its
+    program's module name: no typecheck and no cache lookup. *)
+
 val registered_modules : t -> string list
 
 val registered_program : t -> string -> Dr_lang.Ast.program option

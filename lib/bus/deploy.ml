@@ -33,7 +33,21 @@ let host_for mod_index (inst : Spec.instance_decl) ~default_host =
     | Some { Spec.machine = Some h; _ } -> h
     | Some _ | None -> default_host)
 
-let deploy bus ~config ~app ~default_host =
+type planned_instance = {
+  pi_name : string;
+  pi_module : string;
+  pi_host : string;
+  pi_spec : Spec.module_spec option;
+}
+
+(* Only [plan] builds one, so holding a plan proves the configuration
+   validated and every instantiated program matched its spec. *)
+type plan = {
+  instances : planned_instance list;  (* declaration order *)
+  routes : (Bus.endpoint * Bus.endpoint) list;  (* binding order *)
+}
+
+let plan ~config ~app ~default_host ~program =
   let* () =
     match Dr_mil.Validate.validate config with
     | Ok () -> Ok ()
@@ -49,48 +63,65 @@ let deploy bus ~config ~app ~default_host =
   (* Cross-check each instantiated module's program against its spec —
      once per distinct module, not once per instance: a mass deploy
      instantiates the same few modules tens of thousands of times and
-     the check walks the whole program AST. *)
-  let checked : (string, (unit, string) result) Hashtbl.t = Hashtbl.create 8 in
+     the check walks the whole program AST. The memo also shares one
+     [Some spec] among a module's instances. *)
+  let checked :
+      (string, (Spec.module_spec option, string) result) Hashtbl.t =
+    Hashtbl.create 8
+  in
   let check_module name =
     match Hashtbl.find_opt checked name with
     | Some r -> r
     | None ->
       let r =
         match Hashtbl.find_opt mod_index name with
-        | None -> Ok ()  (* caught by validate *)
-        | Some m -> (
-          match Bus.registered_program bus name with
+        | None -> Ok None  (* caught by validate *)
+        | Some m as spec -> (
+          match program name with
           | None ->
             Error (Printf.sprintf "module %s has no registered program" name)
           | Some program -> (
             match Dr_mil.Validate.check_program_against_spec m program with
-            | Ok () -> Ok ()
+            | Ok () -> Ok spec
             | Error errors -> Error (String.concat "; " errors)))
       in
       Hashtbl.replace checked name r;
       r
   in
-  let* () =
+  let* instances_rev =
     List.fold_left
       (fun acc (inst : Spec.instance_decl) ->
-        let* () = acc in
-        check_module inst.inst_module)
-      (Ok ()) application.instances
+        let* acc = acc in
+        let* pi_spec = check_module inst.inst_module in
+        Ok
+          ({ pi_name = inst.inst_name;
+             pi_module = inst.inst_module;
+             pi_host = host_for mod_index inst ~default_host;
+             pi_spec }
+          :: acc))
+      (Ok []) application.instances
   in
+  Ok
+    { instances = List.rev instances_rev;
+      routes =
+        List.concat_map
+          (routes_of_bind_indexed mod_index inst_index)
+          application.binds }
+
+let apply bus plan =
   let* () =
     List.fold_left
-      (fun acc (inst : Spec.instance_decl) ->
+      (fun acc pi ->
         let* () = acc in
-        let spec = Hashtbl.find_opt mod_index inst.inst_module in
-        let host = host_for mod_index inst ~default_host in
-        Bus.spawn bus ~instance:inst.inst_name ~module_name:inst.inst_module
-          ~host ?spec ())
-      (Ok ()) application.instances
+        Bus.spawn bus ~instance:pi.pi_name ~module_name:pi.pi_module
+          ~host:pi.pi_host ?spec:pi.pi_spec ())
+      (Ok ()) plan.instances
   in
-  List.iter
-    (fun bind ->
-      List.iter
-        (fun (src, dst) -> Bus.add_route bus ~src ~dst)
-        (routes_of_bind_indexed mod_index inst_index bind))
-    application.binds;
+  List.iter (fun (src, dst) -> Bus.add_route bus ~src ~dst) plan.routes;
   Ok ()
+
+let deploy bus ~config ~app ~default_host =
+  let* plan =
+    plan ~config ~app ~default_host ~program:(Bus.registered_program bus)
+  in
+  apply bus plan

@@ -366,6 +366,8 @@ let stats t =
     t.channels []
   |> List.sort (fun a b -> compare (a.st_src, a.st_dst) (b.st_src, b.st_dst))
 
+let iter_epochs t f = Hashtbl.iter (fun key ch -> f key ch.ch_epoch) t.channels
+
 let total_retx t = List.fold_left (fun acc s -> acc + s.st_retx) 0 (stats t)
 
 (* Retransmission wait attributable to one destination instance: every

@@ -80,6 +80,11 @@ type stats = {
 val stats : t -> stats list
 (** Per-channel counters, sorted by (src, dst). *)
 
+val iter_epochs : t -> (Bus.endpoint * Bus.endpoint -> int -> unit) -> unit
+(** [f (src, dst) epoch] for every channel, in no particular order,
+    building nothing: for a check that runs after every model-checker
+    transition. *)
+
 val total_retx : t -> int
 
 val total_unacked : t -> int

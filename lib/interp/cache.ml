@@ -1,9 +1,9 @@
 (* Content-keyed program cache. Parsing and transformation happen
    upstream; typechecking, lowering and resolution happen here, once per
    distinct program, so clone spawns, [Script.replace] retries,
-   supervisor restarts, repeated deployments of the same module text and
-   explored model-checking executions share one compilation. The entry
-   stores the lowered table together with the resolved artifact.
+   supervisor restarts and repeated deployments of the same module text
+   share one compilation. The entry stores the lowered table together
+   with the resolved artifact.
 
    The key is a digest of the marshalled AST. The AST is plain data (no
    closures, no lazies, no mutable fields), so marshalling it is total

@@ -2,12 +2,14 @@
 
     Keyed on a digest of the marshalled AST, so re-registering the same
     module text — clone spawn, [Script.replace] retries, supervisor
-    restarts, the N=1000 scaling workload, explored model-checking
-    executions — reuses one checked, lowered + resolved artifact
-    instead of compiling per instance. Line numbers are part of the
-    key: two ASTs that differ only in their [line] fields compile
-    separately. Purely a memoisation: a miss compiles exactly what an
-    uncached call would. *)
+    restarts, the N=1000 scaling workload, model-checking
+    configurations of the same workload — reuses one checked, lowered +
+    resolved artifact instead of compiling per instance. A caller that
+    boots many times from the same programs keeps the artifacts and
+    files them with [Dr_bus.Bus.register_prepared], with no lookup.
+    Line numbers are part of the key: two ASTs that differ only in
+    their [line] fields compile separately. Purely a memoisation: a
+    miss compiles exactly what an uncached call would. *)
 
 type artifact = {
   a_program : Dr_lang.Ast.program;  (** the program the artifact was built from *)

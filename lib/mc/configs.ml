@@ -1,11 +1,12 @@
 (* The checked configuration catalogue.
 
-   Each constructor compiles its workload once ({!Workload.load}: MIL
-   and MiniProc parse, typecheck, instrumentation) and builds an
-   {!Explorer.config} whose [c_setup] only boots: a fresh bus in MC
-   mode with the compiled programs registered and deployed, a fresh
-   WAL, reliable layer, kick event and monitor set — called once per
-   explored execution. Only immutable compiled code is shared between
+   Each constructor loads its workload once ({!Workload.load}: MIL and
+   MiniProc parse, typecheck, instrumentation, compilation and the
+   checked deployment plan) and builds an {!Explorer.config} whose
+   [c_setup] only boots: a fresh bus in MC mode with the compiled
+   programs filed and the plan applied, a fresh WAL, reliable layer,
+   kick event and monitor set — called once per explored execution.
+   Only immutable compiled code and the plan are shared between
    executions. Everything scheduled here must go through labeled
    events so the explorer sees it as a transition; in particular the
    reconfiguration kick is itself a "ctl" event, so its placement
@@ -45,9 +46,9 @@ let kick_replace bus ~at ~instance ~new_instance ?new_module ?deadline () =
    below give it teeth). *)
 let single_replace ?(k = 2) ?(fault_budget = 0) ?(crash_budget = 0)
     ?(ctlcrash = false) ?(depth = 400) ?(max_execs = 200_000) () =
-  let system = Workload.load ~two_cells:false ~k in
+  let workload = Workload.load ~two_cells:false ~k in
   let setup () =
-    let bus = Workload.boot system in
+    let bus = Workload.boot workload in
     let wal = fresh_wal () in
     Bus.set_wal bus wal;
     (* bounded retransmission keeps the reachable space finite: every
@@ -87,9 +88,9 @@ let single_replace ?(k = 2) ?(fault_budget = 0) ?(crash_budget = 0)
    the controller interleaving the explorer is really for. *)
 let double_replace ?(k = 1) ?(fault_budget = 0) ?(crash_budget = 0)
     ?(ctlcrash = false) ?(depth = 500) ?(max_execs = 400_000) () =
-  let system = Workload.load ~two_cells:true ~k in
+  let workload = Workload.load ~two_cells:true ~k in
   let setup () =
-    let bus = Workload.boot system in
+    let bus = Workload.boot workload in
     let wal = fresh_wal () in
     Bus.set_wal bus wal;
     let rel =
@@ -133,9 +134,9 @@ let double_replace ?(k = 1) ?(fault_budget = 0) ?(crash_budget = 0)
    times are wall-clock noise and stay out). *)
 let detector_restart ?(k = 1) ?(fault_budget = 1) ?(crash_budget = 1)
     ?(depth = 60) ?(max_execs = 200_000) () =
-  let system = Workload.load ~two_cells:false ~k in
+  let workload = Workload.load ~two_cells:false ~k in
   let setup () =
-    let bus = Workload.boot system in
+    let bus = Workload.boot workload in
     Bus.set_detector_config bus
       { Bus.dc_period = 1.0; dc_timeout = 1.5; dc_threshold = 1 };
     let detector = Detector.start bus ~watch:[ "c1" ] in

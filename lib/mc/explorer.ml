@@ -221,86 +221,196 @@ let label_of nd tok =
   | Some (_, l) -> l
   | None -> Engine.tau
 
-(* {1 Fingerprints} *)
+(* {1 Fingerprints}
 
-let status_string = function
-  | Machine.Ready -> "ready"
-  | Machine.Sleeping _ -> "sleeping"  (* duration is timing, not state *)
-  | Machine.Blocked_read iface -> "blocked:" ^ iface
-  | Machine.Blocked_decode -> "blocked-decode"
-  | Machine.Halted -> "halted"
-  | Machine.Crashed m -> "crashed:" ^ m
+   The fingerprint is the MD5 of a line-per-fact text: the roster with
+   each instance's globals, print history and queues, then the routes,
+   draining set, controller, journal, reliable channels, pending-event
+   labels, remaining budgets and the configuration's extension. The
+   text is written straight into one buffer, field by field: no
+   [Printf] or [Format] per line, and integers, booleans and the
+   workload's integer values are written without building a string.
+   Its bytes are what ["I %s %s %s g%d %s"]-style formats would print,
+   so the digest, and with it the visited set, does not depend on how
+   the text is built. *)
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* [n] in decimal, as [%d] prints it *)
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+let add_bool b x = Buffer.add_string b (if x then "true" else "false")
+
+(* [v] as {!Value.to_string} prints it *)
+let add_value b (v : Value.t) =
+  match v with
+  | Vint i -> add_int b i
+  | Vbool x -> add_bool b x
+  | Vnull -> Buffer.add_string b "null"
+  | Vfloat _ | Vstr _ | Varr _ | Vptr _ -> Buffer.add_string b (Value.to_string v)
+
+let add_status b = function
+  | Machine.Ready -> Buffer.add_string b "ready"
+  | Machine.Sleeping _ ->
+    Buffer.add_string b "sleeping"  (* duration is timing, not state *)
+  | Machine.Blocked_read iface ->
+    Buffer.add_string b "blocked:";
+    Buffer.add_string b iface
+  | Machine.Blocked_decode -> Buffer.add_string b "blocked-decode"
+  | Machine.Halted -> Buffer.add_string b "halted"
+  | Machine.Crashed m ->
+    Buffer.add_string b "crashed:";
+    Buffer.add_string b m
+
+let add_endpoint b ((i, p) : Bus.endpoint) =
+  Buffer.add_string b i;
+  Buffer.add_char b '.';
+  Buffer.add_string b p
+
+(* [items] rendered by [add] and separated by [sep] *)
+let add_sep b sep add items =
+  List.iteri
+    (fun k x ->
+      if k > 0 then Buffer.add_char b sep;
+      add b x)
+    items
 
 let fingerprint run ~faults_left ~crash_left ~ctlcrash_used =
   let bus = run.r_bus in
   let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let opt_str = function Some s -> str s | None -> chr '?' in
   List.iter
     (fun i ->
-      add "I %s %s %s g%d %s\n" i
-        (Option.value ~default:"?" (Bus.instance_module bus ~instance:i))
-        (Option.value ~default:"?" (Bus.instance_host bus ~instance:i))
-        (Option.value ~default:(-1) (Bus.instance_generation bus ~instance:i))
-        (match Bus.process_status bus ~instance:i with
-        | Some s -> status_string s
-        | None -> "?");
+      str "I ";
+      str i;
+      chr ' ';
+      opt_str (Bus.instance_module bus ~instance:i);
+      chr ' ';
+      opt_str (Bus.instance_host bus ~instance:i);
+      str " g";
+      add_int b
+        (Option.value ~default:(-1) (Bus.instance_generation bus ~instance:i));
+      chr ' ';
+      (match Bus.process_status bus ~instance:i with
+      | Some s -> add_status b s
+      | None -> chr '?');
+      chr '\n';
       (match Bus.machine bus ~instance:i with
       | None -> ()
       | Some m ->
         List.iter
           (fun g ->
             match Machine.read_global m g with
-            | Some v -> add "G %s=%s\n" g (Value.to_string v)
+            | Some v ->
+              str "G ";
+              str g;
+              chr '=';
+              add_value b v;
+              chr '\n'
             | None -> ())
           run.r_globals);
-      List.iter (fun line -> add "O %s\n" line) (Bus.outputs bus ~instance:i);
+      List.iter
+        (fun line ->
+          str "O ";
+          str line;
+          chr '\n')
+        (Bus.outputs bus ~instance:i);
       List.iter
         (fun (iface, vs) ->
-          add "Q %s.%s [%s]\n" i iface
-            (String.concat ";" (List.map Value.to_string vs)))
+          str "Q ";
+          str i;
+          chr '.';
+          str iface;
+          str " [";
+          add_sep b ';' add_value vs;
+          str "]\n")
         (Bus.queue_contents bus ~instance:i))
     (List.sort String.compare (Bus.instances bus));
   List.iter
-    (fun (((si, sp), (di, dp)) : Bus.endpoint * Bus.endpoint) ->
-      add "R %s.%s>%s.%s\n" si sp di dp)
+    (fun (src, dst) ->
+      str "R ";
+      add_endpoint b src;
+      chr '>';
+      add_endpoint b dst;
+      chr '\n')
     (List.sort compare (Bus.all_routes bus));
-  add "D %s\n"
-    (String.concat "," (List.sort String.compare (Bus.draining_instances bus)));
-  add "C %d %b %d\n" (Bus.ctl_scripts_open bus) (Bus.controller_down bus)
-    (Bus.ctl_appends bus);
+  str "D ";
+  add_sep b ',' Buffer.add_string (Bus.draining_instances bus);
+  str "\nC ";
+  add_int b (Bus.ctl_scripts_open bus);
+  chr ' ';
+  add_bool b (Bus.controller_down bus);
+  chr ' ';
+  add_int b (Bus.ctl_appends bus);
+  chr '\n';
   (match Bus.wal bus with
-  | Some w -> add "W %d\n" (Wal.next_lsn w)
+  | Some w ->
+    str "W ";
+    add_int b (Wal.next_lsn w);
+    chr '\n'
   | None -> ());
   (match run.r_reliable with
   | None -> ()
   | Some rel ->
+    (* epoch + the counters that shape future protocol behaviour
+       (sent ~ next sequence number, delivered ~ receiver cursor,
+       unacked ~ in-flight window, duplicate acks ~ how near a fast
+       retransmit is). Pure observability counters — retransmissions,
+       suppressed dups, fenced discards — are excluded so
+       retransmission loops fingerprint-converge; the duplicate-ack
+       count saturates at 3, so it converges too. A live timer event
+       always fires a true timeout, whatever the clock reads, so no
+       time enters the line. [Reliable.stats] comes sorted by channel,
+       and a channel is unique per (src, dst). *)
     List.iter
-      (fun s ->
-        (* epoch + the counters that shape future protocol behaviour
-           (sent ~ next sequence number, delivered ~ receiver cursor,
-           unacked ~ in-flight window, duplicate acks ~ how near a fast
-           retransmit is). Pure observability counters — retransmissions,
-           suppressed dups, fenced discards — are excluded so
-           retransmission loops fingerprint-converge; the duplicate-ack
-           count saturates at 3, so it converges too. A live timer event
-           always fires a true timeout, whatever the clock reads, so no
-           time enters the line. *)
-        add "L %s.%s>%s.%s e%d s%d d%d u%d a%d\n"
-          (fst s.Reliable.st_src) (snd s.Reliable.st_src)
-          (fst s.Reliable.st_dst) (snd s.Reliable.st_dst)
-          s.Reliable.st_epoch s.Reliable.st_sent s.Reliable.st_delivered
-          s.Reliable.st_unacked s.Reliable.st_dup_acks)
-      (List.sort compare (Reliable.stats rel)));
+      (fun (s : Reliable.stats) ->
+        str "L ";
+        add_endpoint b s.st_src;
+        chr '>';
+        add_endpoint b s.st_dst;
+        str " e";
+        add_int b s.st_epoch;
+        str " s";
+        add_int b s.st_sent;
+        str " d";
+        add_int b s.st_delivered;
+        str " u";
+        add_int b s.st_unacked;
+        str " a";
+        add_int b s.st_dup_acks;
+        chr '\n')
+      (Reliable.stats rel));
   List.iter
-    (fun (k, i) -> add "E %s|%s\n" k i)
+    (fun (kind, info) ->
+      str "E ";
+      str kind;
+      chr '|';
+      str info;
+      chr '\n')
     (List.sort compare
        (List.map
           (fun (pe : Engine.pending_event) ->
             (pe.Engine.pe_label.Engine.lb_kind,
              pe.Engine.pe_label.Engine.lb_info))
           (Engine.mc_pending (Bus.engine bus))));
-  add "B %d %d %b\n" faults_left crash_left ctlcrash_used;
-  add "X %s\n" (run.r_extra_fp ());
+  str "B ";
+  add_int b faults_left;
+  chr ' ';
+  add_int b crash_left;
+  chr ' ';
+  add_bool b ctlcrash_used;
+  str "\nX ";
+  str (run.r_extra_fp ());
+  chr '\n';
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* {1 One execution} *)
@@ -311,6 +421,9 @@ type exec_end =
   | Depth_cut
   | Sleep_prune
   | Violated of Monitor.violation
+  | Diverged of string
+      (** strict replay only: a recorded choice the simulation does not
+          offer, named by its 1-based position and its token *)
 
 type exec_report = {
   ex_end : exec_end;
@@ -324,7 +437,10 @@ exception Stop_exec of exec_end
    whose (freshly popped) [nd_chosen] this execution diverges on; -1
    runs pure defaults from the root. When [strict] is set the schedule
    comes from [forced] instead of the stack (counterexample replay) and
-   any mismatch with what the simulation actually enables aborts. *)
+   any mismatch with what the simulation and the configuration actually
+   enable — an event that is not pending, a fault token at a scheduler
+   point or the reverse, an adversary move the budgets or the
+   configuration do not allow — ends it as [Diverged]. *)
 let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
     ~branch_depth =
   let run = cfg.c_setup () in
@@ -337,6 +453,15 @@ let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
   let pos = ref 0 in
   let forced = Array.of_list forced in
   let schedule_rev = ref [] in
+  (* [forced.(k)] cannot be taken: abort the replay *)
+  let diverge k why =
+    raise
+      (Stop_exec
+         (Diverged
+            (Printf.sprintf "choice %d (%s) %s" (k + 1)
+               (token_to_string forced.(k))
+               why)))
+  in
   let take tok =
     schedule_rev := tok :: !schedule_rev;
     (match tok with
@@ -354,11 +479,14 @@ let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
     let tok =
       if strict then
         if !pos < Array.length forced then begin
-          let t = forced.(!pos) in
+          let k = !pos in
           incr pos;
-          match t with
-          | Deliver | Drop | Dup -> t
-          | _ -> raise (Stop_exec Depth_cut)  (* malformed: abort *)
+          match forced.(k) with
+          | Deliver -> Deliver
+          | (Drop | Dup) as t ->
+            if cfg.c_fault_budget - !faults_used > 0 then t
+            else diverge k "exceeds the fault budget"
+          | Fire _ | Kill _ | Ctlcrash -> diverge k "at a fault point"
         end
         else Deliver
       else (
@@ -396,8 +524,7 @@ let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
     match tok with
     | Fire seq ->
       if not (Engine.mc_fire engine ~seq) then
-        if strict then raise (Stop_exec Depth_cut)
-        else failwith "mc: replay diverged (event vanished)"
+        failwith "mc: replay diverged (event vanished)"
     | Kill inst -> Bus.crash_process bus ~instance:inst ~reason:"mc adversary"
     | Ctlcrash -> Bus.arm_ctl_crash bus ~after:1
     | Deliver | Drop | Dup -> failwith "mc: fault token at scheduler point"
@@ -489,13 +616,20 @@ let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
       (* replay the shared prefix (branch node included) *)
       if strict then
         while !pos < Array.length forced do
-          let tok = forced.(!pos) in
+          let k = !pos in
           incr pos;
-          (match tok with
-          | Deliver | Drop | Dup ->
-            (* fault token at a scheduler position: malformed schedule *)
-            raise (Stop_exec Depth_cut)
-          | _ -> apply_sched (take tok));
+          (match forced.(k) with
+          | Deliver | Drop | Dup -> diverge k "at a scheduler point"
+          | tok ->
+            (* the moves an explored execution could take here: pending
+               events, and adversary moves within budget *)
+            if not (List.exists (fun (t, _) -> t = tok) (enabled_sched ()))
+            then
+              diverge k
+                (match tok with
+                | Fire _ -> "names no pending event"
+                | _ -> "is not an adversary move enabled here");
+            apply_sched (take tok));
           check_monitors ()
         done
       else begin
@@ -624,7 +758,7 @@ let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
     | Dedup -> st.stats.dedup_cuts <- st.stats.dedup_cuts + 1
     | Sleep_prune -> st.stats.sleep_prunes <- st.stats.sleep_prunes + 1
     | Depth_cut -> st.stats.depth_cuts <- st.stats.depth_cuts + 1
-    | Quiescent | Violated _ -> ())
+    | Quiescent | Violated _ | Diverged _ -> ())
   | None -> ());
   { ex_end = ending; ex_schedule = List.rev !schedule_rev; ex_run = run }
 
@@ -634,26 +768,33 @@ type replay_report = {
   rp_violation : Monitor.violation option;
   rp_end : string;
   rp_schedule : token list;  (** choices actually consumed *)
-  rp_run : run option;  (** the replayed simulation ([None] on divergence) *)
+  rp_run : run option;
+      (** the replayed simulation; [None] exactly when the schedule
+          diverged *)
 }
 
+let end_name = function
+  | Quiescent -> "quiescent"
+  | Violated _ -> "violation"
+  | Depth_cut -> "depth-cut"
+  | Dedup -> "dedup"
+  | Sleep_prune -> "sleep-prune"
+  | Diverged why -> "diverged: " ^ why
+
 (* Re-run one exact schedule against a fresh simulation, default-
-   extending past its end. Used by [drc mc --repro] and by shrinking. *)
+   extending past its end. Used by [drc mc --repro] and by shrinking. A
+   schedule that does not replay ends "diverged: ...", naming the first
+   choice the simulation or the configuration refused. *)
 let replay cfg tokens =
   match
     run_execution ~strict:true ~forced:tokens None cfg Dpor ~branch_depth:(-1)
   with
   | r ->
     { rp_violation = (match r.ex_end with Violated v -> Some v | _ -> None);
-      rp_end =
-        (match r.ex_end with
-        | Quiescent -> "quiescent"
-        | Violated _ -> "violation"
-        | Depth_cut -> "depth-cut"
-        | Dedup -> "dedup"
-        | Sleep_prune -> "sleep-prune");
+      rp_end = end_name r.ex_end;
       rp_schedule = r.ex_schedule;
-      rp_run = Some r.ex_run }
+      rp_run =
+        (match r.ex_end with Diverged _ -> None | _ -> Some r.ex_run) }
   | exception Failure msg ->
     { rp_violation = None;
       rp_end = "diverged: " ^ msg;

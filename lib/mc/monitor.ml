@@ -121,29 +121,32 @@ let epoch_monotonic ~reliable () =
   let seen : (Bus.endpoint * Bus.endpoint, int) Hashtbl.t =
     Hashtbl.create 8
   in
+  (* the first regressed channel in (src, dst) order, as a violation *)
+  let first_regression () =
+    List.find_map
+      (fun st ->
+        let key = (st.Reliable.st_src, st.Reliable.st_dst) in
+        match Hashtbl.find_opt seen key with
+        | Some prev when st.Reliable.st_epoch < prev ->
+          violation name "channel %s.%s -> %s.%s epoch regressed %d -> %d"
+            (fst st.Reliable.st_src) (snd st.Reliable.st_src)
+            (fst st.Reliable.st_dst) (snd st.Reliable.st_dst) prev
+            st.Reliable.st_epoch
+        | _ -> None)
+      (Reliable.stats reliable)
+  in
   { m_name = name;
     m_step =
       (fun () ->
-        List.fold_left
-          (fun acc st ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              let key = (st.Reliable.st_src, st.Reliable.st_dst) in
-              let prev =
-                Option.value ~default:min_int (Hashtbl.find_opt seen key)
-              in
-              if st.Reliable.st_epoch < prev then
-                violation name "channel %s.%s -> %s.%s epoch regressed %d -> %d"
-                  (fst st.Reliable.st_src) (snd st.Reliable.st_src)
-                  (fst st.Reliable.st_dst) (snd st.Reliable.st_dst) prev
-                  st.Reliable.st_epoch
-              else begin
-                Hashtbl.replace seen key st.Reliable.st_epoch;
-                None
-              end)
-          None
-          (Reliable.stats reliable));
+        (* a regressed channel keeps its previous epoch in [seen], so
+           the report reads the same whichever channel came first *)
+        let regressed = ref false in
+        Reliable.iter_epochs reliable (fun key epoch ->
+            match Hashtbl.find_opt seen key with
+            | Some prev when epoch < prev -> regressed := true
+            | Some prev when prev = epoch -> ()
+            | Some _ | None -> Hashtbl.replace seen key epoch);
+        if !regressed then first_regression () else None);
     m_final = (fun _ -> None) }
 
 (* {1 No lost state across replace/rollback}
@@ -228,18 +231,20 @@ let no_double_serve ~bus () =
               pairs := (old_instance, new_instance) :: !pairs
             | _ -> ())
           fresh;
-        let live = Bus.instances bus in
-        let is_live i = List.mem i live in
-        List.fold_left
-          (fun acc (old_i, new_i) ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if is_live old_i && is_live new_i then
-                violation name
-                  "restart left two live successors: %s and %s" old_i new_i
-              else None)
-          None !pairs);
+        if !pairs = [] then None
+        else
+          let live = Bus.instances bus in
+          let is_live i = List.mem i live in
+          List.fold_left
+            (fun acc (old_i, new_i) ->
+              match acc with
+              | Some _ -> acc
+              | None ->
+                if is_live old_i && is_live new_i then
+                  violation name
+                    "restart left two live successors: %s and %s" old_i new_i
+                else None)
+            None !pairs);
     m_final = (fun _ -> None) }
 
 (* {1 WAL-replay equivalence (bounded form)}

@@ -162,10 +162,18 @@ let hosts =
   [ { Dr_bus.Bus.host_name = "mh1"; arch = Dr_state.Arch.x86_64 };
     { Dr_bus.Bus.host_name = "mh2"; arch = Dr_state.Arch.x86_64 } ]
 
-(* Parse, typecheck and instrument the workload: once per checked
-   configuration, never per explored execution. The result holds only
-   immutable ASTs, specifications and prepared programs, so every
-   execution can boot from it. *)
+(* A loaded workload: the compiled programs and the checked deployment
+   plan. Built once per checked configuration, never per explored
+   execution; it holds only immutable ASTs, specifications and compiled
+   code, so every execution boots from it. *)
+type t = {
+  artifacts : Dr_interp.Cache.artifact list;
+  plan : Dr_bus.Deploy.plan;
+}
+
+(* Parse, typecheck and instrument the workload, compile each deployed
+   program and plan the deployment: every check a boot would otherwise
+   repeat. *)
 let load ~two_cells ~k =
   let mil = if two_cells then pair_mil else single_mil in
   let sources =
@@ -175,32 +183,45 @@ let load ~two_cells ~k =
     if two_cells then [ ("pinger2", pinger2_source ~k) ]
     else [ ("pinger", pinger_source ~k) ]
   in
-  match Dynrecon.System.load ~mil ~sources () with
-  | Ok system -> system
-  | Error e -> failwith ("mc workload: load failed: " ^ e)
+  let system =
+    match Dynrecon.System.load ~mil ~sources () with
+    | Ok system -> system
+    | Error e -> failwith ("mc workload: load failed: " ^ e)
+  in
+  let artifacts =
+    List.map
+      (fun lm ->
+        match Dr_interp.Cache.prepare (Dynrecon.System.deployed_program lm) with
+        | Ok artifact -> artifact
+        | Error _ ->
+          failwith
+            ("mc workload: " ^ lm.Dynrecon.System.lm_name ^ " does not typecheck"))
+      system.Dynrecon.System.modules
+  in
+  let program name =
+    List.find_map
+      (fun (a : Dr_interp.Cache.artifact) ->
+        if String.equal a.a_program.module_name name then Some a.a_program
+        else None)
+      artifacts
+  in
+  match
+    Dr_bus.Deploy.plan ~config:system.Dynrecon.System.config ~app:"mc"
+      ~default_host:"mh1" ~program
+  with
+  | Ok plan -> { artifacts; plan }
+  | Error e -> failwith ("mc workload: deploy plan failed: " ^ e)
 
-(* Boot a fresh simulation of a loaded workload. Assemble the bus by
+(* Boot a fresh simulation of a loaded workload: a fresh bus, the
+   compiled programs filed on it, the plan applied. Assemble the bus by
    hand rather than through [System.start]: [Engine.mc_enable] must run
    before the first spawn parks a quantum in the event heap, and
    [System.start] creates the bus internally. *)
-let boot ?params (system : Dynrecon.System.t) =
+let boot ?params t =
   let bus = Dr_bus.Bus.create ?params ~hosts () in
   Dr_sim.Engine.mc_enable (Dr_bus.Bus.engine bus);
-  List.iter
-    (fun lm ->
-      match
-        Dr_bus.Bus.register_program bus (Dynrecon.System.deployed_program lm)
-      with
-      | Ok () -> ()
-      | Error e ->
-        failwith
-          (Printf.sprintf "mc workload: register %s: %s"
-             lm.Dynrecon.System.lm_name e))
-    system.Dynrecon.System.modules;
-  (match
-     Dr_bus.Deploy.deploy bus ~config:system.Dynrecon.System.config ~app:"mc"
-       ~default_host:"mh1"
-   with
+  List.iter (Dr_bus.Bus.register_prepared bus) t.artifacts;
+  (match Dr_bus.Deploy.apply bus t.plan with
   | Ok () -> ()
   | Error e -> failwith ("mc workload: deploy failed: " ^ e));
   bus
@@ -209,7 +230,44 @@ let boot ?params (system : Dynrecon.System.t) =
 let fingerprint_globals = [ "count"; "acc" ]
 
 (* Parse one of the cell family's per-request print lines (a trace
-   [Print] event's [line]): "cell 3 6" -> (3, 6). *)
+   [Print] event's [line]): "cell 3 6" -> Some (3, 6). It accepts what
+   [Scanf.sscanf line " cell %d %d"] accepts — blanks before "cell" and
+   between the fields are optional, an integer may carry a sign and '_'
+   separators after its first digit, one that does not fit an [int] is
+   refused, trailing text is ignored — without a scanning buffer per
+   line. *)
 let parse_cell_print line =
-  try Scanf.sscanf line " cell %d %d" (fun n a -> Some (n, a))
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  let len = String.length line in
+  let rec blanks i =
+    if i < len then
+      match line.[i] with ' ' | '\t' | '\n' | '\r' -> blanks (i + 1) | _ -> i
+    else i
+  in
+  let is_digit i = i < len && line.[i] >= '0' && line.[i] <= '9' in
+  (* The integer starting at [i] and the index after it. Digits
+     accumulate negatively, so [min_int] fits. *)
+  let int_at i =
+    let signed = i < len && (line.[i] = '-' || line.[i] = '+') in
+    let negative = signed && line.[i] = '-' in
+    let i = if signed then i + 1 else i in
+    let rec digits acc i =
+      if i < len && line.[i] = '_' then digits acc (i + 1)
+      else if is_digit i then
+        let d = Char.code line.[i] - Char.code '0' in
+        if acc < (min_int + d) / 10 then None else digits ((acc * 10) - d) (i + 1)
+      else if negative then Some (acc, i)
+      else if acc = min_int then None
+      else Some (-acc, i)
+    in
+    if is_digit i then digits 0 i else None
+  in
+  let i = blanks 0 in
+  let rec keyword k = k = 4 || (line.[i + k] = "cell".[k] && keyword (k + 1)) in
+  if i + 4 <= len && keyword 0 then
+    match int_at (blanks (i + 4)) with
+    | None -> None
+    | Some (count, j) -> (
+      match int_at (blanks j) with
+      | None -> None
+      | Some (acc, _) -> Some (count, acc))
+  else None

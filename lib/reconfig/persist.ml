@@ -84,9 +84,26 @@ let r_image r =
   | Ok image -> image
   | Error e -> malformed "embedded image: %s" e
 
-(* module specifications round-trip through the MIL surface syntax *)
-let w_spec buf spec =
-  Wire.write_string buf (Format.asprintf "%a" Dr_mil.Mil_pretty.pp_module spec)
+(* Module specifications round-trip through the MIL surface syntax. A
+   move journals its module's spec twice (the divulged capture and the
+   kill), and every move of a configuration journals the same few spec
+   values, so each is printed once: the memo maps a spec, by physical
+   equality, to its text (a spec is immutable, so its text cannot
+   change). It is dropped whole when full; correctness never depends on
+   a hit. *)
+let spec_texts : (Dr_mil.Spec.module_spec * string) list ref = ref []
+let spec_texts_max = 8
+
+let spec_text spec =
+  match List.assq_opt spec !spec_texts with
+  | Some text -> text
+  | None ->
+    let text = Format.asprintf "%a" Dr_mil.Mil_pretty.pp_module spec in
+    if List.length !spec_texts >= spec_texts_max then spec_texts := [];
+    spec_texts := (spec, text) :: !spec_texts;
+    text
+
+let w_spec buf spec = Wire.write_string buf (spec_text spec)
 
 let r_spec r =
   let text = Wire.read_string r in

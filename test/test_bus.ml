@@ -478,6 +478,121 @@ let test_deploy_unknown_app () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown application deployed"
 
+(* The plan refuses what [Deploy.deploy] refuses, with the same message,
+   before any instance exists. Each configuration below carries exactly
+   one fault; the programs are registered on a bus, and the plan looks
+   them up there, as [deploy] does. *)
+let plan_refusals =
+  let source name body =
+    Printf.sprintf "module %s;\nproc main() {\n  mh_init();\n%s\n}\n" name body
+  in
+  let w = source "w" "  mh_write(\"out\", 1);" in
+  let r = source "r" "  var x: int;\n  mh_read(\"in\", x);" in
+  let modules =
+    {|
+module w {
+  define interface out pattern {integer};
+}
+module r {
+  use interface in pattern {float};
+}
+module d {
+  define interface out pattern {integer};
+}
+|}
+  in
+  [ ( "duplicate instance",
+      modules ^ {|application app { instance a = w; instance a = w; }|},
+      [ w ],
+      "application app: duplicate instance a" );
+    ( "unknown module",
+      modules ^ {|application app { instance a = nosuch; }|},
+      [ w ],
+      "application app: instance a references unknown module nosuch" );
+    ( "role mismatch",
+      modules
+      ^ {|application app { instance a = w; instance b = d; bind "a out" "b out"; }|},
+      [ w; source "d" "  mh_write(\"out\", 1);" ],
+      "bind \"a out\" \"b out\": interface out cannot receive" );
+    ( "pattern mismatch",
+      modules
+      ^ {|application app { instance a = w; instance b = r; bind "a out" "b in"; }|},
+      [ w; r ],
+      "bind \"a out\" \"b in\": pattern mismatch (integer vs float)" );
+    ( "program lacks a declared point",
+      {|
+module p {
+  define interface out pattern {integer};
+  reconfiguration point R;
+}
+application app { instance a = p; }
+|},
+      [ source "p" "  mh_write(\"out\", 1);" ],
+      "module p: reconfiguration point R has no matching label" ) ]
+
+let test_plan_refuses_like_deploy () =
+  List.iter
+    (fun (what, mil, sources, expected) ->
+      let config = Dr_mil.Mil_parser.parse_config mil in
+      let bus = make_bus () in
+      List.iter (register bus) sources;
+      let planned =
+        Dr_bus.Deploy.plan ~config ~app:"app" ~default_host:"hostA"
+          ~program:(Bus.registered_program bus)
+      in
+      (match planned with
+      | Ok _ -> Alcotest.failf "%s: planned" what
+      | Error e -> Alcotest.(check string) (what ^ ": plan") expected e);
+      (match Dr_bus.Deploy.deploy bus ~config ~app:"app" ~default_host:"hostA" with
+      | Ok () -> Alcotest.failf "%s: deployed" what
+      | Error e -> Alcotest.(check string) (what ^ ": deploy") expected e);
+      Alcotest.(check (list string)) (what ^ ": nothing spawned") []
+        (Bus.instances bus))
+    plan_refusals
+
+(* One plan, applied to two fresh buses, deploys the same application:
+   a plan holds no bus state. *)
+let test_plan_applies_twice () =
+  let system = Dr_workloads.Monitor.load () in
+  let programs =
+    List.map Dynrecon.System.deployed_program system.Dynrecon.System.modules
+  in
+  let program name =
+    List.find_opt
+      (fun (p : Dr_lang.Ast.program) -> String.equal p.module_name name)
+      programs
+  in
+  let plan =
+    match
+      Dr_bus.Deploy.plan ~config:system.Dynrecon.System.config ~app:"monitor"
+        ~default_host:"hostA" ~program
+    with
+    | Ok plan -> plan
+    | Error e -> Alcotest.failf "plan: %s" e
+  in
+  let boot () =
+    let bus = Bus.create ~hosts:Dr_workloads.Monitor.hosts () in
+    List.iter
+      (fun p ->
+        match Bus.register_program bus p with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "register: %s" e)
+      programs;
+    (match Dr_bus.Deploy.apply bus plan with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "apply: %s" e);
+    let instances = Bus.instances bus in
+    ( instances,
+      List.map (fun i -> Bus.instance_host bus ~instance:i) instances,
+      Bus.all_routes bus )
+  in
+  let ((instances, _, routes) as a) = boot () in
+  if instances = [] || routes = [] then Alcotest.fail "nothing deployed";
+  Alcotest.(check bool) "same instances, hosts and routes" true (a = boot ());
+  let reference = Dr_workloads.Monitor.start system in
+  Alcotest.(check bool) "as deploy gives" true
+    (instances = Bus.instances reference && routes = Bus.all_routes reference)
+
 let test_roster_records_history () =
   let bus = make_bus () in
   register bus producer;
@@ -527,4 +642,8 @@ let () =
         [ Alcotest.test_case "monitor app" `Quick test_deploy_monitor_app;
           Alcotest.test_case "host preference" `Quick test_deploy_host_preference;
           Alcotest.test_case "unknown app" `Quick test_deploy_unknown_app;
+          Alcotest.test_case "plan refuses as deploy does" `Quick
+            test_plan_refuses_like_deploy;
+          Alcotest.test_case "one plan applies to two buses" `Quick
+            test_plan_applies_twice;
           Alcotest.test_case "roster history" `Quick test_roster_records_history ] ) ]
