@@ -65,9 +65,9 @@
    tracked tree, so no smoke run can touch a committed artifact. The
    other suites have no quick mode: each full run takes seconds. All
    full runs emit machine-readable BENCH_*.json artifacts next to
-   bench_output.txt. "chaos", "disruption", "rolling" and "mc" take
-   the artifact's path as an optional second argument (default: the
-   committed BENCH_<suite>.json in the current directory); `dune
+   bench_output.txt. "chaos", "disruption", "wal", "rolling" and "mc"
+   take the artifact's path as an optional second argument (default:
+   the committed BENCH_<suite>.json in the current directory); `dune
    runtest` uses it to regenerate each into _build and diff it against
    the committed file (rules in bench/dune). *)
 
@@ -325,6 +325,6 @@ let () =
   if what = "chaos" then Chaos.all ?path:arg ();
   if what = "interp" then Interp_bench.all ();
   if what = "disruption" then Disruption.all ?path:arg ();
-  if what = "wal" then Wal_bench.all ();
+  if what = "wal" then Wal_bench.all ?path:arg ();
   if what = "rolling" then Rolling.all ?path:arg ();
   if what = "mc" then Mc.all ?path:arg ()

@@ -1,5 +1,5 @@
 (* Bus scaling suite: an N-member token ring with N/10 tokens, run to a
-   fixed virtual horizon, measuring deploy time, wall-clock
+   fixed virtual horizon, measuring load and deploy time, wall-clock
    deliveries/sec, engine events per delivery and the minor and promoted
    words a delivery costs. One row per N.
 
@@ -23,6 +23,7 @@ module Ring = Dr_workloads.Ring
 
 type row = {
   sc_n : int;
+  sc_load_ms : float;  (* [Ring.load_large]: read, validate, prepare *)
   sc_deploy_ms : float;
   sc_horizon : float;  (* virtual ms the ring runs after settling *)
   sc_events : int;
@@ -40,6 +41,7 @@ let horizon_for ~deliveries n =
   Float.round (2.0 *. float_of_int deliveries /. float_of_int (tokens n))
 
 let run_one ~n ~horizon =
+  let tl = Unix.gettimeofday () in
   let system = Ring.load_large ~n in
   let t0 = Unix.gettimeofday () in
   let bus = Ring.start_large system ~n ~tokens:(tokens n) in
@@ -64,6 +66,7 @@ let run_one ~n ~horizon =
   let promoted1 = (Gc.quick_stat ()).Gc.promoted_words in
   let deliveries = passes () - passes0 in
   { sc_n = n;
+    sc_load_ms = (t0 -. tl) *. 1e3;
     sc_deploy_ms = (t1 -. t0) *. 1e3;
     sc_horizon = horizon;
     sc_events = Dr_sim.Engine.events_fired engine - events0;
@@ -86,17 +89,17 @@ let header () =
   print_endline "==============================================================";
   print_endline "Bus scaling: N-member ring, N/10 tokens, fixed virtual horizon";
   print_endline "==============================================================";
-  Printf.printf "%8s %12s %9s %10s %12s %8s %14s %9s %9s\n" "N" "deploy(ms)"
-    "horizon" "events" "deliveries" "ev/del" "deliveries/s" "minor/del"
-    "promo/del";
-  Printf.printf "%s\n" (String.make 98 '-')
+  Printf.printf "%8s %10s %12s %9s %10s %12s %8s %14s %9s %9s\n" "N"
+    "load(ms)" "deploy(ms)" "horizon" "events" "deliveries" "ev/del"
+    "deliveries/s" "minor/del" "promo/del";
+  Printf.printf "%s\n" (String.make 109 '-')
 
 let sweep ~sizes ~deliveries =
   List.map
     (fun n ->
       let r = run_one ~n ~horizon:(horizon_for ~deliveries n) in
-      Printf.printf "%8d %12.1f %9.0f %10d %12d %8.3f %14.0f %9.2f %9.2f\n%!"
-        r.sc_n r.sc_deploy_ms r.sc_horizon r.sc_events r.sc_deliveries
+      Printf.printf "%8d %10.1f %12.1f %9.0f %10d %12d %8.3f %14.0f %9.2f %9.2f\n%!"
+        r.sc_n r.sc_load_ms r.sc_deploy_ms r.sc_horizon r.sc_events r.sc_deliveries
         (events_per_delivery r) r.sc_rate (minor_per_delivery r)
         (promoted_per_delivery r);
       r)
@@ -105,6 +108,7 @@ let sweep ~sizes ~deliveries =
 let row_json r =
   Json_out.obj
     [ ("n", Json_out.int r.sc_n);
+      ("load_ms", Json_out.float r.sc_load_ms);
       ("deploy_ms", Json_out.float r.sc_deploy_ms);
       ("horizon_vms", Json_out.float r.sc_horizon);
       ("events", Json_out.int r.sc_events);

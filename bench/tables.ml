@@ -102,7 +102,7 @@ let fig2_mil () =
   section "F2 (Fig. 2)" "Configuration specification: parse, validate, round-trip";
   let config = Dr_mil.Mil_parser.parse_config Monitor.mil in
   (match Dr_mil.Validate.validate config with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error es -> failwith (String.concat "; " es));
   let printed = Dr_mil.Mil_pretty.config_to_string config in
   let fixpoint =

@@ -40,19 +40,16 @@ type planned_instance = {
   pi_spec : Spec.module_spec option;
 }
 
-(* Only [plan] builds one, so holding a plan proves the configuration
-   validated and every instantiated program matched its spec. *)
+(* Only [plan] builds one, and only from a validated configuration, so
+   holding a plan proves the configuration validated and every
+   instantiated program matched its spec. *)
 type plan = {
   instances : planned_instance list;  (* declaration order *)
   routes : (Bus.endpoint * Bus.endpoint) list;  (* binding order *)
 }
 
-let plan ~config ~app ~default_host ~program =
-  let* () =
-    match Dr_mil.Validate.validate config with
-    | Ok () -> Ok ()
-    | Error errors -> Error (String.concat "; " errors)
-  in
+let plan ~(config : Dr_mil.Validate.checked) ~app ~default_host ~program =
+  let config = (config :> Spec.config) in
   let* application =
     match Spec.find_app config app with
     | Some a -> Ok a
@@ -121,6 +118,9 @@ let apply bus plan =
   Ok ()
 
 let deploy bus ~config ~app ~default_host =
+  let* config =
+    Result.map_error (String.concat "; ") (Dr_mil.Validate.validate config)
+  in
   let* plan =
     plan ~config ~app ~default_host ~program:(Bus.registered_program bus)
   in

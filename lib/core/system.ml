@@ -11,7 +11,7 @@ type loaded_module = {
 }
 
 type t = {
-  config : Spec.config;
+  config : Dr_mil.Validate.checked;
   modules : loaded_module list;
 }
 
@@ -91,10 +91,8 @@ let load ~mil ~sources ?options ?(optimize = false) () =
       Error
         (Printf.sprintf "configuration: lexical error at line %d: %s" line message)
   in
-  let* () =
-    match Dr_mil.Validate.validate config with
-    | Ok () -> Ok ()
-    | Error errors -> Error (String.concat "; " errors)
+  let* config =
+    Result.map_error (String.concat "; ") (Dr_mil.Validate.validate config)
   in
   let* modules =
     List.fold_left
@@ -106,7 +104,7 @@ let load ~mil ~sources ?options ?(optimize = false) () =
         | Some source ->
           let* m = load_module ~optimize options spec source in
           Ok (m :: acc))
-      (Ok []) config.modules
+      (Ok []) (config :> Spec.config).modules
   in
   Ok { config; modules = List.rev modules }
 
@@ -138,7 +136,11 @@ let start t ~app ~hosts ?params ?default_host () =
         Bus.register_program bus (deployed_program m))
       (Ok ()) t.modules
   in
-  let* () = Dr_bus.Deploy.deploy bus ~config:t.config ~app ~default_host in
+  let* plan =
+    Dr_bus.Deploy.plan ~config:t.config ~app ~default_host
+      ~program:(Bus.registered_program bus)
+  in
+  let* () = Dr_bus.Deploy.apply bus plan in
   Ok bus
 
 let migrate ?precopy ?deadline ?retry bus ~instance ~new_instance ~new_host =

@@ -15,7 +15,8 @@ type loaded_module = {
 }
 
 type t = {
-  config : Dr_mil.Spec.config;
+  config : Dr_mil.Validate.checked;
+      (** validated once, by {!load}; {!start} plans from it as it is *)
   modules : loaded_module list;
 }
 
@@ -51,8 +52,9 @@ val start :
   unit ->
   (Dr_bus.Bus.t, string) result
 (** Create a bus over [hosts], register every module's deployed program,
-    and deploy the named application. [default_host] defaults to the
-    first host. *)
+    and deploy the named application: {!Dr_bus.Deploy.plan} from the
+    configuration {!load} validated, then {!Dr_bus.Deploy.apply}.
+    [default_host] defaults to the first host. *)
 
 (** {1 Synchronous reconfiguration wrappers} *)
 

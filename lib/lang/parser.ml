@@ -1,47 +1,60 @@
 exception Error of string * int
 
-type state = { mutable tokens : (Token.t * int) list }
+(* The current token and, once [peek2] has asked for it, the one after.
+   Tokens are pulled from the lexer one at a time, so a lexical error
+   surfaces only when the parse reaches it, after any earlier parse
+   error. *)
+type state = {
+  lex : Lexer.t;
+  mutable tok : Token.t;
+  mutable line : int;
+  mutable ahead : bool;  (* [tok2] and [line2] hold the next token *)
+  mutable tok2 : Token.t;
+  mutable line2 : int;
+}
 
-let current st =
-  match st.tokens with
-  | (tok, line) :: _ -> (tok, line)
-  | [] -> (Token.Teof, 0)
+let start src =
+  let lex = Lexer.create src in
+  let tok = Lexer.next lex in
+  { lex; tok; line = Lexer.line lex; ahead = false; tok2 = Token.Teof; line2 = 0 }
 
-let peek st = fst (current st)
+let peek st = st.tok
 
 let peek2 st =
-  match st.tokens with
-  | _ :: (tok, _) :: _ -> tok
-  | _ -> Token.Teof
-
-let line st = snd (current st)
+  if not st.ahead then begin
+    st.tok2 <- Lexer.next st.lex;
+    st.line2 <- Lexer.line st.lex;
+    st.ahead <- true
+  end;
+  st.tok2
 
 let advance st =
-  match st.tokens with
-  | _ :: rest -> st.tokens <- rest
-  | [] -> ()
+  if st.ahead then begin
+    st.tok <- st.tok2;
+    st.line <- st.line2;
+    st.ahead <- false
+  end
+  else begin
+    st.tok <- Lexer.next st.lex;
+    st.line <- Lexer.line st.lex
+  end
 
-let fail st message = raise (Error (message, line st))
+let fail st message = raise (Error (message, st.line))
 
 let expect st tok =
-  let got, ln = current st in
-  if got = tok then advance st
+  if st.tok = tok then advance st
   else
-    raise
-      (Error
-         ( Printf.sprintf "expected %s but found %s" (Token.to_string tok)
-             (Token.to_string got),
-           ln ))
+    fail st
+      (Printf.sprintf "expected %s but found %s" (Token.to_string tok)
+         (Token.to_string st.tok))
 
 let expect_ident st =
-  match current st with
-  | Token.Tident name, _ ->
+  match st.tok with
+  | Token.Tident name ->
     advance st;
     name
-  | tok, ln ->
-    raise
-      (Error
-         (Printf.sprintf "expected identifier, found %s" (Token.to_string tok), ln))
+  | tok ->
+    fail st (Printf.sprintf "expected identifier, found %s" (Token.to_string tok))
 
 (* ---------------------------------------------------------------- types *)
 
@@ -198,35 +211,35 @@ and parse_postfix_from st atom =
   loop atom
 
 and parse_atom st =
-  match current st with
-  | Token.Tint_lit i, _ ->
+  match st.tok with
+  | Token.Tint_lit i ->
     advance st;
     Ast.Int i
-  | Token.Tfloat_lit f, _ ->
+  | Token.Tfloat_lit f ->
     advance st;
     Ast.Float f
-  | Token.Tstr_lit s, _ ->
+  | Token.Tstr_lit s ->
     advance st;
     Ast.Str s
-  | Token.Ttrue, _ ->
+  | Token.Ttrue ->
     advance st;
     Ast.Bool true
-  | Token.Tfalse, _ ->
+  | Token.Tfalse ->
     advance st;
     Ast.Bool false
-  | Token.Tnull, _ ->
+  | Token.Tnull ->
     advance st;
     Ast.Null
   (* [float(e)] and [int(e)] use type keywords as builtin names. *)
-  | Token.Tty_float, _ when peek2 st = Token.Tlparen ->
+  | Token.Tty_float when peek2 st = Token.Tlparen ->
     advance st;
     let args = parse_call_args st in
     Ast.Builtin ("float", args)
-  | Token.Tty_int, _ when peek2 st = Token.Tlparen ->
+  | Token.Tty_int when peek2 st = Token.Tlparen ->
     advance st;
     let args = parse_call_args st in
     Ast.Builtin ("int", args)
-  | Token.Tident name, _ ->
+  | Token.Tident name ->
     advance st;
     if peek st = Token.Tlparen then begin
       let args = parse_call_args st in
@@ -234,16 +247,15 @@ and parse_atom st =
       else Ast.Call (name, args)
     end
     else Ast.Var name
-  | Token.Tlparen, _ ->
+  | Token.Tlparen ->
     advance st;
     let e = parse_expr_prec st in
     expect st Token.Trparen;
     e
-  | tok, ln ->
-    raise
-      (Error
-         ( Printf.sprintf "expected an expression, found %s" (Token.to_string tok),
-           ln ))
+  | tok ->
+    fail st
+      (Printf.sprintf "expected an expression, found %s"
+         (Token.to_string tok))
 
 and parse_call_args st =
   expect st Token.Tlparen;
@@ -294,20 +306,20 @@ let builtin_args st (signature : Builtin_sig.stmt_sig) exprs =
 
 let rec parse_stmt st =
   let label =
-    match current st with
-    | Token.Tident name, _ when peek2 st = Token.Tcolon ->
+    match st.tok with
+    | Token.Tident name when peek2 st = Token.Tcolon ->
       advance st;
       advance st;
       Some name
     | _ -> None
   in
-  let ln = line st in
+  let ln = st.line in
   let kind = parse_stmt_kind st in
   { Ast.label; kind; line = ln }
 
 and parse_stmt_kind st =
-  match current st with
-  | Token.Tvar, _ ->
+  match st.tok with
+  | Token.Tvar ->
     advance st;
     let name = expect_ident st in
     expect st Token.Tcolon;
@@ -321,7 +333,7 @@ and parse_stmt_kind st =
     in
     expect st Token.Tsemi;
     Ast.Decl (name, ty, init)
-  | Token.Tif, _ ->
+  | Token.Tif ->
     advance st;
     expect st Token.Tlparen;
     let cond = parse_expr_prec st in
@@ -335,14 +347,14 @@ and parse_stmt_kind st =
       else []
     in
     Ast.If (cond, then_b, else_b)
-  | Token.Twhile, _ ->
+  | Token.Twhile ->
     advance st;
     expect st Token.Tlparen;
     let cond = parse_expr_prec st in
     expect st Token.Trparen;
     let body = parse_block st in
     Ast.While (cond, body)
-  | Token.Treturn, _ ->
+  | Token.Treturn ->
     advance st;
     if peek st = Token.Tsemi then begin
       advance st;
@@ -353,28 +365,28 @@ and parse_stmt_kind st =
       expect st Token.Tsemi;
       Ast.Return (Some e)
     end
-  | Token.Tgoto, _ ->
+  | Token.Tgoto ->
     advance st;
     let target = expect_ident st in
     expect st Token.Tsemi;
     Ast.Goto target
-  | Token.Tprint, _ ->
+  | Token.Tprint ->
     advance st;
     let args = parse_call_args st in
     expect st Token.Tsemi;
     Ast.Print args
-  | Token.Tsleep, _ ->
+  | Token.Tsleep ->
     advance st;
     expect st Token.Tlparen;
     let e = parse_expr_prec st in
     expect st Token.Trparen;
     expect st Token.Tsemi;
     Ast.Sleep e
-  | Token.Tskip, _ ->
+  | Token.Tskip ->
     advance st;
     expect st Token.Tsemi;
     Ast.Skip
-  | Token.Tident name, _ when peek2 st = Token.Tlparen -> (
+  | Token.Tident name when peek2 st = Token.Tlparen -> (
     advance st;
     let exprs = parse_call_args st in
     expect st Token.Tsemi;
@@ -384,7 +396,7 @@ and parse_stmt_kind st =
       if Builtin_sig.is_expr_builtin name then
         fail st (Printf.sprintf "builtin %s is an expression, not a statement" name)
       else Ast.CallS (name, exprs))
-  | Token.Tident _, _ ->
+  | Token.Tident _ ->
     let lv =
       let name = expect_ident st in
       if peek st = Token.Tlbracket then begin
@@ -399,11 +411,8 @@ and parse_stmt_kind st =
     let e = parse_expr_prec st in
     expect st Token.Tsemi;
     Ast.Assign (lv, e)
-  | tok, ln ->
-    raise
-      (Error
-         ( Printf.sprintf "expected a statement, found %s" (Token.to_string tok),
-           ln ))
+  | tok ->
+    fail st (Printf.sprintf "expected a statement, found %s" (Token.to_string tok))
 
 and parse_block st =
   expect st Token.Tlbrace;
@@ -452,16 +461,17 @@ let parse_params st =
   end
 
 let parse_program src =
-  let st = { tokens = Lexer.tokenize src } in
+  let st = start src in
   expect st Token.Tmodule;
   let module_name = expect_ident st in
   expect st Token.Tsemi;
   let globals = ref [] in
   let procs = ref [] in
   let rec loop () =
-    match current st with
-    | Token.Teof, _ -> ()
-    | Token.Tvar, ln ->
+    match st.tok with
+    | Token.Teof -> ()
+    | Token.Tvar ->
+      let ln = st.line in
       advance st;
       let gname = expect_ident st in
       expect st Token.Tcolon;
@@ -476,7 +486,8 @@ let parse_program src =
       expect st Token.Tsemi;
       globals := { Ast.gname; gty; ginit; gline = ln } :: !globals;
       loop ()
-    | Token.Tproc, ln ->
+    | Token.Tproc ->
+      let ln = st.line in
       advance st;
       let proc_name = expect_ident st in
       let params = parse_params st in
@@ -490,22 +501,19 @@ let parse_program src =
       let body = parse_block st in
       procs := { Ast.proc_name; params; ret; body; proc_line = ln } :: !procs;
       loop ()
-    | tok, ln ->
-      raise
-        (Error
-           ( Printf.sprintf "expected 'var' or 'proc', found %s"
-               (Token.to_string tok),
-             ln ))
+    | tok ->
+      fail st
+        (Printf.sprintf "expected 'var' or 'proc', found %s"
+           (Token.to_string tok))
   in
   loop ();
   { Ast.module_name; globals = List.rev !globals; procs = List.rev !procs }
 
 let parse_expr src =
-  let st = { tokens = Lexer.tokenize src } in
+  let st = start src in
   let e = parse_expr_prec st in
-  (match current st with
-  | Token.Teof, _ -> ()
-  | tok, ln ->
-    raise
-      (Error (Printf.sprintf "trailing input: %s" (Token.to_string tok), ln)));
+  (match st.tok with
+  | Token.Teof -> ()
+  | tok ->
+    fail st (Printf.sprintf "trailing input: %s" (Token.to_string tok)));
   e

@@ -18,7 +18,9 @@ exception Error of string * int
 (** [Error (message, line)]. *)
 
 val parse_program : string -> Ast.program
-(** @raise Error on syntax errors,
+(** Tokens are pulled from the lexer as the parse advances, so the first
+    error in the text is the one raised, whichever its kind.
+    @raise Error on syntax errors,
     @raise Lexer.Error on lexical errors. *)
 
 val parse_expr : string -> Ast.expr

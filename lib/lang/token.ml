@@ -21,14 +21,6 @@ type t =
   | Tandand | Toror | Tbang | Tamp | Tcaret
   | Teof
 
-let keyword_table =
-  [ "module", Tmodule; "var", Tvar; "proc", Tproc; "ref", Tref;
-    "if", Tif; "else", Telse; "while", Twhile; "return", Treturn;
-    "goto", Tgoto; "print", Tprint; "sleep", Tsleep; "skip", Tskip;
-    "true", Ttrue; "false", Tfalse; "null", Tnull;
-    "int", Tty_int; "float", Tty_float; "bool", Tty_bool;
-    "string", Tty_str ]
-
 let to_string = function
   | Tident s -> Printf.sprintf "identifier %S" s
   | Tint_lit i -> string_of_int i

@@ -3,50 +3,44 @@ module Lexer = Dr_lang.Lexer
 
 exception Error of string * int
 
-type state = { mutable tokens : (Token.t * int) list }
+(* One token of lookahead, pulled from the lexer as the parse advances:
+   a lexical error surfaces only when the parse reaches it. *)
+type state = { lex : Lexer.t; mutable tok : Token.t; mutable line : int }
 
-let current st =
-  match st.tokens with (tok, line) :: _ -> (tok, line) | [] -> (Token.Teof, 0)
-
-let peek st = fst (current st)
-
-let line st = snd (current st)
+let peek st = st.tok
 
 let advance st =
-  match st.tokens with _ :: rest -> st.tokens <- rest | [] -> ()
+  st.tok <- Lexer.next st.lex;
+  st.line <- Lexer.line st.lex
 
-let fail st message = raise (Error (message, line st))
+let fail st message = raise (Error (message, st.line))
 
 let expect st tok =
-  let got, ln = current st in
-  if got = tok then advance st
+  if st.tok = tok then advance st
   else
-    raise
-      (Error
-         ( Printf.sprintf "expected %s but found %s" (Token.to_string tok)
-             (Token.to_string got),
-           ln ))
+    fail st
+      (Printf.sprintf "expected %s but found %s" (Token.to_string tok)
+         (Token.to_string st.tok))
 
 let expect_ident st =
-  match current st with
-  | Token.Tident name, _ ->
+  match st.tok with
+  | Token.Tident name ->
     advance st;
     name
-  | tok, ln ->
-    raise
-      (Error
-         (Printf.sprintf "expected identifier, found %s" (Token.to_string tok), ln))
+  | tok ->
+    fail st (Printf.sprintf "expected identifier, found %s" (Token.to_string tok))
+
+let current_string st =
+  match st.tok with
+  | Token.Tstr_lit s -> s
+  | tok ->
+    fail st
+      (Printf.sprintf "expected string literal, found %s" (Token.to_string tok))
 
 let expect_string st =
-  match current st with
-  | Token.Tstr_lit s, _ ->
-    advance st;
-    s
-  | tok, ln ->
-    raise
-      (Error
-         ( Printf.sprintf "expected string literal, found %s" (Token.to_string tok),
-           ln ))
+  let s = current_string st in
+  advance st;
+  s
 
 (* Keywords of MIL that arrive as plain identifiers. *)
 let at_ident st word =
@@ -77,7 +71,9 @@ let parse_msg_ty st =
     advance st;
     Spec.Mbool
   | tok ->
-    fail st (Printf.sprintf "expected a message type, found %s" (Token.to_string tok))
+    fail st
+      (Printf.sprintf "expected a message type, found %s"
+         (Token.to_string tok))
 
 let parse_ty_braces st =
   expect st Token.Tlbrace;
@@ -161,9 +157,9 @@ let parse_module st =
   let source = ref None and machine = ref None in
   let ifaces = ref [] and points = ref [] and attrs = ref [] in
   let rec items () =
-    match current st with
-    | Token.Trbrace, _ -> advance st
-    | Token.Tident role, _
+    match st.tok with
+    | Token.Trbrace -> advance st
+    | Token.Tident role
       when List.mem role [ "client"; "server"; "use"; "define" ] ->
       advance st;
       let role =
@@ -175,11 +171,11 @@ let parse_module st =
       in
       ifaces := parse_iface st role :: !ifaces;
       items ()
-    | Token.Tident "reconfiguration", _ ->
+    | Token.Tident "reconfiguration" ->
       advance st;
       points := parse_point st :: !points;
       items ()
-    | Token.Tident key, _ ->
+    | Token.Tident key ->
       advance st;
       expect st Token.Tassign;
       let value = expect_string st in
@@ -189,24 +185,26 @@ let parse_module st =
       | "machine" -> machine := Some value
       | _ -> attrs := (key, value) :: !attrs);
       items ()
-    | tok, ln ->
-      raise
-        (Error
-           ( Printf.sprintf "unexpected %s in module specification"
-               (Token.to_string tok),
-             ln ))
+    | tok ->
+      fail st
+        (Printf.sprintf "unexpected %s in module specification"
+           (Token.to_string tok))
   in
   items ();
   { Spec.ms_name; source = !source; machine = !machine;
     ifaces = List.rev !ifaces; points = List.rev !points;
     attrs = List.rev !attrs }
 
-let split_endpoint st raw =
+(* A bind endpoint, "<instance> <interface>": a malformed one is
+   reported on the line of its own string token. *)
+let expect_endpoint st =
+  let raw = current_string st in
   match String.split_on_char ' ' (String.trim raw) with
-  | [ inst; iface ] when inst <> "" && iface <> "" -> (inst, iface)
+  | [ inst; iface ] when inst <> "" && iface <> "" ->
+    advance st;
+    (inst, iface)
   | _ ->
-    fail st
-      (Printf.sprintf "endpoint %S must be \"<instance> <interface>\"" raw)
+    fail st (Printf.sprintf "endpoint %S must be \"<instance> <interface>\"" raw)
 
 let parse_application st =
   eat_ident st "application";
@@ -214,9 +212,9 @@ let parse_application st =
   expect st Token.Tlbrace;
   let instances = ref [] and binds = ref [] in
   let rec items () =
-    match current st with
-    | Token.Trbrace, _ -> advance st
-    | Token.Tident "instance", _ ->
+    match st.tok with
+    | Token.Trbrace -> advance st
+    | Token.Tident "instance" ->
       advance st;
       let inst_name = expect_ident st in
       let inst_module =
@@ -236,44 +234,39 @@ let parse_application st =
       expect st Token.Tsemi;
       instances := { Spec.inst_name; inst_module; inst_host } :: !instances;
       items ()
-    | Token.Tident "bind", _ ->
+    | Token.Tident "bind" ->
       advance st;
-      let from_raw = expect_string st in
-      let to_raw = expect_string st in
+      let b_from = expect_endpoint st in
+      let b_to = expect_endpoint st in
       expect st Token.Tsemi;
-      binds :=
-        { Spec.b_from = split_endpoint st from_raw;
-          b_to = split_endpoint st to_raw }
-        :: !binds;
+      binds := { Spec.b_from; b_to } :: !binds;
       items ()
-    | tok, ln ->
-      raise
-        (Error
-           ( Printf.sprintf "unexpected %s in application specification"
-               (Token.to_string tok),
-             ln ))
+    | tok ->
+      fail st
+        (Printf.sprintf "unexpected %s in application specification"
+           (Token.to_string tok))
   in
   items ();
   { Spec.app_name; instances = List.rev !instances; binds = List.rev !binds }
 
 let parse_config src =
-  let st = { tokens = Lexer.tokenize src } in
+  let lex = Lexer.create src in
+  let tok = Lexer.next lex in
+  let st = { lex; tok; line = Lexer.line lex } in
   let modules = ref [] and apps = ref [] in
   let rec loop () =
-    match current st with
-    | Token.Teof, _ -> ()
-    | Token.Tmodule, _ ->
+    match st.tok with
+    | Token.Teof -> ()
+    | Token.Tmodule ->
       modules := parse_module st :: !modules;
       loop ()
-    | Token.Tident "application", _ ->
+    | Token.Tident "application" ->
       apps := parse_application st :: !apps;
       loop ()
-    | tok, ln ->
-      raise
-        (Error
-           ( Printf.sprintf "expected 'module' or 'application', found %s"
-               (Token.to_string tok),
-             ln ))
+    | tok ->
+      fail st
+        (Printf.sprintf "expected 'module' or 'application', found %s"
+           (Token.to_string tok))
   in
   loop ();
   { Spec.modules = List.rev !modules; apps = List.rev !apps }

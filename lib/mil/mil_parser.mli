@@ -18,5 +18,8 @@
 exception Error of string * int
 
 val parse_config : string -> Spec.config
-(** @raise Error on syntax errors, @raise Dr_lang.Lexer.Error on lexical
+(** Tokens are pulled from the lexer as the parse advances, so the first
+    error in the text is the one raised, whichever its kind; a malformed
+    bind endpoint is reported on its own line.
+    @raise Error on syntax errors, @raise Dr_lang.Lexer.Error on lexical
     errors. *)

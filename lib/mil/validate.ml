@@ -1,7 +1,7 @@
 open Spec
 
 let duplicates names =
-  let seen = Hashtbl.create 8 in
+  let seen = Hashtbl.create (List.length names) in
   List.filter
     (fun n ->
       if Hashtbl.mem seen n then true
@@ -72,35 +72,38 @@ let validate_app config app =
           None
         | Some iface -> Some iface))
   in
+  (* a bind's name is rendered only for an error on it *)
+  let pp_bind ppf b =
+    Format.fprintf ppf "bind \"%s %s\" \"%s %s\"" (fst b.b_from) (snd b.b_from)
+      (fst b.b_to) (snd b.b_to)
+  in
   List.iter
     (fun b ->
       match resolve b.b_from, resolve b.b_to with
       | Some from_if, Some to_if -> (
-        let bname =
-          Printf.sprintf "bind \"%s %s\" \"%s %s\"" (fst b.b_from) (snd b.b_from)
-            (fst b.b_to) (snd b.b_to)
-        in
         match from_if.role, to_if.role with
         | Define, Use ->
           if from_if.pattern <> to_if.pattern then
-            err "%s: pattern mismatch (%s vs %s)" bname
+            err "%a: pattern mismatch (%s vs %s)" pp_bind b
               (String.concat "," (List.map msg_ty_name from_if.pattern))
               (String.concat "," (List.map msg_ty_name to_if.pattern))
         | Client, Server ->
           if from_if.pattern <> to_if.pattern then
-            err "%s: request pattern mismatch" bname;
+            err "%a: request pattern mismatch" pp_bind b;
           if from_if.accepts <> to_if.returns then
-            err "%s: reply pattern mismatch" bname
+            err "%a: reply pattern mismatch" pp_bind b
         | Server, Client ->
-          err "%s: write the binding client-to-server" bname
-        | Use, _ -> err "%s: interface %s cannot send" bname from_if.if_name
-        | _, Define -> err "%s: interface %s cannot receive" bname to_if.if_name
+          err "%a: write the binding client-to-server" pp_bind b
+        | Use, _ -> err "%a: interface %s cannot send" pp_bind b from_if.if_name
+        | _, Define -> err "%a: interface %s cannot receive" pp_bind b to_if.if_name
         | _, _ ->
-          err "%s: incompatible roles %s -> %s" bname (role_name from_if.role)
+          err "%a: incompatible roles %s -> %s" pp_bind b (role_name from_if.role)
             (role_name to_if.role))
       | _ -> ())
     app.binds;
   match List.rev !errors with [] -> Ok () | es -> Error es
+
+type checked = config
 
 let validate config =
   let errors = ref [] in
@@ -118,7 +121,7 @@ let validate config =
       | Ok () -> ()
       | Error es -> errors := es @ !errors)
     config.apps;
-  match List.rev !errors with [] -> Ok () | es -> Error es
+  match List.rev !errors with [] -> Ok config | es -> Error es
 
 (* -------------------------------------------------------------------- *)
 (* Cross-checking a module's program against its specification.          *)

@@ -7,7 +7,12 @@
     binding (define→use: equal patterns; client↔server: request and
     reply patterns both agree). *)
 
-val validate : Spec.config -> (unit, string list) result
+type checked = private Spec.config
+(** A configuration that passed {!validate}; only {!validate} makes one,
+    so holding it is the evidence that the checks ran. Coerce it with
+    [(c :> Spec.config)] to read it. *)
+
+val validate : Spec.config -> (checked, string list) result
 
 val check_program_against_spec :
   Spec.module_spec -> Dr_lang.Ast.program -> (unit, string list) result

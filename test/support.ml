@@ -11,6 +11,17 @@ let parse source =
   | Dr_lang.Lexer.Error (message, line) ->
     failwith (Printf.sprintf "lexical error at line %d: %s" line message)
 
+(* The whole token stream of [source], each token with its line, ending
+   in [Teof]: pulled from the cursor, as the parsers pull it. *)
+let tokenize source =
+  let lex = Dr_lang.Lexer.create source in
+  let rec loop acc =
+    let tok = Dr_lang.Lexer.next lex in
+    let acc = (tok, Dr_lang.Lexer.line lex) :: acc in
+    match tok with Dr_lang.Token.Teof -> List.rev acc | _ -> loop acc
+  in
+  loop []
+
 let typecheck_ok program =
   match Dr_lang.Typecheck.check program with
   | Ok () -> ()

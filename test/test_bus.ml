@@ -478,10 +478,12 @@ let test_deploy_unknown_app () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown application deployed"
 
-(* The plan refuses what [Deploy.deploy] refuses, with the same message,
-   before any instance exists. Each configuration below carries exactly
-   one fault; the programs are registered on a bus, and the plan looks
-   them up there, as [deploy] does. *)
+(* [Deploy.deploy] refuses each configuration below, which carries
+   exactly one fault, with the message of the stage that finds it, before
+   any instance exists: a MIL fault is [Validate.validate]'s, and a
+   program that lacks a declared point is [Deploy.plan]'s, since a plan
+   starts from a validated configuration. The programs are registered on
+   a bus, and the plan looks them up there, as [deploy] does. *)
 let plan_refusals =
   let source name body =
     Printf.sprintf "module %s;\nproc main() {\n  mh_init();\n%s\n}\n" name body
@@ -502,24 +504,29 @@ module d {
 |}
   in
   [ ( "duplicate instance",
+      `Validate,
       modules ^ {|application app { instance a = w; instance a = w; }|},
       [ w ],
       "application app: duplicate instance a" );
     ( "unknown module",
+      `Validate,
       modules ^ {|application app { instance a = nosuch; }|},
       [ w ],
       "application app: instance a references unknown module nosuch" );
     ( "role mismatch",
+      `Validate,
       modules
       ^ {|application app { instance a = w; instance b = d; bind "a out" "b out"; }|},
       [ w; source "d" "  mh_write(\"out\", 1);" ],
       "bind \"a out\" \"b out\": interface out cannot receive" );
     ( "pattern mismatch",
+      `Validate,
       modules
       ^ {|application app { instance a = w; instance b = r; bind "a out" "b in"; }|},
       [ w; r ],
       "bind \"a out\" \"b in\": pattern mismatch (integer vs float)" );
     ( "program lacks a declared point",
+      `Plan,
       {|
 module p {
   define interface out pattern {integer};
@@ -532,17 +539,25 @@ application app { instance a = p; }
 
 let test_plan_refuses_like_deploy () =
   List.iter
-    (fun (what, mil, sources, expected) ->
+    (fun (what, stage, mil, sources, expected) ->
       let config = Dr_mil.Mil_parser.parse_config mil in
       let bus = make_bus () in
       List.iter (register bus) sources;
-      let planned =
-        Dr_bus.Deploy.plan ~config ~app:"app" ~default_host:"hostA"
-          ~program:(Bus.registered_program bus)
-      in
-      (match planned with
-      | Ok _ -> Alcotest.failf "%s: planned" what
-      | Error e -> Alcotest.(check string) (what ^ ": plan") expected e);
+      (match Dr_mil.Validate.validate config, stage with
+      | Error es, `Validate ->
+        Alcotest.(check string)
+          (what ^ ": validate") expected (String.concat "; " es)
+      | Ok config, `Plan -> (
+        match
+          Dr_bus.Deploy.plan ~config ~app:"app" ~default_host:"hostA"
+            ~program:(Bus.registered_program bus)
+        with
+        | Ok _ -> Alcotest.failf "%s: planned" what
+        | Error e -> Alcotest.(check string) (what ^ ": plan") expected e)
+      | Ok _, `Validate -> Alcotest.failf "%s: validated" what
+      | Error es, `Plan ->
+        Alcotest.failf "%s: refused by validation: %s" what
+          (String.concat "; " es));
       (match Dr_bus.Deploy.deploy bus ~config ~app:"app" ~default_host:"hostA" with
       | Ok () -> Alcotest.failf "%s: deployed" what
       | Error e -> Alcotest.(check string) (what ^ ": deploy") expected e);

@@ -1,7 +1,7 @@
 module Lexer = Dr_lang.Lexer
 module Token = Dr_lang.Token
 
-let tokens source = List.map fst (Lexer.tokenize source)
+let tokens source = List.map fst (Support.tokenize source)
 
 let toks =
   Alcotest.testable
@@ -50,7 +50,7 @@ let test_block_comments () =
     [ Token.Tident "x"; Token.Tident "y" ]
 
 let test_line_numbers () =
-  let toks = Lexer.tokenize "a\nb\n  c" in
+  let toks = Support.tokenize "a\nb\n  c" in
   let lines = List.map snd toks in
   Alcotest.(check (list int)) "lines" [ 1; 2; 3; 3 ] lines
 
@@ -60,7 +60,7 @@ let contains needle haystack =
   n = 0 || go 0
 
 let check_error name source expected_fragment =
-  match Lexer.tokenize source with
+  match Support.tokenize source with
   | exception Lexer.Error (message, _) ->
     if not (contains expected_fragment message) then
       Alcotest.failf "%s: error %S lacks %S" name message expected_fragment
@@ -82,11 +82,125 @@ let test_true_false_null () =
   check_tokens "literals" "true false null"
     [ Token.Ttrue; Token.Tfalse; Token.Tnull ]
 
+(* Numerals the lexer once handed to [int_of_string] and
+   [float_of_string] unchecked: each escaped as [Failure]. They are
+   lexical errors, reported on the literal's line. *)
+let test_numeral_errors () =
+  List.iter
+    (fun (literal, message) ->
+      match Support.tokenize ("x\n  " ^ literal ^ " y") with
+      | exception Lexer.Error (m, line) ->
+        Alcotest.(check (pair string int)) literal (message, 2) (m, line)
+      | _ -> Alcotest.failf "%s: expected a lexical error" literal)
+    [ ( "99999999999999999999",
+        "integer literal 99999999999999999999 is out of range" );
+      ( "4611686018427387904",
+        "integer literal 4611686018427387904 is out of range" );
+      ("1.5e", "float literal 1.5e has no exponent digits");
+      ("1.5e+", "float literal 1.5e+ has no exponent digits") ]
+
+let test_numeral_limits () =
+  check_tokens "max_int and exponents"
+    "4611686018427387903 1.5E+3 2.5e-1 1.0e400 0007"
+    [ Token.Tint_lit max_int; Token.Tfloat_lit 1500.0; Token.Tfloat_lit 0.25;
+      Token.Tfloat_lit infinity; Token.Tint_lit 7 ]
+
+(* {1 The cursor lexer against the list lexer it replaced} *)
+
+let keywords =
+  [ "module"; "var"; "proc"; "ref"; "if"; "else"; "while"; "return"; "goto";
+    "print"; "sleep"; "skip"; "true"; "false"; "null"; "int"; "float"; "bool";
+    "string" ]
+
+let operators =
+  [ "=="; "!="; "<="; ">="; "<"; ">"; "="; "+"; "-"; "*"; "/"; "%"; "&&";
+    "||"; "!"; "&"; "^"; "{"; "}"; "("; ")"; "["; "]"; ","; ";"; ":" ]
+
+(* One lexical fragment; the texts below join them with and without
+   blanks, so neighbours also fuse ("a" "1" is one identifier, "/" "*"
+   opens a comment). About one fragment in thirty is malformed, so most
+   texts lex to the end and the rest stop at an error. *)
+let fragment =
+  let open QCheck2.Gen in
+  let chars cs n = string_size ~gen:(oneofl cs) (int_range 0 n) in
+  let digits = map (fun d -> "1" ^ d) (chars [ '0'; '5'; '9' ] 4) in
+  let ident =
+    map2 ( ^ )
+      (oneofl [ "a"; "Z"; "_"; "m"; "int"; "ref"; "e" ])
+      (chars [ 'a'; 'x'; '0'; '9'; '_'; 'Z' ] 5)
+  in
+  let float exponents =
+    map3 (fun a b e -> a ^ "." ^ b ^ e) digits digits (oneofl exponents)
+  in
+  let string_lit pieces close =
+    map2
+      (fun body close -> "\"" ^ String.concat "" body ^ close)
+      (list_size (int_range 0 5) (oneofl pieces))
+      (oneofl close)
+  in
+  let pieces =
+    [ "a"; " "; "\n"; "\\n"; "\\t"; "\\\\"; "\\\""; "//"; "/*"; "\000" ]
+  in
+  let well_formed =
+    frequency
+      [ (4, oneofl keywords);
+        (4, ident);
+        (3, map string_of_int nat);
+        (1, oneofl [ "0"; "007"; "4611686018427387903" ]);
+        (3, float [ ""; ""; "e5"; "E-12"; "e+400"; "E+3" ]);
+        (3, string_lit pieces [ "\"" ]);
+        (2, oneofl [ "// a\n"; "//\n"; "/* a */"; "/*\n**/"; "/***/" ]);
+        (8, oneofl operators) ]
+  in
+  let malformed =
+    oneof
+      [ oneofl [ "4611686018427387904"; "99999999999999999999" ];
+        float [ "e"; "E"; "e+"; "e-"; "e+x" ];
+        string_lit ("\\q" :: pieces) [ "\""; "" ];
+        oneofl
+          [ "/* a"; "/*\n*"; "\000"; "|"; "#"; "."; "\x80"; "\x0c"; "'"; "\\" ] ]
+  in
+  frequency [ (29, well_formed); (1, malformed) ]
+
+let text =
+  QCheck2.Gen.(
+    map
+      (fun parts ->
+        String.concat "" (List.concat_map (fun (s, f) -> [ s; f ]) parts))
+      (list_size (int_range 0 25)
+         (pair (oneofl [ ""; " "; "\n"; "\t"; "\r\n" ]) fragment)))
+
+let outcome tokenize source =
+  match tokenize source with
+  | tokens -> `Tokens tokens
+  | exception Lexer.Error (message, line) -> `Error (message, line)
+  | exception Failure _ -> `Failure
+
+let out_of_range message =
+  let starts prefix =
+    String.length message >= String.length prefix
+    && String.equal (String.sub message 0 (String.length prefix)) prefix
+  in
+  starts "integer literal " || starts "float literal "
+
+(* Same tokens on the same lines, or the same error on the same line;
+   where the list lexer raised [Failure] on a numeral, the cursor lexer
+   raises [Lexer.Error] on it. *)
+let prop_matches_list_lexer =
+  Support.qcheck ~count:500 ~print:(Printf.sprintf "%S")
+    "cursor lexer = list lexer" text (fun source ->
+      match
+        (outcome Lexer_oracle.tokenize source, outcome Support.tokenize source)
+      with
+      | `Failure, `Error (message, _) -> out_of_range message
+      | expected, got -> expected = got)
+
 let () =
   Alcotest.run "lexer"
     [ ( "tokens",
         [ Alcotest.test_case "idents/keywords" `Quick test_idents_and_keywords;
           Alcotest.test_case "numbers" `Quick test_numbers;
+          Alcotest.test_case "numeral limits" `Quick test_numeral_limits;
           Alcotest.test_case "operators" `Quick test_operators;
           Alcotest.test_case "punctuation" `Quick test_punctuation;
           Alcotest.test_case "strings" `Quick test_string_literals;
@@ -100,4 +214,6 @@ let () =
             test_unterminated_comment;
           Alcotest.test_case "bad escape" `Quick test_bad_escape;
           Alcotest.test_case "stray char" `Quick test_stray_char;
-          Alcotest.test_case "single pipe" `Quick test_single_pipe ] ) ]
+          Alcotest.test_case "single pipe" `Quick test_single_pipe;
+          Alcotest.test_case "out-of-range numerals" `Quick test_numeral_errors ] );
+      ("differential", [ prop_matches_list_lexer ]) ]

@@ -80,9 +80,52 @@ let test_parse_errors () =
     "must be \"<instance> <interface>\"";
   expect_parse_error "module m { source = 3; }" "expected string literal"
 
+let error_of source =
+  match P.parse_config source with
+  | exception P.Error (message, line) ->
+    Printf.sprintf "parse error at line %d: %s" line message
+  | exception Dr_lang.Lexer.Error (message, line) ->
+    Printf.sprintf "lexical error at line %d: %s" line message
+  | _ -> "no error"
+
+(* A malformed endpoint is reported on the line of its own string, not on
+   the line of whatever follows the bind. *)
+let test_endpoint_lines () =
+  let config bind rest =
+    "module m { use interface in pattern {integer}; }\napplication a {\n\
+    \  instance x = m;\n" ^ bind ^ rest
+  in
+  let malformed line =
+    Printf.sprintf
+      "parse error at line %d: endpoint \"x\" must be \"<instance> <interface>\""
+      line
+  in
+  Alcotest.(check string) "instance two lines on" (malformed 4)
+    (error_of (config "  bind \"x\" \"x in\";\n" "\n\n  instance y = m;\n}\n"));
+  Alcotest.(check string) "closing brace next" (malformed 4)
+    (error_of (config "  bind \"x\" \"x in\";\n" "}\n"));
+  Alcotest.(check string) "second endpoint on its own line" (malformed 5)
+    (error_of (config "  bind \"x in\"\n    \"x\";\n" "}\n"))
+
+(* Tokens are pulled as the parse goes, so the first error in the text is
+   the one reported, whichever kind it is. *)
+let test_first_error_wins () =
+  let config line3 line5 =
+    Printf.sprintf
+      "module m { use interface in pattern {integer}; }\napplication a {\n  %s\n\
+      \  instance x = m;\n  %s\n}\n"
+      line3 line5
+  in
+  Alcotest.(check string) "parse error first"
+    "parse error at line 3: expected identifier, found ;"
+    (error_of (config "instance ;" "#"));
+  Alcotest.(check string) "lexical error first"
+    "lexical error at line 3: unexpected character '#'"
+    (error_of (config "#" "instance ;"))
+
 let validate_errors source =
   match V.validate (P.parse_config source) with
-  | Ok () -> Alcotest.fail "expected validation errors"
+  | Ok _ -> Alcotest.fail "expected validation errors"
   | Error errors -> errors
 
 let has_error fragment errors =
@@ -95,7 +138,7 @@ let has_error fragment errors =
 
 let test_validate_monitor_ok () =
   match V.validate (P.parse_config monitor_mil) with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error errors -> Alcotest.failf "unexpected: %s" (String.concat "; " errors)
 
 let test_validate_rejections () =
@@ -249,7 +292,9 @@ let () =
           Alcotest.test_case "instances" `Quick test_instance_aliases_and_hosts;
           Alcotest.test_case "type keywords" `Quick test_type_keywords_in_patterns;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip_monitor;
-          Alcotest.test_case "errors" `Quick test_parse_errors ] );
+          Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "endpoint lines" `Quick test_endpoint_lines;
+          Alcotest.test_case "first error wins" `Quick test_first_error_wins ] );
       ( "validation",
         [ Alcotest.test_case "monitor ok" `Quick test_validate_monitor_ok;
           Alcotest.test_case "rejections" `Quick test_validate_rejections ] );

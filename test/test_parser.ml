@@ -123,6 +123,27 @@ let check_parse_error name source fragment =
       Alcotest.failf "%s: error %S lacks %S" name message fragment
   | _ -> Alcotest.failf "%s: expected parse error" name
 
+(* Tokens are pulled as the parse goes, so the first error in the text is
+   the one reported, whichever kind it is. *)
+let test_first_error_wins () =
+  let program line3 line5 =
+    Printf.sprintf "module m;\nproc main() {\n  %s\n  skip;\n  %s\n}\n" line3 line5
+  in
+  let error_of source =
+    match Parser.parse_program source with
+    | exception Parser.Error (message, line) ->
+      Printf.sprintf "parse error at line %d: %s" line message
+    | exception Dr_lang.Lexer.Error (message, line) ->
+      Printf.sprintf "lexical error at line %d: %s" line message
+    | _ -> "no error"
+  in
+  Alcotest.(check string) "parse error first"
+    "parse error at line 3: expected an expression, found ;"
+    (error_of (program "x = ;" "#"));
+  Alcotest.(check string) "lexical error first"
+    "lexical error at line 3: unexpected character '#'"
+    (error_of (program "#" "x = ;"))
+
 let test_errors () =
   check_parse_error "missing semi" "module t;\nproc main() { skip }" "expected";
   check_parse_error "missing module" "proc main() { }" "expected module";
@@ -168,5 +189,7 @@ let () =
           Alcotest.test_case "types" `Quick test_types;
           Alcotest.test_case "params" `Quick test_params;
           Alcotest.test_case "builtin out args" `Quick test_builtin_stmt_out_args ] );
-      ("errors", [ Alcotest.test_case "diagnostics" `Quick test_errors ]);
+      ( "errors",
+        [ Alcotest.test_case "diagnostics" `Quick test_errors;
+          Alcotest.test_case "first error wins" `Quick test_first_error_wins ] );
       ("properties", [ prop_roundtrip_expr; prop_roundtrip_program ]) ]

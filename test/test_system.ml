@@ -56,7 +56,21 @@ let test_load_errors () =
       (("compute",
         "module compute;\nproc main() { var r: float; mh_init(); mh_write(\"display\", r); }")
       :: List.remove_assoc "compute" Dr_workloads.Monitor.sources)
-    "no matching label"
+    "no matching label";
+  (* a numeral beyond max_int is a lexical error, not an escaping Failure *)
+  match
+    System.load ~mil:m
+      ~sources:
+        (("sensor", "module sensor;\nvar x: int = 99999999999999999999;\nproc main() { }")
+        :: List.remove_assoc "sensor" Dr_workloads.Monitor.sources)
+      ()
+  with
+  | Ok _ -> Alcotest.fail "loaded an out-of-range numeral"
+  | Error e ->
+    Alcotest.(check string) "out-of-range numeral"
+      "sensor: lexical error at line 2: integer literal 99999999999999999999 is \
+       out of range"
+      e
 
 (* ------------------------------------------------------------ running *)
 
