@@ -1,7 +1,8 @@
 (* Bus scaling suite: an N-member token ring with N/10 tokens, run to a
-   fixed virtual horizon, measuring load and deploy time, wall-clock
-   deliveries/sec, engine events per delivery and the minor and promoted
-   words a delivery costs. One row per N.
+   fixed virtual horizon, measuring load and deploy time, the words the
+   settled bus holds per instance, wall-clock deliveries/sec, engine
+   events per delivery and the minor and promoted words a delivery
+   costs. One row per N.
 
    Run with: dune exec bench/main.exe -- scaling            (full sweep)
              dune exec bench/main.exe -- scaling --quick    (CI smoke)
@@ -9,10 +10,13 @@
    Each N gets its own horizon, sized so that every row does about the
    same number of deliveries (the work is fixed by virtual time, never
    by an event budget). The gates are deterministic facts, not speed
-   ratios: at N >= 1000 the bus spends at most 1.1 engine events and
-   allocates at most 55 minor words per delivery. The word counts come
-   from the GC's counters around the timed run; they repeat exactly for
-   a given build (not across compilers or build profiles). The full
+   ratios: at N >= 1000 the settled bus holds at most 160 words per
+   instance ([Obj.reachable_words] of the bus once every member has
+   parked on its first read, over N), and the bus spends at most 1.1
+   engine events and allocates at most 30 minor words per delivery. The
+   minor words come from the GC's counters around the timed run. Both
+   word counts repeat exactly for a given build (not across compilers
+   or build profiles). The full
    sweep also gates the 100k deploy on bounded wall-clock time, asserts
    the complete row set and writes BENCH_scaling.json. The quick sweep
    writes _build/bench/BENCH_scaling_quick.json, outside the tracked
@@ -25,6 +29,7 @@ type row = {
   sc_n : int;
   sc_load_ms : float;  (* [Ring.load_large]: read, validate, prepare *)
   sc_deploy_ms : float;
+  sc_words_per_instance : float;  (* the settled bus, over N *)
   sc_horizon : float;  (* virtual ms the ring runs after settling *)
   sc_events : int;
   sc_deliveries : int;
@@ -49,6 +54,7 @@ let run_one ~n ~horizon =
   (* settle: every member runs its first quantum and parks on a read;
      the tokens are now in flight *)
   Bus.run ~until:0.0 bus;
+  let words = Obj.reachable_words (Obj.repr bus) in
   let engine = Bus.engine bus in
   let events0 = Dr_sim.Engine.events_fired engine in
   let passes () =
@@ -68,6 +74,7 @@ let run_one ~n ~horizon =
   { sc_n = n;
     sc_load_ms = (t0 -. tl) *. 1e3;
     sc_deploy_ms = (t1 -. t0) *. 1e3;
+    sc_words_per_instance = float_of_int words /. float_of_int n;
     sc_horizon = horizon;
     sc_events = Dr_sim.Engine.events_fired engine - events0;
     sc_deliveries = deliveries;
@@ -89,19 +96,20 @@ let header () =
   print_endline "==============================================================";
   print_endline "Bus scaling: N-member ring, N/10 tokens, fixed virtual horizon";
   print_endline "==============================================================";
-  Printf.printf "%8s %10s %12s %9s %10s %12s %8s %14s %9s %9s\n" "N"
-    "load(ms)" "deploy(ms)" "horizon" "events" "deliveries" "ev/del"
-    "deliveries/s" "minor/del" "promo/del";
-  Printf.printf "%s\n" (String.make 109 '-')
+  Printf.printf "%8s %10s %12s %10s %9s %10s %12s %8s %14s %9s %9s\n" "N"
+    "load(ms)" "deploy(ms)" "words/inst" "horizon" "events" "deliveries"
+    "ev/del" "deliveries/s" "minor/del" "promo/del";
+  Printf.printf "%s\n" (String.make 120 '-')
 
 let sweep ~sizes ~deliveries =
   List.map
     (fun n ->
       let r = run_one ~n ~horizon:(horizon_for ~deliveries n) in
-      Printf.printf "%8d %10.1f %12.1f %9.0f %10d %12d %8.3f %14.0f %9.2f %9.2f\n%!"
-        r.sc_n r.sc_load_ms r.sc_deploy_ms r.sc_horizon r.sc_events r.sc_deliveries
-        (events_per_delivery r) r.sc_rate (minor_per_delivery r)
-        (promoted_per_delivery r);
+      Printf.printf
+        "%8d %10.1f %12.1f %10.1f %9.0f %10d %12d %8.3f %14.0f %9.2f %9.2f\n%!"
+        r.sc_n r.sc_load_ms r.sc_deploy_ms r.sc_words_per_instance r.sc_horizon
+        r.sc_events r.sc_deliveries (events_per_delivery r) r.sc_rate
+        (minor_per_delivery r) (promoted_per_delivery r);
       r)
     sizes
 
@@ -110,6 +118,7 @@ let row_json r =
     [ ("n", Json_out.int r.sc_n);
       ("load_ms", Json_out.float r.sc_load_ms);
       ("deploy_ms", Json_out.float r.sc_deploy_ms);
+      ("words_per_instance", Json_out.float r.sc_words_per_instance);
       ("horizon_vms", Json_out.float r.sc_horizon);
       ("events", Json_out.int r.sc_events);
       ("deliveries", Json_out.int r.sc_deliveries);
@@ -132,21 +141,25 @@ let fail fmt =
       exit 1)
     fmt
 
-(* Deterministic gates: the batched path must keep the bus at about one
-   engine event per delivery, and a delivery must allocate only about
-   what it keeps. *)
+(* Deterministic gates: an instance holds only what it uses, the batched
+   path keeps the bus at about one engine event per delivery, and a
+   delivery allocates only about what it keeps. *)
 let gate_rows rows =
   List.iter
     (fun r ->
+      if r.sc_n >= 1000 && r.sc_words_per_instance > 160.0 then
+        fail "N=%d: %.1f words per instance (gate <= 160)" r.sc_n
+          r.sc_words_per_instance;
       if r.sc_n >= 1000 && events_per_delivery r > 1.1 then
         fail "N=%d: %.3f events per delivery (gate <= 1.1)" r.sc_n
           (events_per_delivery r);
-      if r.sc_n >= 1000 && minor_per_delivery r > 55.0 then
-        fail "N=%d: %.1f minor words per delivery (gate <= 55)" r.sc_n
+      if r.sc_n >= 1000 && minor_per_delivery r > 30.0 then
+        fail "N=%d: %.1f minor words per delivery (gate <= 30)" r.sc_n
           (minor_per_delivery r))
     rows;
   Printf.printf
-    "gate: events/delivery <= 1.1 and minor words/delivery <= 55 at N >= 1000\n%!"
+    "gate: words/instance <= 160, events/delivery <= 1.1 and minor \
+     words/delivery <= 30 at N >= 1000\n%!"
 
 let full ?(sizes = [ 10; 100; 1000; 10_000; 100_000 ]) () =
   header ();

@@ -42,6 +42,16 @@ and out_memo = {
   om_dests : dest_entry array;
 }
 
+(* An input queue: a ring buffer of values whose capacity is a power of
+   two, or [[||]] until a value arrives. A pop clears the slot it
+   empties, so the buffer keeps nothing alive. *)
+and queue = {
+  q_iface : string;
+  mutable q_buf : Value.t array;
+  mutable q_head : int;  (* slot of the oldest value *)
+  mutable q_len : int;
+}
+
 and process = {
   p_instance : string;
   p_module : string;
@@ -52,10 +62,9 @@ and process = {
   mutable p_host : host;
   p_spec : Dr_mil.Spec.module_spec option;
   p_machine : Machine.t;
-  p_queues : (string, Value.t Queue.t) Hashtbl.t;
-  (* memo of the last queue handed out: a machine polls/reads the same
-     interface repeatedly, so io_query/io_read skip the hash lookup *)
-  mutable p_last_queue : (string * Value.t Queue.t) option;
+  mutable p_queues : queue list;
+      (* one per interface touched so far, newest first: a process has
+         one to three, so a lookup is a string compare or two *)
   mutable p_outputs : string list;  (* reverse order *)
   mutable p_divulged : Image.t list;  (* queue of divulged images *)
   mutable p_on_divulge : (Image.t -> unit) option;
@@ -181,11 +190,13 @@ type t = {
   (* failure-detector tunables for detectors started on this bus *)
   mutable det_config : detector_config;
   mutable spawn_gen : int;  (* next spawn generation number *)
-  (* spawn generation of the process whose quantum is running, -1
-     between quanta (quanta never nest: nothing steps the engine from
-     inside one). A machine killed by its own divulge callback runs the
-     rest of that quantum, so [kill] must not release it yet. *)
-  mutable in_quantum : int;
+  (* the process whose quantum is running, [no_process] between quanta
+     (quanta never nest: nothing steps the engine from inside one). Only
+     a quantum steps a machine, so [bus_io] acts on this process. A
+     machine killed by its own divulge callback runs the rest of that
+     quantum, so [kill] must not release it yet. *)
+  mutable running : process;
+  bus_io : Dr_interp.Io_intf.t;  (* every machine's io *)
   (* model-checker observation point: called on every successful enqueue
      into an input queue. Passive — never schedules, never traces. *)
   mutable delivery_obs :
@@ -209,11 +220,11 @@ let install_collectors t registry =
         (float_of_int (Hashtbl.length t.live));
       Hashtbl.iter
         (fun instance p ->
-          Hashtbl.iter
-            (fun iface q ->
+          List.iter
+            (fun q ->
               Metrics.set_gauge r "bus.queue_depth"
-                ~labels:[ ("instance", instance); ("iface", iface) ]
-                (float_of_int (Queue.length q)))
+                ~labels:[ ("instance", instance); ("iface", q.q_iface) ]
+                (float_of_int q.q_len))
             p.p_queues)
         t.live;
       (* the send and delivery paths bump plain counters; surface them,
@@ -237,48 +248,56 @@ let no_batch =
   { b_due = nan; b_dests = [||]; b_values = [||]; b_woken = [||]; b_len = 0;
     b_drain = vacant }
 
-let create ?(params = default_params) ~hosts () =
-  let t =
-    { engine = Engine.create ();
-      trace = Trace.create ();
-      bus_params = params;
-      bus_hosts = hosts;
-      programs = Hashtbl.create 8;
-      procs_rev = [];
-      live = Hashtbl.create 64;
-      routes_rev = [];
-      route_index = Hashtbl.create 64;
-      fault_hooks = None;
-      down_hosts = Hashtbl.create 4;
-      transport = None;
-      activity_hook = None;
-      corrupt_images = Hashtbl.create 4;
-      bus_metrics = None;
-      batches_open = Hashtbl.create 32;
-      last_batch = no_batch;
-      spare_batches = [];
-      in_flight = 0;
-      routed = 0;
-      delivered = 0;
-      batches = 0;
-      batched = 0;
-      routes_version = 0;
-      bus_wal = None;
-      ctl_appends = 0;
-      ctl_crash_at = None;
-      ctl_down = false;
-      ctl_next_sid = 0;
-      ctl_open = 0;
-      drain_members = Hashtbl.create 4;
-      draining = Hashtbl.create 4;
-      drain_cursor = 0;
-      det_config = default_detector_config;
-      spawn_gen = 0;
-      in_quantum = -1;
-      delivery_obs = None }
-  in
-  if Metrics.enabled_from_env () then set_metrics t (Metrics.create ());
-  t
+(* What [t.running] holds between quanta: a process never registered
+   and never run. *)
+let no_process =
+  { p_instance = ""; p_module = ""; p_gen = -1;
+    p_host = { host_name = ""; arch = Dr_state.Arch.x86_64 }; p_spec = None;
+    p_machine =
+      Machine.create ~io:(Dr_interp.Io_intf.null ())
+        { Dr_lang.Ast.module_name = ""; globals = []; procs = [] };
+    p_queues = []; p_outputs = []; p_divulged = []; p_on_divulge = None;
+    p_alive = false; p_scheduled = false; p_started = 0.0; p_ended = None;
+    p_out_memo = None; p_wake = vacant }
+
+(* ------------------------------------------------------- input queues *)
+
+(* Append, doubling a full buffer (oldest value first). A delivery into
+   a queue with room stores one value and allocates nothing. *)
+let queue_push q v =
+  let cap = Array.length q.q_buf in
+  if q.q_len = cap then begin
+    let buf = Array.make (max 1 (2 * cap)) Value.Vnull in
+    for i = 0 to q.q_len - 1 do
+      buf.(i) <- q.q_buf.((q.q_head + i) land (cap - 1))
+    done;
+    q.q_buf <- buf;
+    q.q_head <- 0
+  end;
+  q.q_buf.((q.q_head + q.q_len) land (Array.length q.q_buf - 1)) <- v;
+  q.q_len <- q.q_len + 1
+
+(* The oldest value of a non-empty queue. *)
+let queue_pop q =
+  let v = q.q_buf.(q.q_head) in
+  q.q_buf.(q.q_head) <- Value.Vnull;
+  q.q_head <- (q.q_head + 1) land (Array.length q.q_buf - 1);
+  q.q_len <- q.q_len - 1;
+  v
+
+(* Oldest first. *)
+let queue_to_list q =
+  let mask = Array.length q.q_buf - 1 in
+  List.init q.q_len (fun i -> q.q_buf.((q.q_head + i) land mask))
+
+(* Pop every value: the buffer stays for the values to come. *)
+let queue_clear q =
+  while q.q_len > 0 do
+    ignore (queue_pop q : Value.t)
+  done
+
+(* Messages waiting in all of [p]'s queues. *)
+let queued p = List.fold_left (fun acc q -> acc + q.q_len) 0 p.p_queues
 
 let engine t = t.engine
 let trace t = t.trace
@@ -436,10 +455,8 @@ let crash_host t ~host =
         if p.p_alive && String.equal p.p_host.host_name host then begin
           crash_process t ~instance:p.p_instance
             ~reason:(Printf.sprintf "host %s crashed" host);
-          let dropped =
-            Hashtbl.fold (fun _ q acc -> acc + Queue.length q) p.p_queues 0
-          in
-          Hashtbl.iter (fun _ q -> Queue.clear q) p.p_queues;
+          let dropped = queued p in
+          List.iter queue_clear p.p_queues;
           if dropped > 0 then
             record t
               (E.Host_crash_lost { instance = p.p_instance; count = dropped })
@@ -550,13 +567,12 @@ let schedule_proc t p ~delay thunk =
    Its execution state, queues, parked images and memos go. *)
 let release p =
   Machine.retire p.p_machine;
-  Hashtbl.reset p.p_queues;
-  p.p_last_queue <- None;
+  p.p_queues <- [];
   p.p_divulged <- [];
   p.p_out_memo <- None
 
 let end_quantum t p =
-  t.in_quantum <- -1;
+  t.running <- no_process;
   if not p.p_alive then release p
 
 let rec schedule_quantum t p ~delay =
@@ -579,7 +595,7 @@ and run_quantum t p =
     (* the machine's budgeted loop pays one status check per instruction
        instead of a [step] call, and dispatches fused runs that fit the
        quantum *)
-    t.in_quantum <- p.p_gen;
+    t.running <- p;
     let executed =
       match Machine.exec_budget p.p_machine t.bus_params.quantum with
       | n -> n
@@ -668,25 +684,22 @@ let all_routes t = List.rev t.routes_rev
 
 (* -------------------------------------------------------------- queues *)
 
-let queue_of p iface =
-  match p.p_last_queue with
-  | Some (cached, q) when String.equal cached iface -> q
-  | _ ->
-    let q =
-      match Hashtbl.find_opt p.p_queues iface with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.replace p.p_queues iface q;
-        q
-    in
-    p.p_last_queue <- Some (iface, q);
+(* [p]'s queue for [iface], made at the first touch, a read-only query
+   included: [queue_contents] lists every interface touched. *)
+let rec queue_in qs p iface =
+  match qs with
+  | q :: rest -> if String.equal q.q_iface iface then q else queue_in rest p iface
+  | [] ->
+    let q = { q_iface = iface; q_buf = [||]; q_head = 0; q_len = 0 } in
+    p.p_queues <- q :: p.p_queues;
     q
+
+let queue_of p iface = queue_in p.p_queues p iface
 
 let pending_messages t (instance, iface) =
   match find_proc t instance with
   | None -> 0
-  | Some p -> Queue.length (queue_of p iface)
+  | Some p -> (queue_of p iface).q_len
 
 (* ---------------------------------------------- drain-aware routing *)
 
@@ -800,7 +813,7 @@ let drain_redirect t dst =
    reader's quantum runs. *)
 let enqueue t kind p ~dst value =
   notify_delivery t ~dst ~kind value;
-  Queue.add value (queue_of p (snd dst));
+  queue_push (queue_of p (snd dst)) value;
   match Machine.status p.p_machine with
   | Machine.Blocked_read blocked_iface when String.equal blocked_iface (snd dst)
     ->
@@ -834,12 +847,11 @@ let copy_queue t ~src ~dst =
   | None -> ()
   | Some sp ->
     let q = queue_of sp (snd src) in
-    let moved = Queue.length q in
+    let moved = q.q_len in
     (* drain first: when [dst] is (or routes back into) [src], delivery
-       appends to the very queue being copied, and iterating it while
-       appending is unspecified *)
-    let values = List.of_seq (Queue.to_seq q) in
-    Queue.clear q;
+       appends to the very queue being copied *)
+    let values = queue_to_list q in
+    queue_clear q;
     List.iter (fun v -> deliver_k t Transfer ~dst v) values;
     record t (E.Queue_copied { src; dst; count = moved })
 
@@ -848,22 +860,22 @@ let take_queue t ep =
   | None -> []
   | Some p ->
     let q = queue_of p (snd ep) in
-    let values = List.of_seq (Queue.to_seq q) in
-    Queue.clear q;
+    let values = queue_to_list q in
+    queue_clear q;
     values
 
 let peek_queue t ep =
   match find_proc t (fst ep) with
   | None -> []
-  | Some p -> List.of_seq (Queue.to_seq (queue_of p (snd ep)))
+  | Some p -> queue_to_list (queue_of p (snd ep))
 
 let drop_queue t ep =
   match find_proc t (fst ep) with
   | None -> ()
   | Some p ->
     let q = queue_of p (snd ep) in
-    let dropped = Queue.length q in
-    Queue.clear q;
+    let dropped = q.q_len in
+    queue_clear q;
     record t (E.Queue_removed { ep; count = dropped })
 
 (* ------------------------------------------------------------- send *)
@@ -1148,46 +1160,91 @@ let deliver_now t ~dst value =
       true
     end
 
-(* -------------------------------------------------------------- spawn *)
+(* ----------------------------------------------------------------- io *)
 
-(* The io closures need the process record, and the process record needs
-   the machine built over the io: tie the knot with a forward reference,
-   resolved before the machine ever steps. *)
-let instance_io t (p_ref : process option ref) : Dr_interp.Io_intf.t =
-  let the_proc () =
-    match !p_ref with
-    | Some p -> p
-    | None -> invalid_arg "bus: io used before the process was registered"
+(* The bus has one io, and every machine runs over it: it acts on the
+   process whose quantum is running. *)
+let running t =
+  let p = t.running in
+  if p == no_process then invalid_arg "bus: io used outside a quantum";
+  p
+
+let io_read t iface =
+  let q = queue_of (running t) iface in
+  if q.q_len = 0 then None else Some (queue_pop q)
+
+let io_print t line =
+  let p = running t in
+  p.p_outputs <- line :: p.p_outputs;
+  record t (E.Print { instance = p.p_instance; line })
+
+let io_encode t image =
+  let p = running t in
+  record t
+    (E.Divulged
+       { instance = p.p_instance;
+         records = Image.depth image;
+         bytes = Image.byte_size image });
+  match p.p_on_divulge with
+  | Some callback ->
+    p.p_on_divulge <- None;
+    callback image
+  | None -> p.p_divulged <- p.p_divulged @ [ image ]
+
+let create ?(params = default_params) ~hosts () =
+  let rec t =
+    { engine = Engine.create ();
+      trace = Trace.create ();
+      bus_params = params;
+      bus_hosts = hosts;
+      programs = Hashtbl.create 8;
+      procs_rev = [];
+      live = Hashtbl.create 64;
+      routes_rev = [];
+      route_index = Hashtbl.create 64;
+      fault_hooks = None;
+      down_hosts = Hashtbl.create 4;
+      transport = None;
+      activity_hook = None;
+      corrupt_images = Hashtbl.create 4;
+      bus_metrics = None;
+      batches_open = Hashtbl.create 32;
+      last_batch = no_batch;
+      spare_batches = [];
+      in_flight = 0;
+      routed = 0;
+      delivered = 0;
+      batches = 0;
+      batched = 0;
+      routes_version = 0;
+      bus_wal = None;
+      ctl_appends = 0;
+      ctl_crash_at = None;
+      ctl_down = false;
+      ctl_next_sid = 0;
+      ctl_open = 0;
+      drain_members = Hashtbl.create 4;
+      draining = Hashtbl.create 4;
+      drain_cursor = 0;
+      det_config = default_detector_config;
+      spawn_gen = 0;
+      running = no_process;
+      bus_io =
+        { io_query = (fun iface -> (queue_of (running t) iface).q_len > 0);
+          io_read = (fun iface -> io_read t iface);
+          io_write = (fun iface value -> route_message t (running t) iface value);
+          io_print = (fun line -> io_print t line);
+          io_now = (fun () -> now t);
+          io_encode = (fun image -> io_encode t image);
+          io_decode = (fun () -> None)
+            (* images arrive via [deposit_state], which feeds the machine
+               directly; mh_decode blocks otherwise *) };
+      delivery_obs = None }
   in
-  { io_query =
-      (fun iface -> not (Queue.is_empty (queue_of (the_proc ()) iface)));
-    io_read =
-      (fun iface ->
-        let q = queue_of (the_proc ()) iface in
-        if Queue.is_empty q then None else Some (Queue.take q));
-    io_write = (fun iface value -> route_message t (the_proc ()) iface value);
-    io_print =
-      (fun line ->
-        let p = the_proc () in
-        p.p_outputs <- line :: p.p_outputs;
-        record t (E.Print { instance = p.p_instance; line }));
-    io_now = (fun () -> now t);
-    io_encode =
-      (fun image ->
-        let p = the_proc () in
-        record t
-          (E.Divulged
-             { instance = p.p_instance;
-               records = Image.depth image;
-               bytes = Image.byte_size image });
-        match p.p_on_divulge with
-        | Some callback ->
-          p.p_on_divulge <- None;
-          callback image
-        | None -> p.p_divulged <- p.p_divulged @ [ image ]);
-    io_decode = (fun () -> None)
-      (* images arrive via [deposit_state], which feeds the machine
-         directly; mh_decode blocks otherwise *) }
+  if Metrics.enabled_from_env () then set_metrics t (Metrics.create ());
+  t
+
+(* -------------------------------------------------------------- spawn *)
 
 (* Where a new instance may go: the name must be free and the host
    known and up. *)
@@ -1201,11 +1258,9 @@ let placement t ~instance ~host =
       Error (Printf.sprintf "host %s is down" host)
     | Some h -> Ok h
 
-(* Build a process around [make_machine]'s machine and register it: the
-   roster and the live table. *)
-let register t ~instance ~module_name ~host ~spec make_machine =
-  let p_ref = ref None in
-  let machine = make_machine (instance_io t p_ref) in
+(* Build a process around [machine] and register it: the roster and the
+   live table. *)
+let register t ~instance ~module_name ~host ~spec machine =
   let gen = t.spawn_gen in
   t.spawn_gen <- t.spawn_gen + 1;
   let started = now t in
@@ -1216,8 +1271,7 @@ let register t ~instance ~module_name ~host ~spec make_machine =
       p_host = host;
       p_spec = spec;
       p_machine = machine;
-      p_queues = Hashtbl.create 8;
-      p_last_queue = None;
+      p_queues = [];
       p_outputs = [];
       p_divulged = [];
       p_on_divulge = None;
@@ -1228,7 +1282,6 @@ let register t ~instance ~module_name ~host ~spec make_machine =
       p_out_memo = None;
       p_wake = (fun () -> wake_proc t p) }
   in
-  p_ref := Some p;
   t.procs_rev <- p :: t.procs_rev;
   Hashtbl.replace t.live instance p;
   p
@@ -1241,10 +1294,10 @@ let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
     | None -> Error (Printf.sprintf "module %s is not registered" module_name)
     | Some artifact ->
       let p =
-        register t ~instance ~module_name ~host:h ~spec (fun io ->
-            Machine.create ~status_attr:status ~io
-              ~resolved:artifact.Dr_interp.Cache.a_resolved
-              artifact.Dr_interp.Cache.a_program)
+        register t ~instance ~module_name ~host:h ~spec
+          (Machine.create ~status_attr:status ~io:t.bus_io
+             ~resolved:artifact.Dr_interp.Cache.a_resolved
+             artifact.Dr_interp.Cache.a_program)
       in
       m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
       record t
@@ -1260,7 +1313,7 @@ let spawn_snapshot t ~of_instance ~instance ~host =
   | Some source, Ok h ->
     let p =
       register t ~instance ~module_name:source.p_module ~host:h
-        ~spec:source.p_spec (fun io -> Machine.clone source.p_machine ~io)
+        ~spec:source.p_spec (Machine.clone source.p_machine ~io:t.bus_io)
     in
     record t (E.Snapshot_cloned { of_instance; instance; host = h.host_name });
     (* re-arm scheduling for whatever state the snapshot was in *)
@@ -1288,12 +1341,10 @@ let kill t ~instance =
       p.p_on_divulge <- None;
       record t (E.Removed_pending_divulge instance)
     end;
-    let dropped =
-      Hashtbl.fold (fun _ q acc -> acc + Queue.length q) p.p_queues 0
-    in
+    let dropped = queued p in
     if dropped > 0 then
       record t (E.Removed_undelivered { instance; count = dropped });
-    if p.p_gen <> t.in_quantum then release p
+    if p != t.running then release p
 
 type roster_entry = {
   r_instance : string;
@@ -1337,9 +1388,7 @@ let queue_contents t ~instance =
   | Some p ->
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold
-         (fun iface q acc -> (iface, List.of_seq (Queue.to_seq q)) :: acc)
-         p.p_queues [])
+      (List.map (fun q -> (q.q_iface, queue_to_list q)) p.p_queues)
 
 let instance_spec t ~instance =
   Option.bind (find_proc t instance) (fun p -> p.p_spec)

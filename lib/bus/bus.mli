@@ -34,7 +34,9 @@ val create : ?params:params -> hosts:host list -> unit -> t
     (a delivery batch). In model-checking mode
     ({!Dr_sim.Engine.mc_enable}) each message is instead its own
     [deliver] event and each woken quantum its own event, so the
-    explorer sees every delivery as a choice point. *)
+    explorer sees every delivery as a choice point. Every machine on the
+    bus runs over one io, which acts on the process whose quantum is
+    running. *)
 
 val engine : t -> Dr_sim.Engine.t
 val trace : t -> Dr_sim.Trace.t

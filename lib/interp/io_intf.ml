@@ -1,5 +1,6 @@
-(* The machine's window onto the outside world. The software bus supplies
-   an implementation; tests use in-memory stubs. *)
+(* The machine's window onto the outside world. The software bus builds
+   one for all its machines, acting on the machine whose quantum is
+   running; tests use in-memory stubs. *)
 
 type t = {
   io_query : string -> bool;

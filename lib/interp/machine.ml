@@ -61,7 +61,7 @@ type t = {
   global_index : (string, int) Hashtbl.t;  (* shared, read-only *)
   mutable stack : frame list;
   mutable depth : int;  (* = List.length stack, maintained on push/pop *)
-  heap : (int, Image.heap_block) Hashtbl.t;
+  mutable heap : (int, Image.heap_block) Hashtbl.t;  (* [no_heap] until used *)
   mutable next_block : int;
   mutable mstatus : status;
   mutable last_blocked : status;  (* the last [Blocked_read], for reuse *)
@@ -89,6 +89,14 @@ type t = {
 }
 
 let max_stack_depth = 4096
+
+(* The heap of every machine that holds no block: one shared table that
+   nothing writes. A machine gets its own table at its first block. *)
+let no_heap : (int, Image.heap_block) Hashtbl.t = Hashtbl.create 1
+
+let own_heap t =
+  if t.heap == no_heap then t.heap <- Hashtbl.create 16;
+  t.heap
 
 let status t = t.mstatus
 
@@ -123,7 +131,7 @@ let force_crash t reason =
 let retire t =
   t.stack <- [];
   t.depth <- 0;
-  Hashtbl.reset t.heap;
+  t.heap <- no_heap;
   t.capture_records <- [];
   t.restore_records <- [];
   t.point_hook <- None
@@ -199,7 +207,7 @@ let alloc_block t elem_ty n =
   if n < 0 then runtime "negative allocation size %d" n;
   let id = t.next_block in
   t.next_block <- id + 1;
-  Hashtbl.replace t.heap id
+  Hashtbl.replace (own_heap t) id
     { Image.elem_ty; cells = Array.make n (Value.default_of_ty elem_ty) };
   Value.Varr id
 
@@ -420,7 +428,7 @@ let feed_image t (image : Image.t) =
       let id = t.next_block in
       t.next_block <- id + 1;
       Hashtbl.replace mapping old_id id;
-      Hashtbl.replace t.heap id
+      Hashtbl.replace (own_heap t) id
         { Image.elem_ty = block.elem_ty; cells = Array.copy block.cells })
     image.heap;
   let remap_value v =
@@ -787,12 +795,18 @@ let clone t ~io =
           ret_slot = Option.map copy_cell f.ret_slot })
       t.stack
   in
-  let heap = Hashtbl.create (Hashtbl.length t.heap) in
-  Hashtbl.iter
-    (fun id (block : Image.heap_block) ->
-      Hashtbl.replace heap id
-        { Image.elem_ty = block.elem_ty; cells = Array.copy block.cells })
-    t.heap;
+  let heap =
+    if Hashtbl.length t.heap = 0 then no_heap
+    else begin
+      let heap = Hashtbl.create (Hashtbl.length t.heap) in
+      Hashtbl.iter
+        (fun id (block : Image.heap_block) ->
+          Hashtbl.replace heap id
+            { Image.elem_ty = block.elem_ty; cells = Array.copy block.cells })
+        t.heap;
+      heap
+    end
+  in
   { prog = t.prog;
     rprog = t.rprog;
     procs = t.procs;
@@ -849,7 +863,7 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
   let t =
     { prog; rprog; procs = rprog.rg_procs; proc_index = rprog.rg_proc_index;
       procs_local = false; globals; global_index = rprog.rg_global_index;
-      stack = []; depth = 0; heap = Hashtbl.create 16;
+      stack = []; depth = 0; heap = no_heap;
       next_block = 0; mstatus = Ready; last_blocked = Ready;
       pending_signal = false; handler = None;
       capture_records = []; restore_records = [];

@@ -150,7 +150,7 @@ val clone : t -> io:Io_intf.t -> t
     state (globals, frames with program counters, heap, buffers). This is
     the approach the paper's abstract format replaces — it only works
     between identical "machines". Cell aliasing from by-reference
-    parameters is preserved. The clone gets fresh io callbacks. *)
+    parameters is preserved. The clone runs over [io]. *)
 
 val state_size : t -> int
 (** Abstract byte size of the full machine state (globals + all frame

@@ -398,17 +398,27 @@ let check program =
       Hashtbl.replace seen_procs p.proc_name ())
     program.procs;
   (* global initialisers must be literals or simple expressions over
-     literals; they may not call procedures. *)
+     literals; they may not call procedures, nor read an interface: they
+     run while the instance is being built, before it has a queue. *)
+  let rec reads_interface = function
+    | Builtin ("mh_query", _) -> true
+    | Int _ | Float _ | Bool _ | Str _ | Null | Var _ -> false
+    | Index (a, b) | Binop (_, a, b) -> reads_interface a || reads_interface b
+    | Addr (_, e) | Unop (_, e) -> reads_interface e
+    | Call (_, args) | Builtin (_, args) -> List.exists reads_interface args
+  in
+  let global_error g what =
+    errors :=
+      { message = Printf.sprintf "global %s: initialiser may not %s" g.gname what;
+        where = "<globals>"; line = g.gline }
+      :: !errors
+  in
   List.iter
     (fun g ->
       match g.ginit with
       | Some init when calls_in_block [ stmt (Assign (Lvar g.gname, init)) ] <> [] ->
-        errors :=
-          { message =
-              Printf.sprintf "global %s: initialiser may not call procedures"
-                g.gname;
-            where = "<globals>"; line = g.gline }
-          :: !errors
+        global_error g "call procedures"
+      | Some init when reads_interface init -> global_error g "read an interface"
       | _ -> ())
     program.globals;
   let dummy_proc =

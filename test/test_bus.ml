@@ -1,6 +1,7 @@
 module Bus = Dr_bus.Bus
 module Machine = Dr_interp.Machine
 module Value = Dr_state.Value
+module E = Dr_sim.Trace_event
 
 let hosts =
   [ { Bus.host_name = "hostA"; arch = Dr_state.Arch.x86_64 };
@@ -623,6 +624,156 @@ let test_roster_records_history () =
     Alcotest.(check bool) "work recorded" true (entry.r_instrs > 0)
   | roster -> Alcotest.failf "expected one entry, got %d" (List.length roster)
 
+(* ------------------------------------------------------ what it holds *)
+
+(* Every word reachable from a settled ring's bus, per member: each
+   member has run its first quantum and parked on its read. The bus is
+   built without the registry DRC_METRICS would attach, which keeps
+   counters per instance of its own: the pin is on what the bus holds,
+   not on an observer. *)
+let test_words_per_member () =
+  let module Ring = Dr_workloads.Ring in
+  let n = 1000 in
+  let metrics = Option.value ~default:"" (Sys.getenv_opt "DRC_METRICS") in
+  let bus =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "DRC_METRICS" metrics)
+      (fun () ->
+        Unix.putenv "DRC_METRICS" "";
+        Ring.start_large (Ring.load_large ~n) ~n ~tokens:(n / 10))
+  in
+  Alcotest.(check bool) "no registry" true (Bus.metrics bus = None);
+  Bus.run ~until:0.0 bus;
+  let per_member =
+    float_of_int (Obj.reachable_words (Obj.repr bus)) /. float_of_int n
+  in
+  if per_member > 160.0 then
+    Alcotest.failf "%.1f words per member (bound 160)" per_member
+
+(* The input queues of an instance that never reads, driven through the
+   bus and checked against one [Stdlib.Queue] per interface. A queue
+   exists from its interface's first touch, read-only queries included,
+   and a kill counts what was left undelivered. *)
+type queue_op =
+  | Inject of int * int  (* interface, value *)
+  | Pending of int
+  | Peek of int
+  | Take of int
+  | Drop of int
+  | Copy of int * int
+  | Kill
+
+let print_queue_op = function
+  | Inject (i, v) -> Printf.sprintf "inject %d %d" i v
+  | Pending i -> Printf.sprintf "pending %d" i
+  | Peek i -> Printf.sprintf "peek %d" i
+  | Take i -> Printf.sprintf "take %d" i
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Copy (i, j) -> Printf.sprintf "copy %d %d" i j
+  | Kill -> "kill"
+
+let gen_queue_ops =
+  let open QCheck2.Gen in
+  int_range 1 3 >>= fun ifaces ->
+  let iface = int_bound (ifaces - 1) in
+  list_size (int_range 1 400)
+    (frequency
+       [ (24, map2 (fun i v -> Inject (i, v)) iface small_nat);
+         (2, map (fun i -> Pending i) iface);
+         (2, map (fun i -> Peek i) iface);
+         (2, map (fun i -> Take i) iface);
+         (1, map (fun i -> Drop i) iface);
+         (2, map2 (fun i j -> Copy (i, j)) iface iface);
+         (1, pure Kill) ])
+
+let prop_queue_model =
+  Support.qcheck ~count:300 "input queues behave as Stdlib.Queue"
+    ~print:(fun ops -> String.concat "; " (List.map print_queue_op ops))
+    gen_queue_ops
+    (fun ops ->
+      let bus = make_bus () in
+      register bus "module idle;\nproc main() { mh_init(); }";
+      let start () = spawn bus ~instance:"x" ~module_name:"idle" ~host:"hostA" in
+      start ();
+      let name i = [| "a"; "b"; "c" |].(i) in
+      let model = Array.init 3 (fun _ -> Queue.create ()) in
+      let touched = Array.make 3 false in
+      let values q = List.of_seq (Queue.to_seq q) in
+      let ints = List.map (fun v -> Value.Vint v) in
+      let last_event () =
+        let trace = Bus.trace bus in
+        match Dr_sim.Trace.events_since trace (Dr_sim.Trace.length trace - 1) with
+        | [ (_, ev) ] -> Some ev
+        | _ -> None
+      in
+      let check what expected actual =
+        if expected <> actual then
+          QCheck2.Test.fail_reportf "%s: expected %s, got %s" what
+            (String.concat "," (List.map Value.to_string expected))
+            (String.concat "," (List.map Value.to_string actual))
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Inject (i, v) ->
+            Bus.inject bus ~dst:("x", name i) (Value.Vint v);
+            Queue.add v model.(i);
+            touched.(i) <- true
+          | Pending i ->
+            let n = Bus.pending_messages bus ("x", name i) in
+            if n <> Queue.length model.(i) then
+              QCheck2.Test.fail_reportf "pending %d: expected %d, got %d" i
+                (Queue.length model.(i)) n;
+            touched.(i) <- true
+          | Peek i ->
+            check "peek" (ints (values model.(i))) (Bus.peek_queue bus ("x", name i));
+            touched.(i) <- true
+          | Take i ->
+            check "take" (ints (values model.(i))) (Bus.take_queue bus ("x", name i));
+            Queue.clear model.(i);
+            touched.(i) <- true
+          | Drop i ->
+            let n = Queue.length model.(i) in
+            Bus.drop_queue bus ("x", name i);
+            if last_event () <> Some (E.Queue_removed { ep = ("x", name i); count = n })
+            then QCheck2.Test.fail_reportf "drop %d: %d values not traced" i n;
+            Queue.clear model.(i);
+            touched.(i) <- true
+          | Copy (i, j) ->
+            let moved = values model.(i) in
+            Bus.copy_queue bus ~src:("x", name i) ~dst:("x", name j);
+            Queue.clear model.(i);
+            List.iter (fun v -> Queue.add v model.(j)) moved;
+            touched.(i) <- true;
+            if moved <> [] then touched.(j) <- true
+          | Kill ->
+            let n = Array.fold_left (fun acc q -> acc + Queue.length q) 0 model in
+            Bus.kill bus ~instance:"x";
+            let counted =
+              List.exists
+                (fun (_, ev) ->
+                  ev = E.Removed_undelivered { instance = "x"; count = n })
+                (Dr_sim.Trace.events (Bus.trace bus))
+            in
+            if n > 0 && not counted then
+              QCheck2.Test.fail_reportf "kill: %d undelivered not counted" n;
+            Dr_sim.Trace.clear (Bus.trace bus);
+            Array.iter Queue.clear model;
+            Array.fill touched 0 3 false;
+            start ());
+          let expected =
+            List.filter_map
+              (fun i ->
+                if touched.(i) then Some (name i, ints (values model.(i)))
+                else None)
+              [ 0; 1; 2 ]
+          in
+          if Bus.queue_contents bus ~instance:"x" <> expected then
+            QCheck2.Test.fail_reportf "after %s: queue contents differ"
+              (print_queue_op op))
+        ops;
+      true)
+
 let () =
   Alcotest.run "bus"
     [ ( "messaging",
@@ -635,6 +786,7 @@ let () =
         [ Alcotest.test_case "add/del routes" `Quick test_routes_add_del;
           Alcotest.test_case "queue ops" `Quick test_queue_operations;
           Alcotest.test_case "copy queue to itself" `Quick test_copy_queue_to_self;
+          prop_queue_model;
           Alcotest.test_case "kill and redirect" `Quick test_kill_and_redirect;
           Alcotest.test_case "redirect without multicast duplicates" `Quick
             test_redirect_no_multicast_duplicates ] );
@@ -661,4 +813,6 @@ let () =
             test_plan_refuses_like_deploy;
           Alcotest.test_case "one plan applies to two buses" `Quick
             test_plan_applies_twice;
-          Alcotest.test_case "roster history" `Quick test_roster_records_history ] ) ]
+          Alcotest.test_case "roster history" `Quick test_roster_records_history ] );
+      ( "footprint",
+        [ Alcotest.test_case "words per ring member" `Quick test_words_per_member ] ) ]

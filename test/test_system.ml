@@ -57,6 +57,13 @@ let test_load_errors () =
         "module compute;\nproc main() { var r: float; mh_init(); mh_write(\"display\", r); }")
       :: List.remove_assoc "compute" Dr_workloads.Monitor.sources)
     "no matching label";
+  (* a global initialiser runs before its instance has a queue *)
+  expect_load_error ~mil:m
+    ~sources:
+      (("sensor",
+        "module sensor;\nvar q: bool = mh_query(\"in\");\nproc main() { }")
+      :: List.remove_assoc "sensor" Dr_workloads.Monitor.sources)
+    "global q: initialiser may not read an interface";
   (* a numeral beyond max_int is a lexical error, not an escaping Failure *)
   match
     System.load ~mil:m

@@ -99,6 +99,8 @@ let rejected =
       "module t;\nproc h(x: int) { }\nproc main() { signal(\"h\"); }";
     rejects "global initialiser with call" "may not call"
       "module t;\nproc f(): int { return 1; }\nvar g: int = f();\nproc main() { }";
+    rejects "global initialiser reads an interface" "may not read an interface"
+      "module t;\nvar q: bool = !mh_query(\"in\");\nproc main() { }";
     rejects "global initialiser type" "expected int"
       "module t;\nvar g: int = 1.5;\nproc main() { }";
     rejects "sleep type" "sleep expects" (wrap {|sleep("x");|}) ]
