@@ -1,9 +1,17 @@
 (* The MiniProc abstract machine, running resolved slot-indexed code.
 
-   Frames are flat [cell array]s and every variable access in the
-   interpreter loop is an array read through a pre-computed index (see
-   {!Resolve}); the per-access string hashing of the original engine
-   (kept as the test-only oracle, test/oracle/ast_machine.ml) is gone.
+   A frame holds its slots in two flat arrays, [vals : Value.t array]
+   and [ints : int array], and so do the globals. A slot whose [vals]
+   entry is the static sentinel [unboxed] holds an int in [ints], as a
+   compiled module keeps an int local in a word of its activation
+   record. A by-reference parameter ([Resolve.Sref k]) is the frame's
+   [refs.(k)], set by the call to where the argument lives (a caller's
+   slot or a global); a call's result target is the same kind of
+   reference. Int arithmetic and comparisons over slots and int
+   constants run without boxing ([int_of]). Every variable access is an
+   array read through a pre-computed index (see {!Resolve}); the
+   per-access string hashing of the original engine (kept as the
+   test-only oracle, test/oracle/ast_machine.ml) is gone.
    Untraced execution dispatches superinstructions ({!Resolve.fused});
    a tracer sees every instruction dispatched alone. Observable
    behaviour — prints, statuses, instruction counts, tracer output,
@@ -35,17 +43,20 @@ let pp_status ppf = function
   | Crashed message -> Fmt.pf ppf "crashed(%s)" message
   | Halted -> Fmt.string ppf "halted"
 
-(* A storage cell. By-reference parameters alias cells across frames:
-   a write through the alias lands in the one shared cell. *)
-type cell = { mutable cv : Value.t }
+(* Slot [at] of a frame's or the globals' two arrays: where a
+   by-reference parameter's argument or a call's result lives. *)
+type loc = { lvals : Value.t array; lints : int array; at : int }
 
-let cell_v v = { cv = v }
+(* The result target of a frame whose caller awaits no result. *)
+let no_loc = { lvals = [||]; lints = [||]; at = 0 }
 
 type frame = {
   rproc : R.rproc;
-  slots : cell array;
+  vals : Value.t array;
+  ints : int array;  (* read where [vals] holds [unboxed] *)
+  refs : loc array;  (* by-reference parameters, [Sref k] *)
   mutable pc : int;
-  ret_slot : cell option;  (* caller's temp awaiting the result *)
+  ret : loc;  (* the caller's temp awaiting the result, or [no_loc] *)
 }
 
 type t = {
@@ -57,7 +68,8 @@ type t = {
   mutable procs : R.rproc array;
   mutable proc_index : (string, int) Hashtbl.t;
   mutable procs_local : bool;
-  globals : cell array;
+  gvals : Value.t array;  (* the globals, laid out as a frame's slots *)
+  gints : int array;
   global_index : (string, int) Hashtbl.t;  (* shared, read-only *)
   mutable stack : frame list;
   mutable depth : int;  (* = List.length stack, maintained on push/pop *)
@@ -136,31 +148,11 @@ let retire t =
   t.restore_records <- [];
   t.point_hook <- None
 
-let read_global t name =
-  Option.map
-    (fun i -> t.globals.(i).cv)
-    (Hashtbl.find_opt t.global_index name)
-
-let read_local t name =
-  match t.stack with
-  | [] -> None
-  | frame :: _ ->
-    Option.map
-      (fun i -> frame.slots.(i).cv)
-      (Hashtbl.find_opt frame.rproc.R.rp_slot_index name)
-
 let heap_block t id = Hashtbl.find_opt t.heap id
 
 let heap_size t = Hashtbl.length t.heap
 
 (* ------------------------------------------------------------- values *)
-
-let cell_of_slot t frame = function
-  | R.Sframe i -> frame.slots.(i)
-  | R.Sglobal i -> t.globals.(i)
-  | R.Sunbound name -> runtime "unbound variable %s" name
-
-let set_cell cell v = cell.cv <- v
 
 let block_cells t id =
   match Hashtbl.find_opt t.heap id with
@@ -242,6 +234,61 @@ let[@inline] vint n =
   if n >= 0 && n < small_int_limit then Array.unsafe_get small_ints n
   else Value.Vint n
 
+(* ------------------------------------------------------------- slots *)
+
+(* The [vals] entry of a slot that holds an int in [ints]. Only its
+   address is compared, and no value a program makes is this block. *)
+let unboxed = Value.Vstr "<unboxed int>"
+
+let[@inline] get vals ints i =
+  let v = vals.(i) in
+  if v == unboxed then vint ints.(i) else v
+
+let[@inline] set_int vals ints i n =
+  if vals.(i) != unboxed then vals.(i) <- unboxed;
+  ints.(i) <- n
+
+let[@inline] set vals ints i v =
+  match v with
+  | Value.Vint n -> set_int vals ints i n
+  | v -> vals.(i) <- v
+
+let load t frame = function
+  | R.Sframe i -> get frame.vals frame.ints i
+  | R.Sref k ->
+    let l = frame.refs.(k) in
+    get l.lvals l.lints l.at
+  | R.Sglobal i -> get t.gvals t.gints i
+  | R.Sunbound name -> runtime "unbound variable %s" name
+
+let store t frame slot v =
+  match slot with
+  | R.Sframe i -> set frame.vals frame.ints i v
+  | R.Sref k ->
+    let l = frame.refs.(k) in
+    set l.lvals l.lints l.at v
+  | R.Sglobal i -> set t.gvals t.gints i v
+  | R.Sunbound name -> runtime "unbound variable %s" name
+
+(* Where [slot] lives, for a by-reference argument or a result target:
+   a reference passed on is the same reference. *)
+let loc_of t frame = function
+  | R.Sframe i -> { lvals = frame.vals; lints = frame.ints; at = i }
+  | R.Sref k -> frame.refs.(k)
+  | R.Sglobal i -> { lvals = t.gvals; lints = t.gints; at = i }
+  | R.Sunbound name -> runtime "unbound variable %s" name
+
+let read_global t name =
+  Option.map
+    (fun i -> get t.gvals t.gints i)
+    (Hashtbl.find_opt t.global_index name)
+
+let read_local t name =
+  match t.stack with
+  | [] -> None
+  | frame :: _ ->
+    Option.map (load t frame) (Hashtbl.find_opt frame.rproc.R.rp_slot_index name)
+
 (* Top-level functions of their operands, so a binary operation
    allocates no closure. *)
 let arith fi ff va vb =
@@ -262,8 +309,11 @@ let compare_values va vb =
 let rec eval t frame (e : R.rexpr) : Value.t =
   match e with
   | Rconst v -> v
-  | Rframe i -> frame.slots.(i).cv
-  | Rglobal i -> t.globals.(i).cv
+  | Rframe i -> get frame.vals frame.ints i
+  | Rref k ->
+    let l = frame.refs.(k) in
+    get l.lvals l.lints l.at
+  | Rglobal i -> get t.gvals t.gints i
   | Runbound name -> runtime "unbound variable %s" name
   | Rindex (base, idx) ->
     let b = eval t frame base in
@@ -271,7 +321,7 @@ let rec eval t frame (e : R.rexpr) : Value.t =
     heap_load t b i
   | Raddr (slot, idx) -> (
     let i = as_int (eval t frame idx) in
-    match (cell_of_slot t frame slot).cv with
+    match load t frame slot with
     | Varr id -> Vptr (id, i)
     | Vptr (id, off) -> Vptr (id, off + i)
     | Vnull -> runtime "cannot take the address into null"
@@ -344,6 +394,81 @@ and eval_builtin t frame name args =
   | "now" -> Vfloat (t.io.io_now ())
   | _ -> runtime "unknown builtin %s" name
 
+(* ------------------------------------------------- unboxed evaluation *)
+
+(* [int_of] cannot evaluate the expression: [eval] does, from the
+   start. *)
+exception Boxed
+
+let[@inline] int_slot vals ints i =
+  let v = vals.(i) in
+  if v == unboxed then ints.(i)
+  else match v with Value.Vint n -> n | _ -> raise_notrace Boxed
+
+let[@inline] nonzero n = if n = 0 then raise_notrace Boxed else n
+
+(* The int that [eval] returns as a [Vint] for int arithmetic over
+   slots and int constants, computed without boxing. It only reads
+   slots, and raises [Boxed] on anything else, a builtin or a division
+   or modulo by zero included, so [eval] makes every side effect and
+   every error. *)
+let rec int_of t frame (e : R.rexpr) =
+  match e with
+  | Rconst (Vint n) -> n
+  | Rframe i -> int_slot frame.vals frame.ints i
+  | Rref k ->
+    let l = frame.refs.(k) in
+    int_slot l.lvals l.lints l.at
+  | Rglobal i -> int_slot t.gvals t.gints i
+  | Rneg e -> -int_of t frame e
+  | Rbinop (Add, a, b) -> int_of t frame a + int_of t frame b
+  | Rbinop (Sub, a, b) -> int_of t frame a - int_of t frame b
+  | Rbinop (Mul, a, b) -> int_of t frame a * int_of t frame b
+  | Rbinop (Div, a, b) ->
+    let x = int_of t frame a in
+    x / nonzero (int_of t frame b)
+  | Rbinop (Mod, a, b) ->
+    let x = int_of t frame a in
+    x mod nonzero (int_of t frame b)
+  | _ -> raise_notrace Boxed
+
+(* A branch condition: an int comparison runs unboxed. *)
+let test t frame (e : R.rexpr) =
+  match e with
+  | Rbinop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
+    match (int_of t frame a, int_of t frame b) with
+    | x, y -> (
+      match op with
+      | Eq -> x = y
+      | Ne -> x <> y
+      | Lt -> x < y
+      | Le -> x <= y
+      | Gt -> x > y
+      | _ -> x >= y)
+    | exception Boxed -> as_bool (eval t frame e))
+  | _ -> as_bool (eval t frame e)
+
+(* Evaluate [e] into slot [i] of [vals]/[ints]; an int computed by
+   [int_of] is stored without ever being boxed. *)
+let assign t frame vals ints i (e : R.rexpr) =
+  match e with
+  | Rframe _ | Rref _ | Rglobal _ | Rneg _
+  | Rbinop ((Add | Sub | Mul | Div | Mod), _, _) -> (
+    match int_of t frame e with
+    | n -> set_int vals ints i n
+    | exception Boxed -> set vals ints i (eval t frame e))
+  | _ -> set vals ints i (eval t frame e)
+
+(* The value first, then the target, as [store t frame slot (eval …)]. *)
+let assign_slot t frame slot e =
+  match slot with
+  | R.Sframe i -> assign t frame frame.vals frame.ints i e
+  | R.Sref k ->
+    let l = frame.refs.(k) in
+    assign t frame l.lvals l.lints l.at e
+  | R.Sglobal i -> assign t frame t.gvals t.gints i e
+  | R.Sunbound _ -> store t frame slot (eval t frame e)
+
 (* ------------------------------------------------------------- frames *)
 
 let find_proc_code t name =
@@ -351,43 +476,43 @@ let find_proc_code t name =
   | Some i -> t.procs.(i)
   | None -> runtime "call to unknown procedure %s" name
 
-let make_frame t caller (rproc : R.rproc) (args : R.rcall_arg array) ret_slot =
+let new_frame (rproc : R.rproc) ret =
+  let vals = Array.copy rproc.rp_defaults in
+  { rproc; vals; ints = Array.make (Array.length vals) 0;
+    refs = Array.make rproc.rp_nrefs no_loc; pc = 0; ret }
+
+let make_frame t caller (rproc : R.rproc) (args : R.rcall_arg array) ret =
   let nparams = Array.length rproc.rp_params in
   if Array.length args <> nparams then
     runtime "%s expects %d arguments, got %d" rproc.rp_source.pc_name nparams
       (Array.length args);
-  let slots = Array.map cell_v rproc.rp_defaults in
+  let frame = new_frame rproc ret in
   for k = 0 to nparams - 1 do
-    let slot_idx, (param : Ast.param) = rproc.rp_params.(k) in
+    let i, (param : Ast.param) = rproc.rp_params.(k) in
     let a = args.(k) in
     if param.pref then begin
-      match a.R.ca_cell with
+      match a.R.ca_slot with
       | Some s ->
-        (* share the caller's cell: writes propagate back *)
-        slots.(slot_idx) <- cell_of_slot t caller s
+        (* refer to the caller's slot: writes land there *)
+        frame.refs.(i) <- loc_of t caller s
       | None -> runtime "%s: ref argument must be a variable" rproc.rp_source.pc_name
     end
-    else set_cell slots.(slot_idx) (eval t caller a.R.ca_expr)
+    else assign t caller frame.vals frame.ints i a.R.ca_expr
   done;
-  { rproc; slots; pc = 0; ret_slot }
+  frame
 
 (* Frame for main or a signal handler: no caller, no arguments. *)
 let entry_frame (rproc : R.rproc) =
   if Array.length rproc.rp_params <> 0 then
     runtime "%s expects %d arguments, got 0" rproc.rp_source.pc_name
       (Array.length rproc.rp_params);
-  { rproc; slots = Array.map cell_v rproc.rp_defaults; pc = 0; ret_slot = None }
+  new_frame rproc no_loc
 
-let do_return t value =
+(* Pop the returning frame; its result, if any, is already stored. *)
+let pop_frame t =
   match t.stack with
   | [] -> runtime "return with no active frame"
-  | frame :: rest -> (
-    (match frame.ret_slot, value with
-    | Some slot, Some v -> set_cell slot v
-    | Some _, None ->
-      runtime "procedure %s fell through without returning a value"
-        frame.rproc.rp_source.pc_name
-    | None, _ -> ());
+  | _ :: rest -> (
     t.stack <- rest;
     t.depth <- t.depth - 1;
     match rest with [] -> t.mstatus <- Halted | _ -> ())
@@ -473,9 +598,9 @@ let restore t frame args =
           (List.length record.values) (List.length targets);
       let assign lv v =
         match lv with
-        | R.Ralv (R.Rlvar slot) -> set_cell (cell_of_slot t frame slot) v
+        | R.Ralv (R.Rlvar slot) -> store t frame slot v
         | R.Ralv (R.Rlindex (slot, idx)) ->
-          let base = (cell_of_slot t frame slot).cv in
+          let base = load t frame slot in
           heap_store t base (as_int (eval t frame idx)) v
         | R.Raexpr _ -> runtime "mh_restore takes lvalues"
       in
@@ -528,9 +653,9 @@ let exec_stmt_builtin t frame name args =
       match t.io.io_read iface with
       | Some v ->
         (match target with
-        | R.Rlvar slot -> set_cell (cell_of_slot t frame slot) v
+        | R.Rlvar slot -> store t frame slot v
         | R.Rlindex (slot, idx) ->
-          let base = (cell_of_slot t frame slot).cv in
+          let base = load t frame slot in
           heap_store t base (as_int (eval t frame idx)) v);
         advance frame
       | None ->
@@ -578,10 +703,10 @@ let rec exec_instr t frame (instr : R.rinstr) =
   match instr with
   | Rskip -> advance frame
   | Rassign (Rlvar slot, e) ->
-    set_cell (cell_of_slot t frame slot) (eval t frame e);
+    assign_slot t frame slot e;
     advance frame
   | Rassign (Rlindex (slot, idx), e) ->
-    let base = (cell_of_slot t frame slot).cv in
+    let base = load t frame slot in
     let i = as_int (eval t frame idx) in
     heap_store t base i (eval t frame e);
     advance frame
@@ -602,8 +727,8 @@ let rec exec_instr t frame (instr : R.rinstr) =
     let rproc = if target >= 0 then t.procs.(target) else find_proc_code t callee in
     let ret =
       match ret_slot with
-      | None -> None
-      | Some slot -> Some (cell_of_slot t frame slot)
+      | None -> no_loc
+      | Some slot -> loc_of t frame slot
     in
     (* resume after the call instruction *)
     frame.pc <- frame.pc + 1;
@@ -615,11 +740,18 @@ let rec exec_instr t frame (instr : R.rinstr) =
     t.stack <- new_frame :: t.stack;
     t.depth <- t.depth + 1
   | Rreturn e ->
-    let v = Option.map (eval t frame) e in
-    do_return t v
+    let r = frame.ret in
+    (match e with
+    | Some e when r != no_loc -> assign t frame r.lvals r.lints r.at e
+    | Some e -> ignore (eval t frame e)
+    | None when r != no_loc ->
+      runtime "procedure %s fell through without returning a value"
+        frame.rproc.rp_source.pc_name
+    | None -> ());
+    pop_frame t
   | Rjump target -> frame.pc <- target
   | Rcjump { cond; if_false } ->
-    if as_bool (eval t frame cond) then advance frame else frame.pc <- if_false
+    if test t frame cond then advance frame else frame.pc <- if_false
   | Rprint es ->
     let rendered = List.map (fun e -> display_value (eval t frame e)) es in
     t.io.io_print (String.concat "" rendered);
@@ -675,9 +807,9 @@ let exec_run t frame ~base (body : R.fmember array) (tail : R.rinstr option) =
     t.instrs_executed <- t.instrs_executed + 1;
     match Array.unsafe_get body k with
     | R.Mskip -> ()
-    | R.Massign (slot, e) -> set_cell (cell_of_slot t frame slot) (eval t frame e)
+    | R.Massign (slot, e) -> assign_slot t frame slot e
     | R.Massign_index (slot, idx, e) ->
-      let b = (cell_of_slot t frame slot).cv in
+      let b = load t frame slot in
       let i = as_int (eval t frame idx) in
       heap_store t b i (eval t frame e)
   done;
@@ -697,7 +829,7 @@ let exec_fused t frame (f : R.fused) =
   | R.Frun { body; tail } -> exec_run t frame ~base:frame.pc body tail
   | R.Fcjump_run { cond; if_false; body; tail } ->
     t.instrs_executed <- t.instrs_executed + 1;
-    if as_bool (eval t frame cond) then
+    if test t frame cond then
       exec_run t frame ~base:(frame.pc + 1) body tail
     else frame.pc <- if_false
 
@@ -758,10 +890,15 @@ let set_point_hook t hook = t.point_hook <- hook
 
 let stack_procs t = List.map (fun f -> f.rproc.R.rp_source.pc_name) t.stack
 
+(* A by-reference parameter is counted in its callee's frame too, as
+   the oracle counts its shared cell. *)
 let state_size t =
-  let value_cost v = Image.value_size v in
-  let cells_cost slots =
-    Array.fold_left (fun acc cell -> acc + value_cost cell.cv) 0 slots
+  (* an unboxed slot holds an int, and every int costs the same *)
+  let value_cost v = Image.value_size (if v == unboxed then Value.Vint 0 else v) in
+  let slots_cost vals = Array.fold_left (fun acc v -> acc + value_cost v) 0 vals in
+  let frame_cost f =
+    8 + slots_cost f.vals
+    + Array.fold_left (fun acc l -> acc + value_cost l.lvals.(l.at)) 0 f.refs
   in
   let heap_cost =
     Hashtbl.fold
@@ -769,32 +906,32 @@ let state_size t =
         acc + 16 + Array.fold_left (fun a v -> a + value_cost v) 0 block.cells)
       t.heap 0
   in
-  cells_cost t.globals
-  + List.fold_left (fun acc f -> acc + 8 + cells_cost f.slots) 0 t.stack
+  slots_cost t.gvals
+  + List.fold_left (fun acc f -> acc + frame_cost f) 0 t.stack
   + heap_cost
 
-(* Deep copy preserving cell aliasing (by-reference parameters share
-   cells across frames; the copy must too). *)
+(* Deep copy preserving aliasing: a by-reference parameter or a result
+   target of the clone refers to the clone's copy of the slot. Such a
+   reference points into the globals or into a frame below its own, so
+   copying the stack bottom-up finds its target already copied. *)
 let clone t ~io =
-  let cell_map : (cell * cell) list ref = ref [] in
-  let copy_cell cell =
-    match List.find_opt (fun (old_cell, _) -> old_cell == cell) !cell_map with
-    | Some (_, fresh) -> fresh
-    | None ->
-      let fresh = { cv = cell.cv } in
-      cell_map := (cell, fresh) :: !cell_map;
-      fresh
+  let gvals = Array.copy t.gvals and gints = Array.copy t.gints in
+  let copies = ref [ (t.gvals, (gvals, gints)) ] in
+  let relocate l =
+    if l == no_loc then no_loc
+    else
+      let lvals, lints = List.assq l.lvals !copies in
+      { l with lvals; lints }
   in
-  let globals = Array.map copy_cell t.globals in
-  let stack =
-    List.map
-      (fun f ->
-        { rproc = f.rproc;
-          slots = Array.map copy_cell f.slots;
-          pc = f.pc;
-          ret_slot = Option.map copy_cell f.ret_slot })
-      t.stack
+  let copy f =
+    let vals = Array.copy f.vals and ints = Array.copy f.ints in
+    let f' =
+      { f with vals; ints; refs = Array.map relocate f.refs; ret = relocate f.ret }
+    in
+    copies := (f.vals, (vals, ints)) :: !copies;
+    f'
   in
+  let stack = List.fold_left (fun acc f -> copy f :: acc) [] (List.rev t.stack) in
   let heap =
     if Hashtbl.length t.heap = 0 then no_heap
     else begin
@@ -812,7 +949,8 @@ let clone t ~io =
     procs = t.procs;
     proc_index = t.proc_index;
     procs_local = t.procs_local;
-    globals;
+    gvals;
+    gints;
     global_index = t.global_index;
     stack;
     depth = t.depth;
@@ -857,12 +995,13 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
     | Some r -> r
     | None -> Resolve.resolve_program prog (Lower.lower_program prog)
   in
-  let globals =
-    Array.map (fun (_, ty) -> cell_v (Value.default_of_ty ty)) rprog.R.rg_globals
+  let gvals =
+    Array.map (fun (_, ty) -> Value.default_of_ty ty) rprog.R.rg_globals
   in
   let t =
     { prog; rprog; procs = rprog.rg_procs; proc_index = rprog.rg_proc_index;
-      procs_local = false; globals; global_index = rprog.rg_global_index;
+      procs_local = false; gvals; gints = Array.make (Array.length gvals) 0;
+      global_index = rprog.rg_global_index;
       stack = []; depth = 0; heap = no_heap;
       next_block = 0; mstatus = Ready; last_blocked = Ready;
       pending_signal = false; handler = None;
@@ -872,16 +1011,15 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
       restore_done_at = None; captures_taken = 0; restores_applied = 0;
       frames_rebuilt = 0; point_hook = None }
   in
-  let scratch_frame =
-    { rproc = R.scratch_proc; slots = [||]; pc = 0; ret_slot = None }
-  in
+  let scratch_frame = new_frame R.scratch_proc no_loc in
   Array.iteri
     (fun i init ->
       match init with
       | Some re -> (
         (* an initialiser that fails (e.g. forward reference) leaves the
            type default in place, like the unresolved engine *)
-        try t.globals.(i).cv <- eval t scratch_frame re with Runtime_error _ -> ())
+        try set t.gvals t.gints i (eval t scratch_frame re)
+        with Runtime_error _ -> ())
       | None -> ())
     rprog.rg_global_inits;
   (match Hashtbl.find_opt t.proc_index "main" with

@@ -5,11 +5,16 @@
    on each access. This pass does all name resolution once, at compile
    time:
 
-   - params, locals and temps of a procedure collapse into one flat
-     slot array (param wins over a same-named local, first declaration
-     wins — mirroring the hashtable population order of the unresolved
-     engine), so a frame becomes a [Value.t ref array];
-   - globals resolve to indices into a per-program global slot table;
+   - by-value params, locals and temps of a procedure collapse into
+     one run of slot indices (param wins over a same-named local, first
+     declaration wins — mirroring the hashtable population order of the
+     unresolved engine), which the machine backs with two flat arrays
+     per frame;
+   - a by-reference param gets its own kind of slot, [Sref k]: the
+     frame's k-th reference, which the call sets to where the argument
+     lives (a caller's slot or a global), so no slot is shared between
+     frames;
+   - globals resolve to indices into the machine's global slots;
    - call and jump targets become integer indices;
    - every call-free expression becomes a closed [rexpr] tree over
      slots — zero string hashing in the interpreter loop.
@@ -27,13 +32,15 @@ open Dr_lang
 module Value = Dr_state.Value
 
 type slot =
-  | Sframe of int       (* index into the frame's slot array *)
-  | Sglobal of int      (* index into the machine's global table *)
+  | Sframe of int       (* index into the frame's slot arrays *)
+  | Sref of int         (* by-reference param k: where its argument lives *)
+  | Sglobal of int      (* index into the machine's global slots *)
   | Sunbound of string  (* unresolvable: raises only when touched *)
 
 type rexpr =
   | Rconst of Value.t
   | Rframe of int
+  | Rref of int
   | Rglobal of int
   | Runbound of string
   | Rindex of rexpr * rexpr
@@ -52,7 +59,7 @@ type rarg = Raexpr of rexpr | Ralv of rlvalue
 
 type rcall_arg = {
   ca_expr : rexpr;          (* evaluated in the caller for by-value *)
-  ca_cell : slot option;    (* the bare variable's cell, for by-ref *)
+  ca_slot : slot option;    (* the bare variable's slot, for by-ref *)
 }
 
 type rinstr =
@@ -120,9 +127,10 @@ let fused_length = function
 
 type rproc = {
   rp_source : Ir.proc_code;  (* index-aligned with rp_instrs *)
-  rp_params : (int * Ast.param) array;  (* slot index per formal *)
-  rp_defaults : Value.t array;  (* initial value per slot (immutable) *)
-  rp_slot_index : (string, int) Hashtbl.t;  (* introspection only *)
+  rp_params : (int * Ast.param) array;  (* Sframe or Sref index per formal *)
+  rp_defaults : Value.t array;  (* initial value per Sframe slot (immutable) *)
+  rp_nrefs : int;  (* by-reference params *)
+  rp_slot_index : (string, slot) Hashtbl.t;  (* introspection only *)
   rp_instrs : rinstr array;
   rp_fused : fused option array;  (* index-aligned with rp_instrs *)
 }
@@ -138,7 +146,7 @@ type program = {
 }
 
 type env = {
-  frame_index : (string, int) Hashtbl.t;
+  frame_index : (string, slot) Hashtbl.t;
   global_index : (string, int) Hashtbl.t;
   (* Globals at index >= cutoff are unbound: initialiser k only sees
      globals declared before it, like the incrementally-populated
@@ -149,7 +157,7 @@ type env = {
 
 let slot_of env name =
   match Hashtbl.find_opt env.frame_index name with
-  | Some i -> Sframe i
+  | Some slot -> slot
   | None -> (
     match Hashtbl.find_opt env.global_index name with
     | Some i when i < env.global_cutoff -> Sglobal i
@@ -165,6 +173,7 @@ let rec resolve_expr env (e : Ast.expr) : rexpr =
   | Var name -> (
     match slot_of env name with
     | Sframe i -> Rframe i
+    | Sref k -> Rref k
     | Sglobal i -> Rglobal i
     | Sunbound name -> Runbound name)
   | Index (base, idx) -> Rindex (resolve_expr env base, resolve_expr env idx)
@@ -187,7 +196,7 @@ let resolve_arg env (a : Ast.arg) : rarg =
 
 let resolve_call_arg env (e : Ast.expr) : rcall_arg =
   { ca_expr = resolve_expr env e;
-    ca_cell = (match e with Ast.Var name -> Some (slot_of env name) | _ -> None)
+    ca_slot = (match e with Ast.Var name -> Some (slot_of env name) | _ -> None)
   }
 
 let resolve_instr env (instr : Ir.instr) : rinstr =
@@ -271,18 +280,34 @@ let resolve_proc ~global_index ~proc_index (code : Ir.proc_code) : rproc =
   let frame_index = Hashtbl.create 16 in
   let defaults_rev = ref [] in
   let nslots = ref 0 in
-  let add name default =
-    if not (Hashtbl.mem frame_index name) then begin
-      Hashtbl.add frame_index name !nslots;
-      defaults_rev := default :: !defaults_rev;
-      incr nslots
-    end
+  let nrefs = ref 0 in
+  let new_slot default =
+    defaults_rev := default :: !defaults_rev;
+    incr nslots;
+    !nslots - 1
   in
+  let name_slot name slot =
+    if not (Hashtbl.mem frame_index name) then Hashtbl.add frame_index name slot
+  in
+  let add name default =
+    if not (Hashtbl.mem frame_index name) then
+      name_slot name (Sframe (new_slot default))
+  in
+  (* every formal has storage of its own; a name declared twice (which
+     the typechecker refuses) names its first declaration *)
   let params =
     List.map
       (fun (p : Ast.param) ->
-        add p.pname (Value.default_of_ty p.pty);
-        (Hashtbl.find frame_index p.pname, p))
+        if p.pref then begin
+          incr nrefs;
+          name_slot p.pname (Sref (!nrefs - 1));
+          (!nrefs - 1, p)
+        end
+        else begin
+          let i = new_slot (Value.default_of_ty p.pty) in
+          name_slot p.pname (Sframe i);
+          (i, p)
+        end)
       code.pc_params
   in
   List.iter
@@ -301,11 +326,12 @@ let resolve_proc ~global_index ~proc_index (code : Ir.proc_code) : rproc =
   { rp_source = code;
     rp_params = Array.of_list params;
     rp_defaults = Array.of_list (List.rev !defaults_rev);
+    rp_nrefs = !nrefs;
     rp_slot_index = frame_index;
     rp_instrs;
     rp_fused = fuse_pairs rp_instrs }
 
-let no_frame : (string, int) Hashtbl.t = Hashtbl.create 1
+let no_frame : (string, slot) Hashtbl.t = Hashtbl.create 1
 let no_procs : (string, int) Hashtbl.t = Hashtbl.create 1
 
 let resolve_program (prog : Ast.program) (code : (string, Ir.proc_code) Hashtbl.t)
@@ -359,6 +385,7 @@ let scratch_proc : rproc =
         pc_locals = []; pc_temps = []; pc_instrs = [||]; pc_labels = [] };
     rp_params = [||];
     rp_defaults = [||];
+    rp_nrefs = 0;
     rp_slot_index = Hashtbl.create 1;
     rp_instrs = [||];
     rp_fused = [||] }

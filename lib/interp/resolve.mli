@@ -2,9 +2,11 @@
     executable form, so the {!Machine} interpreter loop does zero string
     hashing per instruction.
 
-    Frame variables (params, locals, temps) become indices into a flat
-    [Value.t ref array]; globals become indices into a per-program
-    global table; call targets become procedure indices. Expressions are
+    Frame variables (by-value params, locals, temps) become indices into
+    a frame's two slot arrays; a by-reference parameter becomes an index
+    into the frame's references, each naming where its argument lives;
+    globals become indices into the machine's global slots; call targets
+    become procedure indices. Expressions are
     compiled once into closed {!rexpr} trees over those slots. The
     resolved instruction array is index-aligned with the source
     [Ir.proc_code], so program counters, jump targets, tracer output and
@@ -15,13 +17,17 @@
     them — identical to the lazy hashtable lookup they replace. *)
 
 type slot =
-  | Sframe of int       (** index into the frame's slot array *)
-  | Sglobal of int      (** index into the machine's global table *)
+  | Sframe of int       (** index into the frame's slot arrays *)
+  | Sref of int
+      (** by-reference parameter [k]: the caller's slot or the global
+          its argument named, fixed when the frame is made *)
+  | Sglobal of int      (** index into the machine's global slots *)
   | Sunbound of string  (** unresolvable: raises only when touched *)
 
 type rexpr =
   | Rconst of Dr_state.Value.t
   | Rframe of int
+  | Rref of int
   | Rglobal of int
   | Runbound of string
   | Rindex of rexpr * rexpr
@@ -38,7 +44,7 @@ type rarg = Raexpr of rexpr | Ralv of rlvalue
 
 type rcall_arg = {
   ca_expr : rexpr;        (** evaluated in the caller for by-value *)
-  ca_cell : slot option;  (** the bare variable's cell, for by-ref *)
+  ca_slot : slot option;  (** the bare variable's slot, for by-ref *)
 }
 
 type rinstr =
@@ -99,8 +105,12 @@ val fused_length : fused -> int
 type rproc = {
   rp_source : Ir.proc_code;  (** index-aligned with [rp_instrs] *)
   rp_params : (int * Dr_lang.Ast.param) array;
-  rp_defaults : Dr_state.Value.t array;
-  rp_slot_index : (string, int) Hashtbl.t;
+      (** per formal: its [Sframe] index if by value, its [Sref] index if
+          by reference *)
+  rp_defaults : Dr_state.Value.t array;  (** initial value per [Sframe] slot *)
+  rp_nrefs : int;  (** by-reference parameters, [Sref 0 .. rp_nrefs - 1] *)
+  rp_slot_index : (string, slot) Hashtbl.t;
+      (** a frame variable's slot by name ([Sframe] or [Sref]) *)
   rp_instrs : rinstr array;
   rp_fused : fused option array;  (** index-aligned with [rp_instrs] *)
 }

@@ -55,7 +55,7 @@ let binop =
 let expr_builtin_name =
   G.oneofl [ "mh_query"; "len"; "float"; "int"; "str"; "now"; "mh_getstatus" ]
 
-let expr =
+let expr_over literal =
   G.sized @@ G.fix (fun self depth ->
       if depth <= 0 then G.oneof [ literal; G.map (fun v -> Ast.Var v) ident ]
       else
@@ -72,6 +72,54 @@ let expr =
               (G.list_size (G.int_bound 2) sub);
             G.map2 (fun name args -> Ast.Builtin (name, args)) expr_builtin_name
               (G.list_size (G.int_bound 2) sub) ])
+
+let expr = expr_over literal
+
+(* Ints beyond the interpreter's shared small-int table ([0, 1024)):
+   zero, negatives, the table's bound, large values and both extremes.
+   [min_int] has no literal, so it is built by subtraction; a negative
+   [Int] prints as a subtraction from zero. *)
+let wide_int =
+  G.frequency
+    [ (3, G.return (Ast.Int 0));
+      ( 3,
+        G.map
+          (fun i -> Ast.Int i)
+          (G.oneofl [ 1; 3; 1023; 1024; 1_000_000; 5_000_001; max_int ]) );
+      (2, G.map (fun i -> Ast.Int (-i)) (G.oneofl [ 1; 2; 7; 1024; 1_000_000 ]));
+      (2, G.map (fun i -> Ast.Int i) G.small_nat);
+      ( 1,
+        G.return
+          (Ast.Binop (Sub, Ast.Binop (Sub, Ast.Int 0, Ast.Int max_int), Ast.Int 1))
+      ) ]
+
+(* Int arithmetic over [wide_int] and the int variables [idents], or a
+   comparison of two such (or of one with itself, so that the equal
+   case is common). *)
+let int_expr idents =
+  let arith =
+    G.sized @@ G.fix (fun self depth ->
+        let leaf =
+          G.frequency
+            [ (3, wide_int); (2, G.map (fun v -> Ast.Var v) (G.oneofl idents)) ]
+        in
+        if depth <= 0 then leaf
+        else
+          let sub = self (depth / 2) in
+          G.frequency
+            [ (2, leaf);
+              (1, G.map (fun e -> Ast.Unop (Ast.Neg, e)) sub);
+              ( 4,
+                G.map3
+                  (fun op a b -> Ast.Binop (op, a, b))
+                  (G.oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div; Ast.Mod ])
+                  sub sub ) ])
+  in
+  let compare = G.oneofl [ Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
+  G.frequency
+    [ (4, arith);
+      (1, G.map3 (fun op a b -> Ast.Binop (op, a, b)) compare arith arith);
+      (1, G.map2 (fun op a -> Ast.Binop (op, a, a)) compare arith) ]
 
 let lvalue =
   G.oneof

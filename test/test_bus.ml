@@ -647,8 +647,8 @@ let test_words_per_member () =
   let per_member =
     float_of_int (Obj.reachable_words (Obj.repr bus)) /. float_of_int n
   in
-  if per_member > 160.0 then
-    Alcotest.failf "%.1f words per member (bound 160)" per_member
+  if per_member > 150.0 then
+    Alcotest.failf "%.1f words per member (bound 150)" per_member
 
 (* The input queues of an instance that never reads, driven through the
    bus and checked against one [Stdlib.Queue] per interface. A queue

@@ -281,7 +281,44 @@ let test_clone_preserves_ref_aliasing () =
   Machine.run ~max_steps:10_000 copy;
   (* if aliasing survived the clone, bump's writes reach main's v: 2 2 *)
   Alcotest.(check (list string)) "aliasing preserved" [ "2"; "2" ]
-    (Support.printed sio2)
+    (Support.printed sio2);
+  (* a chain: main's v passes by reference through outer to inner, a
+     global reaches inner by reference too, and outer's result is
+     awaited in main; the values are beyond the shared small ints *)
+  let source =
+    "module t;\n\
+     var g: int = 7000000;\n\
+     proc inner(ref a: int, ref b: int) {\n\
+    \  a = a + 1; b = b + 10; sleep(50); a = a + 1; b = b + 10;\n\
+    \  print(a, \" \", b);\n\
+     }\n\
+     proc outer(ref x: int): int { inner(x, g); print(x); return x + 1; }\n\
+     proc main() {\n\
+    \  var v: int = 5000000; var w: int;\n\
+    \  w = outer(v); print(v, \" \", g, \" \", w);\n\
+     }"
+  in
+  let expected = [ "5000002 7000020"; "5000002"; "5000002 7000020 5000003" ] in
+  let sio = Support.script_io () in
+  let machine = Machine.create ~io:sio.io (Support.parse source) in
+  Machine.run ~max_steps:10_000 machine;
+  Alcotest.(check (list string)) "asleep inside inner" [ "inner"; "outer"; "main" ]
+    (Machine.stack_procs machine);
+  let sio2 = Support.script_io () in
+  let copy = Machine.clone machine ~io:sio2.io in
+  Machine.set_ready copy;
+  Machine.run ~max_steps:10_000 copy;
+  Alcotest.(check (list string)) "the clone's writes reach its own v and g"
+    expected (Support.printed sio2);
+  Alcotest.(check (option Support.value)) "the clone's g" (Some (Value.Vint 7000020))
+    (Machine.read_global copy "g");
+  Alcotest.(check (option Support.value)) "the original's g, untouched"
+    (Some (Value.Vint 7000010))
+    (Machine.read_global machine "g");
+  Machine.set_ready machine;
+  Machine.run ~max_steps:10_000 machine;
+  Alcotest.(check (list string)) "the original runs on from its own slots"
+    expected (Support.printed sio)
 
 let test_state_size_grows () =
   let small = Machine.create ~io:(Dr_interp.Io_intf.null ()) (Support.parse (wrap "skip;")) in
@@ -321,6 +358,46 @@ proc main() {
     (Weak.check received 0);
   Alcotest.(check int) "the machine is still alive" 1
     (Machine.captures_taken m)
+
+(* A delivered int lives in its slot unboxed: once the io lets go of
+   the box it handed over, nothing in the machine keeps the box alive,
+   while the local and the global it was copied to still read its
+   value. *)
+let test_slot_keeps_no_boxed_int () =
+  let source =
+    {|module t;
+var g: int;
+proc main() {
+  var t: int;
+  mh_read("in", t);
+  g = t;
+  mh_read("in", t);
+}|}
+  in
+  let box = Weak.create 1 in
+  let handed = ref false in
+  let io =
+    { (Dr_interp.Io_intf.null ()) with
+      io_read =
+        (fun _ ->
+          if !handed then None
+          else begin
+            handed := true;
+            let v = Value.Vint (Sys.opaque_identity 5_000_001) in
+            Weak.set box 0 (Some v);
+            Some v
+          end) }
+  in
+  let m = Machine.create ~io (Support.parse source) in
+  Machine.run ~max_steps:1000 m;
+  Alcotest.(check string) "blocked on the second read" "blocked-read(in)"
+    (Fmt.str "%a" Machine.pp_status (Machine.status m));
+  Gc.full_major ();
+  Alcotest.(check bool) "the box is collected" false (Weak.check box 0);
+  Alcotest.(check (option Support.value)) "read_local t" (Some (Value.Vint 5000001))
+    (Machine.read_local m "t");
+  Alcotest.(check (option Support.value)) "read_global g" (Some (Value.Vint 5000001))
+    (Machine.read_global m "g")
 
 (* Retiring a removed instance's machine drops its stack and heap but
    no counter, stamp or global the bus's history reads. *)
@@ -487,6 +564,8 @@ let () =
           Alcotest.test_case "state size" `Quick test_state_size_grows;
           Alcotest.test_case "encode keeps no image" `Quick
             test_encode_keeps_no_image;
+          Alcotest.test_case "a slot keeps no boxed int" `Quick
+            test_slot_keeps_no_boxed_int;
           Alcotest.test_case "retire keeps counters" `Quick
             test_retire_keeps_counters ] );
       ( "capture runtime",

@@ -359,13 +359,19 @@ let test_nan_sleep_differential () =
    the generator can emit (including an array and a float), two of the
    four callable proc names defined (the others exercise the
    unknown-procedure path identically in both engines). Programs are
-   deliberately NOT typechecked: runtime errors must also match. *)
+   deliberately NOT typechecked: runtime errors must also match. The
+   int globals and half of the expressions hold ints outside the shared
+   small-int table, where the resolved engine computes, compares and
+   stores ints unboxed. main assigns the expression to a local and
+   branches on it; [store] then assigns it through a by-reference
+   parameter to a global, reads it back and updates it through the same
+   reference. *)
 let harness_globals =
-  [ ("a", "int", "1"); ("b", "int", "2"); ("c", "int[]", "alloc_int(4)");
-    ("x", "int", "4"); ("y", "float", "2.5"); ("count", "int", "0");
-    ("total", "int", "7"); ("foo_bar", "bool", "true");
+  [ ("a", "int", "1"); ("b", "int", "0 - 2"); ("c", "int[]", "alloc_int(4)");
+    ("x", "int", "1024"); ("y", "float", "2.5"); ("count", "int", "0");
+    ("total", "int", "1000000"); ("foo_bar", "bool", "true");
     ("v1", "string", "\"v\"");
-    ("tmp2", "int", "10") ]
+    ("tmp2", "int", "4611686018427387903") ]
 
 let harness_program expr_src =
   let globals =
@@ -386,14 +392,24 @@ proc work(k: int, j: int): int {
   return k * j + 1;
 }
 
+proc store(ref dst: int) {
+  dst = %s;
+  print(str(dst));
+  dst = dst * 3 - 1;
+}
+
 proc main() {
   var r: int;
   count = count + 1;
   r = %s;
   print(str(r));
+  if (%s) {
+    print("then");
+  }
+  store(total);
 }
 |}
-    globals expr_src
+    globals expr_src expr_src expr_src
 
 (* Untypechecked programs can escape the Runtime_error net (e.g. a
    builtin applied to too few arguments raises [Failure "nth"] in both
@@ -403,8 +419,13 @@ let safely drive program =
   match drive program with o -> Ok o | exception e -> Error (Printexc.to_string e)
 
 let qcheck_random_exprs =
-  Support.qcheck ~count:200 "resolved = ast engine on random expressions"
-    Gen.expr (fun e ->
+  let int_globals = [ "a"; "b"; "x"; "count"; "total"; "tmp2" ] in
+  Support.qcheck ~count:400 ~print:Dr_lang.Pretty.expr_to_string
+    "resolved = ast engine on random expressions"
+    (QCheck2.Gen.oneof
+       [ Gen.expr_over (QCheck2.Gen.oneof [ Gen.literal; Gen.wide_int ]);
+         Gen.int_expr int_globals ])
+    (fun e ->
       let source = harness_program (Dr_lang.Pretty.expr_to_string e) in
       let program = Support.parse source in
       let a = safely (drive_ast ~max_steps:5_000) program in
