@@ -62,7 +62,8 @@
 
    Only "scaling" accepts --quick (smaller sizes, CI smoke); the quick
    run writes _build/bench/BENCH_scaling_quick.json, outside the
-   tracked tree, so no smoke run can touch a committed artifact. The
+   tracked tree, so no smoke run can touch a committed artifact, or the
+   path given after --quick (bench/main.exe scaling --quick out.json). The
    other suites have no quick mode: each full run takes seconds. All
    full runs emit machine-readable BENCH_*.json artifacts next to
    bench_output.txt. "chaos", "disruption", "wal", "rolling" and "mc"
@@ -321,7 +322,10 @@ let () =
   let quick = arg = Some "--quick" in
   if what = "tables" || what = "all" then Tables.all ();
   if what = "micro" || what = "all" then run_micro ();
-  if what = "scaling" then Scaling.all ~quick ();
+  if what = "scaling" then
+    Scaling.all ~quick
+      ?path:(if Array.length Sys.argv > 3 then Some Sys.argv.(3) else None)
+      ();
   if what = "chaos" then Chaos.all ?path:arg ();
   if what = "interp" then Interp_bench.all ();
   if what = "disruption" then Disruption.all ?path:arg ();

@@ -6,6 +6,7 @@
 
    Run with: dune exec bench/main.exe -- scaling            (full sweep)
              dune exec bench/main.exe -- scaling --quick    (CI smoke)
+             dune exec bench/main.exe -- scaling --quick PATH
 
    Each N gets its own horizon, sized so that every row does about the
    same number of deliveries (the work is fixed by virtual time, never
@@ -23,7 +24,8 @@
    sweep also gates the 100k deploy on bounded wall-clock time, asserts
    the complete row set and writes BENCH_scaling.json. The quick sweep
    writes _build/bench/BENCH_scaling_quick.json, outside the tracked
-   tree, so a CI run can never touch a committed artifact. *)
+   tree, so a CI run can never touch a committed artifact, or the path
+   given after --quick. *)
 
 module Bus = Dr_bus.Bus
 module Ring = Dr_workloads.Ring
@@ -184,14 +186,20 @@ let full ?(sizes = [ 10; 100; 1000; 10_000; 100_000 ]) () =
   gate_rows rows;
   write_artifact ~path:"BENCH_scaling.json" rows
 
-let quick ?(sizes = [ 10; 1000; 10_000 ]) () =
+let quick ?(sizes = [ 10; 1000; 10_000 ]) ?path () =
   header ();
   let rows = sweep ~sizes ~deliveries:100_000 in
   gate_rows rows;
-  let dir = Filename.concat "_build" "bench" in
-  List.iter
-    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
-    [ "_build"; dir ];
-  write_artifact ~path:(Filename.concat dir "BENCH_scaling_quick.json") rows
+  let path =
+    match path with
+    | Some path -> path
+    | None ->
+      let dir = Filename.concat "_build" "bench" in
+      List.iter
+        (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+        [ "_build"; dir ];
+      Filename.concat dir "BENCH_scaling_quick.json"
+  in
+  write_artifact ~path rows
 
-let all ?quick:(q = false) () = if q then quick () else full ()
+let all ?quick:(q = false) ?path () = if q then quick ?path () else full ()

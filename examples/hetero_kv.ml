@@ -61,12 +61,12 @@ let () =
     Dr_state.Image.make ~source_module:"store"
       ~records:
         [ { Dr_state.Image.location = 1;
-            values = [ Dr_state.Value.Vint 0x1_0000_0000_0 ] } ]
+            values = [| Dr_state.Value.Vint 0x1_0000_0000_0 |] } ]
       ~heap:[]
   in
   match
-    Dr_reconfig.Primitives.translate_image bus ~src_host:"hostA" ~dst_host:"hostC"
-      oversized
+    Dr_reconfig.Primitives.translate_image bus ~dst_host:"hostC"
+      (Dr_state.Codec.encode_abstract oversized)
   with
   | Error e -> Printf.printf "  translation refused: %s\n" e
   | Ok _ -> print_endline "  unexpectedly succeeded!"

@@ -127,12 +127,12 @@ let specialise_restore ~heap_ids ~proc_name ~records targets =
     List.fold_left
       (fun acc (i, (record : Image.record)) ->
         let* acc = acc in
-        if List.length record.values <> List.length var_targets then
+        if Array.length record.values <> List.length var_targets then
           Error
             (Printf.sprintf
                "migration program: record for %s has %d values, %d variables"
                proc_name
-               (List.length record.values)
+               (Array.length record.values)
                (List.length var_targets))
         else
           let* assigns =
@@ -142,7 +142,7 @@ let specialise_restore ~heap_ids ~proc_name ~records targets =
                 let* lit = literal_of_value ~heap_ids v in
                 Ok (Ast.stmt (Ast.Assign (lv, lit)) :: acc))
               (Ok [])
-              (List.combine var_targets record.values)
+              (List.combine var_targets (Array.to_list record.values))
           in
           let body =
             Ast.stmt (Ast.Assign (location_target, Int record.location))

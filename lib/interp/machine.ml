@@ -223,7 +223,9 @@ let as_str = function
 (* Results the machine makes and soon drops share values instead of
    allocating them: the two booleans, and the integers in
    [0, small_int_limit) from one table (counters and indexes mostly live
-   there). *)
+   there). The image decoder interns through its own,
+   [Value.small_ints]; EXPERIMENTS.md "One container per move" measures
+   the two sharing one. *)
 let[@inline] vbool b = if b then Value.Vbool true else Value.Vbool false
 
 let small_int_limit = 1024
@@ -519,34 +521,43 @@ let pop_frame t =
 
 (* ----------------------------------------------------- state capture *)
 
+(* The captured values are evaluated left to right into the record's
+   array. *)
 let capture t frame args =
   match args with
   | R.Raexpr loc_expr :: rest ->
     let location = as_int (eval t frame loc_expr) in
-    let values =
-      List.map
-        (function
-          | R.Raexpr e -> eval t frame e
-          | R.Ralv _ -> runtime "mh_capture takes expressions")
-        rest
+    let values = Array.make (List.length rest) Value.Vnull in
+    let rec fill i = function
+      | [] -> ()
+      | R.Raexpr e :: rest ->
+        Array.unsafe_set values i (eval t frame e);
+        fill (i + 1) rest
+      | R.Ralv _ :: _ -> runtime "mh_capture takes expressions"
     in
+    fill 0 rest;
     if t.capture_records = [] then
       t.capture_started_at <- Some (t.io.io_now ());
     t.captures_taken <- t.captures_taken + 1;
     t.capture_records <- { Image.location; values } :: t.capture_records
   | _ -> runtime "mh_capture: missing location"
 
+(* Only the captured values that name a block seed the heap walk; an
+   image without one carries no heap. *)
 let build_image t =
   let records = List.rev t.capture_records in
-  let roots = List.concat_map (fun (r : Image.record) -> r.values) records in
   let heap =
-    Image.gather_blocks ~lookup:(fun id -> Hashtbl.find_opt t.heap id) roots
+    match Image.block_refs records with
+    | [] -> []
+    | roots ->
+      Image.gather_blocks ~lookup:(fun id -> Hashtbl.find_opt t.heap id) roots
   in
   Image.make ~source_module:t.prog.module_name ~records ~heap
 
 (* Materialise an incoming image's heap into this machine, remapping
-   symbolic block ids to fresh local ids (sharing preserved). *)
-let feed_image t (image : Image.t) =
+   symbolic block ids to fresh local ids (sharing preserved); the
+   records come back with their block references remapped. *)
+let remap_image t (image : Image.t) =
   let mapping = Hashtbl.create 16 in
   List.iter
     (fun (old_id, (block : Image.heap_block)) ->
@@ -575,11 +586,19 @@ let feed_image t (image : Image.t) =
         Array.iteri (fun i v -> block.cells.(i) <- remap_value v) block.cells
       | None -> ())
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) mapping []);
+  List.map
+    (fun (r : Image.record) ->
+      { r with Image.values = Array.map remap_value r.values })
+    image.records
+
+(* An image whose records name no block is restored from its own
+   records: no array of an image is written, and restore only reads
+   them. *)
+let feed_image t (image : Image.t) =
   let records =
-    List.map
-      (fun (r : Image.record) ->
-        { r with Image.values = List.map remap_value r.values })
+    if image.heap = [] && Image.block_refs image.records = [] then
       image.records
+    else remap_image t image
   in
   (* an image lists its records in capture order and restore consumes
      them last-first: prepend them reversed, ahead of any still queued *)
@@ -593,9 +612,10 @@ let restore t frame args =
     | [] -> runtime "mh_restore: restore buffer is empty"
     | record :: rest ->
       t.restore_records <- rest;
-      if List.length targets <> List.length record.values then
+      let values = record.values in
+      if List.length targets <> Array.length values then
         runtime "mh_restore: record has %d values but %d targets given"
-          (List.length record.values) (List.length targets);
+          (Array.length values) (List.length targets);
       let assign lv v =
         match lv with
         | R.Ralv (R.Rlvar slot) -> store t frame slot v
@@ -605,7 +625,7 @@ let restore t frame args =
         | R.Raexpr _ -> runtime "mh_restore takes lvalues"
       in
       assign (R.Ralv loc_lv) (vint record.location);
-      List.iter2 assign targets record.values;
+      List.iteri (fun i lv -> assign lv (Array.unsafe_get values i)) targets;
       t.restores_applied <- t.restores_applied + 1;
       if t.restore_records = [] then
         t.restore_done_at <- Some (t.io.io_now ()))

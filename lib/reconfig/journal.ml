@@ -18,7 +18,11 @@ type entry = Persist.entry =
       k_queues : (string * Value.t list) list;
     }
   | Armed_divulge of string
-  | Divulged of { d_cap : Primitives.module_cap; d_image : Image.t }
+  | Divulged of {
+      d_cap : Primitives.module_cap;
+      d_image : Image.t;
+      d_container : bytes;
+    }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
 
 type t = {
@@ -149,12 +153,14 @@ let arm_divulge t ~instance callback =
   logged_op t (Armed_divulge instance) (fun () ->
       Bus.on_divulge t.bus ~instance callback)
 
-let note_divulged t ~cap ~image =
-  (* no bus operation — the record spills the divulged image (its own
-     DRIMG2 checksum inside the log record's CRC) so recovery can
-     return the old instance to service; it is the script's one copy,
-     which a later [Killed] undo re-deposits too *)
-  logged_op t (Divulged { d_cap = cap; d_image = image }) (fun () -> ())
+let note_divulged t ~cap ~image ~container =
+  (* no bus operation — the record spills the container the move ships
+     (its own DRIMG2 checksum inside the log record's CRC) so recovery
+     can return the old instance to service; it is the script's one
+     copy, which a later [Killed] undo re-deposits too *)
+  logged_op t
+    (Divulged { d_cap = cap; d_image = image; d_container = container })
+    (fun () -> ())
 
 (* Deliberately a complete no-op (no journal entry, no bus call) when
    no transport is installed: on the classic fire-and-forget bus a
@@ -216,7 +222,7 @@ let restore_instance t ~step ~restored ~instance ~module_name ~host ?spec ~image
 let divulged_image entries ~instance =
   List.find_map
     (function
-      | Divulged { d_cap; d_image }
+      | Divulged { d_cap; d_image; _ }
         when String.equal d_cap.Primitives.cap_instance instance ->
         Some d_image
       | _ -> None)
@@ -258,7 +264,7 @@ let undo t ~step ~restored ~entries = function
     Bus.record t.bus
       (E.Undo_transport_returned
          { step; from_instance = rt_new; to_instance = rt_old })
-  | Divulged { d_cap; d_image } ->
+  | Divulged { d_cap; d_image; _ } ->
     (* The target complied: it divulged and is halting — it may even
        still be [Ready], winding down the tail of the quantum that
        divulged, but its continuation is spent either way. Return it to

@@ -48,6 +48,7 @@ type entry = Persist.entry =
   | Divulged of {
       d_cap : Primitives.module_cap;
       d_image : Dr_state.Image.t;
+      d_container : bytes;
     }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
 
@@ -115,12 +116,18 @@ val arm_divulge : t -> instance:string -> (Dr_state.Image.t -> unit) -> unit
     callback if it has not fired. *)
 
 val note_divulged :
-  t -> cap:Primitives.module_cap -> image:Dr_state.Image.t -> unit
+  t ->
+  cap:Primitives.module_cap ->
+  image:Dr_state.Image.t ->
+  container:bytes ->
+  unit
 (** Record that the target complied: it divulged [image] and is halting.
-    Undo returns it to service — kill the halted shell, respawn it under
-    its own name on its own host, re-deposit [image], and re-inject the
-    messages parked at its interfaces — unless a later journal entry
-    already restored it. *)
+    [container] is [image]'s abstract container, the bytes the move
+    ships; the log records them verbatim. Undo returns the target to
+    service — kill the halted shell, respawn it under its own name on
+    its own host, re-deposit [image], and re-inject the messages parked
+    at its interfaces — unless a later journal entry already restored
+    it. *)
 
 val rebind : t -> Primitives.bind_batch -> unit
 (** Apply a rebinding batch through the journal, command by command, in

@@ -19,7 +19,11 @@ type entry =
       k_queues : (string * Value.t list) list;
     }
   | Armed_divulge of string
-  | Divulged of { d_cap : Primitives.module_cap; d_image : Image.t }
+  | Divulged of {
+      d_cap : Primitives.module_cap;
+      d_image : Image.t;
+      d_container : bytes;
+    }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
 
 type record =
@@ -73,15 +77,18 @@ let r_bool r = Bin_util.read_u8 r <> 0
 
 (* images travel as complete DRIMG2 containers: double integrity (the
    container CRC inside the log record's CRC), and one codec for every
-   durable artefact *)
-let w_image buf image =
-  Wire.write_string buf (Bytes.unsafe_to_string (Codec.encode_abstract image))
+   durable artefact. The container is the one the move ships, written
+   verbatim. *)
+let w_container buf container =
+  Wire.write_string buf (Bytes.unsafe_to_string container)
 
-(* The embedded container is copied once out of the record. The string
-   is fresh and never escapes, so viewing it as bytes is safe. *)
-let r_image r =
-  match Codec.decode_abstract (Bytes.unsafe_of_string (Wire.read_string r)) with
-  | Ok image -> image
+(* The embedded container is copied once out of the record, and the
+   entry keeps it beside its image. The string is fresh and never
+   escapes as a string, so viewing it as bytes is safe. *)
+let r_container r =
+  let container = Bytes.unsafe_of_string (Wire.read_string r) in
+  match Codec.decode_abstract container with
+  | Ok image -> (image, container)
   | Error e -> malformed "embedded image: %s" e
 
 (* Module specifications round-trip through the MIL surface syntax. A
@@ -190,10 +197,10 @@ let w_entry buf = function
   | Armed_divulge instance ->
     Bin_util.write_u8 buf 7;
     Wire.write_string buf instance
-  | Divulged { d_cap; d_image } ->
+  | Divulged { d_cap; d_container; _ } ->
     Bin_util.write_u8 buf 8;
     w_cap buf d_cap;
-    w_image buf d_image
+    w_container buf d_container
   | Renamed_transport { rt_old; rt_new; rt_fence } ->
     Bin_util.write_u8 buf 9;
     Wire.write_string buf rt_old;
@@ -222,8 +229,8 @@ let r_entry r =
   | 7 -> Armed_divulge (Wire.read_string r)
   | 8 ->
     let d_cap = r_cap r in
-    let d_image = r_image r in
-    Divulged { d_cap; d_image }
+    let d_image, d_container = r_container r in
+    Divulged { d_cap; d_image; d_container }
   | 9 ->
     let rt_old = Wire.read_string r in
     let rt_new = Wire.read_string r in
@@ -362,7 +369,7 @@ let describe_entry = function
   | Spawned i -> Printf.sprintf "spawned %s" i
   | Killed { k_instance; _ } -> Printf.sprintf "killed %s" k_instance
   | Armed_divulge i -> Printf.sprintf "armed divulge for %s" i
-  | Divulged { d_cap; d_image } ->
+  | Divulged { d_cap; d_image; _ } ->
     Printf.sprintf "%s divulged %d byte(s), digest %016Lx"
       d_cap.Primitives.cap_instance
       (Image.byte_size d_image) (Image.digest d_image)

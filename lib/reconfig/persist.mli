@@ -9,10 +9,11 @@
     grammar after a controller crash.
 
     Everything rides the abstract wire layout ({!Dr_state.Codec.Wire}:
-    big-endian, 64-bit, tagged values); the state image inside a
-    [Divulged] entry is spilled as a complete DRIMG2 container
-    ({!Dr_state.Codec.encode_abstract}), so it carries its own CRC in
-    addition to the log record's framing checksum. A script logs its
+    big-endian, 64-bit, tagged values); a [Divulged] entry spills the
+    complete DRIMG2 container the move ships, byte for byte, so it
+    carries its own CRC in addition to the log record's framing
+    checksum, and a decoded entry holds both the container and its
+    image. A script logs its
     divulged image once: a [Killed] entry carries none, and its undo
     takes the image the same instance divulged earlier in the script.
     Module specifications round-trip through the MIL
@@ -36,7 +37,13 @@ type entry =
       k_queues : (string * Dr_state.Value.t list) list;
     }
   | Armed_divulge of string
-  | Divulged of { d_cap : Primitives.module_cap; d_image : Dr_state.Image.t }
+  | Divulged of {
+      d_cap : Primitives.module_cap;
+      d_image : Dr_state.Image.t;
+      d_container : bytes;
+          (** [d_image]'s abstract container, the bytes the move ships
+              ({!Dr_state.Codec.encode_abstract}); logged verbatim *)
+    }
   | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
 
 type record =

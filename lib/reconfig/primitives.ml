@@ -1,4 +1,3 @@
-module Image = Dr_state.Image
 module Codec = Dr_state.Codec
 
 type module_cap = {
@@ -71,39 +70,33 @@ let objstate_move bus ~old_instance ~deliver () =
   Dr_bus.Bus.on_divulge bus ~instance:old_instance deliver;
   Dr_bus.Bus.signal_reconfig bus ~instance:old_instance
 
-let translate_image bus ?for_instance ~src_host ~dst_host image =
-  match Dr_bus.Bus.find_host bus src_host, Dr_bus.Bus.find_host bus dst_host with
-  | Some src, Some dst -> (
-    match Codec.Native.encode src.arch image with
-    | Error e -> Error e
-    | Ok native_src ->
-      (* an armed [Image_corrupt] fault flips a byte of the native
-         wire image here — between capture and translation, where real
-         corruption would strike; the codec's checksum must catch it *)
-      let native_src =
-        match for_instance with
-        | Some instance
-          when Dr_bus.Bus.consume_image_corruption bus ~instance ->
-          let corrupted = Bytes.copy native_src in
-          let pos = Bytes.length corrupted / 2 in
-          Bytes.set corrupted pos
-            (Char.chr (Char.code (Bytes.get corrupted pos) lxor 0x5A));
-          corrupted
-        | _ -> native_src
-      in
-      (* the destination reads the source's layout itself: one decode,
-         CRC included, whether or not the architectures differ *)
-      let result =
-        Codec.Native.receive ~src:src.arch ~dst:dst.arch native_src
-      in
-      (match result, for_instance with
-      | Error reason, Some instance ->
-        Dr_bus.Bus.quarantine_image bus ~instance ~reason
-          ~byte_size:(Bytes.length native_src)
-      | _ -> ());
-      result)
-  | None, _ -> Error (Printf.sprintf "unknown host %s" src_host)
-  | _, None -> Error (Printf.sprintf "unknown host %s" dst_host)
+let translate_image bus ?for_instance ~dst_host container =
+  match Dr_bus.Bus.find_host bus dst_host with
+  | None -> Error (Printf.sprintf "unknown host %s" dst_host)
+  | Some dst ->
+    (* an armed [Image_corrupt] fault flips a byte of a copy of the
+       container here — between capture and restore, where real
+       corruption in transit would strike; the journal keeps the intact
+       bytes, and the codec's checksum must catch the shipped ones *)
+    let shipped =
+      match for_instance with
+      | Some instance when Dr_bus.Bus.consume_image_corruption bus ~instance ->
+        let corrupted = Bytes.copy container in
+        let pos = Bytes.length corrupted / 2 in
+        Bytes.set corrupted pos
+          (Char.chr (Char.code (Bytes.get corrupted pos) lxor 0x5A));
+        corrupted
+      | _ -> container
+    in
+    (* the destination reads the abstract layout itself: one decode, CRC
+       included, whatever its architecture *)
+    let result = Codec.decode_for dst.arch shipped in
+    (match result, for_instance with
+    | Error reason, Some instance ->
+      Dr_bus.Bus.quarantine_image bus ~instance ~reason
+        ~byte_size:(Bytes.length shipped)
+    | _ -> ());
+    result
 
 let chg_obj_add bus ~instance ~module_name ~host ?spec ?(status = "normal") () =
   Dr_bus.Bus.spawn bus ~instance ~module_name ~host ?spec ~status ()

@@ -54,18 +54,19 @@ val objstate_move :
 val translate_image :
   Dr_bus.Bus.t ->
   ?for_instance:string ->
-  src_host:string ->
   dst_host:string ->
-  Dr_state.Image.t ->
+  bytes ->
   (Dr_state.Image.t, string) result
-(** Ship an image as a real heterogeneous migration would: encoded in
-    the source host's native format, then decoded once by the
-    destination ({!Dr_state.Codec.Native.receive}). Fails when a value
-    cannot be represented on the destination architecture. With
-    [?for_instance]: an armed
-    {!Dr_bus.Bus.arm_image_corruption} fault corrupts the native bytes
-    in flight (the codec's checksum catches it), and any translation
-    failure quarantines the image against that instance. *)
+(** Ship an image as a real heterogeneous migration would: the abstract
+    container its source encoded ({!Dr_state.Codec.encode_abstract}) is
+    decoded once by the destination, for its own word
+    ({!Dr_state.Codec.decode_for}). Fails when a value cannot be
+    represented on the destination architecture. With
+    [?for_instance]: an armed {!Dr_bus.Bus.arm_image_corruption} fault
+    corrupts a copy of the bytes in flight (the codec's checksum catches
+    it; the caller's container stays intact), and any translation
+    failure quarantines the image against that instance, with the
+    container's length as its size. *)
 
 val chg_obj_add :
   Dr_bus.Bus.t ->

@@ -2,6 +2,7 @@ module P = Primitives
 module Bus = Dr_bus.Bus
 module E = Dr_sim.Trace_event
 module Image = Dr_state.Image
+module Codec = Dr_state.Codec
 module Metrics = Dr_obs.Metrics
 module Machine = Dr_interp.Machine
 
@@ -290,15 +291,18 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
           match P.obj_cap bus ~instance with
           | Error e -> fail e
           | Ok cap ->
-            Journal.note_divulged j ~cap ~image;
+            (* the image is encoded once: the journal logs the container
+               the destination decodes (§1.2's abstract image) *)
+            let container = Codec.encode_abstract image in
+            Journal.note_divulged j ~cap ~image ~container;
             (* end-to-end integrity: the digest taken at capture must
                survive encode/translate/decode, and [deposit_state
                ~expect] re-verifies it at the restore boundary *)
             let d0 = Image.digest image in
             let translated =
               match
-                P.translate_image bus ~for_instance:instance
-                  ~src_host:cap.cap_host ~dst_host:host image
+                P.translate_image bus ~for_instance:instance ~dst_host:host
+                  container
               with
               | Error e ->
                 Error (Printf.sprintf "state translation failed: %s" e)
@@ -442,7 +446,8 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
           fail_span bus sp e;
           on_done (Error e)
         | Ok cap -> (
-          Journal.note_divulged j ~cap ~image;
+          let container = Codec.encode_abstract image in
+          Journal.note_divulged j ~cap ~image ~container;
           (* Phase 1 — restart the original in place: it halted after
              divulging; bring it back under its own name with the same
              image, preserving any messages still queued at its
@@ -499,7 +504,7 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
             in
             match
               P.translate_image bus ~for_instance:instance
-                ~src_host:cap.cap_host ~dst_host:replica_host image
+                ~dst_host:replica_host container
             with
             | Error e -> fail e
             | Ok image' -> (

@@ -24,54 +24,11 @@ let read_u8 r =
   r.pos <- r.pos + 1;
   v
 
-let read_i32 r ~big =
-  need r 4;
-  let raw =
-    if big then Bytes.get_int32_be r.data r.pos
-    else Bytes.get_int32_le r.data r.pos
-  in
-  r.pos <- r.pos + 4;
-  Int32.to_int raw
-
-(* The conversion to [int] happens inside, next to the load: an [int64]
-   that crosses a function boundary is boxed. *)
-let read_i64 r ~big =
-  need r 8;
-  let v =
-    if big then Int64.to_int (Bytes.get_int64_be r.data r.pos)
-    else Int64.to_int (Bytes.get_int64_le r.data r.pos)
-  in
-  r.pos <- r.pos + 8;
-  v
-
-let read_bits64 r ~big =
-  need r 8;
-  let raw = if big then Bytes.get_int64_be r.data r.pos else Bytes.get_int64_le r.data r.pos in
-  r.pos <- r.pos + 8;
-  raw
-
-let read_f64 r ~big = Int64.float_of_bits (read_bits64 r ~big)
-
-let read_bytes r n =
-  need r n;
-  let s = Bytes.sub_string r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
-
 let write_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let write_i32 buf ~big v =
-  let v32 = Int32.of_int v in
-  if big then Buffer.add_int32_be buf v32 else Buffer.add_int32_le buf v32
 
 let write_i64 buf ~big v =
   if big then Buffer.add_int64_be buf (Int64.of_int v)
   else Buffer.add_int64_le buf (Int64.of_int v)
-
-let write_bits64 buf ~big v =
-  if big then Buffer.add_int64_be buf v else Buffer.add_int64_le buf v
-
-let write_f64 buf ~big v = write_bits64 buf ~big (Int64.bits_of_float v)
 
 let write_bytes buf s = Buffer.add_string buf s
 

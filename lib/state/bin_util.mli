@@ -1,9 +1,15 @@
-(** Endian-aware binary readers/writers used by the state codecs. *)
+(** The cursor the state codecs read through, the [Buffer] writers the
+    write-ahead log's records are built with, and the CRC-32 both
+    check. *)
 
 exception Truncated
 (** Raised by readers when the input ends prematurely. *)
 
-type reader
+type reader = { data : bytes; mutable pos : int; limit : int }
+(** A cursor: the next byte to read is [data.[pos]], and no read
+    reaches [limit]. The image decoder in {!Codec} loads through these
+    fields itself, and the journal's readers ({!Codec.Wire}) are its
+    own, so every reader of a durable artefact shares this cursor. *)
 
 val reader : ?len:int -> bytes -> reader
 (** A reader over the first [len] bytes (default: all of them). Reading
@@ -15,21 +21,14 @@ val reader : ?len:int -> bytes -> reader
 val remaining : reader -> int
 (** Bytes left before the bound. *)
 
-(** Fixed-width integers travel as OCaml [int]s: the conversion to and
-    from [int32]/[int64] happens inside the call, so no boxed integer is
-    allocated per field. A 64-bit field read back into an [int] keeps
-    its low 63 bits ([Int64.to_int]). *)
-
 val read_u8 : reader -> int
-val read_i32 : reader -> big:bool -> int
-val read_i64 : reader -> big:bool -> int
-val read_f64 : reader -> big:bool -> float
-val read_bytes : reader -> int -> string
 
 val write_u8 : Buffer.t -> int -> unit
-val write_i32 : Buffer.t -> big:bool -> int -> unit
+
 val write_i64 : Buffer.t -> big:bool -> int -> unit
-val write_f64 : Buffer.t -> big:bool -> float -> unit
+(** The [int] is converted inside the call, so no boxed [int64] is
+    allocated per field. *)
+
 val write_bytes : Buffer.t -> string -> unit
 
 val crc32_sub : bytes -> off:int -> len:int -> int32

@@ -7,12 +7,16 @@
     - a {b native} format per {!Arch.t} is what a module "really" divulges
       on its host: byte order and word width follow the architecture.
 
-    A migration from host A to host B ships native(A) bytes and decodes
-    them once on B: the receiver makes right. {!Native.receive} reads
-    A's byte order and word width and refuses, with the encoder's
-    message, an integer that B's word cannot hold; no abstract
-    container or native(B) bytes are built on the way.
-    {!Native.translate} is that decode followed by an encode for B.
+    A move ships the abstract container: the source encodes its image
+    once ({!encode_abstract}), the journal logs those bytes, and the
+    destination decodes the same bytes for its own word
+    ({!decode_for}), refusing an integer its word cannot hold. The
+    native layouts stay for the paper's tables and the [drc] CLI
+    ({!Native}); no move builds one.
+
+    An encoder sizes the container first and writes it once into bytes
+    of that size; the decoder reads it through a cursor bounded before
+    its trailer ({!Bin_util.reader}).
 
     Container format: the "DRIMG2" magic, a version byte (2), the body
     and a CRC-32 trailer over everything before it, big-endian. A
@@ -27,10 +31,18 @@ val encode_abstract : Image.t -> bytes
 
 val decode_abstract : bytes -> (Image.t, string) result
 
+val decode_for : Arch.t -> bytes -> (Image.t, string) result
+(** Decode an abstract container on a host of the given architecture:
+    {!decode_abstract}, except that bound for a 32-bit word an integer
+    that does not fit fails with ["integer N does not fit a 32-bit
+    word"] once the whole container has parsed (a malformed container
+    reports its own fault first). *)
+
 (** Abstract-layout wire primitives (big-endian, 64-bit, the same
     encoding the canonical image body uses), exposed for other durable
     formats — notably the write-ahead log's journal records — so every
-    on-disk artefact shares one integer/string/value encoding. *)
+    on-disk artefact shares one integer/string/value encoding. The
+    readers are the image decoder's own. *)
 module Wire : sig
   val write_int : Buffer.t -> int -> unit
   val read_int : Bin_util.reader -> int

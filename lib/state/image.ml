@@ -1,6 +1,6 @@
 type heap_block = { elem_ty : Dr_lang.Ast.ty; cells : Value.t array }
 
-type record = { location : int; values : Value.t list }
+type record = { location : int; values : Value.t array }
 
 type t = {
   source_module : string;
@@ -44,8 +44,8 @@ let equal_block a b =
 
 let equal_record a b =
   a.location = b.location
-  && List.length a.values = List.length b.values
-  && List.for_all2 same_value a.values b.values
+  && Array.length a.values = Array.length b.values
+  && Array.for_all2 same_value a.values b.values
 
 let equal a b =
   String.equal a.source_module b.source_module
@@ -62,7 +62,7 @@ let pp ppf t =
   List.iteri
     (fun i r ->
       Fmt.pf ppf "@,  record %d: location=%d [%a]" i r.location
-        (Fmt.list ~sep:(Fmt.any ", ") Value.pp)
+        (Fmt.array ~sep:(Fmt.any ", ") Value.pp)
         r.values)
     t.records;
   List.iter
@@ -118,15 +118,10 @@ let rec mix_ty h = function
   | Dr_lang.Ast.Tptr t -> mix_ty (mix_int h 6) t
 
 let mix_record st r =
-  let n = List.length r.values in
+  let n = Array.length r.values in
   let h = ref (mix_int (mix_int (Bytes.get_int64_ne st 0) r.location) n) in
-  let rest = ref r.values in
-  for _ = 1 to n do
-    match !rest with
-    | v :: tl ->
-      rest := tl;
-      h := mix_value !h v
-    | [] -> ()
+  for k = 0 to n - 1 do
+    h := mix_value !h (Array.unsafe_get r.values k)
   done;
   Bytes.set_int64_ne st 0 !h
 
@@ -152,8 +147,9 @@ let compute_digest t =
 
 (* Memoised: the deposit path re-checks the digest of an image whose
    digest was already computed at capture/translate time; records and
-   heap are never mutated after construction (feed/clone copy cells), so
-   caching in the handle is sound. *)
+   heap are never mutated after construction (a machine fed an image
+   reads its records and copies its cells), so caching in the handle is
+   sound. *)
 let digest t =
   match t.digest_memo with
   | Some d -> d
@@ -171,13 +167,29 @@ let value_size = function
 
 let byte_size t =
   let record_size r =
-    8 + List.fold_left (fun acc v -> acc + value_size v) 0 r.values
+    8 + Array.fold_left (fun acc v -> acc + value_size v) 0 r.values
   in
   let block_size (_, b) =
     16 + Array.fold_left (fun acc v -> acc + value_size v) 0 b.cells
   in
   List.fold_left (fun acc r -> acc + record_size r) 0 t.records
   + List.fold_left (fun acc b -> acc + block_size b) 0 t.heap
+
+(* values.(0 .. i) that name a block, in order, ahead of [acc] *)
+let rec refs_upto values i acc =
+  if i < 0 then acc
+  else
+    refs_upto values (i - 1)
+      (match Array.unsafe_get values i with
+      | (Value.Varr _ | Value.Vptr _) as v -> v :: acc
+      | Value.Vint _ | Value.Vfloat _ | Value.Vbool _ | Value.Vstr _
+      | Value.Vnull ->
+        acc)
+
+let block_refs records =
+  List.fold_right
+    (fun r acc -> refs_upto r.values (Array.length r.values - 1) acc)
+    records []
 
 let gather_blocks ~lookup roots =
   let seen = Hashtbl.create 16 in

@@ -12,7 +12,12 @@
 
 type heap_block = { elem_ty : Dr_lang.Ast.ty; cells : Value.t array }
 
-type record = { location : int; values : Value.t list }
+type record = { location : int; values : Value.t array }
+(** One captured activation record: its resume location and its
+    captured values, in capture order. No array of an image is written
+    after {!make}: the digest memo relies on that, and a machine fed an
+    image without heap blocks restores from its records where they
+    lie. *)
 
 type t = {
   source_module : string;   (** module the state was captured from *)
@@ -62,6 +67,11 @@ val value_size : Value.t -> int
 val byte_size : t -> int
 (** Sum of {!value_size} over every record and heap cell, plus 8 per
     record and 16 per block. *)
+
+val block_refs : record list -> Value.t list
+(** The values of these records that name a heap block ([Varr],
+    [Vptr]), in capture order: the roots of {!gather_blocks}. Allocates
+    nothing when no value does. *)
 
 val gather_blocks :
   lookup:(int -> heap_block option) ->

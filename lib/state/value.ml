@@ -7,6 +7,10 @@ type t =
   | Vptr of int * int
   | Vnull
 
+let small_int_limit = 1024
+
+let small_ints = Array.init small_int_limit (fun i -> Vint i)
+
 let equal a b =
   match a, b with
   | Vint x, Vint y -> x = y

@@ -16,6 +16,13 @@ type t =
   | Vptr of int * int    (** heap block id, element offset *)
   | Vnull
 
+val small_int_limit : int
+
+val small_ints : t array
+(** [small_ints.(i)] is [Vint i] for [0 <= i < small_int_limit]: the
+    image decoder's table, so an int a container carries in that range
+    allocates nothing. Never written. *)
+
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -311,7 +311,8 @@ let value_32bit =
 
 let record value_gen =
   G.map2
-    (fun location values -> { Dr_state.Image.location; values })
+    (fun location values ->
+      { Dr_state.Image.location; values = Array.of_list values })
     G.small_nat
     (G.list_size (G.int_bound 5) value_gen)
 

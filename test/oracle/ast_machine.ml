@@ -364,12 +364,15 @@ let capture t frame args =
           | Ast.Alv _ -> runtime "mh_capture takes expressions")
         rest
     in
-    t.capture_records <- { Image.location; values } :: t.capture_records
+    t.capture_records <-
+      { Image.location; values = Array.of_list values } :: t.capture_records
   | _ -> runtime "mh_capture: missing location"
 
 let build_image t =
   let records = List.rev t.capture_records in
-  let roots = List.concat_map (fun (r : Image.record) -> r.values) records in
+  let roots =
+    List.concat_map (fun (r : Image.record) -> Array.to_list r.values) records
+  in
   let heap =
     Image.gather_blocks ~lookup:(fun id -> Hashtbl.find_opt t.heap id) roots
   in
@@ -409,7 +412,7 @@ let feed_image t (image : Image.t) =
   let records =
     List.map
       (fun (r : Image.record) ->
-        { r with Image.values = List.map remap_value r.values })
+        { r with Image.values = Array.map remap_value r.values })
       image.records
   in
   t.restore_records <- t.restore_records @ records;
@@ -422,9 +425,9 @@ let restore t frame args =
     | [] -> runtime "mh_restore: restore buffer is empty"
     | record :: rev_rest ->
       t.restore_records <- List.rev rev_rest;
-      if List.length targets <> List.length record.values then
+      if List.length targets <> Array.length record.values then
         runtime "mh_restore: record has %d values but %d targets given"
-          (List.length record.values) (List.length targets);
+          (Array.length record.values) (List.length targets);
       let assign lv v =
         match lv with
         | Ast.Alv (Ast.Lvar name) -> lookup_cell t frame name := v
@@ -434,7 +437,7 @@ let restore t frame args =
         | Ast.Aexpr _ -> runtime "mh_restore takes lvalues"
       in
       assign (Ast.Alv loc_lv) (Value.Vint record.location);
-      List.iter2 assign targets record.values)
+      List.iter2 assign targets (Array.to_list record.values))
   | _ -> runtime "mh_restore: missing location target"
 
 (* --------------------------------------------------------- builtins *)

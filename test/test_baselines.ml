@@ -394,7 +394,7 @@ let test_recompile_rejects_garbage_image () =
   in
   let bogus =
     Dr_state.Image.make ~source_module:"compute"
-      ~records:[ { Dr_state.Image.location = 99; values = [] } ]
+      ~records:[ { Dr_state.Image.location = 99; values = [||] } ]
       ~heap:[]
   in
   match Dr_baselines.Recompile.synthesize ~prepared ~image:bogus with

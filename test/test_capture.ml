@@ -57,7 +57,7 @@ let test_capture_mid_recursion () =
     [ 4; 3; 1 ] locations;
   (* the interrupted frame had consumed temps 1 and 2: rp = 1/4 + 2/4 *)
   (match image.records with
-  | { values = [ _num; _n; rp; _temper ]; _ } :: _ ->
+  | { values = [| _num; _n; rp; _temper |]; _ } :: _ ->
     Alcotest.check Support.value "partial sum" (Value.Vfloat 0.75) rp
   | _ -> Alcotest.fail "record shape");
   (* finish the clone: it must write the average of 1..4 *)

@@ -10,9 +10,9 @@ module Wal = Dr_wal.Wal
 let sample_image =
   Image.make ~source_module:"compute"
     ~records:
-      [ { Image.location = 4; values = [ Value.Vint 4; Vint 3; Vfloat 0.75; Vint 0 ] };
-        { Image.location = 3; values = [ Value.Vint 4; Vint 4; Vfloat 0.75; Vint 0 ] };
-        { Image.location = 1; values = [ Value.Vint 4; Vfloat 0.75 ] } ]
+      [ { Image.location = 4; values = [| Value.Vint 4; Vint 3; Vfloat 0.75; Vint 0 |] };
+        { Image.location = 3; values = [| Value.Vint 4; Vint 4; Vfloat 0.75; Vint 0 |] };
+        { Image.location = 1; values = [| Value.Vint 4; Vfloat 0.75 |] } ]
     ~heap:
       [ (0, { Image.elem_ty = Tint; cells = [| Value.Vint 1; Vint 2 |] });
         (3, { Image.elem_ty = Tarr Tint; cells = [| Value.Varr 0; Vnull |] }) ]
@@ -70,7 +70,7 @@ let test_translate_across_archs () =
 let test_word_overflow_detected () =
   let big =
     Image.make ~source_module:"t"
-      ~records:[ { Image.location = 1; values = [ Value.Vint 0x7FFFFFFFFF ] } ]
+      ~records:[ { Image.location = 1; values = [| Value.Vint 0x7FFFFFFFFF |] } ]
       ~heap:[]
   in
   (match Codec.Native.encode Arch.sparc32 big with
@@ -135,8 +135,8 @@ let test_empty_image () =
 
 let test_image_push_pop () =
   let img = Image.empty ~source_module:"m" in
-  let r1 = { Image.location = 1; values = [ Value.Vint 1 ] } in
-  let r2 = { Image.location = 2; values = [ Value.Vint 2 ] } in
+  let r1 = { Image.location = 1; values = [| Value.Vint 1 |] } in
+  let r2 = { Image.location = 2; values = [| Value.Vint 2 |] } in
   let img = Image.push_record (Image.push_record img r1) r2 in
   Alcotest.(check int) "depth" 2 (Image.depth img);
   match Image.pop_record img with
@@ -167,7 +167,7 @@ let test_gather_blocks_sharing_and_cycles () =
 let test_byte_size_monotone () =
   let small = Image.empty ~source_module:"m" in
   let bigger =
-    Image.push_record small { Image.location = 1; values = [ Value.Vstr "hello" ] }
+    Image.push_record small { Image.location = 1; values = [| Value.Vstr "hello" |] }
   in
   Alcotest.(check bool) "adding a record grows the image" true
     (Image.byte_size bigger > Image.byte_size small)
@@ -177,7 +177,7 @@ let test_signed_zeros_differ () =
      in a record slot and in a heap cell alike *)
   let in_record v =
     Image.make ~source_module:"m"
-      ~records:[ { Image.location = 1; values = [ Value.Vint 1; Vfloat v ] } ]
+      ~records:[ { Image.location = 1; values = [| Value.Vint 1; Vfloat v |] } ]
       ~heap:[]
   in
   let in_cell v =
@@ -368,6 +368,136 @@ let prop_receive_matches_reference =
              a.word_bits = 64 || Result.is_ok (Codec.Native.encode a img))
            Arch.all))
 
+(* The codec against the one it replaced ([Codec_oracle]): every
+   container byte for byte, every decode image for image, every failure
+   text for text. Images carry ints around the shared small-int range
+   and past 32 bits (in locations, block ids and offsets too), both
+   zeros, NaN bit patterns, arbitrary strings, pointers and heap blocks.
+   A container is decoded intact, torn, with a bit flipped (the CRC's
+   error) and with a body byte overwritten under a recomputed CRC (the
+   parser's error). The abstract layout decodes for itself and for
+   each architecture ({!Codec.decode_abstract}, {!Codec.decode_for});
+   a native one for each architecture ({!Codec.Native.receive}). *)
+module Ref = Codec_oracle
+
+type layout = Abstract | On of Arch.t
+
+let layouts = Abstract :: List.map (fun a -> On a) Arch.all
+
+let layout_name = function Abstract -> "abstract" | On a -> a.Arch.arch_name
+
+let ref_layout = function Abstract -> Ref.abstract | On a -> Ref.of_arch a
+
+let encode layout img =
+  match layout with
+  | Abstract -> Ok (Codec.encode_abstract img)
+  | On arch -> Codec.Native.encode arch img
+
+(* the pairs the codec decodes, with their decoder *)
+let decoders src =
+  match src with
+  | Abstract ->
+    (Abstract, Codec.decode_abstract)
+    :: List.map (fun a -> (On a, Codec.decode_for a)) Arch.all
+  | On src -> List.map (fun a -> (On a, Codec.Native.receive ~src ~dst:a)) Arch.all
+
+let wide_int =
+  let open QCheck2.Gen in
+  oneof
+    [ int_range 0 1023; int_range (-3000) 3000; int;
+      map (fun k -> 0x8000_0000 + k) (int_range (-2) 2);
+      map (fun k -> -0x8000_0000 + k) (int_range (-2) 2);
+      oneofl [ max_int; min_int; 1 lsl 40 ] ]
+
+let odd_float =
+  let open QCheck2.Gen in
+  oneof
+    [ float; oneofl [ 0.0; -0.0; infinity; neg_infinity ];
+      (* NaN: every exponent bit set, a non-zero mantissa, either sign *)
+      map
+        (fun bits ->
+          Int64.float_of_bits
+            (Int64.logor 0x7FF0_0000_0000_0001L
+               (Int64.logand (Int64.of_int bits) 0x800F_FFFF_FFFF_FFFFL)))
+        int ]
+
+let odd_value =
+  let open QCheck2.Gen in
+  oneof
+    [ map (fun i -> Value.Vint i) wide_int;
+      map (fun f -> Value.Vfloat f) odd_float;
+      map (fun b -> Value.Vbool b) bool;
+      map (fun s -> Value.Vstr s) (string_size ~gen:char (int_bound 12));
+      map (fun b -> Value.Varr b) wide_int;
+      map2 (fun b o -> Value.Vptr (b, o)) wide_int wide_int;
+      return Value.Vnull ]
+
+let odd_image =
+  let open QCheck2.Gen in
+  let values = map Array.of_list (list_size (int_bound 6) odd_value) in
+  map3
+    (fun source_module records heap ->
+      Image.make ~source_module ~records ~heap)
+    (string_size ~gen:char (int_bound 8))
+    (list_size (int_bound 4)
+       (map2 (fun location values -> { Image.location; values }) wide_int values))
+    (list_size (int_bound 3)
+       (map3
+          (fun id elem_ty cells -> (id, { Image.elem_ty; cells }))
+          wide_int Gen.ty values))
+
+let same_outcome what a b =
+  match a, b with
+  | Ok a, Ok b ->
+    (Image.equal a b && Int64.equal (Image.digest a) (Image.digest b))
+    || QCheck2.Test.fail_reportf "%s: the images differ" what
+  | Error a, Error b ->
+    String.equal a b || QCheck2.Test.fail_reportf "%s: %S against %S" what a b
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "%s: only the reference failed: %s" what e
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "%s: only the codec failed: %s" what e
+
+let prop_matches_reference_codec =
+  let gen = QCheck2.Gen.(pair odd_image (triple nat nat char)) in
+  Support.qcheck ~count:300 "codec matches the reference codec" gen
+    (fun (img, (cut, flip, c)) ->
+      List.for_all
+        (fun src ->
+          let name = layout_name src in
+          match encode src img, Ref.encode (ref_layout src) img with
+          | Error a, Error b ->
+            String.equal a b
+            || QCheck2.Test.fail_reportf "%s encode: %S against %S" name a b
+          | Ok _, Error e ->
+            QCheck2.Test.fail_reportf "%s: only the reference failed: %s" name e
+          | Error e, Ok _ ->
+            QCheck2.Test.fail_reportf "%s: only the codec failed: %s" name e
+          | Ok bytes, Ok expected ->
+            if not (Bytes.equal bytes expected) then
+              QCheck2.Test.fail_reportf "%s: the containers differ" name;
+            let n = Bytes.length bytes in
+            let flipped = Bytes.copy bytes in
+            let pos = flip mod n in
+            Bytes.set flipped pos
+              (Char.chr (Char.code (Bytes.get flipped pos) lxor (1 lsl (flip mod 8))));
+            let patched = Bytes.copy bytes in
+            Bytes.set patched (7 + (flip mod (n - 11))) c;
+            reseal patched;
+            let inputs =
+              [ ("intact", bytes); ("torn", Bytes.sub bytes 0 (cut mod n));
+                ("flipped", flipped); ("patched", patched) ]
+            in
+            List.for_all
+              (fun (dst, decode) ->
+                List.for_all
+                  (fun (what, data) ->
+                    same_outcome
+                      (Printf.sprintf "%s->%s, %s" name (layout_name dst) what)
+                      (decode data)
+                      (Ref.decode ~src:(ref_layout src) ~dst:(ref_layout dst) data))
+                  inputs)
+              (decoders src))
+        layouts)
+
 (* -------------------------------------------------------------- pins *)
 
 (* Byte-identity pins. Images frozen to disk and write-ahead logs written
@@ -382,9 +512,9 @@ let pin_image =
   Image.make ~source_module:"pin"
     ~records:
       [ { Image.location = 2;
-          values = [ Value.Vint (-7); Vfloat 1.5; Vbool true; Vstr "ab" ] };
+          values = [| Value.Vint (-7); Vfloat 1.5; Vbool true; Vstr "ab" |] };
         { Image.location = 5;
-          values = [ Value.Varr 3; Vptr (4, 1); Vnull; Vint 0x12345678 ] } ]
+          values = [| Value.Varr 3; Vptr (4, 1); Vnull; Vint 0x12345678 |] } ]
     ~heap:
       [ (3, { Image.elem_ty = Tarr Tint; cells = [| Value.Vnull |] });
         ( 4,
@@ -395,9 +525,9 @@ let pin_second =
   Image.make ~source_module:"pin"
     ~records:
       [ { Image.location = 2;
-          values = [ Value.Vint 0; Vfloat 1.5; Vbool false; Vstr "ab" ] };
+          values = [| Value.Vint 0; Vfloat 1.5; Vbool false; Vstr "ab" |] };
         { Image.location = 5;
-          values = [ Value.Varr 3; Vptr (4, 1); Vnull; Vint 0x12345678 ] } ]
+          values = [| Value.Varr 3; Vptr (4, 1); Vnull; Vint 0x12345678 |] } ]
     ~heap:[ (3, { Image.elem_ty = Tarr Tint; cells = [| Value.Vnull |] }) ]
 
 let hex b =
@@ -458,7 +588,12 @@ let test_pin_wal_frames () =
   in
   let record =
     Persist.Entry
-      { sid = 3; entry = Persist.Divulged { d_cap = cap; d_image = pin_image } }
+      { sid = 3;
+        entry =
+          Persist.Divulged
+            { d_cap = cap;
+              d_image = pin_image;
+              d_container = Codec.encode_abstract pin_image } }
   in
   let storage = Storage.storage_of_mem (Storage.memory ()) in
   let wal = Result.get_ok (Wal.create storage) in
@@ -531,4 +666,4 @@ let () =
             test_pin_wal_frames ] );
       ( "properties",
         [ prop_abstract_roundtrip; prop_cross_arch_roundtrip;
-          prop_receive_matches_reference ] ) ]
+          prop_receive_matches_reference; prop_matches_reference_codec ] ) ]

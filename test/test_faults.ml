@@ -363,7 +363,9 @@ let test_rollback_with_host_down_leaves_crashed () =
   Journal.arm_divulge j ~instance:"compute" (fun image -> got := Some image);
   Bus.signal_reconfig bus ~instance:"compute";
   Bus.run_while bus ~max_events:2_000_000 (fun () -> Option.is_none !got);
-  Journal.note_divulged j ~cap ~image:(Option.get !got);
+  let image = Option.get !got in
+  Journal.note_divulged j ~cap ~image
+    ~container:(Dr_state.Codec.encode_abstract image);
   let before = snapshot bus in
   Bus.crash_host bus ~host:"hostA";
   Journal.rollback j ~reason:"double fault";

@@ -54,13 +54,14 @@ let test_translate_image_across_hosts () =
   let image =
     Dr_state.Image.make ~source_module:"compute"
       ~records:
-        [ { Dr_state.Image.location = 1; values = [ Dr_state.Value.Vint 7 ] } ]
+        [ { Dr_state.Image.location = 1; values = [| Dr_state.Value.Vint 7 |] } ]
       ~heap:[]
   in
-  (match P.translate_image bus ~src_host:"hostA" ~dst_host:"hostB" image with
+  let container = Dr_state.Codec.encode_abstract image in
+  (match P.translate_image bus ~dst_host:"hostB" container with
   | Ok translated -> Alcotest.check Support.image "identical" image translated
   | Error e -> Alcotest.failf "translate: %s" e);
-  match P.translate_image bus ~src_host:"hostA" ~dst_host:"nohost" image with
+  match P.translate_image bus ~dst_host:"nohost" container with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown host accepted"
 
@@ -70,31 +71,36 @@ let test_translate_overflow_fails () =
     Dr_state.Image.make ~source_module:"compute"
       ~records:
         [ { Dr_state.Image.location = 1;
-            values = [ Dr_state.Value.Vint 0x7FFF_FFFF_FF ] } ]
+            values = [| Dr_state.Value.Vint 0x7FFF_FFFF_FF |] } ]
       ~heap:[]
   in
   (* hostB is sparc32: the 40-bit integer cannot migrate there *)
-  match P.translate_image bus ~src_host:"hostA" ~dst_host:"hostB" image with
+  match
+    P.translate_image bus ~dst_host:"hostB"
+      (Dr_state.Codec.encode_abstract image)
+  with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected word-size failure"
 
 (* The script-level view of an unfit move: a 2^40 held in main's
    frame cannot live in a sparc32 word, so the move fails loudly, the
-   source container is quarantined, and the rollback returns the old
+   shipped container is quarantined, and the rollback returns the old
    instance to service with its own state. *)
-let ticker_mil =
-  {|
+let ticker_mil ~host =
+  Printf.sprintf
+    {|
 module ticker {
   source = "./ticker.exe";
-  machine = "hostA";
+  machine = "%s";
   define interface out pattern {integer};
   reconfiguration point R state {big, ticks};
 }
 
 application ticking {
-  instance ticker on "hostA";
+  instance ticker on "%s";
 }
 |}
+    host host
 
 let ticker_source =
   {|
@@ -114,19 +120,29 @@ proc main() {
 }
 |}
 
+(* hostA is x86_64, hostB sparc32 and hostC arm32 *)
+let start_ticker ~host =
+  match
+    Result.bind
+      (Dynrecon.System.load ~mil:(ticker_mil ~host)
+         ~sources:[ ("ticker", ticker_source) ] ())
+      (fun system ->
+        Dynrecon.System.start system ~app:"ticking"
+          ~hosts:Dr_workloads.Monitor.hosts ~default_host:host ())
+  with
+  | Ok bus -> bus
+  | Error e -> Alcotest.failf "load: %s" e
+
+let rolled_back bus =
+  List.exists
+    (fun (_, ev) ->
+      match ev with
+      | Dr_sim.Trace_event.Rollback_started _ -> true
+      | _ -> false)
+    (Dr_sim.Trace.events (Bus.trace bus))
+
 let test_unfit_migration_rolls_back () =
-  let bus =
-    match
-      Result.bind
-        (Dynrecon.System.load ~mil:ticker_mil
-           ~sources:[ ("ticker", ticker_source) ] ())
-        (fun system ->
-          Dynrecon.System.start system ~app:"ticking"
-            ~hosts:Dr_workloads.Monitor.hosts ~default_host:"hostA" ())
-    with
-    | Ok bus -> bus
-    | Error e -> Alcotest.failf "load: %s" e
-  in
+  let bus = start_ticker ~host:"hostA" in
   Bus.run ~until:3.5 bus;
   let result =
     Script.run_sync bus (fun ~on_done ->
@@ -146,16 +162,10 @@ let test_unfit_migration_rolls_back () =
   Alcotest.(check bool) "the old instance serves on" true (printed () > before);
   Alcotest.(check bool) "no clone left" false
     (List.mem "t2" (Bus.instances bus));
-  Alcotest.(check bool) "journal rolled back" true
-    (List.exists
-       (fun (_, ev) ->
-         match ev with
-         | Dr_sim.Trace_event.Rollback_started _ -> true
-         | _ -> false)
-       (Dr_sim.Trace.events (Bus.trace bus)));
+  Alcotest.(check bool) "journal rolled back" true (rolled_back bus);
   (* the state it serves with is still its own: freezing it now
-     captures the same shape at the same point, so its x86_64 container
-     has the size the quarantine recorded *)
+     captures the same shape at the same point, so its abstract
+     container has the size the quarantine recorded *)
   let frozen =
     match Dr_reconfig.Freeze.freeze bus ~instance:"ticker" () with
     | Ok bytes -> Result.get_ok (Dr_state.Codec.decode_abstract bytes)
@@ -164,18 +174,58 @@ let test_unfit_migration_rolls_back () =
   Alcotest.(check bool) "2^40 kept" true
     (List.exists
        (fun (r : Dr_state.Image.record) ->
-         List.mem (Dr_state.Value.Vint 1099511627776) r.values)
+         Array.mem (Dr_state.Value.Vint 1099511627776) r.values)
        frozen.records);
   match Bus.quarantined bus with
   | [ q ] ->
     Alcotest.(check string) "quarantined against the source" "ticker"
       q.Bus.q_instance;
-    let native =
-      Dr_state.Codec.Native.encode Dr_state.Arch.x86_64 frozen
-    in
-    Alcotest.(check int) "the source container's size"
-      (Bytes.length (Result.get_ok native)) q.Bus.q_byte_size
+    Alcotest.(check int) "the shipped container's size"
+      (Bytes.length (Dr_state.Codec.encode_abstract frozen))
+      q.Bus.q_byte_size
   | l -> Alcotest.failf "expected one quarantined image, got %d" (List.length l)
+
+(* A 32-bit host runs MiniProc with the interpreter's wide ints, so a
+   module there can hold 2^40. The move ships the abstract container,
+   which holds it: only a destination whose word cannot refuses it, with
+   the codec's message, and the rollback keeps the old instance serving;
+   a 64-bit destination takes it. *)
+let test_wide_int_from_32bit_source () =
+  let bus = start_ticker ~host:"hostB" in
+  Bus.run ~until:3.5 bus;
+  let migrate ~new_instance ~new_host =
+    Script.run_sync bus (fun ~on_done ->
+        Script.migrate bus ~instance:"ticker" ~new_instance ~new_host ~on_done
+          ())
+  in
+  (match migrate ~new_instance:"t2" ~new_host:"hostC" with
+  | Ok _ -> Alcotest.fail "a 2^40 integer moved to arm32"
+  | Error e ->
+    Alcotest.(check string) "the codec's message"
+      "state translation failed: integer 1099511627776 does not fit a \
+       32-bit word"
+      e);
+  Alcotest.(check bool) "journal rolled back" true (rolled_back bus);
+  Alcotest.(check bool) "no clone left" false
+    (List.mem "t2" (Bus.instances bus));
+  let printed () = List.length (Bus.outputs bus ~instance:"ticker") in
+  let before = printed () in
+  Bus.run ~until:(Bus.now bus +. 5.0) bus;
+  Alcotest.(check bool) "the old instance serves on" true (printed () > before);
+  let last_ticker =
+    int_of_string (List.hd (List.rev (Bus.outputs bus ~instance:"ticker")))
+  in
+  (match migrate ~new_instance:"t3" ~new_host:"hostA" with
+  | Ok clone -> Alcotest.(check string) "the clone" "t3" clone
+  | Error e -> Alcotest.failf "sparc32 -> x86_64: %s" e);
+  Bus.run ~until:(Bus.now bus +. 5.0) bus;
+  match List.map int_of_string (Bus.outputs bus ~instance:"t3") with
+  | [] -> Alcotest.fail "the clone printed nothing"
+  | first :: _ as printed ->
+    Alcotest.(check int) "the clone counts on from the old instance"
+      (last_ticker + 1) first;
+    Alcotest.(check bool) "big + ticks, past 2^40" true
+      (List.for_all (fun n -> n > 1 lsl 40) printed)
 
 let test_migrate_monitor () =
   let bus = monitor () in
@@ -550,23 +600,13 @@ let test_script_trace_order () =
 (* Repeated migration must not grow the bus with its history: a removed
    instance keeps its spawn-history record, but its machine holds no copy
    of the image it divulged. *)
-let test_migration_retention_flat () =
-  let module Metrics = Dr_obs.Metrics in
-  let hosts =
-    [ { Bus.host_name = "hostA"; arch = Dr_state.Arch.x86_64 };
-      { Bus.host_name = "hostB"; arch = Dr_state.Arch.sparc32 } ]
-  in
-  let bus = Bus.create ~hosts () in
-  let registry = Metrics.create () in
-  Bus.set_metrics bus registry;
-  let storage = Dr_wal.Storage.storage_of_mem (Dr_wal.Storage.memory ()) in
-  (match Dr_wal.Wal.create storage with
-  | Ok wal -> Bus.set_wal bus wal
-  | Error e -> Alcotest.failf "wal: %s" e);
+(* A depth-64 recursion holding [payload] ints per frame, started as
+   w0 on hostA and run until it has dived to its bottom loop. *)
+let start_deeppay bus ~payload =
   let prepared =
     match
       Dr_transform.Instrument.prepare
-        (Dr_workloads.Synthetic.deeprec_payload ~depth:64 ~payload:8)
+        (Dr_workloads.Synthetic.deeprec_payload ~depth:64 ~payload)
         ~points:Dr_workloads.Synthetic.deeprec_points
     with
     | Ok p -> p.Dr_transform.Instrument.prepared_program
@@ -580,13 +620,16 @@ let test_migration_retention_flat () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "spawn: %s" e);
-  Bus.run ~until:5.0 bus;
-  let words () = Obj.reachable_words (Obj.repr bus) in
-  let after_five = ref 0 in
-  for i = 1 to 25 do
+  Bus.run ~until:5.0 bus
+
+(* moves [first] to [last] of the chain w0 -> w1 -> ..., move i bound
+   for the ((i - 1) mod n)th of the [n] hosts; each starts once the
+   previous clone has restored *)
+let chain_migrations bus ~first ~last ~hosts =
+  for i = first to last do
     let instance = Printf.sprintf "w%d" (i - 1) in
     let new_instance = Printf.sprintf "w%d" i in
-    let new_host = if i mod 2 = 1 then "hostB" else "hostA" in
+    let new_host = List.nth hosts ((i - 1) mod List.length hosts) in
     match
       Script.run_sync bus ~watch:instance (fun ~on_done ->
           Script.migrate bus ~precopy:true ~instance ~new_instance ~new_host
@@ -597,12 +640,30 @@ let test_migration_retention_flat () =
       match Bus.machine bus ~instance:clone with
       | None -> Alcotest.failf "migration %d: clone not live" i
       | Some m ->
-        (* each move starts once the previous clone has restored *)
         Bus.run_while bus ~max_events:1_000_000 (fun () ->
-            Machine.restore_done_at m = None);
-        if i = 5 then after_five := words ())
-  done;
-  let per_migration = (words () - !after_five) / 20 in
+            Machine.restore_done_at m = None))
+  done
+
+let test_migration_retention_flat () =
+  let module Metrics = Dr_obs.Metrics in
+  let hosts =
+    [ { Bus.host_name = "hostA"; arch = Dr_state.Arch.x86_64 };
+      { Bus.host_name = "hostB"; arch = Dr_state.Arch.sparc32 } ]
+  in
+  let bus = Bus.create ~hosts () in
+  let registry = Metrics.create () in
+  Bus.set_metrics bus registry;
+  let storage = Dr_wal.Storage.storage_of_mem (Dr_wal.Storage.memory ()) in
+  (match Dr_wal.Wal.create storage with
+  | Ok wal -> Bus.set_wal bus wal
+  | Error e -> Alcotest.failf "wal: %s" e);
+  start_deeppay bus ~payload:8;
+  let words () = Obj.reachable_words (Obj.repr bus) in
+  let hosts = [ "hostB"; "hostA" ] in
+  chain_migrations bus ~first:1 ~last:5 ~hosts;
+  let after_five = words () in
+  chain_migrations bus ~first:6 ~last:25 ~hosts;
+  let per_migration = (words () - after_five) / 20 in
   if per_migration >= 1_500 then
     Alcotest.failf "retained %d words per migration (bound 1500)" per_migration;
   let migrates =
@@ -628,6 +689,36 @@ let test_migration_retention_flat () =
           (phase "signal" +. phase "drain" +. phase "capture"
           +. phase "translate" +. phase "restore"))
     migrates
+
+(* What a move allocates: the migrate-deep benchmark's moves of a
+   depth-64 stack, 16 ints a frame, over all three architectures with a
+   log attached. One container per move, encoded once and decoded once,
+   keeps a move under 14 000 minor words (about 10 100, and 11 300 with
+   DRC_METRICS=1; 25 900 and 27 100 when every move encoded its image
+   twice). *)
+let test_move_allocation_bounded () =
+  let bus =
+    Bus.create
+      ~hosts:
+        [ { Bus.host_name = "hostA"; arch = Dr_state.Arch.x86_64 };
+          { Bus.host_name = "hostB"; arch = Dr_state.Arch.sparc32 };
+          { Bus.host_name = "hostC"; arch = Dr_state.Arch.arm32 };
+          { Bus.host_name = "hostD"; arch = Dr_state.Arch.x86_64 } ]
+      ()
+  in
+  (match
+     Dr_wal.Wal.create
+       (Dr_wal.Storage.storage_of_mem (Dr_wal.Storage.memory ()))
+   with
+  | Ok wal -> Bus.set_wal bus wal
+  | Error e -> Alcotest.failf "wal: %s" e);
+  start_deeppay bus ~payload:16;
+  let before = Gc.minor_words () in
+  chain_migrations bus ~first:1 ~last:100
+    ~hosts:[ "hostB"; "hostD"; "hostC"; "hostA" ];
+  let per_move = (Gc.minor_words () -. before) /. 100.0 in
+  if per_move > 14_000.0 then
+    Alcotest.failf "%.0f minor words per move (bound 14000)" per_move
 
 (* A committed replacement withdraws its deadline: in model-checking
    mode the event would otherwise stay a transition the explorer has to
@@ -684,7 +775,9 @@ let () =
           Alcotest.test_case "translate overflow" `Quick
             test_translate_overflow_fails;
           Alcotest.test_case "unfit move rolls back" `Quick
-            test_unfit_migration_rolls_back ] );
+            test_unfit_migration_rolls_back;
+          Alcotest.test_case "wide int from a 32-bit source" `Quick
+            test_wide_int_from_32bit_source ] );
       ( "scripts",
         [ Alcotest.test_case "migrate monitor" `Quick test_migrate_monitor;
           Alcotest.test_case "replace same host" `Quick test_replace_same_host;
@@ -696,6 +789,8 @@ let () =
           Alcotest.test_case "script trace order" `Quick test_script_trace_order;
           Alcotest.test_case "retention per migration flat" `Quick
             test_migration_retention_flat;
+          Alcotest.test_case "minor words per move bounded" `Quick
+            test_move_allocation_bounded;
           Alcotest.test_case "commit withdraws the deadline" `Quick
             test_commit_withdraws_deadline ] );
       ( "freeze/thaw",

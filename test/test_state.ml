@@ -1,6 +1,7 @@
 module Value = Dr_state.Value
 module Arch = Dr_state.Arch
 module Bin_util = Dr_state.Bin_util
+module Wire = Dr_state.Codec.Wire
 
 let test_value_equal () =
   Alcotest.(check bool) "ints" true (Value.equal (Vint 3) (Vint 3));
@@ -126,29 +127,30 @@ let test_crc32_sub_bounds () =
     (Bin_util.crc32_sub data ~off:16 ~len:0)
 
 let test_bounded_reader () =
-  (* an 8-byte body followed by a 4-byte trailer *)
-  let data = Bytes.create 12 in
+  (* an 8-byte body followed by an 8-byte trailer *)
+  let data = Bytes.create 16 in
   Bytes.set_int64_be data 0 42L;
-  Bytes.set_int32_be data 8 7l;
+  Bytes.set_int64_be data 8 7L;
   let r = Bin_util.reader ~len:8 data in
-  Alcotest.(check int) "body readable" 42 (Bin_util.read_i64 r ~big:true);
+  Alcotest.(check int) "body readable" 42 (Wire.read_int r);
   Alcotest.(check int) "nothing left before the bound" 0 (Bin_util.remaining r);
-  (match Bin_util.read_i32 r ~big:true with
+  (match Wire.read_int r with
   | _ -> Alcotest.fail "read the trailer as body"
   | exception Bin_util.Truncated -> ());
   (match Bin_util.read_u8 r with
   | _ -> Alcotest.fail "read a trailer byte as body"
   | exception Bin_util.Truncated -> ());
-  let r = Bin_util.reader ~len:8 data in
-  (match Bin_util.read_bytes r 9 with
-  | _ -> Alcotest.fail "read_bytes crossed the bound"
-  | exception Bin_util.Truncated -> ());
+  (* a 42-byte string would cross the bound *)
+  let r = Bin_util.reader ~len:9 data in
+  (match Wire.read_string r with
+  | _ -> Alcotest.fail "a string crossed the bound"
+  | exception Dr_state.Codec.Malformed _ -> ());
   List.iter
     (fun len ->
       match Bin_util.reader ~len data with
       | _ -> Alcotest.failf "reader accepted len=%d" len
       | exception Invalid_argument _ -> ())
-    [ -1; 13 ]
+    [ -1; 17 ]
 
 let () =
   Alcotest.run "state"

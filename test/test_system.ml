@@ -414,7 +414,7 @@ let test_malformed_image_crashes_clone () =
   let bogus =
     Dr_state.Image.make ~source_module:"compute"
       ~records:
-        [ { Dr_state.Image.location = 1; values = [ Dr_state.Value.Vint 7 ] } ]
+        [ { Dr_state.Image.location = 1; values = [| Dr_state.Value.Vint 7 |] } ]
       ~heap:[]
   in
   Dr_interp.Machine.feed_image clone bogus;

@@ -454,7 +454,7 @@ let test_rollback_lines_carry_label_and_index () =
 (* A logged ring at 8 vms, then replace c -> c2 with a generous
    deadline: without [ctl_crash] the script COMMITS. Also returns c's
    pass counter read just before the script. *)
-let commit_trial ?ctl_crash () =
+let commit_trial ?ctl_crash ?(corrupt = false) () =
   let bus = Ring.start (Ring.load ()) in
   let mem = Storage.memory () in
   Bus.set_wal bus (ok (Wal.create (Storage.storage_of_mem mem)));
@@ -462,6 +462,7 @@ let commit_trial ?ctl_crash () =
   | Some n -> Faults.install bus ~seed:1 (Faults.plan ~ctl_crash:n ())
   | None -> ());
   Bus.run ~until:8.0 bus;
+  if corrupt then Bus.arm_image_corruption bus ~instance:"c";
   let before = snapshot bus in
   let passes = Ring.passes bus ~instance:"c" in
   let outcome =
@@ -632,6 +633,61 @@ let killed_bodies mem =
       | Ok (Persist.Entry { entry = Persist.Killed _; _ }) -> Some body
       | _ -> None)
     (Wal.records (ok (reopen mem)))
+
+(* An armed image fault corrupts the bytes in flight, never the
+   container the journal logs: the move quarantines and rolls back, the
+   log's Divulged record still decodes to the image c captured (the
+   same move without the fault logs it), and replaying the log after a
+   controller crash at any of its appends returns c to service with its
+   own passes. The container a caller ships is never written. *)
+let test_image_fault_spares_the_log () =
+  let logged_image mem =
+    match containers "DRIMG2" mem with
+    | [ Persist.Divulged { d_image; _ } ] -> d_image
+    | l ->
+      Alcotest.failf "expected one image container, in Divulged; found %d"
+        (List.length l)
+  in
+  let _, clean, _, _, _ = commit_trial () in
+  let captured = logged_image clean in
+  let bus, mem, before, _, outcome = commit_trial ~corrupt:true () in
+  Alcotest.(check bool) "the corrupted move fails" true (Result.is_error outcome);
+  Alcotest.(check int) "one quarantine" 1 (List.length (Bus.quarantined bus));
+  Alcotest.(check bool) "rolled back" true (snapshot bus = before);
+  Alcotest.(check int64) "the logged image is the captured one"
+    (Dr_state.Image.digest captured)
+    (Dr_state.Image.digest (logged_image mem));
+  let total = List.length (Wal.records (ok (reopen mem))) in
+  List.iter
+    (fun n ->
+      let bus, mem, before, passes, _ =
+        commit_trial ~ctl_crash:n ~corrupt:true ()
+      in
+      Alcotest.(check bool) "controller died" true (Bus.controller_down bus);
+      ignore (recover bus mem : Recovery.report);
+      Alcotest.(check bool)
+        (Printf.sprintf "crash@%d restored the snapshot" n)
+        true
+        (snapshot bus = before);
+      Bus.run ~until:(Bus.now bus +. 5.0) bus;
+      Alcotest.(check bool)
+        (Printf.sprintf "crash@%d: c serves on with its %d passes" n passes)
+        true
+        (Ring.passes bus ~instance:"c" >= passes))
+    (List.init (total - 1) (fun i -> i + 1));
+  let bus = Ring.start (Ring.load ()) in
+  let container = Dr_state.Codec.encode_abstract captured in
+  let intact = Bytes.copy container in
+  Bus.arm_image_corruption bus ~instance:"c";
+  (match
+     Dr_reconfig.Primitives.translate_image bus ~for_instance:"c"
+       ~dst_host:(Option.get (Bus.instance_host bus ~instance:"c"))
+       container
+   with
+  | Ok _ -> Alcotest.fail "the corrupted copy decoded"
+  | Error _ -> ());
+  Alcotest.(check bool) "the caller's container is intact" true
+    (Bytes.equal intact container)
 
 (* A pre-copy replace journals its image once, in the Divulged entry,
    and a controller crash at any append before its Commit rolls the
@@ -817,6 +873,8 @@ let () =
             `Quick test_crash_keeps_slot_state;
           Alcotest.test_case "precopy image logged once and recovered" `Quick
             test_precopy_logs_one_image;
+          Alcotest.test_case "image fault spares the log"
+            `Quick test_image_fault_spares_the_log;
           Alcotest.test_case "each divulged image logged once" `Quick
             test_image_logged_once;
           Alcotest.test_case "crash after commit keeps replacement" `Quick
